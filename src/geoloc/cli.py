@@ -26,7 +26,7 @@ from .config import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from .errors import CheckpointError, ConfigError, ToolError
+from .errors import CheckpointError, ConfigError, ManifestError, ToolError
 from .partition import (
     build_partition,
     format_stats_table,
@@ -117,9 +117,10 @@ def cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _check_partition_provenance(path: str, cfg: RunConfig) -> None:
+    """Reject a partition built on another validation split; call after ``load_partition``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     echo = doc.get("run_config")
-    if not echo or not doc.get("split_applied", False):
+    if not isinstance(echo, dict) or not doc.get("split_applied", False):
         return
     same_split = (
         echo.get("seed") == cfg.seed
@@ -141,8 +142,8 @@ def _run_training_from_files(args: argparse.Namespace, cfg: RunConfig):
     )
     _, val_db, val_queries = _split_records(records, cfg)
     if getattr(args, "partition", None):
-        _check_partition_provenance(args.partition, cfg)
         part = load_partition(args.partition)
+        _check_partition_provenance(args.partition, cfg)
     else:
         train_records, _, _ = _split_records(records, cfg)
         part = build_partition(train_records, cfg.partition)
@@ -180,6 +181,9 @@ def _embed_records(model, records, features, batch_size: int) -> np.ndarray:
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     db_records = ingest.load_manifest(args.db)
     query_records = ingest.load_manifest(args.queries)
+    for path, records in ((args.db, db_records), (args.queries, query_records)):
+        if not records:
+            raise ManifestError(f"manifest {path} holds no records")
     db_features = synth.load_features(args.db_features)
     query_features = synth.load_features(args.query_features) if args.query_features else db_features
 
@@ -281,6 +285,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
             list(zip(q_vecs, [r.pose for r in val_queries])),
             ks=sub_cfg.eval.ks,
             threshold_m=sub_cfg.eval.threshold_m,
+            query_zone_number=val_queries[0].zone_number,
+            query_hemisphere=val_queries[0].hemisphere,
         )
         row = {"param": args.param, "value": value}
         row.update({f"recall_at_{k}": v for k, v in sorted(report.recall_at.items())})

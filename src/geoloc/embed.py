@@ -6,10 +6,15 @@ store or the synthetic-world generator. Generalized-mean pooling clamps at
 zero first so the p-th power stays real; p = 1 reproduces average pooling
 and large p approaches max pooling.
 
-``backward``/``backward_batch`` return exact analytic gradients of the
-composed map pool -> affine -> normalize with respect to the projection,
-the bias, and (for GeM) the exponent p; they are verified against central
-finite differences in the tests.
+Training runs one cached step: ``forward_cached`` raises each clamped map
+to the power p once and returns the descriptors with a ``ForwardCache``
+(the powers, pooled vectors, raw norms and descriptors), and
+``backward_cached`` turns descriptor gradients into exact analytic gradients
+of the composed map pool -> affine -> normalize with respect to the
+projection, the bias and, only when asked, the GeM exponent p, without
+pooling again. ``pool``, ``forward``/``forward_batch`` and
+``backward``/``backward_batch`` call the same kernel; the gradients are
+verified against central finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -33,23 +38,32 @@ MODEL_VERSION = 1
 _NORM_FLOOR = 1e-12
 
 
-def pool(features: np.ndarray, pooling: str, p: float = 3.0) -> np.ndarray:
-    """Reduce the spatial axes of one map (C, H, W) or a batch (B, C, H, W)."""
+def _pool(
+    features: np.ndarray, pooling: str, p: float
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """Pooled vectors plus, for GeM, (clamped maps, their p-th powers, spatial means)."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim < 3 or features.shape[-1] < 1 or features.shape[-2] < 1:
         raise DomainError(f"feature map must be (..., C, H, W), got shape {features.shape}")
     if not np.all(np.isfinite(features)):
         raise DomainError("feature map contains non-finite values")
     if pooling == AVERAGE:
-        return features.mean(axis=(-2, -1))
+        return features.mean(axis=(-2, -1)), None
     if pooling == MAX:
-        return features.max(axis=(-2, -1))
+        return features.max(axis=(-2, -1)), None
     if pooling == GEM:
         if p < 1.0:
             raise DomainError(f"gem exponent must be >= 1, got {p}")
         clamped = np.maximum(features, 0.0)
-        return np.power(np.power(clamped, p).mean(axis=(-2, -1)), 1.0 / p)
+        powers = np.power(clamped, p)
+        means = powers.mean(axis=(-2, -1))
+        return np.power(means, 1.0 / p), (clamped, powers, means)
     raise DomainError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
+
+
+def pool(features: np.ndarray, pooling: str, p: float = 3.0) -> np.ndarray:
+    """Reduce the spatial axes of one map (C, H, W) or a batch (B, C, H, W)."""
+    return _pool(features, pooling, p)[0]
 
 
 @dataclass
@@ -116,19 +130,40 @@ def forward(m: EmbeddingModel, features: np.ndarray) -> np.ndarray:
     return forward_batch(m, np.asarray(features)[None, ...])[0]
 
 
-def forward_batch(m: EmbeddingModel, features: np.ndarray) -> np.ndarray:
-    """Unit-norm descriptors, one row per map in a (B, C, H, W) batch."""
+@dataclass
+class ForwardCache:
+    """What ``backward_cached`` needs from one forward pass over a batch.
+
+    Valid only for the model parameters it was computed with; take the
+    gradients before the optimizer updates the model.
+    """
+
+    pooled: np.ndarray
+    norms: np.ndarray
+    descriptors: np.ndarray
+    # GeM only: the clamped maps, their p-th powers and the powers' spatial means.
+    gem_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def forward_cached(m: EmbeddingModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Unit-norm descriptors of a (B, C, H, W) batch and the cache backward reuses."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 4:
         raise DomainError(f"batch must be (B, C, H, W), got shape {features.shape}")
     if features.shape[1] != m.channels:
         raise DomainError(f"feature maps have {features.shape[1]} channels, model expects {m.channels}")
-    pooled = pool(features, m.pooling, m.gem_p)
+    pooled, gem_terms = _pool(features, m.pooling, m.gem_p)
     raw = pooled @ m.projection.T + m.bias
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms < _NORM_FLOOR):
         raise DomainError("degenerate descriptor: projection output has (near-)zero norm")
-    return raw / norms[:, None]
+    descriptors = raw / norms[:, None]
+    return descriptors, ForwardCache(pooled=pooled, norms=norms, descriptors=descriptors, gem_terms=gem_terms)
+
+
+def forward_batch(m: EmbeddingModel, features: np.ndarray) -> np.ndarray:
+    """Unit-norm descriptors, one row per map in a (B, C, H, W) batch."""
+    return forward_cached(m, features)[0]
 
 
 @dataclass
@@ -138,42 +173,49 @@ class ModelGradients:
     gem_p: float
 
 
-def _gem_dpool_dp(features: np.ndarray, pooled: np.ndarray, p: float) -> np.ndarray:
+def _gem_dpool_dp(
+    clamped: np.ndarray, powers: np.ndarray, means: np.ndarray, pooled: np.ndarray, p: float
+) -> np.ndarray:
     # d/dp of (mean x^p)^(1/p) per channel; zero wherever the channel pools to 0.
-    clamped = np.maximum(features, 0.0)
-    powed = np.power(clamped, p)
-    s = powed.mean(axis=(-2, -1))
     with np.errstate(divide="ignore", invalid="ignore"):
         logx = np.where(clamped > 0.0, np.log(np.where(clamped > 0.0, clamped, 1.0)), 0.0)
-    t = (powed * logx).mean(axis=(-2, -1))
-    out = np.zeros_like(s)
-    ok = s > 0.0
-    out[ok] = pooled[ok] * (t[ok] / (p * s[ok]) - np.log(s[ok]) / (p * p))
+    t = (powers * logx).mean(axis=(-2, -1))
+    out = np.zeros_like(means)
+    ok = means > 0.0
+    out[ok] = pooled[ok] * (t[ok] / (p * means[ok]) - np.log(means[ok]) / (p * p))
     return out
+
+
+def backward_cached(
+    m: EmbeddingModel, cache: ForwardCache, grad_descriptors: np.ndarray, gem_p_grad: bool = True
+) -> ModelGradients:
+    """Parameter gradients, summed over the batch, from a forward cache.
+
+    The GeM exponent's gradient is computed only when ``gem_p_grad`` is set;
+    otherwise it is reported as 0.
+    """
+    grad_descriptors = np.asarray(grad_descriptors, dtype=np.float64)
+    d = cache.descriptors
+    if grad_descriptors.shape != d.shape:
+        raise DomainError(f"descriptor gradients have shape {grad_descriptors.shape}, descriptors {d.shape}")
+    norms = cache.norms
+    # Jacobian of x/||x|| maps g to (g - (g.d) d)/||x||.
+    g_raw = (grad_descriptors - (grad_descriptors * d).sum(axis=1, keepdims=True) * d) / norms[:, None]
+    grad_projection = g_raw.T @ cache.pooled
+    grad_bias = g_raw.sum(axis=0)
+    grad_p = 0.0
+    if gem_p_grad and cache.gem_terms is not None:
+        g_pooled = g_raw @ m.projection
+        dpool_dp = _gem_dpool_dp(*cache.gem_terms, cache.pooled, m.gem_p)
+        grad_p = float((g_pooled * dpool_dp).sum())
+    return ModelGradients(projection=grad_projection, bias=grad_bias, gem_p=grad_p)
 
 
 def backward_batch(
     m: EmbeddingModel, features: np.ndarray, grad_descriptors: np.ndarray
 ) -> ModelGradients:
     """Parameter gradients, summed over the batch, for given descriptor gradients."""
-    features = np.asarray(features, dtype=np.float64)
-    grad_descriptors = np.asarray(grad_descriptors, dtype=np.float64)
-    pooled = pool(features, m.pooling, m.gem_p)
-    raw = pooled @ m.projection.T + m.bias
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms < _NORM_FLOOR):
-        raise DomainError("degenerate descriptor: projection output has (near-)zero norm")
-    d = raw / norms[:, None]
-    # Jacobian of x/||x|| maps g to (g - (g.d) d)/||x||.
-    g_raw = (grad_descriptors - (grad_descriptors * d).sum(axis=1, keepdims=True) * d) / norms[:, None]
-    grad_projection = g_raw.T @ pooled
-    grad_bias = g_raw.sum(axis=0)
-    grad_p = 0.0
-    if m.pooling == GEM:
-        g_pooled = g_raw @ m.projection
-        dpool_dp = _gem_dpool_dp(features, pooled, m.gem_p)
-        grad_p = float((g_pooled * dpool_dp).sum())
-    return ModelGradients(projection=grad_projection, bias=grad_bias, gem_p=grad_p)
+    return backward_cached(m, forward_cached(m, features)[1], grad_descriptors)
 
 
 def backward(m: EmbeddingModel, features: np.ndarray, grad_descriptor: np.ndarray) -> ModelGradients:

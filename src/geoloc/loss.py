@@ -103,33 +103,42 @@ def _margin_logits(
     return z
 
 
-def margin_cosine_loss(
+def margin_cosine_loss_and_grads(
     descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead, cfg: LossConfig
-) -> float:
-    """Mean margin-cosine loss over the batch."""
-    descriptors, labels, w_hat, _ = _check_inputs(descriptors, labels, head)
-    z = _margin_logits(descriptors, labels, w_hat, cfg)
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    losses = lse - z[np.arange(len(labels)), labels]
-    return float(losses.mean())
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean loss over the batch and its gradients wrt descriptors and the stored head rows.
 
-
-def margin_cosine_grads(
-    descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead, cfg: LossConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the mean loss wrt descriptors and the stored head rows."""
+    One input check and one logit pass serve the value and both gradients.
+    """
     descriptors, labels, w_hat, row_norms = _check_inputs(descriptors, labels, head)
     batch = len(labels)
+    rows = np.arange(batch)
     z = _margin_logits(descriptors, labels, w_hat, cfg)
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
-    probs = e / e.sum(axis=1, keepdims=True)
-    probs[np.arange(batch), labels] -= 1.0
+    total = e.sum(axis=1, keepdims=True)
+    losses = zmax[:, 0] + np.log(total[:, 0]) - z[rows, labels]
+    probs = e / total
+    probs[rows, labels] -= 1.0
     coeff = (cfg.scale / batch) * probs
     grad_descriptors = coeff @ w_hat
     grad_w_hat = coeff.T @ descriptors
     # Chain through the row normalization of the stored weights.
     radial = (grad_w_hat * w_hat).sum(axis=1, keepdims=True)
     grad_weights = (grad_w_hat - radial * w_hat) / row_norms[:, None]
+    return float(losses.mean()), grad_descriptors, grad_weights
+
+
+def margin_cosine_loss(
+    descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead, cfg: LossConfig
+) -> float:
+    """Mean margin-cosine loss over the batch."""
+    return margin_cosine_loss_and_grads(descriptors, labels, head, cfg)[0]
+
+
+def margin_cosine_grads(
+    descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead, cfg: LossConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the mean loss wrt descriptors and the stored head rows."""
+    _, grad_descriptors, grad_weights = margin_cosine_loss_and_grads(descriptors, labels, head, cfg)
     return grad_descriptors, grad_weights

@@ -367,4 +367,6 @@ def load_partition(path: str | Path) -> Partition:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise PartitionError(f"cannot read partition file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PartitionError(f"partition file {path} does not hold a JSON object")
     return partition_from_dict(doc)

@@ -28,6 +28,7 @@ INDEX_VERSION = 1
 _UNIT_TOL = 1e-5
 DEFAULT_KS = (1, 5, 10, 20)
 DEFAULT_THRESHOLD_M = 25.0
+_HEMISPHERE_OF_BYTE = {255: None, 0: "north", 1: "south"}
 
 
 @dataclass
@@ -81,7 +82,7 @@ def build_index(
     if hemisphere is not None and hemisphere not in HEMISPHERES:
         raise DomainError(f"hemisphere must be one of {HEMISPHERES}, got {hemisphere!r}")
     norms = np.linalg.norm(matrix, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > _UNIT_TOL)[0]
+    bad = np.nonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))[0]  # NaN rows fail too
     if bad.size:
         raise RetrievalError(f"descriptor for id {ids[bad[0]]!r} is not unit-norm ({norms[bad[0]]:.6f})")
     return DescriptorIndex(
@@ -214,7 +215,7 @@ def recall_at_n(
 def save_index(index: DescriptorIndex, path: str | Path) -> None:
     """Versioned binary layout: header (count, dim, zone), ids, poses, matrix."""
     zone = index.zone_number if index.zone_number is not None else 0
-    hemi = {None: 255, "north": 0, "south": 1}[index.hemisphere]
+    hemi = {h: b for b, h in _HEMISPHERE_OF_BYTE.items()}[index.hemisphere]
     parts = [
         INDEX_MAGIC,
         struct.pack("<HBiB", INDEX_VERSION, 0, zone, hemi),
@@ -231,6 +232,7 @@ def save_index(index: DescriptorIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> DescriptorIndex:
+    """Read a ``save_index`` file; any corrupt, truncated or padded file raises RetrievalError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -241,6 +243,8 @@ def load_index(path: str | Path) -> DescriptorIndex:
         version, _flags, zone, hemi = struct.unpack_from("<HBiB", blob, 4)
         if version != INDEX_VERSION:
             raise RetrievalError(f"unsupported index version {version}")
+        if hemi not in _HEMISPHERE_OF_BYTE:
+            raise RetrievalError(f"index {path} has an unknown hemisphere byte {hemi}")
         count, dim = struct.unpack_from("<QQ", blob, 12)
         offset = 28
         ids = []
@@ -255,14 +259,15 @@ def load_index(path: str | Path) -> DescriptorIndex:
             offset += 24
             poses.append(GeoPose(east=east, north=north, heading=heading))
         matrix = np.frombuffer(blob, dtype="<f8", count=count * dim, offset=offset)
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError, UnicodeDecodeError, DomainError) as exc:
         raise RetrievalError(f"index {path} is truncated or corrupt: {exc}") from exc
-    matrix = matrix.reshape(count, dim).astype(np.float64)
-    hemisphere = {255: None, 0: "north", 1: "south"}[hemi]
-    return DescriptorIndex(
-        ids=ids,
-        matrix=matrix,
-        poses=poses,
+    trailing = len(blob) - offset - matrix.nbytes
+    if trailing:
+        raise RetrievalError(f"index {path} has {trailing} trailing bytes after its matrix")
+    return build_index(
+        matrix.reshape(count, dim),
+        ids,
+        poses,
         zone_number=zone if zone else None,
-        hemisphere=hemisphere,
+        hemisphere=_HEMISPHERE_OF_BYTE[hemi],
     )

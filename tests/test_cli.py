@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 import yaml
 
+from geoloc import cli
 from geoloc.cli import main
 
 CONFIG = {
@@ -356,3 +358,67 @@ def test_mismatched_partition_provenance_rejected(workspace, tmp_path, capsys):
     ])
     assert code == 1
     assert "error[config]" in capsys.readouterr().err
+
+
+def _single_error_line(err: str, code: str) -> None:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error[{code}]: "), err
+
+
+@pytest.mark.parametrize("content", ['{"format": "partition", "classes": [', "[1, 2]"])
+def test_train_rejects_corrupt_partition_file(workspace, tmp_path, capsys, content):
+    _, cfg_path, world_dir = workspace
+    part_path = tmp_path / "corrupt.json"
+    part_path.write_text(content, encoding="utf-8")
+    code = main([
+        "train", "--config", str(cfg_path),
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--partition", str(part_path),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    _single_error_line(capsys.readouterr().err, "partition")
+
+
+@pytest.mark.parametrize("empty_side", ["--db", "--queries"])
+def test_eval_rejects_empty_manifest(workspace, tmp_path, capsys, empty_side):
+    _, cfg_path, world_dir = workspace
+    empty = tmp_path / "empty.csv"
+    empty.write_text("id,east,north,heading\n", encoding="utf-8")
+    manifests = {"--db": str(world_dir / "db.csv"), "--queries": str(world_dir / "queries.csv")}
+    manifests[empty_side] = str(empty)
+    code = main([
+        "eval", "--config", str(cfg_path),
+        "--oracle-latents", str(world_dir / "latents.npz"),
+        "--db", manifests["--db"], "--db-features", str(world_dir / "features.npz"),
+        "--queries", manifests["--queries"],
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "manifest")
+    assert str(empty) in err
+
+
+def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypatch):
+    # One manifest holds one zone, so the mismatch is planted between training
+    # and the sweep's own evaluation.
+    _, cfg_path, world_dir = workspace
+    real = cli._run_training_from_files
+
+    def queries_in_next_zone(args, cfg):
+        *out, val_queries = real(args, cfg)
+        return (*out, [dataclasses.replace(r, zone_number=r.zone_number + 1) for r in val_queries])
+
+    monkeypatch.setattr(cli, "_run_training_from_files", queries_in_next_zone)
+    code = main([
+        "sweep", "--config", str(cfg_path),
+        "--param", "groups_used", "--values", "1",
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--output", str(tmp_path / "sweep.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert "zone" in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,3 +257,35 @@ def test_recall_nondecreasing_in_k_property(n, dim, seed):
     report = recall_at_n(index, queries, ks=(1, 2, 5, 10), threshold_m=25.0)
     values = [report.recall_at[k] for k in (1, 2, 5, 10)]
     assert values == sorted(values)
+
+
+def _saved_index_bytes(tmp_path, index):
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    return path, path.read_bytes()
+
+
+def test_load_index_rejects_unknown_hemisphere_byte(tmp_path):
+    index, _ = random_index(np.random.default_rng(31), 4, 3)
+    path, blob = _saved_index_bytes(tmp_path, index)
+    path.write_bytes(blob[:11] + bytes([7]) + blob[12:])  # the header's hemisphere byte
+    with pytest.raises(RetrievalError, match="hemisphere"):
+        load_index(path)
+
+
+def test_load_index_rejects_trailing_bytes(tmp_path):
+    index, _ = random_index(np.random.default_rng(32), 4, 3)
+    path, blob = _saved_index_bytes(tmp_path, index)
+    path.write_bytes(blob + b"\0" * 8)
+    with pytest.raises(RetrievalError, match="trailing"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("bad_row", [2.0 * np.eye(3)[0], np.full(3, np.nan)])
+def test_load_index_rejects_non_unit_rows(tmp_path, bad_row):
+    index, _ = random_index(np.random.default_rng(33), 4, 3)
+    matrix = index.matrix.copy()
+    matrix[2] = bad_row
+    path, _ = _saved_index_bytes(tmp_path, dataclasses.replace(index, matrix=matrix))
+    with pytest.raises(RetrievalError, match="unit-norm"):
+        load_index(path)

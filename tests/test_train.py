@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from geoloc import embed
 from geoloc.embed import ModelConfig, model_from_dict
 from geoloc.errors import DomainError, TrainingError
 from geoloc.ingest import split_validation
@@ -256,6 +257,26 @@ def test_learnable_gem_exponent_moves(world, setup):
     )
     state = run_training(part, world.features, cfg, val_db, val_q, world.query_features)
     assert state.model.gem_p != 3.0
+
+
+@pytest.mark.parametrize("learn_p", [False, True])
+def test_gem_p_gradient_computed_only_when_learned(world, setup, monkeypatch, learn_p):
+    part, val_db, val_q = setup
+    calls = []
+    original = embed._gem_dpool_dp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "_gem_dpool_dp", counted)
+    cfg = dataclasses.replace(
+        BASE,
+        total_epochs=1,
+        model=ModelConfig(output_dim=16, pooling="gem", gem_p=3.0, learn_gem_p=learn_p),
+    )
+    run_training(part, world.features, cfg, val_db, val_q, world.query_features)
+    assert len(calls) == (cfg.iterations_per_epoch if learn_p else 0)
 
 
 def test_first_epoch_loss_trend_is_decreasing(world, setup):
