@@ -1,11 +1,11 @@
 """Command-line pipeline: convert, partition, train, eval, synth, sweep.
 
 Every command loads one declarative config (JSON or YAML), applies
-``--set section.key=value`` overrides plus the global ``--seed`` /
-``--deterministic`` pair, and echoes the resolved config into each output
-artifact. Errors exit nonzero with a single machine-parseable line
-(``error[<code>]: message``) on stderr; exit zero means every written file
-was re-read and validated by its own loader.
+``--set section.key=value`` overrides plus the global ``--seed``, and
+echoes the resolved config into each output artifact. Errors exit nonzero
+with a single machine-parseable line (``error[<code>]: message``) on
+stderr; exit zero means every written file was re-read and validated by
+its own loader.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .config import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from .errors import CheckpointError, ConfigError, ManifestError, ToolError
+from .errors import ConfigError, ManifestError, ToolError
 from .partition import (
     build_partition,
     format_stats_table,
@@ -51,18 +52,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override one config value, e.g. --set train.learning_rate=0.001",
     )
     parser.add_argument("--seed", type=int, help="override every seed in the config")
-    parser.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="record the determinism contract (execution is always deterministic and single-threaded)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap worker threads (this implementation runs single-threaded; recorded for provenance)",
-    )
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 
@@ -76,9 +65,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raw["seed"] = args.seed
         raw.setdefault("train", {})["seed"] = args.seed
         raw.setdefault("city", {})["seed"] = args.seed
-    if args.deterministic is not None:
-        raw["deterministic"] = args.deterministic
-        raw.setdefault("train", {})["deterministic"] = args.deterministic
     return run_config_from_dict(raw)
 
 
@@ -134,21 +120,37 @@ def _check_partition_provenance(path: str, cfg: RunConfig) -> None:
         )
 
 
+def _load_store(path: str, ids: Iterable[str]) -> dict[str, np.ndarray]:
+    """Load a feature store and check that it holds every id the command reads."""
+    store = synth.load_features(path)
+    for rid in ids:
+        if rid not in store:
+            raise ManifestError(f"feature store {path} has no entry for record {rid!r}")
+    return store
+
+
+def _load_stores(db_path: str, db_ids: list[str], query_path: str | None, query_ids: list[str]):
+    """The database and query feature stores; without ``query_path`` both are the database store."""
+    if query_path is None:
+        store = _load_store(db_path, db_ids + query_ids)
+        return store, store
+    return _load_store(db_path, db_ids), _load_store(query_path, query_ids)
+
+
 def _run_training_from_files(args: argparse.Namespace, cfg: RunConfig):
     records = ingest.load_manifest(args.manifest)
-    features = synth.load_features(args.features)
-    query_features = (
-        synth.load_features(args.query_features) if getattr(args, "query_features", None) else features
-    )
-    _, val_db, val_queries = _split_records(records, cfg)
-    if getattr(args, "partition", None):
+    train_records, val_db, val_queries = _split_records(records, cfg)
+    if args.partition:
         part = load_partition(args.partition)
         _check_partition_provenance(args.partition, cfg)
     else:
-        train_records, _, _ = _split_records(records, cfg)
         part = build_partition(train_records, cfg.partition)
+    members = [rid for ids in part.class_members.values() for rid in ids]
+    features, query_features = _load_stores(
+        args.features, members + [r.id for r in val_db], args.query_features, [r.id for r in val_queries]
+    )
     state = train.run_training(part, features, cfg.train, val_db, val_queries, query_features)
-    return state, part, records, features, query_features, val_db, val_queries
+    return state, features, query_features, val_db, val_queries
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -174,49 +176,33 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _embed_records(model, records, features, batch_size: int) -> np.ndarray:
-    return train.embed_records(model, records, features, batch_size)
-
-
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if bool(args.checkpoint) == bool(args.oracle_latents):
+        raise ConfigError("exactly one of --checkpoint or --oracle-latents is required")
+    if args.checkpoint and not args.db_features:
+        raise ConfigError("--checkpoint needs --db-features")
     db_records = ingest.load_manifest(args.db)
     query_records = ingest.load_manifest(args.queries)
     for path, records in ((args.db, db_records), (args.queries, query_records)):
         if not records:
             raise ManifestError(f"manifest {path} holds no records")
-    db_features = synth.load_features(args.db_features)
-    query_features = synth.load_features(args.query_features) if args.query_features else db_features
+    db_ids = [r.id for r in db_records]
+    query_ids = [r.id for r in query_records]
 
-    if bool(args.checkpoint) == bool(args.oracle_latents):
-        raise ConfigError("exactly one of --checkpoint or --oracle-latents is required")
     if args.checkpoint:
+        db_features, query_features = _load_stores(args.db_features, db_ids, args.query_features, query_ids)
         model = embed.load_model(args.checkpoint)
-        db_vecs = _embed_records(model, db_records, db_features, cfg.train.batch_size)
-        q_vecs = _embed_records(model, query_records, query_features, cfg.train.batch_size)
+        db_vecs = train.embed_records(model, db_records, db_features, cfg.train.batch_size)
+        q_vecs = train.embed_records(model, query_records, query_features, cfg.train.batch_size)
     else:
-        latents = synth.load_features(args.oracle_latents)
-        try:
-            db_vecs = np.stack([latents[r.id] for r in db_records])
-            q_vecs = np.stack([latents[r.id] for r in query_records])
-        except KeyError as exc:
-            raise CheckpointError(f"oracle latents lack an entry for record {exc}") from exc
+        latents = _load_store(args.oracle_latents, db_ids + query_ids)
+        db_vecs = np.stack([latents[rid] for rid in db_ids])
+        q_vecs = np.stack([latents[rid] for rid in query_ids])
         db_vecs /= np.linalg.norm(db_vecs, axis=1, keepdims=True)
         q_vecs /= np.linalg.norm(q_vecs, axis=1, keepdims=True)
 
-    index = retrieval.build_index(
-        db_vecs,
-        [r.id for r in db_records],
-        [r.pose for r in db_records],
-        zone_number=db_records[0].zone_number,
-        hemisphere=db_records[0].hemisphere,
-    )
-    report = retrieval.recall_at_n(
-        index,
-        list(zip(q_vecs, [r.pose for r in query_records])),
-        ks=cfg.eval.ks,
-        threshold_m=cfg.eval.threshold_m,
-        query_zone_number=query_records[0].zone_number,
-        query_hemisphere=query_records[0].hemisphere,
+    report = retrieval.evaluate(
+        db_vecs, db_records, q_vecs, query_records, cfg.eval.ks, cfg.eval.threshold_m
     )
     doc = report.to_dict()
     doc["config"] = run_config_to_dict(cfg)
@@ -270,23 +256,12 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
             query_features=args.query_features,
             partition=None,
         )
-        state, part, records, features, query_features, val_db, val_queries = _run_training_from_files(
-            sub_args, sub_cfg
-        )
+        state, features, query_features, val_db, val_queries = _run_training_from_files(sub_args, sub_cfg)
         model = embed.model_from_dict(json.loads(train.export_inference_model(state)))
-        db_vecs = _embed_records(model, val_db, features, sub_cfg.train.batch_size)
-        q_vecs = _embed_records(model, val_queries, query_features, sub_cfg.train.batch_size)
-        index = retrieval.build_index(
-            db_vecs, [r.id for r in val_db], [r.pose for r in val_db],
-            zone_number=val_db[0].zone_number, hemisphere=val_db[0].hemisphere,
-        )
-        report = retrieval.recall_at_n(
-            index,
-            list(zip(q_vecs, [r.pose for r in val_queries])),
-            ks=sub_cfg.eval.ks,
-            threshold_m=sub_cfg.eval.threshold_m,
-            query_zone_number=val_queries[0].zone_number,
-            query_hemisphere=val_queries[0].hemisphere,
+        db_vecs = train.embed_records(model, val_db, features, sub_cfg.train.batch_size)
+        q_vecs = train.embed_records(model, val_queries, query_features, sub_cfg.train.batch_size)
+        report = retrieval.evaluate(
+            db_vecs, val_db, q_vecs, val_queries, sub_cfg.eval.ks, sub_cfg.eval.threshold_m
         )
         row = {"param": args.param, "value": value}
         row.update({f"recall_at_{k}": v for k, v in sorted(report.recall_at.items())})
@@ -340,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--oracle-latents", help="evaluate ground-truth latents instead of a model")
     p.add_argument("--db", required=True)
-    p.add_argument("--db-features", required=True)
+    p.add_argument("--db-features", help="database feature store (read with --checkpoint)")
     p.add_argument("--queries", required=True)
     p.add_argument("--query-features")
     p.add_argument("--output")

@@ -46,7 +46,6 @@ class EvalConfig:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    deterministic: bool = True
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     city: CityConfig = field(default_factory=CityConfig)

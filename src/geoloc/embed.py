@@ -237,18 +237,23 @@ def model_to_dict(m: EmbeddingModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> EmbeddingModel:
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"a model checkpoint is a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
         raise CheckpointError(f"not a model checkpoint: format={doc.get('format')!r}")
     if doc.get("version") != MODEL_VERSION:
         raise CheckpointError(f"unsupported model checkpoint version {doc.get('version')!r}")
-    m = EmbeddingModel(
-        pooling=doc["pooling"],
-        gem_p=float(doc["gem_p"]),
-        projection=np.array(doc["projection"], dtype=np.float64),
-        bias=np.array(doc["bias"], dtype=np.float64),
-    )
-    if m.output_dim != doc["output_dim"] or m.channels != doc["channels"]:
-        raise CheckpointError("checkpoint dimensions disagree with its stored arrays")
+    try:
+        m = EmbeddingModel(
+            pooling=doc["pooling"],
+            gem_p=float(doc["gem_p"]),
+            projection=np.array(doc["projection"], dtype=np.float64),
+            bias=np.array(doc["bias"], dtype=np.float64),
+        )
+        if m.output_dim != doc["output_dim"] or m.channels != doc["channels"]:
+            raise CheckpointError("checkpoint dimensions disagree with its stored arrays")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"model checkpoint has a missing or malformed field: {exc!r}") from exc
     return m
 
 

@@ -33,19 +33,13 @@ _REQUIRED_COLUMNS = ("id", "heading")
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """One geo-tagged image: opaque id, pose, zone, and optional metadata.
-
-    ``features_ref`` may annotate a key into an external feature store; the
-    built-in pipeline keys feature stores by record id and leaves this field
-    as a passthrough.
-    """
+    """One geo-tagged image: opaque id, pose, zone, and optional metadata."""
 
     id: str
     pose: GeoPose
     zone_number: int = DEFAULT_ZONE_NUMBER
     hemisphere: str = DEFAULT_HEMISPHERE
     source_uri: str | None = None
-    features_ref: str | None = None
     lat: float | None = None
     lon: float | None = None
 
@@ -191,44 +185,6 @@ def load_manifest(path: str | Path) -> list[ImageRecord]:
 def save_manifest(records: Sequence[ImageRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         serialize_manifest(records, fh)
-
-
-def encode_record_name(r: ImageRecord) -> str:
-    """Pack pose and id into a fixed-width name: @east@north@heading@id@."""
-    if not r.id or "@" in r.id:
-        raise DomainError(f"record id {r.id!r} is empty or contains '@'")
-    if not 0.0 <= r.pose.east < 1e7 or not 0.0 <= r.pose.north < 1e8:
-        raise DomainError(f"pose ({r.pose.east}, {r.pose.north}) does not fit the fixed-width name fields")
-    return "@{:010.2f}@{:011.2f}@{:05.1f}@{}@".format(r.pose.east, r.pose.north, r.pose.heading, r.id)
-
-
-def decode_record_name(
-    name: str,
-    zone_number: int = DEFAULT_ZONE_NUMBER,
-    hemisphere: str = DEFAULT_HEMISPHERE,
-) -> ImageRecord:
-    """Invert encode_record_name up to its 0.01 m / 0.1 degree quantization.
-
-    The name does not carry zone information, so the caller supplies it
-    (synthetic-world defaults otherwise).
-    """
-    parts = name.split("@")
-    if len(parts) != 6 or parts[0] != "" or parts[5] != "":
-        raise ManifestError(f"malformed record name {name!r}: expected @east@north@heading@id@")
-    _, east_s, north_s, heading_s, rid, _ = parts
-    if not rid:
-        raise ManifestError(f"malformed record name {name!r}: empty id")
-    try:
-        east, north, heading = float(east_s), float(north_s), float(heading_s)
-    except ValueError as exc:
-        raise ManifestError(f"malformed record name {name!r}: non-numeric field") from exc
-    heading %= 360.0  # 360.0 may round-trip from headings just below 360
-    return ImageRecord(
-        id=rid,
-        pose=GeoPose(east=east, north=north, heading=heading),
-        zone_number=zone_number,
-        hemisphere=hemisphere,
-    )
 
 
 def split_validation(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -174,10 +174,6 @@ class Partition:
     discarded_images: int
 
     @property
-    def discarded_count(self) -> int:
-        return self.discarded_classes
-
-    @property
     def retained_images(self) -> int:
         return sum(len(m) for m in self.class_members.values())
 
@@ -290,21 +286,11 @@ def format_stats_table(stats: PartitionStats) -> str:
     return "\n".join(lines)
 
 
-def _config_to_dict(cfg: PartitionConfig) -> dict:
-    return {
-        "cell_size_m": cfg.cell_size_m,
-        "heading_bin_deg": cfg.heading_bin_deg,
-        "cell_stride": cfg.cell_stride,
-        "heading_stride": cfg.heading_stride,
-        "min_images_per_class": cfg.min_images_per_class,
-    }
-
-
 def partition_to_dict(p: Partition, extra: dict | None = None) -> dict:
     doc = {
         "format": PARTITION_FORMAT,
         "version": PARTITION_VERSION,
-        "config": _config_to_dict(p.config),
+        "config": asdict(p.config),
         "discarded_classes": p.discarded_classes,
         "discarded_images": p.discarded_images,
         "classes": [
@@ -329,20 +315,25 @@ def partition_from_dict(doc: dict) -> Partition:
         raise PartitionError(f"not a partition document: format={doc.get('format')!r}")
     if doc.get("version") != PARTITION_VERSION:
         raise PartitionError(f"unsupported partition version {doc.get('version')!r}")
-    cfg = PartitionConfig(**doc["config"])
-    class_members: dict[ClassId, list[str]] = {}
-    class_group: dict[ClassId, GroupId] = {}
-    group_classes: dict[GroupId, list[ClassId]] = {g: [] for g in enumerate_groups(cfg)}
-    for entry in doc["classes"]:
-        cid = ClassId(*entry["cell"])
-        gid = GroupId(*entry["group"])
-        if cid in class_members:
-            raise PartitionError(f"class {cid} appears twice in the document")
-        if assign_group(cid, cfg) != gid:
-            raise PartitionError(f"class {cid} stored under group {gid}, expected {assign_group(cid, cfg)}")
-        class_members[cid] = list(entry["members"])
-        class_group[cid] = gid
-        group_classes[gid].append(cid)
+    try:
+        cfg = PartitionConfig(**doc["config"])
+        class_members: dict[ClassId, list[str]] = {}
+        class_group: dict[ClassId, GroupId] = {}
+        group_classes: dict[GroupId, list[ClassId]] = {g: [] for g in enumerate_groups(cfg)}
+        for entry in doc["classes"]:
+            cid = ClassId(*entry["cell"])
+            gid = GroupId(*entry["group"])
+            if cid in class_members:
+                raise PartitionError(f"class {cid} appears twice in the document")
+            if assign_group(cid, cfg) != gid:
+                raise PartitionError(f"class {cid} stored under group {gid}, expected {assign_group(cid, cfg)}")
+            class_members[cid] = list(entry["members"])
+            class_group[cid] = gid
+            group_classes[gid].append(cid)
+        discarded_classes = int(doc["discarded_classes"])
+        discarded_images = int(doc["discarded_images"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PartitionError(f"partition document has a missing or malformed field: {exc!r}") from exc
     for gid in group_classes:
         group_classes[gid].sort()
     return Partition(
@@ -350,8 +341,8 @@ def partition_from_dict(doc: dict) -> Partition:
         class_members=class_members,
         class_group=class_group,
         group_classes=group_classes,
-        discarded_classes=int(doc["discarded_classes"]),
-        discarded_images=int(doc["discarded_images"]),
+        discarded_classes=discarded_classes,
+        discarded_images=discarded_images,
     )
 
 

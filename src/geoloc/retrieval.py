@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, RetrievalError
 from .geodesy import HEMISPHERES
+from .ingest import ImageRecord
 from .partition import GeoPose
 
 INDEX_MAGIC = b"GLIX"
@@ -209,6 +210,41 @@ def recall_at_n(
         num_queries=len(queries),
         recall_at=recall,
         first_correct_rank=first_correct,
+    )
+
+
+def evaluate(
+    db_vecs: np.ndarray,
+    db_records: Sequence[ImageRecord],
+    query_vecs: np.ndarray,
+    query_records: Sequence[ImageRecord],
+    ks: Sequence[int] = DEFAULT_KS,
+    threshold_m: float = DEFAULT_THRESHOLD_M,
+) -> EvalReport:
+    """Recall@K of query descriptors searched against database descriptors.
+
+    Row i of ``db_vecs``/``query_vecs`` belongs to record i of its list. The
+    index takes the database records' ids and poses, and the zone of the
+    first record (a manifest holds one zone); the query zone must match it.
+    """
+    if not db_records or not query_records:
+        raise RetrievalError("evaluation needs a non-empty database and query set")
+    if len(query_vecs) != len(query_records):
+        raise RetrievalError(f"{len(query_vecs)} query descriptors vs {len(query_records)} query records")
+    index = build_index(
+        db_vecs,
+        [r.id for r in db_records],
+        [r.pose for r in db_records],
+        zone_number=db_records[0].zone_number,
+        hemisphere=db_records[0].hemisphere,
+    )
+    return recall_at_n(
+        index,
+        list(zip(query_vecs, [r.pose for r in query_records])),
+        ks=ks,
+        threshold_m=threshold_m,
+        query_zone_number=query_records[0].zone_number,
+        query_hemisphere=query_records[0].hemisphere,
     )
 
 

@@ -219,7 +219,6 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
                         ),
                         zone_number=SYNTH_ZONE_NUMBER,
                         hemisphere=SYNTH_HEMISPHERE,
-                        features_ref=rid,
                     )
                 )
                 latent_key_of[rid] = (p, h_bin)

@@ -38,7 +38,9 @@ from .loss import (  # noqa: F401
     new_head,
 )
 from .partition import GroupId, Partition, enumerate_groups
-from .retrieval import build_index, recall_at_n
+# build_index and recall_at_n stay importable from this module, where the
+# benchmark's tracer tests look them up.
+from .retrieval import build_index, evaluate, recall_at_n  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +71,6 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     val_threshold_m: float = 25.0
     seed: int = 0
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.groups_used < 1:
@@ -212,23 +213,8 @@ def _validate(
     budget: DescriptorBudget,
 ) -> dict[int, float]:
     db_vecs = embed_records(model, val_db, features, cfg.batch_size, budget)
-    index = build_index(
-        db_vecs,
-        [r.id for r in val_db],
-        [r.pose for r in val_db],
-        zone_number=val_db[0].zone_number,
-        hemisphere=val_db[0].hemisphere,
-    )
     q_vecs = embed_records(model, val_queries, query_features, cfg.batch_size, budget)
-    report = recall_at_n(
-        index,
-        list(zip(q_vecs, [r.pose for r in val_queries])),
-        ks=VALIDATION_KS,
-        threshold_m=cfg.val_threshold_m,
-        query_zone_number=val_queries[0].zone_number,
-        query_hemisphere=val_queries[0].hemisphere,
-    )
-    return report.recall_at
+    return evaluate(db_vecs, val_db, q_vecs, val_queries, VALIDATION_KS, cfg.val_threshold_m).recall_at
 
 
 def run_training(
@@ -410,28 +396,31 @@ def load_training_checkpoint(path: str | Path) -> TrainState:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read training checkpoint {path}: {exc}") from exc
-    if doc.get("format") != TRAIN_CHECKPOINT_FORMAT:
-        raise CheckpointError(f"not a training checkpoint: format={doc.get('format')!r}")
-    heads = {}
-    for entry in doc["heads"]:
-        gid = GroupId(*entry["group"])
-        heads[gid] = ClassifierHead(
-            group=gid,
-            weights=np.array(entry["weights"], dtype=np.float64),
-            row_normalized=entry["row_normalized"],
+    if not isinstance(doc, dict) or doc.get("format") != TRAIN_CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path} does not hold a training checkpoint object")
+    try:
+        heads = {}
+        for entry in doc["heads"]:
+            gid = GroupId(*entry["group"])
+            heads[gid] = ClassifierHead(
+                group=gid,
+                weights=np.array(entry["weights"], dtype=np.float64),
+                row_normalized=entry["row_normalized"],
+            )
+        moments = AdamMoments(
+            first={k: np.array(v, dtype=np.float64) for k, v in doc["moments"]["first"].items()},
+            second={k: np.array(v, dtype=np.float64) for k, v in doc["moments"]["second"].items()},
         )
-    moments = AdamMoments(
-        first={k: np.array(v, dtype=np.float64) for k, v in doc["moments"]["first"].items()},
-        second={k: np.array(v, dtype=np.float64) for k, v in doc["moments"]["second"].items()},
-    )
-    return TrainState(
-        model=embed.model_from_dict(doc["model"]),
-        heads=heads,
-        moments=moments,
-        epochs_done=int(doc["epochs_done"]),
-        best_val_recall1=float(doc["best_val_recall1"]),
-        best_epoch=int(doc["best_epoch"]),
-        best_checkpoint=doc["best_checkpoint"].encode("utf-8") if doc["best_checkpoint"] else None,
-        history=[],
-        budget=DescriptorBudget(),
-    )
+        return TrainState(
+            model=embed.model_from_dict(doc["model"]),
+            heads=heads,
+            moments=moments,
+            epochs_done=int(doc["epochs_done"]),
+            best_val_recall1=float(doc["best_val_recall1"]),
+            best_epoch=int(doc["best_epoch"]),
+            best_checkpoint=doc["best_checkpoint"].encode("utf-8") if doc["best_checkpoint"] else None,
+            history=[],
+            budget=DescriptorBudget(),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"training checkpoint {path} has a missing or malformed field: {exc!r}") from exc

@@ -4,7 +4,7 @@ import json
 import pytest
 import yaml
 
-from geoloc import cli
+from geoloc import cli, ingest
 from geoloc.cli import main
 
 CONFIG = {
@@ -145,6 +145,10 @@ def test_train_and_eval_pipeline(workspace, tmp_path, capsys):
     doc = json.loads(report_path.read_text())
     assert set(doc["recall_at"]) == {"1", "5", "10", "20"}
     assert doc["config"]["train"]["groups_used"] == 2
+    # Validation and eval score the same split by the same path, so eval
+    # reproduces the best validation R@1 of the exported model exactly.
+    best_r1 = max(float(line.split(",")[3]) for line in history[1:])
+    assert doc["recall_at"]["1"] == best_r1
 
     # Reproducibility: a second identical train run writes identical history.
     out_dir2 = tmp_path / "run2"
@@ -365,7 +369,16 @@ def _single_error_line(err: str, code: str) -> None:
     assert len(lines) == 1 and lines[0].startswith(f"error[{code}]: "), err
 
 
-@pytest.mark.parametrize("content", ['{"format": "partition", "classes": [', "[1, 2]"])
+NO_CLASSES = json.dumps({
+    "format": "geo-partition", "version": 1, "config": CONFIG["partition"],
+    "discarded_classes": 0, "discarded_images": 0,
+})
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"format": "partition", "classes": [', "[1, 2]", pytest.param(NO_CLASSES, id="no-classes")],
+)
 def test_train_rejects_corrupt_partition_file(workspace, tmp_path, capsys, content):
     _, cfg_path, world_dir = workspace
     part_path = tmp_path / "corrupt.json"
@@ -422,3 +435,83 @@ def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     _single_error_line(err, "domain")
     assert "zone" in err
+
+
+@pytest.fixture(scope="module")
+def tiny_model(workspace):
+    root, cfg_path, world_dir = workspace
+    out_dir = root / "tiny"
+    assert main([
+        "train", "--config", str(cfg_path),
+        "--set", "train.total_epochs=1", "--set", "train.iterations_per_epoch=2",
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--out-dir", str(out_dir),
+    ]) == 0
+    return out_dir / "model_best.json"
+
+
+def test_eval_rejects_checkpoint_without_projection(workspace, tiny_model, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    doc = json.loads(tiny_model.read_text())
+    del doc["projection"]
+    checkpoint = tmp_path / "model_best.json"
+    checkpoint.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(world_dir / "features.npz"),
+        "--queries", str(world_dir / "queries.csv"),
+    ])
+    assert code == 1
+    _single_error_line(capsys.readouterr().err, "checkpoint")
+
+
+def test_eval_checkpoint_needs_db_features(workspace, tiny_model, capsys):
+    _, cfg_path, world_dir = workspace
+    code = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(world_dir / "db.csv"), "--queries", str(world_dir / "queries.csv"),
+    ])
+    assert code == 1
+    _single_error_line(capsys.readouterr().err, "config")
+
+
+def test_eval_rejects_db_id_missing_from_store(workspace, tiny_model, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    records = ingest.load_manifest(world_dir / "db.csv")
+    db = tmp_path / "db.csv"
+    ingest.save_manifest(records + [dataclasses.replace(records[0], id="ghost")], db)
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(db), "--db-features", str(world_dir / "features.npz"),
+        "--queries", str(world_dir / "queries.csv"),
+        "--query-features", str(world_dir / "query_features.npz"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "manifest")
+    assert "'ghost'" in err and str(world_dir / "features.npz") in err
+
+
+def test_train_rejects_partition_member_missing_from_store(workspace, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    part_path = tmp_path / "partition.json"
+    assert main(["partition", "--config", str(cfg_path),
+                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
+    doc = json.loads(part_path.read_text())
+    doc["classes"][0]["members"].append("ghost")
+    part_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path),
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--partition", str(part_path),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "manifest")
+    assert "'ghost'" in err and str(world_dir / "features.npz") in err

@@ -209,6 +209,12 @@ def test_checkpoint_rejects_foreign_documents():
     doc["version"] = 999
     with pytest.raises(CheckpointError):
         model_from_dict(doc)
+    doc = model_to_dict(init_model(3, ModelConfig(output_dim=4), seed=0))
+    del doc["projection"]
+    with pytest.raises(CheckpointError, match="projection"):
+        model_from_dict(doc)
+    with pytest.raises(CheckpointError):
+        model_from_dict([1, 2])
 
 
 def test_init_model_is_seeded():

@@ -5,8 +5,6 @@ import pytest
 from geoloc.errors import DomainError, ManifestError
 from geoloc.ingest import (
     ImageRecord,
-    decode_record_name,
-    encode_record_name,
     parse_manifest,
     serialize_manifest,
     split_validation,
@@ -93,34 +91,6 @@ def test_parse_serialize_parse_is_identity():
     buf2 = io.StringIO()
     serialize_manifest(again, buf2)
     assert buf2.getvalue() == buf.getvalue()
-
-
-def test_codec_example():
-    r = ImageRecord(id="x", pose=GeoPose(553201.3, 4183422.7, 47.0))
-    assert encode_record_name(r) == "@0553201.30@04183422.70@047.0@x@"
-
-
-def test_codec_round_trip():
-    r = ImageRecord(id="img_0042", pose=GeoPose(553201.337, 4183422.791, 312.34))
-    back = decode_record_name(encode_record_name(r))
-    assert back.id == r.id
-    assert abs(back.pose.east - r.pose.east) <= 0.005 + 1e-9
-    assert abs(back.pose.north - r.pose.north) <= 0.005 + 1e-9
-    d = abs(back.pose.heading - r.pose.heading) % 360.0
-    assert min(d, 360.0 - d) <= 0.05 + 1e-9
-
-
-def test_codec_arity_error():
-    with pytest.raises(ManifestError, match="malformed"):
-        decode_record_name("@1.0@2.0@x@")
-    with pytest.raises(ManifestError, match="malformed"):
-        decode_record_name("no-separators-at-all")
-
-
-def test_codec_rejects_at_sign_in_id():
-    r = ImageRecord(id="a@b", pose=GeoPose(1.0, 2.0, 3.0))
-    with pytest.raises(DomainError):
-        encode_record_name(r)
 
 
 def make_records(n):

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloc.errors import DomainError, RetrievalError
+from geoloc.ingest import ImageRecord
 from geoloc.partition import GeoPose
 from geoloc.retrieval import (
     OpCounter,
     build_index,
+    evaluate,
     format_report_table,
     knn,
     load_index,
@@ -158,6 +160,13 @@ def test_recall_zone_mismatch_rejected():
     # Matching or unspecified zones pass through.
     recall_at_n(index, queries, ks=(1,), query_zone_number=10, query_hemisphere="north")
     recall_at_n(index, queries, ks=(1,))
+    # evaluate takes both zones from the records.
+    db = [ImageRecord(id="p0", pose=poses[0], zone_number=10, hemisphere="north")]
+    query = [ImageRecord(id="q0", pose=GeoPose(0.0, 0.0, 0.0), zone_number=11, hemisphere="north")]
+    with pytest.raises(DomainError, match="zone"):
+        evaluate(vecs, db, np.eye(1), query, ks=(1,))
+    same_zone = [dataclasses.replace(query[0], zone_number=10)]
+    assert evaluate(vecs, db, np.eye(1), same_zone, ks=(1,)).recall_at == {1: 1.0}
 
 
 def test_recall_requires_queries_and_sorted_ks():

@@ -7,7 +7,7 @@ import pytest
 
 from geoloc import embed
 from geoloc.embed import ModelConfig, model_from_dict
-from geoloc.errors import DomainError, TrainingError
+from geoloc.errors import CheckpointError, DomainError, TrainingError
 from geoloc.ingest import split_validation
 from geoloc.loss import LossConfig
 from geoloc.partition import PartitionConfig, build_partition, enumerate_groups
@@ -310,3 +310,8 @@ def test_training_checkpoint_round_trip(trained, tmp_path):
         np.testing.assert_array_equal(loaded.heads[g].weights, trained.heads[g].weights)
     for name in trained.moments.first:
         np.testing.assert_array_equal(loaded.moments.first[name], trained.moments.first[name])
+    doc = json.loads(path.read_text())
+    del doc["heads"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="heads"):
+        load_training_checkpoint(path)
