@@ -14,12 +14,13 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from . import embed, ingest, retrieval, synth, train
+from .atomic import write_atomic
 from .config import (
     RunConfig,
     apply_overrides,
@@ -29,7 +30,9 @@ from .config import (
 )
 from .errors import ConfigError, ManifestError, ToolError
 from .partition import (
+    Partition,
     build_partition,
+    enumerate_groups,
     format_stats_table,
     load_partition,
     partition_stats,
@@ -69,7 +72,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _split_records(records, cfg: RunConfig):
@@ -102,8 +105,15 @@ def cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _check_partition_provenance(path: str, cfg: RunConfig) -> None:
-    """Reject a partition built on another validation split; call after ``load_partition``."""
+def _check_partition_provenance(path: str, part: Partition, cfg: RunConfig) -> None:
+    """Reject a partition built with another partition config or validation split.
+
+    ``part`` is the partition ``load_partition`` read from ``path``.
+    """
+    if part.config != cfg.partition:
+        ours, theirs = asdict(cfg.partition), asdict(part.config)
+        diff = ", ".join(f"{k} {theirs[k]!r} vs {ours[k]!r}" for k in ours if ours[k] != theirs[k])
+        raise ConfigError(f"partition {path} was built with another partition config than this run's ({diff})")
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     echo = doc.get("run_config")
     if not isinstance(echo, dict) or not doc.get("split_applied", False):
@@ -120,21 +130,15 @@ def _check_partition_provenance(path: str, cfg: RunConfig) -> None:
         )
 
 
-def _load_store(path: str, ids: Iterable[str]) -> dict[str, np.ndarray]:
-    """Load a feature store and check that it holds every id the command reads."""
-    store = synth.load_features(path)
-    for rid in ids:
-        if rid not in store:
-            raise ManifestError(f"feature store {path} has no entry for record {rid!r}")
-    return store
-
-
 def _load_stores(db_path: str, db_ids: list[str], query_path: str | None, query_ids: list[str]):
-    """The database and query feature stores; without ``query_path`` both are the database store."""
+    """The database and query feature stores, holding only the ids the command reads.
+
+    Without ``query_path`` both are one load of the database store.
+    """
     if query_path is None:
-        store = _load_store(db_path, db_ids + query_ids)
+        store = synth.load_features(db_path, db_ids + query_ids)
         return store, store
-    return _load_store(db_path, db_ids), _load_store(query_path, query_ids)
+    return synth.load_features(db_path, db_ids), synth.load_features(query_path, query_ids)
 
 
 def _run_training_from_files(args: argparse.Namespace, cfg: RunConfig):
@@ -142,10 +146,12 @@ def _run_training_from_files(args: argparse.Namespace, cfg: RunConfig):
     train_records, val_db, val_queries = _split_records(records, cfg)
     if args.partition:
         part = load_partition(args.partition)
-        _check_partition_provenance(args.partition, cfg)
+        _check_partition_provenance(args.partition, part, cfg)
     else:
         part = build_partition(train_records, cfg.partition)
-    members = [rid for ids in part.class_members.values() for rid in ids]
+    # Training reads the members of its first groups_used groups only.
+    groups = enumerate_groups(part.config)[: cfg.train.groups_used]
+    members = [rid for g in groups for cid in part.group_classes.get(g, []) for rid in part.class_members[cid]]
     features, query_features = _load_stores(
         args.features, members + [r.id for r in val_db], args.query_features, [r.id for r in val_queries]
     )
@@ -164,7 +170,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     _write_json(model_path, exported)
     embed.load_model(model_path)  # validate what we wrote
 
-    (out_dir / "history.csv").write_text(train.history_csv(state.history), encoding="utf-8")
+    write_atomic(out_dir / "history.csv", train.history_csv(state.history))
     _write_json(out_dir / "history.meta.json", {"config": run_config_to_dict(cfg)})
     train.save_training_checkpoint(state, out_dir / "train_state.json", extra={"config": run_config_to_dict(cfg)})
     train.load_training_checkpoint(out_dir / "train_state.json")  # validate what we wrote
@@ -194,8 +200,9 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         model = embed.load_model(args.checkpoint)
         db_vecs = train.embed_records(model, db_records, db_features, cfg.train.batch_size)
         q_vecs = train.embed_records(model, query_records, query_features, cfg.train.batch_size)
+        del db_features, query_features  # the maps dominate memory; free them before the search
     else:
-        latents = _load_store(args.oracle_latents, db_ids + query_ids)
+        latents = synth.load_features(args.oracle_latents, db_ids + query_ids)
         db_vecs = np.stack([latents[rid] for rid in db_ids])
         q_vecs = np.stack([latents[rid] for rid in query_ids])
         db_vecs /= np.linalg.norm(db_vecs, axis=1, keepdims=True)
@@ -272,7 +279,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header))
-    Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(args.output, "\n".join(lines) + "\n")
     _write_json(Path(args.output).with_suffix(".meta.json"), {"config": run_config_to_dict(cfg)})
     print(f"wrote {len(rows)} sweep rows to {args.output}")
     return 0

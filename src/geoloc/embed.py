@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import CheckpointError, DomainError
 
 GEM = "gem"
@@ -266,7 +267,7 @@ def checkpoint_bytes(m: EmbeddingModel, extra: dict | None = None) -> bytes:
 
 
 def save_model(m: EmbeddingModel, path: str | Path, extra: dict | None = None) -> None:
-    Path(path).write_bytes(checkpoint_bytes(m, extra))
+    write_atomic(path, checkpoint_bytes(m, extra))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

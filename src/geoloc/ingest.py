@@ -14,10 +14,11 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .atomic import AtomicFile
 from .errors import DomainError, ManifestError
 from .geodesy import HEMISPHERES, NORTH, LatLon, latlon_to_utm
 from .partition import GeoPose
@@ -89,7 +90,8 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
         seen[rid] = line
         rows.append((line, row))
 
-    records: list[ImageRecord] = []
+    # (id, pose, uri, lat, lon) per row; records are built once the zone is known.
+    fields: list[tuple] = []
     zone_of: list[tuple[int, str] | None] = []
     for line, row in rows:
         heading_raw = _parse_float(row["heading"], "heading", line)
@@ -137,14 +139,19 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
             pose = GeoPose(east=east, north=north, heading=heading)
         except DomainError as exc:
             raise ManifestError(f"line {line}: {exc}") from exc
-        records.append(ImageRecord(id=row["id"].strip(), pose=pose, source_uri=uri, lat=lat, lon=lon))
+        fields.append((row["id"].strip(), pose, uri, lat, lon))
         zone_of.append(zone)
 
     explicit = sorted({z for z in zone_of if z is not None})
     if len(explicit) > 1:
         raise ManifestError(f"manifest mixes zones/hemispheres: {explicit}")
     zone_number, hemisphere = explicit[0] if explicit else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
-    return [replace(r, zone_number=zone_number, hemisphere=hemisphere) for r in records]
+    return [
+        ImageRecord(
+            id=rid, pose=pose, zone_number=zone_number, hemisphere=hemisphere, source_uri=uri, lat=lat, lon=lon
+        )
+        for rid, pose, uri, lat, lon in fields
+    ]
 
 
 def serialize_manifest(records: Sequence[ImageRecord], stream: io.TextIOBase) -> None:
@@ -183,7 +190,7 @@ def load_manifest(path: str | Path) -> list[ImageRecord]:
 
 
 def save_manifest(records: Sequence[ImageRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with AtomicFile(path, "w", encoding="utf-8", newline="") as fh:
         serialize_manifest(records, fh)
 
 

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from .atomic import write_atomic
 from .errors import DomainError, EmptyPartitionError, PartitionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -347,10 +348,7 @@ def partition_from_dict(doc: dict) -> Partition:
 
 
 def save_partition(p: Partition, path: str | Path, extra: dict | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(partition_to_dict(p, extra), sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    write_atomic(path, json.dumps(partition_to_dict(p, extra), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_partition(path: str | Path) -> Partition:

@@ -3,14 +3,16 @@
 Descriptors are unit vectors, so ranking by inner product is ranking by
 cosine similarity. Search is an exhaustive scan whose cost is exactly
 rows x dim multiply-accumulates per query; ties are broken by insertion
-order. A retrieved item counts as correct for a query when its pose lies
-within the metric threshold of the query pose, both taken in one shared
-UTM zone.
+order. ``recall_at_n`` scores queries in blocks, one matrix product per
+block, sized so a block's similarity matrix stays within about 1 MiB, and
+selects each query's top K with a partial partition plus an exact sort of
+the candidates (exact flat inner-product search, as in FAISS). A retrieved
+item counts as correct for a query when its pose lies within the metric
+threshold of the query pose, both taken in one shared UTM zone.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import DomainError, RetrievalError
 from .geodesy import HEMISPHERES
 from .ingest import ImageRecord
@@ -29,6 +32,8 @@ INDEX_VERSION = 1
 _UNIT_TOL = 1e-5
 DEFAULT_KS = (1, 5, 10, 20)
 DEFAULT_THRESHOLD_M = 25.0
+# Bytes of one search block's (queries x rows) similarity matrix.
+SEARCH_BLOCK_BYTES = 1 << 20
 _HEMISPHERE_OF_BYTE = {255: None, 0: "north", 1: "south"}
 
 
@@ -41,13 +46,21 @@ class OpCounter:
 
 @dataclass
 class DescriptorIndex:
-    """Immutable row-aligned (ids, unit-descriptor matrix, poses) store."""
+    """Immutable row-aligned (ids, unit-descriptor matrix, poses) store.
+
+    ``positions`` holds the poses' (east, north) as an (N, 2) array, for the
+    vectorized correctness test of a search.
+    """
 
     ids: list[str]
     matrix: np.ndarray
     poses: list[GeoPose]
     zone_number: int | None = None
     hemisphere: str | None = None
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.positions = np.array([(p.east, p.north) for p in self.poses], dtype=np.float64).reshape(-1, 2)
 
     @property
     def dim(self) -> int:
@@ -95,26 +108,32 @@ def build_index(
     )
 
 
-def _knn_rows(
-    index: DescriptorIndex,
-    query: np.ndarray,
-    k: int,
-    counter: OpCounter | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if len(index) == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (index.dim,):
-        raise RetrievalError(f"query has shape {query.shape}, index dimension is {index.dim}")
-    if abs(float(np.linalg.norm(query)) - 1.0) > _UNIT_TOL:
+def _query_matrix(descriptors: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Stack query descriptors into a (Q, dim) array; each must be a finite unit vector."""
+    shape = next((np.shape(d) for d in descriptors if np.shape(d) != (dim,)), None)
+    if shape is not None:
+        raise RetrievalError(f"query has shape {shape}, index dimension is {dim}")
+    queries = np.array(descriptors, dtype=np.float64)
+    if not np.all(np.abs(np.linalg.norm(queries, axis=1) - 1.0) <= _UNIT_TOL):  # NaN fails too
         raise RetrievalError("query descriptor is not unit-norm")
-    sims = index.matrix @ query
-    if counter is not None:
-        counter.madds += len(index) * index.dim
-    order = np.argsort(-sims, kind="stable")[:k]
-    return order, sims[order]
+    return queries
+
+
+def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
+    """Row indices of the ``k`` largest entries of each row of ``sims``, by (-sim, row).
+
+    A partial partition finds each row's k-th largest similarity; every
+    entry at least that large, ties with it included, is a candidate, and
+    an exact sort of the candidates makes the cut. Returns (Q, min(k, N)).
+    """
+    n = sims.shape[1]
+    k = min(k, n)
+    kth = np.partition(sims, n - k, axis=1)[:, n - k]
+    out = np.empty((sims.shape[0], k), dtype=np.intp)
+    for i, row in enumerate(sims):
+        candidates = np.flatnonzero(row >= kth[i])
+        out[i] = candidates[np.lexsort((candidates, -row[candidates]))[:k]]
+    return out
 
 
 def knn(
@@ -128,8 +147,16 @@ def knn(
     Equal similarities keep index insertion order. Identical to a brute-force
     full sort by construction.
     """
-    rows, sims = _knn_rows(index, query, k, counter)
-    return [(index.ids[i], float(s)) for i, s in zip(rows, sims)]
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if len(index) == 0:
+        return []
+    query = _query_matrix([query], index.dim)[0]
+    sims = index.matrix @ query
+    if counter is not None:
+        counter.madds += len(index) * index.dim
+    rows = _top_rows(sims[None, :], k)[0]
+    return [(index.ids[i], float(sims[i])) for i in rows]
 
 
 @dataclass
@@ -191,17 +218,20 @@ def recall_at_n(
             f"database zone {index.zone_number} {index.hemisphere}"
         )
     kmax = min(max(ks), len(index))
-    first_correct: list[int | None] = []
-    for descriptor, pose in queries:
-        rank: int | None = None
-        if kmax:
-            rows, _ = _knn_rows(index, descriptor, kmax, counter)
-            for pos, row in enumerate(rows, start=1):
-                db_pose = index.poses[row]
-                if math.hypot(db_pose.east - pose.east, db_pose.north - pose.north) <= threshold_m:
-                    rank = pos
-                    break
-        first_correct.append(rank)
+    first_correct: list[int | None] = [None] * len(queries)
+    if kmax:
+        descriptors = _query_matrix([d for d, _ in queries], index.dim)
+        positions = np.array([(p.east, p.north) for _, p in queries], dtype=np.float64)
+        block = max(1, SEARCH_BLOCK_BYTES // (8 * len(index)))
+        for start in range(0, len(queries), block):
+            stop = start + block
+            sims = descriptors[start:stop] @ index.matrix.T
+            if counter is not None:
+                counter.madds += sims.size * index.dim
+            offsets = index.positions[_top_rows(sims, kmax)] - positions[start:stop, None, :]
+            near = np.hypot(offsets[..., 0], offsets[..., 1]) <= threshold_m
+            ranks = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 0)
+            first_correct[start:stop] = [int(r) if r else None for r in ranks]
     recall = {
         k: sum(1 for r in first_correct if r is not None and r <= k) / len(queries) for k in ks
     }
@@ -264,7 +294,7 @@ def save_index(index: DescriptorIndex, path: str | Path) -> None:
     for p in index.poses:
         parts.append(struct.pack("<ddd", p.east, p.north, p.heading))
     parts.append(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_index(path: str | Path) -> DescriptorIndex:

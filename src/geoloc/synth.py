@@ -21,14 +21,18 @@ bit-identical worlds.
 
 from __future__ import annotations
 
+import io
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError
+from .atomic import AtomicFile
+from .errors import DomainError, ManifestError
 from .ingest import ImageRecord, save_manifest
 from .partition import GeoPose, Partition
 
@@ -395,18 +399,89 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> dict[str, Path]:
         "latents": out / "latents.npz",
     }
     save_manifest(world.records, paths["manifest"])
-    np.savez(paths["features"], **world.features)
-    np.savez(paths["query_features"], **world.query_features)
-    np.savez(
-        paths["latents"],
-        **{rid: oracle_descriptor(world, rid) for rid in world.latent_key_of},
-    )
+    stores = {
+        "features": world.features,
+        "query_features": world.query_features,
+        "latents": {rid: oracle_descriptor(world, rid) for rid in world.latent_key_of},
+    }
+    for name, arrays in stores.items():
+        # Through a file object, so np.savez appends no ".npz" to the temporary name.
+        with AtomicFile(paths[name], "wb") as fh:
+            np.savez(fh, **arrays)
     return paths
 
 
-def load_features(path: str | Path) -> dict[str, np.ndarray]:
+def _npy_layout(raw: bytes, known: dict[bytes, tuple]) -> tuple[int, tuple[int, ...], bool, np.dtype]:
+    """(data offset, shape, Fortran order, dtype) of one ``.npy`` member.
+
+    ``known`` maps header bytes already parsed to their layout, so a store
+    whose members share one header parses it once.
+    """
+    if raw[:6] != b"\x93NUMPY" or len(raw) < 12:
+        raise ValueError("member is not an .npy array")
+    start = 10 + int.from_bytes(raw[8:10], "little") if raw[6] == 1 else 12 + int.from_bytes(raw[8:12], "little")
+    header = raw[:start]
+    layout = known.get(header)
+    if layout is None:
+        fp = io.BytesIO(header)
+        version = np.lib.format.read_magic(fp)
+        if version == (1, 0):
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fp)
+        elif version == (2, 0):
+            shape, fortran, dtype = np.lib.format.read_array_header_2_0(fp)
+        else:
+            raise ValueError(f"unsupported .npy format version {version}")
+        layout = known[header] = (start, shape, fortran, dtype)
+    return layout
+
+
+def load_features(path: str | Path, ids: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    """Arrays of a keyed ``.npz`` store (one member per record id), by id.
+
+    Reads only the members named in ``ids`` (every member when ``ids`` is
+    None; a repeated id loads once), in one pass over the zip with its CRC
+    checks. Every member must share one shape and dtype: they are copied
+    into one ``(n, *shape)`` block and returned as row views of it. An id
+    missing from the store raises ManifestError; an unreadable or corrupt
+    store, an object-dtype member, or mixed shapes or dtypes raise
+    DomainError.
+    """
     try:
-        with np.load(path) as store:
-            return {key: store[key] for key in store.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        with zipfile.ZipFile(path) as zf:
+            names = list(dict.fromkeys(zf.namelist()))
+            stray = next((n for n in names if not n.endswith(".npy")), None)
+            if stray is not None:
+                raise DomainError(f"feature store {path}: member {stray!r} is not an .npy array")
+            if ids is None:
+                keys = [n.removesuffix(".npy") for n in names]
+            else:
+                keys = list(dict.fromkeys(ids))
+                present = set(names)
+                missing = next((k for k in keys if f"{k}.npy" not in present), None)
+                if missing is not None:
+                    raise ManifestError(f"feature store {path} has no entry for record {missing!r}")
+            known: dict[bytes, tuple] = {}
+            block = None
+            for i, key in enumerate(keys):
+                raw = zf.read(f"{key}.npy")
+                start, shape, fortran, dtype = _npy_layout(raw, known)
+                if dtype.hasobject:
+                    raise DomainError(f"feature store {path}: member {key!r} holds Python objects (dtype {dtype})")
+                if block is None:
+                    block = np.empty((len(keys), *shape), dtype=dtype)
+                    row_bytes = block.nbytes // len(keys)
+                elif (shape, dtype) != (block.shape[1:], block.dtype):
+                    raise DomainError(
+                        f"feature store {path} mixes member layouts: {key!r} is {dtype}{list(shape)}, "
+                        f"{keys[0]!r} is {block.dtype}{list(block.shape[1:])}"
+                    )
+                if len(raw) - start != row_bytes:
+                    raise DomainError(
+                        f"feature store {path}: member {key!r} holds {len(raw) - start} data bytes, "
+                        f"its header says {row_bytes}"
+                    )
+                data = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=start)
+                block[i] = data.reshape(shape[::-1]).T if fortran else data.reshape(shape)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise DomainError(f"cannot read feature store {path}: {exc}") from exc
+    return {} if block is None else dict(zip(keys, block))

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import embed
+from .atomic import write_atomic
 from .embed import EmbeddingModel, ModelConfig
 from .errors import CheckpointError, DomainError, TrainingError
 from .ingest import ImageRecord
@@ -252,8 +253,8 @@ def run_training(
     if cfg.groups_used == 1:
         logger.info("single group in use: the schedule degenerates to one plain cosFace run")
 
-    # Infer the channel count from any stored feature map.
-    any_id = next(iter(partition.class_members.values()))[0]
+    # Infer the channel count from a feature map training reads.
+    any_id = partition.class_members[partition.group_classes[used_groups[0]][0]][0]
     channels = features[any_id].shape[0]
 
     model = embed.init_model(channels, cfg.model, cfg.seed)
@@ -388,7 +389,7 @@ def save_training_checkpoint(state: TrainState, path: str | Path, extra: dict | 
     }
     if extra:
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_training_checkpoint(path: str | Path) -> TrainState:

@@ -1,6 +1,10 @@
 import dataclasses
+import io
 import json
+import struct
+import zipfile
 
+import numpy as np
 import pytest
 import yaml
 
@@ -515,3 +519,74 @@ def test_train_rejects_partition_member_missing_from_store(workspace, tmp_path, 
     err = capsys.readouterr().err
     _single_error_line(err, "manifest")
     assert "'ghost'" in err and str(world_dir / "features.npz") in err
+
+
+def _flip_member_byte(blob: bytes, member: str) -> bytes:
+    """Flip the last data byte of one stored zip member, leaving its CRC stale."""
+    info = zipfile.ZipFile(io.BytesIO(blob)).getinfo(member)
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    last = info.header_offset + 30 + name_len + extra_len + info.compress_size - 1
+    return blob[:last] + bytes([blob[last] ^ 0xFF]) + blob[last + 1 :]
+
+
+def _bad_store(kind: str, world_dir, path) -> str:
+    """A database store that ``geoloc eval`` must reject; returns the expected error code."""
+    db_ids = [r.id for r in ingest.load_manifest(world_dir / "db.csv")]
+    source = world_dir / "features.npz"
+    if kind == "crc":
+        path.write_bytes(_flip_member_byte(source.read_bytes(), f"{db_ids[3]}.npy"))
+        return "domain"
+    if kind == "truncated":
+        blob = source.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        return "domain"
+    with np.load(source) as store:
+        arrays = {rid: store[rid] for rid in db_ids}
+    if kind == "missing":
+        del arrays[db_ids[5]]
+        code = "manifest"
+    elif kind == "object":
+        arrays[db_ids[2]] = np.array([{"not": "a map"}], dtype=object)
+        code = "domain"
+    else:  # mixed shapes
+        arrays[db_ids[2]] = arrays[db_ids[2]][:, :1]
+        code = "domain"
+    np.savez(path, **arrays)
+    return code
+
+
+@pytest.mark.parametrize("kind", ["missing", "crc", "truncated", "object", "mixed"])
+def test_eval_rejects_bad_feature_store_with_one_line(workspace, tiny_model, tmp_path, capsys, kind):
+    _, cfg_path, world_dir = workspace
+    store = tmp_path / "bad.npz"
+    code = _bad_store(kind, world_dir, store)
+    capsys.readouterr()
+    rc = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(store),
+        "--queries", str(world_dir / "queries.csv"),
+        "--query-features", str(world_dir / "query_features.npz"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, code)
+    assert str(store) in err
+
+
+def test_train_rejects_partition_built_with_another_partition_config(workspace, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    part_path = tmp_path / "p.json"
+    assert main(["partition", "--config", str(cfg_path), "--set", "partition.min_images_per_class=3",
+                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path),
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--partition", str(part_path),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "config")
+    assert "min_images_per_class 3 vs 2" in err

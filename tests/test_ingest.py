@@ -124,3 +124,12 @@ def test_split_fraction_bounds():
         split_validation(records, 0.0, seed=0)
     with pytest.raises(DomainError):
         split_validation(make_records(2), 0.5, seed=0)  # no training record left
+
+
+def test_latlon_manifest_and_its_east_north_round_trip_parse_equal():
+    latlon = parse("id,lat,lon,heading,uri\na,37.7749,-122.4194,10,s3://a\nb,37.7751,-122.4192,370,\n")
+    stream = io.StringIO()
+    serialize_manifest(latlon, stream)
+    assert "east" in stream.getvalue().splitlines()[0]
+    assert parse(stream.getvalue()) == latlon
+    assert {(r.zone_number, r.hemisphere) for r in latlon} == {(10, "north")}

@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoloc import retrieval
 from geoloc.errors import DomainError, RetrievalError
 from geoloc.ingest import ImageRecord
 from geoloc.partition import GeoPose
@@ -298,3 +300,56 @@ def test_load_index_rejects_non_unit_rows(tmp_path, bad_row):
     path, _ = _saved_index_bytes(tmp_path, dataclasses.replace(index, matrix=matrix))
     with pytest.raises(RetrievalError, match="unit-norm"):
         load_index(path)
+
+
+def lexsort_first_correct(matrix, positions, query, query_position, kmax, threshold_m):
+    """Independent reference: full (-sim, row) lexsort, then a distance test down the list."""
+    sims = matrix @ query
+    order = np.lexsort((np.arange(len(sims)), -sims))[:kmax]
+    near = np.hypot(positions[order, 0] - query_position[0], positions[order, 1] - query_position[1])
+    hits = np.flatnonzero(near <= threshold_m)
+    return int(hits[0]) + 1 if hits.size else None, order
+
+
+# Entries of +-1/2 at D=4 make every row a unit vector and every inner
+# product exactly representable, so equal similarities are exact ties.
+lattice_vectors = st.lists(st.sampled_from([-0.5, 0.5]), min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    db=st.lists(st.tuples(lattice_vectors, st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=30),
+    queries=st.lists(st.tuples(lattice_vectors, st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=25),
+    ks=st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True).map(sorted),
+    block_rows=st.integers(1, 7),
+    threshold_m=st.sampled_from([0.0, 1.0, 1.5, 3.0]),
+)
+def test_blocked_search_matches_lexsort_oracle_under_heavy_ties(db, queries, ks, block_rows, threshold_m):
+    matrix = np.array([v for v, _, _ in db])
+    positions = np.array([(e, n) for _, e, n in db], dtype=np.float64)
+    index = build_index(matrix, [f"d{i}" for i in range(len(db))], [GeoPose(float(e), float(n), 0.0) for _, e, n in db])
+    pairs = [(np.array(v), GeoPose(float(e), float(n), 0.0)) for v, e, n in queries]
+    counter = OpCounter()
+    # Blocks of block_rows queries: query counts that are not a multiple of the block are covered.
+    with mock.patch.object(retrieval, "SEARCH_BLOCK_BYTES", block_rows * 8 * len(db)):
+        report = recall_at_n(index, pairs, ks=ks, threshold_m=threshold_m, counter=counter)
+    assert counter.madds == len(queries) * len(db) * 4
+    kmax = min(max(ks), len(db))  # max(ks) may exceed the database
+    for qi, (q, pose) in enumerate(pairs):
+        want, order = lexsort_first_correct(matrix, positions, q, (pose.east, pose.north), kmax, threshold_m)
+        assert report.first_correct_rank[qi] == want, f"query {qi}"
+        for k in (1, ks[0], max(ks)):
+            assert [rid for rid, _ in knn(index, q, k)] == [f"d{i}" for i in order[:k]]
+    for k in ks:
+        assert report.recall_at[k] == sum(1 for r in report.first_correct_rank if r is not None and r <= k) / len(queries)
+
+
+def test_recall_checks_every_query_with_the_knn_messages():
+    index, vecs = random_index(np.random.default_rng(8), 6, 3)
+    good = (vecs[0], GeoPose(0.0, 0.0, 0.0))
+    with pytest.raises(RetrievalError, match=r"query has shape \(2,\), index dimension is 3"):
+        recall_at_n(index, [good, (np.ones(2) / np.sqrt(2.0), good[1])])
+    with pytest.raises(RetrievalError, match="unit-norm"):
+        recall_at_n(index, [good, (2.0 * vecs[1], good[1])])
+    with pytest.raises(RetrievalError, match="unit-norm"):
+        recall_at_n(index, [(np.full(3, np.nan), good[1]), good])

@@ -204,3 +204,36 @@ def test_world_export_and_reload(tmp_path):
     np.testing.assert_allclose(store[records[0].id], world.features[records[0].id])
     latents = load_features(paths["latents"])
     np.testing.assert_allclose(latents[records[0].id], oracle_descriptor(world, records[0].id))
+
+
+@pytest.mark.parametrize("dtype", ["<f8", ">f4"])
+def test_load_features_subset_matches_np_load(tmp_path, dtype):
+    rng = np.random.default_rng(3)
+    arrays = {f"r{i}": rng.standard_normal((3, 2, 4)).astype(dtype) for i in range(6)}
+    arrays["r1"] = np.asfortranarray(arrays["r1"])
+    arrays["r4"] = np.asfortranarray(arrays["r4"])
+    path = tmp_path / "store.npz"
+    np.savez(path, **arrays)
+    wanted = ["r4", "r0", "r1"]
+    got = load_features(path, wanted)
+    assert list(got) == wanted
+    with np.load(path) as reference:
+        assert reference["r1"].flags.f_contiguous and not reference["r1"].flags.c_contiguous
+        for key in wanted:
+            assert got[key].dtype == reference[key].dtype
+            assert got[key].shape == reference[key].shape
+            np.testing.assert_array_equal(got[key], reference[key])
+
+
+def test_load_features_all_members_and_repeated_ids(tmp_path):
+    arrays = {f"r{i}": np.full((2, 1, 1), float(i)) for i in range(4)}
+    path = tmp_path / "store.npz"
+    np.savez(path, **arrays)
+    everything = load_features(path)
+    assert set(everything) == set(arrays)
+    for key, value in arrays.items():
+        np.testing.assert_array_equal(everything[key], value)
+    repeated = load_features(path, ["r2", "r3", "r2", "r2"])
+    assert list(repeated) == ["r2", "r3"]
+    assert sum(a.nbytes for a in repeated.values()) == 2 * arrays["r2"].nbytes
+    assert load_features(path, []) == {}
