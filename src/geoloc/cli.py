@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, ingest, retrieval, synth, train
-from .atomic import write_atomic
+from .atomic import check_header, dump_json, make_dir, read_json, write_atomic
 from .config import (
     RunConfig,
     apply_overrides,
@@ -28,7 +28,7 @@ from .config import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from .errors import ConfigError, ManifestError, ToolError
+from .errors import ConfigError, ManifestError, PartitionError, RetrievalError, ToolError
 from .partition import (
     Partition,
     build_partition,
@@ -72,7 +72,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    write_atomic(path, dump_json(doc))
 
 
 def _split_records(records, cfg: RunConfig):
@@ -114,7 +114,7 @@ def _check_partition_provenance(path: str, part: Partition, cfg: RunConfig) -> N
         ours, theirs = asdict(cfg.partition), asdict(part.config)
         diff = ", ".join(f"{k} {theirs[k]!r} vs {ours[k]!r}" for k in ours if ours[k] != theirs[k])
         raise ConfigError(f"partition {path} was built with another partition config than this run's ({diff})")
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path, PartitionError, "partition file")
     echo = doc.get("run_config")
     if not isinstance(echo, dict) or not doc.get("split_applied", False):
         return
@@ -160,14 +160,11 @@ def _run_training_from_files(args: argparse.Namespace, cfg: RunConfig):
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out_dir)
     state, *_ = _run_training_from_files(args, cfg)
 
-    exported = json.loads(train.export_inference_model(state))
-    exported["config"] = run_config_to_dict(cfg)
     model_path = out_dir / "model_best.json"
-    _write_json(model_path, exported)
+    embed.save_model(state.best_model, model_path, extra={"config": run_config_to_dict(cfg)})
     embed.load_model(model_path)  # validate what we wrote
 
     write_atomic(out_dir / "history.csv", train.history_csv(state.history))
@@ -215,7 +212,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc["config"] = run_config_to_dict(cfg)
     if args.output:
         _write_json(Path(args.output), doc)
-        json.loads(Path(args.output).read_text(encoding="utf-8"))  # validate what we wrote
+        written = read_json(args.output, RetrievalError, "eval report")  # validate what we wrote
+        check_header(written, retrieval.REPORT_FORMAT, retrieval.REPORT_VERSION, RetrievalError, "eval report")
     print(retrieval.format_report_table(report))
     return 0
 
@@ -264,9 +262,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
             partition=None,
         )
         state, features, query_features, val_db, val_queries = _run_training_from_files(sub_args, sub_cfg)
-        model = embed.model_from_dict(json.loads(train.export_inference_model(state)))
-        db_vecs = train.embed_records(model, val_db, features, sub_cfg.train.batch_size)
-        q_vecs = train.embed_records(model, val_queries, query_features, sub_cfg.train.batch_size)
+        db_vecs = train.embed_records(state.best_model, val_db, features, sub_cfg.train.batch_size)
+        q_vecs = train.embed_records(state.best_model, val_queries, query_features, sub_cfg.train.batch_size)
         report = retrieval.evaluate(
             db_vecs, val_db, q_vecs, val_queries, sub_cfg.eval.ks, sub_cfg.eval.threshold_m
         )
@@ -359,7 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve_config(args)
         return args.func(args, cfg)
     except ToolError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        # One line, whatever the message holds (parser errors span several).
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        print(f"error[{exc.code}]: {message}", file=sys.stderr)
         return 1
 
 

@@ -57,7 +57,7 @@ def _build(cls: type, data: Any, path: str) -> Any:
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path or cls.__name__!r} must be a mapping, got {type(data).__name__}")
     known = {f.name: f for f in fields(cls)}
-    unknown = [k for k in data if k not in known]
+    unknown = [str(k) for k in data if k not in known]  # YAML keys may be numbers
     if unknown:
         where = f"{path}." if path else ""
         raise ConfigError(f"unknown config key(s): {', '.join(where + k for k in sorted(unknown))}")
@@ -67,14 +67,32 @@ def _build(cls: type, data: Any, path: str) -> Any:
         key = f"{path}.{name}" if path else name
         if is_dataclass(f.type) or (isinstance(f.type, str) and f.type in _SECTION_TYPES):
             kwargs[name] = _build(_SECTION_TYPES.get(f.type, f.type), value, key)
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
         else:
-            kwargs[name] = value
+            _check_type(value, f.type, key)
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
-    except (TypeError, DomainError) as exc:
+    except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError(f"invalid config at {path or 'top level'}: {exc}") from exc
+
+
+# Python types a scalar field takes, by its annotation.
+_SCALARS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _check_type(value: Any, annotation: str, key: str) -> None:
+    """Raise ConfigError unless ``value`` fits a field annotated ``annotation``.
+
+    A tuple field takes a list of its element type; a bool is not a number.
+    """
+    if annotation.startswith("tuple["):
+        element = annotation[len("tuple["):].split(",")[0]
+        items = value if isinstance(value, list) else None
+    else:
+        element, items = annotation, [value]
+    allowed = _SCALARS[element]
+    if items is None or not all(isinstance(v, allowed) and isinstance(v, bool) == (bool in allowed) for v in items):
+        raise ConfigError(f"config value {key} must be {annotation}, got {value!r}")
 
 
 # Dataclass fields carry string annotations (from __future__ annotations), so
@@ -109,7 +127,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         if p.suffix == ".json":

@@ -19,13 +19,12 @@ verified against central finite differences in the tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import check_header, dump_json, read_json, write_atomic
 from .errors import CheckpointError, DomainError
 
 GEM = "gem"
@@ -105,7 +104,6 @@ class ModelConfig:
     pooling: str = GEM
     gem_p: float = 3.0
     learn_gem_p: bool = False
-    use_bias: bool = True
 
     def __post_init__(self) -> None:
         if self.output_dim < 1:
@@ -238,12 +236,7 @@ def model_to_dict(m: EmbeddingModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> EmbeddingModel:
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"a model checkpoint is a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != MODEL_FORMAT:
-        raise CheckpointError(f"not a model checkpoint: format={doc.get('format')!r}")
-    if doc.get("version") != MODEL_VERSION:
-        raise CheckpointError(f"unsupported model checkpoint version {doc.get('version')!r}")
+    check_header(doc, MODEL_FORMAT, MODEL_VERSION, CheckpointError, "model checkpoint")
     try:
         m = EmbeddingModel(
             pooling=doc["pooling"],
@@ -253,7 +246,7 @@ def model_from_dict(doc: dict) -> EmbeddingModel:
         )
         if m.output_dim != doc["output_dim"] or m.channels != doc["channels"]:
             raise CheckpointError("checkpoint dimensions disagree with its stored arrays")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise CheckpointError(f"model checkpoint has a missing or malformed field: {exc!r}") from exc
     return m
 
@@ -263,7 +256,7 @@ def checkpoint_bytes(m: EmbeddingModel, extra: dict | None = None) -> bytes:
     doc = model_to_dict(m)
     if extra:
         doc.update(extra)
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return dump_json(doc).encode("utf-8")
 
 
 def save_model(m: EmbeddingModel, path: str | Path, extra: dict | None = None) -> None:
@@ -271,8 +264,4 @@ def save_model(m: EmbeddingModel, path: str | Path, extra: dict | None = None) -
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read model checkpoint {path}: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, CheckpointError, "model checkpoint"))

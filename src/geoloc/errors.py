@@ -58,3 +58,9 @@ class RetrievalError(ToolError):
     """Descriptor index construction or search failed."""
 
     code = "retrieval"
+
+
+class OutputError(ToolError):
+    """An output file cannot be created or replaced."""
+
+    code = "output"

@@ -82,6 +82,8 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
         line = reader.line_num
         if None in row:
             raise ManifestError(f"line {line}: more cells than header columns")
+        if None in row.values():
+            raise ManifestError(f"line {line}: fewer cells than header columns")
         rid = (row.get("id") or "").strip()
         if not rid:
             raise ManifestError(f"line {line}: empty id")
@@ -185,7 +187,7 @@ def load_manifest(path: str | Path) -> list[ImageRecord]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return parse_manifest(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
 
 

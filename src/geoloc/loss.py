@@ -45,7 +45,6 @@ class ClassifierHead:
 
     group: GroupId
     weights: np.ndarray
-    row_normalized: bool = False
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -64,7 +63,7 @@ def new_head(group: GroupId, num_classes: int, dim: int, seed: int) -> Classifie
     ss = np.random.SeedSequence([seed & 0xFFFFFFFF, 0x43AD5, *group])
     rows = np.random.default_rng(ss).standard_normal((num_classes, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return ClassifierHead(group=group, weights=rows, row_normalized=True)
+    return ClassifierHead(group=group, weights=rows)
 
 
 def _check_inputs(

@@ -19,13 +19,12 @@ bins must be an exact multiple of ``heading_stride``.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .atomic import write_atomic
+from .atomic import check_header, dump_json, read_json, write_atomic
 from .errors import DomainError, EmptyPartitionError, PartitionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -312,10 +311,7 @@ def partition_to_dict(p: Partition, extra: dict | None = None) -> dict:
 
 
 def partition_from_dict(doc: dict) -> Partition:
-    if doc.get("format") != PARTITION_FORMAT:
-        raise PartitionError(f"not a partition document: format={doc.get('format')!r}")
-    if doc.get("version") != PARTITION_VERSION:
-        raise PartitionError(f"unsupported partition version {doc.get('version')!r}")
+    check_header(doc, PARTITION_FORMAT, PARTITION_VERSION, PartitionError, "partition document")
     try:
         cfg = PartitionConfig(**doc["config"])
         class_members: dict[ClassId, list[str]] = {}
@@ -333,7 +329,7 @@ def partition_from_dict(doc: dict) -> Partition:
             group_classes[gid].append(cid)
         discarded_classes = int(doc["discarded_classes"])
         discarded_images = int(doc["discarded_images"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise PartitionError(f"partition document has a missing or malformed field: {exc!r}") from exc
     for gid in group_classes:
         group_classes[gid].sort()
@@ -348,14 +344,8 @@ def partition_from_dict(doc: dict) -> Partition:
 
 
 def save_partition(p: Partition, path: str | Path, extra: dict | None = None) -> None:
-    write_atomic(path, json.dumps(partition_to_dict(p, extra), sort_keys=True, separators=(",", ":")) + "\n")
+    write_atomic(path, dump_json(partition_to_dict(p, extra)))
 
 
 def load_partition(path: str | Path) -> Partition:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PartitionError(f"cannot read partition file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise PartitionError(f"partition file {path} does not hold a JSON object")
-    return partition_from_dict(doc)
+    return partition_from_dict(read_json(path, PartitionError, "partition file"))

@@ -13,28 +13,23 @@ threshold of the query pose, both taken in one shared UTM zone.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .atomic import write_atomic
 from .errors import DomainError, RetrievalError
 from .geodesy import HEMISPHERES
 from .ingest import ImageRecord
 from .partition import GeoPose
-
-INDEX_MAGIC = b"GLIX"
-INDEX_VERSION = 1
 
 _UNIT_TOL = 1e-5
 DEFAULT_KS = (1, 5, 10, 20)
 DEFAULT_THRESHOLD_M = 25.0
 # Bytes of one search block's (queries x rows) similarity matrix.
 SEARCH_BLOCK_BYTES = 1 << 20
-_HEMISPHERE_OF_BYTE = {255: None, 0: "north", 1: "south"}
+REPORT_FORMAT = "eval-report"
+REPORT_VERSION = 1
 
 
 @dataclass
@@ -46,21 +41,13 @@ class OpCounter:
 
 @dataclass
 class DescriptorIndex:
-    """Immutable row-aligned (ids, unit-descriptor matrix, poses) store.
-
-    ``positions`` holds the poses' (east, north) as an (N, 2) array, for the
-    vectorized correctness test of a search.
-    """
+    """Row-aligned ids, unit-descriptor matrix and (N, 2) (east, north) positions."""
 
     ids: list[str]
     matrix: np.ndarray
-    poses: list[GeoPose]
+    positions: np.ndarray
     zone_number: int | None = None
     hemisphere: str | None = None
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.positions = np.array([(p.east, p.north) for p in self.poses], dtype=np.float64).reshape(-1, 2)
 
     @property
     def dim(self) -> int:
@@ -102,7 +89,7 @@ def build_index(
     return DescriptorIndex(
         ids=list(ids),
         matrix=matrix.copy(),
-        poses=list(poses),
+        positions=np.array([(p.east, p.north) for p in poses], dtype=np.float64).reshape(-1, 2),
         zone_number=zone_number,
         hemisphere=hemisphere,
     )
@@ -170,8 +157,8 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "format": "eval-report",
-            "version": 1,
+            "format": REPORT_FORMAT,
+            "version": REPORT_VERSION,
             "threshold_m": self.threshold_m,
             "num_queries": self.num_queries,
             "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
@@ -277,63 +264,3 @@ def evaluate(
         query_hemisphere=query_records[0].hemisphere,
     )
 
-
-def save_index(index: DescriptorIndex, path: str | Path) -> None:
-    """Versioned binary layout: header (count, dim, zone), ids, poses, matrix."""
-    zone = index.zone_number if index.zone_number is not None else 0
-    hemi = {h: b for b, h in _HEMISPHERE_OF_BYTE.items()}[index.hemisphere]
-    parts = [
-        INDEX_MAGIC,
-        struct.pack("<HBiB", INDEX_VERSION, 0, zone, hemi),
-        struct.pack("<QQ", len(index), index.dim),
-    ]
-    for rid in index.ids:
-        raw = rid.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    for p in index.poses:
-        parts.append(struct.pack("<ddd", p.east, p.north, p.heading))
-    parts.append(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
-    write_atomic(path, b"".join(parts))
-
-
-def load_index(path: str | Path) -> DescriptorIndex:
-    """Read a ``save_index`` file; any corrupt, truncated or padded file raises RetrievalError."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise RetrievalError(f"cannot read index {path}: {exc}") from exc
-    if blob[:4] != INDEX_MAGIC:
-        raise RetrievalError(f"{path} is not a descriptor index (bad magic)")
-    try:
-        version, _flags, zone, hemi = struct.unpack_from("<HBiB", blob, 4)
-        if version != INDEX_VERSION:
-            raise RetrievalError(f"unsupported index version {version}")
-        if hemi not in _HEMISPHERE_OF_BYTE:
-            raise RetrievalError(f"index {path} has an unknown hemisphere byte {hemi}")
-        count, dim = struct.unpack_from("<QQ", blob, 12)
-        offset = 28
-        ids = []
-        for _ in range(count):
-            (length,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            ids.append(blob[offset : offset + length].decode("utf-8"))
-            offset += length
-        poses = []
-        for _ in range(count):
-            east, north, heading = struct.unpack_from("<ddd", blob, offset)
-            offset += 24
-            poses.append(GeoPose(east=east, north=north, heading=heading))
-        matrix = np.frombuffer(blob, dtype="<f8", count=count * dim, offset=offset)
-    except (struct.error, ValueError, UnicodeDecodeError, DomainError) as exc:
-        raise RetrievalError(f"index {path} is truncated or corrupt: {exc}") from exc
-    trailing = len(blob) - offset - matrix.nbytes
-    if trailing:
-        raise RetrievalError(f"index {path} has {trailing} trailing bytes after its matrix")
-    return build_index(
-        matrix.reshape(count, dim),
-        ids,
-        poses,
-        zone_number=zone if zone else None,
-        hemisphere=_HEMISPHERE_OF_BYTE[hemi],
-    )

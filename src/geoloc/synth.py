@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .atomic import AtomicFile
+from .atomic import AtomicFile, make_dir
 from .errors import DomainError, ManifestError
 from .ingest import ImageRecord, save_manifest
 from .partition import GeoPose, Partition
@@ -390,8 +390,7 @@ def oracle_pairwise_check(world: SyntheticWorld, part: Partition) -> list[Violat
 
 def write_world(world: SyntheticWorld, out_dir: str | Path) -> dict[str, Path]:
     """Export manifest + feature stores + oracle latents for the CLI pipeline."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     paths = {
         "manifest": out / "manifest.csv",
         "features": out / "features.npz",
@@ -482,6 +481,7 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> dict[st
                     )
                 data = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=start)
                 block[i] = data.reshape(shape[::-1]).T if fortran else data.reshape(shape)
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
+        # RuntimeError: a corrupt header can mark a member encrypted or give it an unknown compression.
         raise DomainError(f"cannot read feature store {path}: {exc}") from exc
     return {} if block is None else dict(zip(keys, block))

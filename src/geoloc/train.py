@@ -16,7 +16,7 @@ contract is testable.
 
 from __future__ import annotations
 
-import json
+import copy
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import embed
-from .atomic import write_atomic
+from .atomic import check_header, dump_json, read_json, write_atomic
 from .embed import EmbeddingModel, ModelConfig
 from .errors import CheckpointError, DomainError, TrainingError
 from .ingest import ImageRecord
@@ -46,7 +46,7 @@ from .retrieval import build_index, evaluate, recall_at_n  # noqa: F401
 logger = logging.getLogger(__name__)
 
 TRAIN_CHECKPOINT_FORMAT = "training-checkpoint"
-TRAIN_CHECKPOINT_VERSION = 1
+TRAIN_CHECKPOINT_VERSION = 2
 
 VALIDATION_KS = (1, 5, 10)
 
@@ -179,7 +179,8 @@ class TrainState:
     epochs_done: int
     best_val_recall1: float
     best_epoch: int
-    best_checkpoint: bytes | None
+    # A copy of the model at its best validation; the optimizer updates ``model`` in place.
+    best_model: EmbeddingModel | None
     history: list[EpochStats]
     budget: DescriptorBudget
 
@@ -273,7 +274,7 @@ def run_training(
         epochs_done=0,
         best_val_recall1=-1.0,
         best_epoch=-1,
-        best_checkpoint=None,
+        best_model=None,
         history=[],
         budget=budget,
     )
@@ -318,7 +319,6 @@ def run_training(
                 head_steps[group],
                 cfg,
             )
-            head.row_normalized = False
             iteration_losses.append(loss_value)
 
         recalls = _validate(model, val_db, val_queries, features, query_features, cfg, budget)
@@ -336,7 +336,7 @@ def run_training(
         if recalls[1] > state.best_val_recall1:
             state.best_val_recall1 = recalls[1]
             state.best_epoch = epoch
-            state.best_checkpoint = embed.checkpoint_bytes(model)
+            state.best_model = copy.deepcopy(model)
         logger.info(
             "epoch %d group %s loss %.4f val R@1 %.3f (best %.3f)",
             epoch, tuple(group), mean_loss, recalls[1], state.best_val_recall1,
@@ -349,9 +349,9 @@ def export_inference_model(state: TrainState) -> bytes:
 
     Byte-identical across repeated exports of the same state.
     """
-    if state.best_checkpoint is None:
+    if state.best_model is None:
         raise TrainingError("no validation pass has completed; nothing to export")
-    return state.best_checkpoint
+    return embed.checkpoint_bytes(state.best_model)
 
 
 def history_csv(history: Sequence[EpochStats]) -> str:
@@ -365,7 +365,7 @@ def history_csv(history: Sequence[EpochStats]) -> str:
 
 
 def save_training_checkpoint(state: TrainState, path: str | Path, extra: dict | None = None) -> None:
-    """Full training checkpoint (model + heads + optimizer moments) for resume."""
+    """Full training state: model, heads, optimizer moments and the best model so far."""
     doc = {
         "format": TRAIN_CHECKPOINT_FORMAT,
         "version": TRAIN_CHECKPOINT_VERSION,
@@ -374,7 +374,6 @@ def save_training_checkpoint(state: TrainState, path: str | Path, extra: dict | 
             {
                 "group": list(g),
                 "weights": h.weights.tolist(),
-                "row_normalized": h.row_normalized,
             }
             for g, h in sorted(state.heads.items())
         ],
@@ -385,20 +384,16 @@ def save_training_checkpoint(state: TrainState, path: str | Path, extra: dict | 
         "epochs_done": state.epochs_done,
         "best_val_recall1": state.best_val_recall1,
         "best_epoch": state.best_epoch,
-        "best_checkpoint": state.best_checkpoint.decode("utf-8") if state.best_checkpoint else None,
+        "best_model": embed.model_to_dict(state.best_model) if state.best_model is not None else None,
     }
     if extra:
         doc.update(extra)
-    write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    write_atomic(path, dump_json(doc))
 
 
 def load_training_checkpoint(path: str | Path) -> TrainState:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read training checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != TRAIN_CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} does not hold a training checkpoint object")
+    doc = read_json(path, CheckpointError, "training checkpoint")
+    check_header(doc, TRAIN_CHECKPOINT_FORMAT, TRAIN_CHECKPOINT_VERSION, CheckpointError, "training checkpoint")
     try:
         heads = {}
         for entry in doc["heads"]:
@@ -406,12 +401,12 @@ def load_training_checkpoint(path: str | Path) -> TrainState:
             heads[gid] = ClassifierHead(
                 group=gid,
                 weights=np.array(entry["weights"], dtype=np.float64),
-                row_normalized=entry["row_normalized"],
             )
         moments = AdamMoments(
             first={k: np.array(v, dtype=np.float64) for k, v in doc["moments"]["first"].items()},
             second={k: np.array(v, dtype=np.float64) for k, v in doc["moments"]["second"].items()},
         )
+        best = doc["best_model"]
         return TrainState(
             model=embed.model_from_dict(doc["model"]),
             heads=heads,
@@ -419,9 +414,9 @@ def load_training_checkpoint(path: str | Path) -> TrainState:
             epochs_done=int(doc["epochs_done"]),
             best_val_recall1=float(doc["best_val_recall1"]),
             best_epoch=int(doc["best_epoch"]),
-            best_checkpoint=doc["best_checkpoint"].encode("utf-8") if doc["best_checkpoint"] else None,
+            best_model=None if best is None else embed.model_from_dict(best),
             history=[],
             budget=DescriptorBudget(),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, DomainError) as exc:
         raise CheckpointError(f"training checkpoint {path} has a missing or malformed field: {exc!r}") from exc

@@ -590,3 +590,112 @@ def test_train_rejects_partition_built_with_another_partition_config(workspace, 
     err = capsys.readouterr().err
     _single_error_line(err, "config")
     assert "min_images_per_class 3 vs 2" in err
+
+
+def _non_utf8(blob: bytes) -> bytes:
+    return blob[:2] + b"\xff" + blob[2:]
+
+
+@pytest.mark.parametrize("kind", ["config.yaml", "config.json", "manifest", "partition", "checkpoint"])
+def test_non_utf8_input_gives_one_error_line(workspace, tiny_model, tmp_path, capsys, kind):
+    _, cfg_path, world_dir = workspace
+    manifest = str(world_dir / "manifest.csv")
+    if kind.startswith("config"):
+        bad = tmp_path / kind
+        bad.write_bytes(_non_utf8(json.dumps(CONFIG).encode("utf-8")))
+        argv, code = ["partition", "--config", str(bad), "--manifest", manifest,
+                      "--output", str(tmp_path / "p.json")], "config"
+    elif kind == "manifest":
+        bad = tmp_path / "manifest.csv"
+        bad.write_bytes(_non_utf8((world_dir / "manifest.csv").read_bytes()))
+        argv, code = ["convert", "--input", str(bad), "--output", str(tmp_path / "out.csv")], "manifest"
+    elif kind == "partition":
+        bad = tmp_path / "partition.json"
+        assert main(["partition", "--config", str(cfg_path), "--manifest", manifest, "--output", str(bad)]) == 0
+        bad.write_bytes(_non_utf8(bad.read_bytes()))
+        argv, code = ["train", "--config", str(cfg_path), "--manifest", manifest,
+                      "--features", str(world_dir / "features.npz"), "--partition", str(bad),
+                      "--out-dir", str(tmp_path / "run")], "partition"
+    else:
+        bad = tmp_path / "model_best.json"
+        bad.write_bytes(_non_utf8(tiny_model.read_bytes()))
+        argv, code = ["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
+                      "--db", str(world_dir / "db.csv"), "--db-features", str(world_dir / "features.npz"),
+                      "--queries", str(world_dir / "queries.csv")], "checkpoint"
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, code)
+    assert str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "partition", "convert"])
+def test_unwritable_output_gives_one_error_line(workspace, tmp_path, capsys, command):
+    _, cfg_path, world_dir = workspace
+    output = tmp_path / "missing_dir" / "out"
+    argv = {
+        "eval": ["eval", "--config", str(cfg_path), "--oracle-latents", str(world_dir / "latents.npz"),
+                 "--db", str(world_dir / "db.csv"), "--queries", str(world_dir / "queries.csv")],
+        "partition": ["partition", "--config", str(cfg_path), "--manifest", str(world_dir / "manifest.csv")],
+        "convert": ["convert", "--input", str(world_dir / "db.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "output")
+    assert str(output) in err
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def test_removed_use_bias_key_rejected(workspace, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    code = main([
+        "partition", "--config", str(cfg_path), "--set", "train.model.use_bias=false",
+        "--manifest", str(world_dir / "manifest.csv"), "--output", str(tmp_path / "p.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error[config]: unknown config key(s): train.model.use_bias\n"
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_out_dir_that_is_a_file_gives_one_error_line(workspace, tmp_path, capsys, command):
+    _, cfg_path, world_dir = workspace
+    out_dir = tmp_path / "taken"
+    out_dir.write_text("a file, not a directory\n")
+    argv = ["synth", "--config", str(cfg_path)]
+    if command == "train":
+        argv = ["train", "--config", str(cfg_path), "--manifest", str(world_dir / "manifest.csv"),
+                "--features", str(world_dir / "features.npz")]
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "output")
+    assert str(out_dir) in err
+
+
+def _patch_central_entry(blob: bytes, member: str, offset: int, value: int) -> bytes:
+    """Overwrite one little-endian u16 field of a member's central directory entry."""
+    name = member.encode("utf-8")
+    at = blob.find(b"PK\x01\x02")
+    while blob[at + 46 : at + 46 + struct.unpack_from("<H", blob, at + 28)[0]] != name:
+        at = blob.find(b"PK\x01\x02", at + 4)
+    return blob[: at + offset] + struct.pack("<H", value) + blob[at + offset + 2 :]
+
+
+@pytest.mark.parametrize("field, offset, value", [("encrypted", 8, 1), ("compression", 10, 99)])
+def test_eval_rejects_store_member_with_corrupt_header(workspace, tiny_model, tmp_path, capsys, field, offset, value):
+    _, cfg_path, world_dir = workspace
+    db_ids = [r.id for r in ingest.load_manifest(world_dir / "db.csv")]
+    store = tmp_path / "bad.npz"
+    store.write_bytes(_patch_central_entry((world_dir / "features.npz").read_bytes(), f"{db_ids[1]}.npy", offset, value))
+    capsys.readouterr()
+    rc = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(store),
+        "--queries", str(world_dir / "queries.csv"),
+        "--query-features", str(world_dir / "query_features.npz"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert str(store) in err

@@ -79,3 +79,26 @@ def test_tuple_fields_accept_lists():
     cfg = run_config_from_dict({"eval": {"ks": [1, 2, 3]}, "city": {"feature_map_shape": [8, 2, 2]}})
     assert cfg.eval.ks == (1, 2, 3)
     assert cfg.city.feature_map_shape == (8, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"split": {"fraction": "10%"}},
+        {"seed": "abc"},
+        {"partition": {"cell_stride": True}},
+        {"train": {"model": {"learn_gem_p": 1}}},
+        {"eval": {"ks": 5}},
+        {"city": {"feature_map_shape": [8, 2.5, 2]}},
+    ],
+)
+def test_mistyped_values_rejected(raw):
+    with pytest.raises(ConfigError, match="must be"):
+        run_config_from_dict(raw)
+
+
+def test_number_key_rejected(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("city: {extent_m: 100,0}\n")  # a mistyped decimal point makes the key 0
+    with pytest.raises(ConfigError, match=r"unknown config key\(s\): city\.0"):
+        load_run_config(path)

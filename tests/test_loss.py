@@ -230,7 +230,6 @@ def test_new_head_determinism_and_norms():
     b = new_head(G0, 5, 8, seed=1)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert np.abs(np.linalg.norm(a.weights, axis=1) - 1.0).max() < 1e-6
-    assert a.row_normalized
 
     other_group = new_head(GroupId(0, 0, 1), 5, 8, seed=1)
     assert np.abs(a.weights - other_group.weights).max() > 0.0

@@ -16,9 +16,7 @@ from geoloc.retrieval import (
     evaluate,
     format_report_table,
     knn,
-    load_index,
     recall_at_n,
-    save_index,
 )
 
 
@@ -66,10 +64,10 @@ def test_duplicate_ids_rejected():
 
 
 def test_non_unit_descriptor_rejected_with_id():
-    v = np.array([[1.0, 0.0], [0.7, 0.0]])
     poses = [GeoPose(0.0, 0.0, 0.0)] * 2
-    with pytest.raises(RetrievalError, match="bad"):
-        build_index(v, ["ok", "bad"], poses)
+    for bad_row in ([0.7, 0.0], [np.nan, np.nan]):
+        with pytest.raises(RetrievalError, match="bad"):
+            build_index(np.array([[1.0, 0.0], bad_row]), ["ok", "bad"], poses)
 
 
 def test_self_query_is_rank_one_with_similarity_one():
@@ -216,32 +214,6 @@ def test_search_cost_scales_linearly():
     assert cc.madds == 2 * ca.madds  # double the dimension
 
 
-def test_index_file_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    index, _ = random_index(rng, 17, 5)
-    path = tmp_path / "index.bin"
-    save_index(index, path)
-    loaded = load_index(path)
-    assert loaded.ids == index.ids
-    assert loaded.zone_number == index.zone_number
-    assert loaded.hemisphere == index.hemisphere
-    np.testing.assert_array_equal(loaded.matrix, index.matrix)
-    assert [(p.east, p.north, p.heading) for p in loaded.poses] == [
-        (p.east, p.north, p.heading) for p in index.poses
-    ]
-
-
-def test_index_file_round_trip_without_zone(tmp_path):
-    vecs = np.eye(3)
-    index = build_index(vecs, ["a", "b", "c"], [GeoPose(float(i), 0.0, 0.0) for i in range(3)])
-    path = tmp_path / "nozone.bin"
-    save_index(index, path)
-    loaded = load_index(path)
-    assert loaded.zone_number is None
-    assert loaded.hemisphere is None
-    assert loaded.ids == ["a", "b", "c"]
-
-
 def test_report_serialization_and_table():
     index = make_planted_index([10.0, 500.0])
     queries = [(np.eye(2)[0], GeoPose(0.0, 0.0, 0.0))]
@@ -268,38 +240,6 @@ def test_recall_nondecreasing_in_k_property(n, dim, seed):
     report = recall_at_n(index, queries, ks=(1, 2, 5, 10), threshold_m=25.0)
     values = [report.recall_at[k] for k in (1, 2, 5, 10)]
     assert values == sorted(values)
-
-
-def _saved_index_bytes(tmp_path, index):
-    path = tmp_path / "index.bin"
-    save_index(index, path)
-    return path, path.read_bytes()
-
-
-def test_load_index_rejects_unknown_hemisphere_byte(tmp_path):
-    index, _ = random_index(np.random.default_rng(31), 4, 3)
-    path, blob = _saved_index_bytes(tmp_path, index)
-    path.write_bytes(blob[:11] + bytes([7]) + blob[12:])  # the header's hemisphere byte
-    with pytest.raises(RetrievalError, match="hemisphere"):
-        load_index(path)
-
-
-def test_load_index_rejects_trailing_bytes(tmp_path):
-    index, _ = random_index(np.random.default_rng(32), 4, 3)
-    path, blob = _saved_index_bytes(tmp_path, index)
-    path.write_bytes(blob + b"\0" * 8)
-    with pytest.raises(RetrievalError, match="trailing"):
-        load_index(path)
-
-
-@pytest.mark.parametrize("bad_row", [2.0 * np.eye(3)[0], np.full(3, np.nan)])
-def test_load_index_rejects_non_unit_rows(tmp_path, bad_row):
-    index, _ = random_index(np.random.default_rng(33), 4, 3)
-    matrix = index.matrix.copy()
-    matrix[2] = bad_row
-    path, _ = _saved_index_bytes(tmp_path, dataclasses.replace(index, matrix=matrix))
-    with pytest.raises(RetrievalError, match="unit-norm"):
-        load_index(path)
 
 
 def lexsort_first_correct(matrix, positions, query, query_position, kmax, threshold_m):

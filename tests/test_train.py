@@ -304,7 +304,7 @@ def test_training_checkpoint_round_trip(trained, tmp_path):
     save_training_checkpoint(trained, path)
     loaded = load_training_checkpoint(path)
     assert loaded.best_val_recall1 == trained.best_val_recall1
-    assert loaded.best_checkpoint == trained.best_checkpoint
+    assert embed.checkpoint_bytes(loaded.best_model) == embed.checkpoint_bytes(trained.best_model)
     assert set(loaded.heads) == set(trained.heads)
     for g in trained.heads:
         np.testing.assert_array_equal(loaded.heads[g].weights, trained.heads[g].weights)
@@ -314,4 +314,19 @@ def test_training_checkpoint_round_trip(trained, tmp_path):
     del doc["heads"]
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="heads"):
+        load_training_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("best_model", "not a model at all"), ("best_model", {"format": "embedding-model"}),
+     ("version", 99), ("version", 1)],
+)
+def test_training_checkpoint_rejects_corrupt_best_model_and_other_versions(trained, tmp_path, field, value):
+    path = tmp_path / "state.json"
+    save_training_checkpoint(trained, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError):
         load_training_checkpoint(path)
