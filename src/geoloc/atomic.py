@@ -35,6 +35,8 @@ class AtomicFile:
         self.kwargs = kwargs
 
     def __enter__(self) -> IO:
+        if self.path.is_dir():  # found now, not by os.replace once the data is written
+            raise OutputError(f"cannot write {self.path}: it is a directory")
         try:
             self.fh = open(self.tmp, self.mode, **self.kwargs)
         except OSError as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, ingest, retrieval, synth, train
-from .atomic import check_header, dump_json, make_dir, read_json, write_atomic
+from .atomic import AtomicFile, check_header, dump_json, make_dir, read_json, write_atomic
 from .config import (
     RunConfig,
     apply_overrides,
@@ -35,6 +35,7 @@ from .partition import (
     enumerate_groups,
     format_stats_table,
     load_partition,
+    partition_from_dict,
     partition_stats,
     save_partition,
 )
@@ -105,16 +106,15 @@ def cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _check_partition_provenance(path: str, part: Partition, cfg: RunConfig) -> None:
+def _check_partition_provenance(path: str, doc: dict, part: Partition, cfg: RunConfig) -> None:
     """Reject a partition built with another partition config or validation split.
 
-    ``part`` is the partition ``load_partition`` read from ``path``.
+    ``doc`` is the partition document read from ``path``, ``part`` the partition built from it.
     """
     if part.config != cfg.partition:
         ours, theirs = asdict(cfg.partition), asdict(part.config)
         diff = ", ".join(f"{k} {theirs[k]!r} vs {ours[k]!r}" for k in ours if ours[k] != theirs[k])
         raise ConfigError(f"partition {path} was built with another partition config than this run's ({diff})")
-    doc = read_json(path, PartitionError, "partition file")
     echo = doc.get("run_config")
     if not isinstance(echo, dict) or not doc.get("split_applied", False):
         return
@@ -145,8 +145,9 @@ def _run_training_from_files(args: argparse.Namespace, cfg: RunConfig):
     records = ingest.load_manifest(args.manifest)
     train_records, val_db, val_queries = _split_records(records, cfg)
     if args.partition:
-        part = load_partition(args.partition)
-        _check_partition_provenance(args.partition, part, cfg)
+        doc = read_json(args.partition, PartitionError, "partition file")
+        part = partition_from_dict(doc)
+        _check_partition_provenance(args.partition, doc, part, cfg)
     else:
         part = build_partition(train_records, cfg.partition)
     # Training reads the members of its first groups_used groups only.
@@ -169,8 +170,6 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     write_atomic(out_dir / "history.csv", train.history_csv(state.history))
     _write_json(out_dir / "history.meta.json", {"config": run_config_to_dict(cfg)})
-    train.save_training_checkpoint(state, out_dir / "train_state.json", extra={"config": run_config_to_dict(cfg)})
-    train.load_training_checkpoint(out_dir / "train_state.json")  # validate what we wrote
 
     print(
         f"best val R@1 {state.best_val_recall1:.3f} at epoch {state.best_epoch}; "
@@ -245,38 +244,45 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty comma-separated --values list")
 
-    rows = []
+    sub_cfgs = []
     for text in values:
-        value = json.loads(text)
+        try:
+            value = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"sweep value {text!r} is not a JSON value: {exc}") from exc
         raw = run_config_to_dict(cfg)
         if args.param in _SWEEP_PARTITION_PARAMS:
             raw["partition"][args.param] = value
         else:
             raw["train"][args.param] = value
-        sub_cfg = run_config_from_dict(raw)
+        sub_cfgs.append((value, run_config_from_dict(raw)))
 
-        sub_args = argparse.Namespace(
-            manifest=args.manifest,
-            features=args.features,
-            query_features=args.query_features,
-            partition=None,
-        )
-        state, features, query_features, val_db, val_queries = _run_training_from_files(sub_args, sub_cfg)
-        db_vecs = train.embed_records(state.best_model, val_db, features, sub_cfg.train.batch_size)
-        q_vecs = train.embed_records(state.best_model, val_queries, query_features, sub_cfg.train.batch_size)
-        report = retrieval.evaluate(
-            db_vecs, val_db, q_vecs, val_queries, sub_cfg.eval.ks, sub_cfg.eval.threshold_m
-        )
-        row = {"param": args.param, "value": value}
-        row.update({f"recall_at_{k}": v for k, v in sorted(report.recall_at.items())})
-        rows.append(row)
-        logger.info("sweep %s=%s -> R@1 %.3f", args.param, value, report.recall_at[min(report.recall_at)])
+    sub_args = argparse.Namespace(
+        manifest=args.manifest,
+        features=args.features,
+        query_features=args.query_features,
+        partition=None,
+    )
+    # Open the output first: an unwritable path fails before any training, and an old file stays until the end.
+    with AtomicFile(args.output, "wb") as out:
+        rows = []
+        for value, sub_cfg in sub_cfgs:
+            state, features, query_features, val_db, val_queries = _run_training_from_files(sub_args, sub_cfg)
+            db_vecs = train.embed_records(state.best_model, val_db, features, sub_cfg.train.batch_size)
+            q_vecs = train.embed_records(state.best_model, val_queries, query_features, sub_cfg.train.batch_size)
+            report = retrieval.evaluate(
+                db_vecs, val_db, q_vecs, val_queries, sub_cfg.eval.ks, sub_cfg.eval.threshold_m
+            )
+            row = {"param": args.param, "value": value}
+            row.update({f"recall_at_{k}": v for k, v in sorted(report.recall_at.items())})
+            rows.append(row)
+            logger.info("sweep %s=%s -> R@1 %.3f", args.param, value, report.recall_at[min(report.recall_at)])
 
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header))
-    write_atomic(args.output, "\n".join(lines) + "\n")
+        header = list(rows[0].keys())
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header))
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
     _write_json(Path(args.output).with_suffix(".meta.json"), {"config": run_config_to_dict(cfg)})
     print(f"wrote {len(rows)} sweep rows to {args.output}")
     return 0

@@ -19,15 +19,13 @@ from __future__ import annotations
 import copy
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import embed
-from .atomic import check_header, dump_json, read_json, write_atomic
 from .embed import EmbeddingModel, ModelConfig
-from .errors import CheckpointError, DomainError, TrainingError
+from .errors import DomainError, TrainingError
 from .ingest import ImageRecord
 # margin_cosine_grads stays importable from this module, where the
 # benchmark's tracer test looks it up.
@@ -44,9 +42,6 @@ from .partition import GroupId, Partition, enumerate_groups
 from .retrieval import build_index, evaluate, recall_at_n  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-TRAIN_CHECKPOINT_FORMAT = "training-checkpoint"
-TRAIN_CHECKPOINT_VERSION = 2
 
 VALIDATION_KS = (1, 5, 10)
 
@@ -175,8 +170,6 @@ class EpochStats:
 class TrainState:
     model: EmbeddingModel
     heads: dict[GroupId, ClassifierHead]
-    moments: AdamMoments
-    epochs_done: int
     best_val_recall1: float
     best_epoch: int
     # A copy of the model at its best validation; the optimizer updates ``model`` in place.
@@ -270,8 +263,6 @@ def run_training(
     state = TrainState(
         model=model,
         heads=heads,
-        moments=moments,
-        epochs_done=0,
         best_val_recall1=-1.0,
         best_epoch=-1,
         best_model=None,
@@ -322,7 +313,6 @@ def run_training(
             iteration_losses.append(loss_value)
 
         recalls = _validate(model, val_db, val_queries, features, query_features, cfg, budget)
-        state.epochs_done = epoch + 1
         mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
         state.history.append(
             EpochStats(
@@ -362,61 +352,3 @@ def history_csv(history: Sequence[EpochStats]) -> str:
             f"{row.recall_at.get(1, 0.0)!r},{row.recall_at.get(5, 0.0)!r},{row.recall_at.get(10, 0.0)!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def save_training_checkpoint(state: TrainState, path: str | Path, extra: dict | None = None) -> None:
-    """Full training state: model, heads, optimizer moments and the best model so far."""
-    doc = {
-        "format": TRAIN_CHECKPOINT_FORMAT,
-        "version": TRAIN_CHECKPOINT_VERSION,
-        "model": embed.model_to_dict(state.model),
-        "heads": [
-            {
-                "group": list(g),
-                "weights": h.weights.tolist(),
-            }
-            for g, h in sorted(state.heads.items())
-        ],
-        "moments": {
-            "first": {k: v.tolist() for k, v in sorted(state.moments.first.items())},
-            "second": {k: v.tolist() for k, v in sorted(state.moments.second.items())},
-        },
-        "epochs_done": state.epochs_done,
-        "best_val_recall1": state.best_val_recall1,
-        "best_epoch": state.best_epoch,
-        "best_model": embed.model_to_dict(state.best_model) if state.best_model is not None else None,
-    }
-    if extra:
-        doc.update(extra)
-    write_atomic(path, dump_json(doc))
-
-
-def load_training_checkpoint(path: str | Path) -> TrainState:
-    doc = read_json(path, CheckpointError, "training checkpoint")
-    check_header(doc, TRAIN_CHECKPOINT_FORMAT, TRAIN_CHECKPOINT_VERSION, CheckpointError, "training checkpoint")
-    try:
-        heads = {}
-        for entry in doc["heads"]:
-            gid = GroupId(*entry["group"])
-            heads[gid] = ClassifierHead(
-                group=gid,
-                weights=np.array(entry["weights"], dtype=np.float64),
-            )
-        moments = AdamMoments(
-            first={k: np.array(v, dtype=np.float64) for k, v in doc["moments"]["first"].items()},
-            second={k: np.array(v, dtype=np.float64) for k, v in doc["moments"]["second"].items()},
-        )
-        best = doc["best_model"]
-        return TrainState(
-            model=embed.model_from_dict(doc["model"]),
-            heads=heads,
-            moments=moments,
-            epochs_done=int(doc["epochs_done"]),
-            best_val_recall1=float(doc["best_val_recall1"]),
-            best_epoch=int(doc["best_epoch"]),
-            best_model=None if best is None else embed.model_from_dict(best),
-            history=[],
-            budget=DescriptorBudget(),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError, DomainError) as exc:
-        raise CheckpointError(f"training checkpoint {path} has a missing or malformed field: {exc!r}") from exc

@@ -2,9 +2,9 @@
 
 Each artifact the pipeline reads is truncated, has one bit flipped, or loses
 a required key, column or store member, and is then read the way the
-pipeline reads it: the config, manifest, partition, model checkpoint and
-feature store through ``cli.main``, and ``train_state.json`` (which no
-command reads yet) through ``load_training_checkpoint``.
+pipeline reads it, through ``cli.main``. The six kinds are the JSON and the
+YAML config, the manifest, the partition, the model checkpoint and a
+feature store.
 
 A truncated file or a dropped required key must fail. A flipped bit may
 leave a valid file, so it may also succeed. Two formats have no end marker,
@@ -27,8 +27,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoloc import cli, ingest, train
-from geoloc.errors import CheckpointError
+from geoloc import cli, ingest
 
 CONFIG = {
     "seed": 5,
@@ -61,7 +60,7 @@ CONFIG = {
     "eval": {"threshold_m": 25.0, "ks": [1, 5]},
 }
 
-KINDS = ("config.json", "config.yaml", "manifest", "partition", "checkpoint", "store", "state")
+KINDS = ("config.json", "config.yaml", "manifest", "partition", "checkpoint", "store")
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -107,7 +106,6 @@ def pipeline(tmp_path_factory):
         "store": (root / "db_features.npz",
                   lambda p: [*evaluate, "--checkpoint", str(root / "run" / "model_best.json"),
                              "--db-features", str(p)]),
-        "state": (root / "run" / "train_state.json", None),
     }
 
 
@@ -169,13 +167,6 @@ def test_corrupt_artifact_gives_one_error_line(pipeline, tmp_path_factory, kind,
     path = tmp_path_factory.mktemp("mutant") / source.name
     path.write_bytes(mutated)
 
-    if argv is None:  # train_state.json
-        try:
-            train.load_training_checkpoint(path)
-        except CheckpointError:
-            return
-        assert not must_fail, f"{op} of {kind} loaded"
-        return
     rc, err = _run(argv(path))
     lines = err.strip().splitlines()
     if rc == 0:

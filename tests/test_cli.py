@@ -1,8 +1,10 @@
 import dataclasses
 import io
 import json
+import os
 import struct
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import yaml
 
 from geoloc import cli, ingest
 from geoloc.cli import main
+from geoloc.errors import TrainingError
 
 CONFIG = {
     "seed": 5,
@@ -127,9 +130,7 @@ def test_train_and_eval_pipeline(workspace, tmp_path, capsys):
         "--out-dir", str(out_dir),
     ]) == 0
     capsys.readouterr()
-    assert (out_dir / "model_best.json").exists()
-    assert (out_dir / "history.csv").exists()
-    assert (out_dir / "train_state.json").exists()
+    assert {p.name for p in out_dir.iterdir()} == {"model_best.json", "history.csv", "history.meta.json"}
     history = (out_dir / "history.csv").read_text().splitlines()
     assert history[0].startswith("epoch,group,mean_loss")
     assert len(history) == 1 + CONFIG["train"]["total_epochs"]
@@ -441,6 +442,58 @@ def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypa
     assert "zone" in err
 
 
+def _sweep_argv(cfg_path, world_dir, values, output):
+    return [
+        "sweep", "--config", str(cfg_path),
+        "--param", "groups_used", "--values", values,
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--output", str(output),
+    ]
+
+
+def _diverge(*args, **kwargs):
+    raise TrainingError("loss diverged")
+
+
+# A sweep that trained before rejecting its arguments ends in error[training].
+@pytest.mark.parametrize("values, named", [("1,abc", "'abc'"), ('1,"two"', "two")])
+def test_sweep_rejects_bad_value_before_training(workspace, tmp_path, capsys, monkeypatch, values, named):
+    _, cfg_path, world_dir = workspace
+    monkeypatch.setattr(cli.train, "run_training", _diverge)
+    capsys.readouterr()
+    assert main(_sweep_argv(cfg_path, world_dir, values, tmp_path / "s.csv")) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "config")
+    assert named in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name", ["missing_dir/s.csv", "a_dir"])
+def test_sweep_rejects_unwritable_output_before_training(workspace, tmp_path, capsys, monkeypatch, name):
+    _, cfg_path, world_dir = workspace
+    (tmp_path / "a_dir").mkdir()
+    output = tmp_path / name
+    monkeypatch.setattr(cli.train, "run_training", _diverge)
+    capsys.readouterr()
+    assert main(_sweep_argv(cfg_path, world_dir, "1,2", output)) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "output")
+    assert str(output) in err
+
+
+def test_failed_sweep_keeps_the_previous_output(workspace, tmp_path, capsys, monkeypatch):
+    _, cfg_path, world_dir = workspace
+    output = tmp_path / "s.csv"
+    output.write_text("previous\n")
+    monkeypatch.setattr(cli.train, "run_training", _diverge)
+    capsys.readouterr()
+    assert main(_sweep_argv(cfg_path, world_dir, "1", output)) == 1
+    _single_error_line(capsys.readouterr().err, "training")
+    assert output.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["s.csv"]
+
+
 @pytest.fixture(scope="module")
 def tiny_model(workspace):
     root, cfg_path, world_dir = workspace
@@ -590,6 +643,34 @@ def test_train_rejects_partition_built_with_another_partition_config(workspace, 
     err = capsys.readouterr().err
     _single_error_line(err, "config")
     assert "min_images_per_class 3 vs 2" in err
+
+
+def test_train_reads_the_partition_file_once(workspace, tmp_path, capsys, monkeypatch):
+    _, cfg_path, world_dir = workspace
+    part_path = tmp_path / "p.json"
+    assert main(["partition", "--config", str(cfg_path),
+                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
+    reads = []
+    real_read_bytes = Path.read_bytes
+
+    def counting_read_bytes(self):
+        if self == part_path:
+            reads.append(self)
+        return real_read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(cli.train, "run_training", _diverge)
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path),
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--partition", str(part_path),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    _single_error_line(capsys.readouterr().err, "training")
+    assert len(reads) == 1
 
 
 def _non_utf8(blob: bytes) -> bytes:

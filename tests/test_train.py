@@ -7,7 +7,7 @@ import pytest
 
 from geoloc import embed
 from geoloc.embed import ModelConfig, model_from_dict
-from geoloc.errors import CheckpointError, DomainError, TrainingError
+from geoloc.errors import DomainError, TrainingError
 from geoloc.ingest import split_validation
 from geoloc.loss import LossConfig
 from geoloc.partition import PartitionConfig, build_partition, enumerate_groups
@@ -18,10 +18,8 @@ from geoloc.train import (
     adam_step,
     export_inference_model,
     history_csv,
-    load_training_checkpoint,
     run_training,
     sample_batch,
-    save_training_checkpoint,
 )
 
 BASE = TrainConfig(
@@ -158,7 +156,7 @@ def test_sample_batch_needs_two_classes(setup):
 def test_training_improves_validation_recall(world, setup, trained):
     part, val_db, val_q = setup
     assert trained.best_val_recall1 > trained.history[0].recall_at[1] or trained.best_val_recall1 > 0.5
-    assert trained.epochs_done == BASE.total_epochs
+    assert len(trained.history) == BASE.total_epochs
     assert trained.best_val_recall1 == max(h.recall_at[1] for h in trained.history)
     # Best epoch is the first epoch reaching the best value.
     firsts = [h.epoch for h in trained.history if h.recall_at[1] == trained.best_val_recall1]
@@ -297,36 +295,3 @@ def test_history_csv_layout(trained):
     assert lines[0] == "epoch,group,mean_loss,recall_at_1,recall_at_5,recall_at_10"
     assert len(lines) == 1 + BASE.total_epochs
     assert lines[1].startswith("0,0_0_0,")
-
-
-def test_training_checkpoint_round_trip(trained, tmp_path):
-    path = tmp_path / "state.json"
-    save_training_checkpoint(trained, path)
-    loaded = load_training_checkpoint(path)
-    assert loaded.best_val_recall1 == trained.best_val_recall1
-    assert embed.checkpoint_bytes(loaded.best_model) == embed.checkpoint_bytes(trained.best_model)
-    assert set(loaded.heads) == set(trained.heads)
-    for g in trained.heads:
-        np.testing.assert_array_equal(loaded.heads[g].weights, trained.heads[g].weights)
-    for name in trained.moments.first:
-        np.testing.assert_array_equal(loaded.moments.first[name], trained.moments.first[name])
-    doc = json.loads(path.read_text())
-    del doc["heads"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="heads"):
-        load_training_checkpoint(path)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("best_model", "not a model at all"), ("best_model", {"format": "embedding-model"}),
-     ("version", 99), ("version", 1)],
-)
-def test_training_checkpoint_rejects_corrupt_best_model_and_other_versions(trained, tmp_path, field, value):
-    path = tmp_path / "state.json"
-    save_training_checkpoint(trained, path)
-    doc = json.loads(path.read_text())
-    doc[field] = value
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError):
-        load_training_checkpoint(path)
