@@ -199,8 +199,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         del db_features, query_features  # the maps dominate memory; free them before the search
     else:
         latents = synth.load_features(args.oracle_latents, db_ids + query_ids)
-        db_vecs = np.stack([latents[rid] for rid in db_ids])
-        q_vecs = np.stack([latents[rid] for rid in query_ids])
+        db_vecs = latents.block[latents.rows(db_ids)]
+        q_vecs = latents.block[latents.rows(query_ids)]
         db_vecs /= np.linalg.norm(db_vecs, axis=1, keepdims=True)
         q_vecs /= np.linalg.norm(q_vecs, axis=1, keepdims=True)
 

@@ -2,12 +2,14 @@
 
 Descriptors are unit vectors, so ranking by inner product is ranking by
 cosine similarity. Search is an exhaustive scan whose cost is exactly
-rows x dim multiply-accumulates per query; ties are broken by insertion
-order. ``recall_at_n`` scores queries in blocks, one matrix product per
-block, sized so a block's similarity matrix stays within about 1 MiB, and
-selects each query's top K with a partial partition plus an exact sort of
-the candidates (exact flat inner-product search, as in FAISS). A retrieved
-item counts as correct for a query when its pose lies within the metric
+rows x dim multiply-accumulates per query; exactly equal computed
+similarities rank in insertion order, but BLAS may round duplicate rows'
+products differently by position, so duplicates can rank by that rounding.
+``recall_at_n`` scores queries in blocks, one matrix product per block,
+sized so a block's similarity matrix stays within about 1 MiB, and selects
+each query's top K with a partial partition plus an exact sort of the
+candidates (exact flat inner-product search, as in FAISS). A retrieved item
+counts as correct for a query when its pose lies within the metric
 threshold of the query pose, both taken in one shared UTM zone.
 """
 
@@ -30,13 +32,6 @@ DEFAULT_THRESHOLD_M = 25.0
 SEARCH_BLOCK_BYTES = 1 << 20
 REPORT_FORMAT = "eval-report"
 REPORT_VERSION = 1
-
-
-@dataclass
-class OpCounter:
-    """Counts the multiply-accumulates spent by exhaustive search."""
-
-    madds: int = 0
 
 
 @dataclass
@@ -123,16 +118,11 @@ def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def knn(
-    index: DescriptorIndex,
-    query: np.ndarray,
-    k: int,
-    counter: OpCounter | None = None,
-) -> list[tuple[str, float]]:
+def knn(index: DescriptorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Top-k (id, similarity) by exhaustive inner-product scan, descending.
 
-    Equal similarities keep index insertion order. Identical to a brute-force
-    full sort by construction.
+    Exactly equal computed similarities keep insertion order, as in a full
+    ``(-sim, row)`` sort; duplicate rows may compute unequal (module docstring).
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -140,8 +130,6 @@ def knn(
         return []
     query = _query_matrix([query], index.dim)[0]
     sims = index.matrix @ query
-    if counter is not None:
-        counter.madds += len(index) * index.dim
     rows = _top_rows(sims[None, :], k)[0]
     return [(index.ids[i], float(sims[i])) for i in rows]
 
@@ -180,7 +168,6 @@ def recall_at_n(
     threshold_m: float = DEFAULT_THRESHOLD_M,
     query_zone_number: int | None = None,
     query_hemisphere: str | None = None,
-    counter: OpCounter | None = None,
 ) -> EvalReport:
     """Fraction of queries with a correct item in the top K, for each K.
 
@@ -213,8 +200,6 @@ def recall_at_n(
         for start in range(0, len(queries), block):
             stop = start + block
             sims = descriptors[start:stop] @ index.matrix.T
-            if counter is not None:
-                counter.madds += sims.size * index.dim
             offsets = index.positions[_top_rows(sims, kmax)] - positions[start:stop, None, :]
             near = np.hypot(offsets[..., 0], offsets[..., 1]) <= threshold_m
             ranks = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 0)

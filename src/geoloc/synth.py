@@ -27,7 +27,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -96,12 +96,41 @@ class CityConfig:
         object.__setattr__(self, "feature_map_shape", tuple(self.feature_map_shape))
 
 
+class FeatureStore(Mapping[str, np.ndarray]):
+    """Read-only feature maps by record id, held as one ``(N, C, H, W)`` block.
+
+    Row ``i`` of ``block`` is the map of ``ids[i]``; ``rows`` turns ids into row indices.
+    """
+
+    def __init__(self, ids: Sequence[str], block: np.ndarray) -> None:
+        self.ids = list(ids)
+        self.block = block
+        self._row = {rid: i for i, rid in enumerate(self.ids)}
+
+    def __getitem__(self, rid: str) -> np.ndarray:
+        return self.block[self._row[rid]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, ids: Iterable[str]) -> np.ndarray:
+        """Block row index of each id; an absent id raises ManifestError naming it."""
+        try:
+            return np.array([self._row[rid] for rid in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise ManifestError(f"feature store has no entry for record {exc.args[0]!r}") from None
+
+
 @dataclass
 class SyntheticWorld:
     config: CityConfig
     records: list[ImageRecord]
-    features: dict[str, np.ndarray]
-    query_features: dict[str, np.ndarray]
+    features: FeatureStore
+    # The same store as ``features`` unless the world has a domain shift.
+    query_features: FeatureStore
     latents: dict[tuple[int, int], np.ndarray]
     latent_key_of: dict[str, tuple[int, int]]
     max_cross_similarity: float
@@ -190,10 +219,10 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
     offset = float(-signal.min()) + 1.0 + 4.0 * (cfg.noise_sigma + cfg.nuisance_sigma + cfg.domain_shift_sigma)
 
     records: list[ImageRecord] = []
-    features: dict[str, np.ndarray] = {}
-    query_features: dict[str, np.ndarray] = {}
-    latent_key_of: dict[str, tuple[int, int]] = {}
+    block = np.empty((len(place_positions) * cfg.headings_per_place * cfg.images_per_place_heading, c, h, w))
     shifted = cfg.domain_shift_sigma > 0.0
+    query_block = np.empty_like(block) if shifted else block
+    latent_key_of: dict[str, tuple[int, int]] = {}
     for p, pos in enumerate(place_positions):
         for k in range(cfg.headings_per_place):
             h_bin = slot_bins[p][k]
@@ -208,11 +237,10 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
                     chan = chan + cfg.nuisance_sigma * (
                         nuisance_lift @ rng.standard_normal(cfg.nuisance_dim)
                     )
-                fmap = chan[:, None, None] + cfg.noise_sigma * rng.standard_normal((c, h, w))
-                features[rid] = fmap
-                query_features[rid] = (
-                    fmap + cfg.domain_shift_sigma * rng.standard_normal((c, h, w)) if shifted else fmap
-                )
+                row = len(records)
+                np.add(chan[:, None, None], cfg.noise_sigma * rng.standard_normal((c, h, w)), out=block[row])
+                if shifted:
+                    np.add(block[row], cfg.domain_shift_sigma * rng.standard_normal((c, h, w)), out=query_block[row])
                 records.append(
                     ImageRecord(
                         id=rid,
@@ -227,11 +255,12 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
                 )
                 latent_key_of[rid] = (p, h_bin)
 
+    features = FeatureStore([r.id for r in records], block)
     return SyntheticWorld(
         config=cfg,
         records=records,
         features=features,
-        query_features=query_features,
+        query_features=FeatureStore(features.ids, query_block) if shifted else features,
         latents=latents,
         latent_key_of=latent_key_of,
         max_cross_similarity=max_cross,
@@ -434,13 +463,13 @@ def _npy_layout(raw: bytes, known: dict[bytes, tuple]) -> tuple[int, tuple[int, 
     return layout
 
 
-def load_features(path: str | Path, ids: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+def load_features(path: str | Path, ids: Iterable[str] | None = None) -> FeatureStore:
     """Arrays of a keyed ``.npz`` store (one member per record id), by id.
 
     Reads only the members named in ``ids`` (every member when ``ids`` is
     None; a repeated id loads once), in one pass over the zip with its CRC
     checks. Every member must share one shape and dtype: they are copied
-    into one ``(n, *shape)`` block and returned as row views of it. An id
+    into one ``(n, *shape)`` block, which the returned store holds. An id
     missing from the store raises ManifestError; an unreadable or corrupt
     store, an object-dtype member, or mixed shapes or dtypes raise
     DomainError.
@@ -484,4 +513,4 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> dict[st
     except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
         # RuntimeError: a corrupt header can mark a member encrypted or give it an unknown compression.
         raise DomainError(f"cannot read feature store {path}: {exc}") from exc
-    return {} if block is None else dict(zip(keys, block))
+    return FeatureStore(keys, np.empty(0) if block is None else block)

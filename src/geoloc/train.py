@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .partition import GroupId, Partition, enumerate_groups
 # build_index and recall_at_n stay importable from this module, where the
 # benchmark's tracer tests look them up.
 from .retrieval import build_index, evaluate, recall_at_n  # noqa: F401
+from .synth import FeatureStore
 
 logger = logging.getLogger(__name__)
 
@@ -85,61 +86,66 @@ class TrainConfig:
 
 @dataclass
 class AdamMoments:
-    first: dict[str, np.ndarray] = field(default_factory=dict)
-    second: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam's moment estimates for one parameter array, and its update count."""
+
+    first: np.ndarray
+    second: np.ndarray
+    steps: int = 0
+
+    @classmethod
+    def zeros_like(cls, theta: np.ndarray) -> AdamMoments:
+        return cls(np.zeros_like(theta), np.zeros_like(theta))
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    moments: AdamMoments,
-    t: int,
-    cfg: TrainConfig,
-) -> None:
-    """One bias-corrected Adam update, in place, for every named parameter.
+def adam_step(theta: np.ndarray, grad: np.ndarray, moments: AdamMoments, cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``theta``, in place; counts the step in ``moments``."""
+    if not np.all(np.isfinite(grad)):
+        raise TrainingError("non-finite gradient")
+    moments.steps += 1
+    m, v, t = moments.first, moments.second, moments.steps
+    m *= cfg.adam_beta1
+    m += (1.0 - cfg.adam_beta1) * grad
+    v *= cfg.adam_beta2
+    v += (1.0 - cfg.adam_beta2) * np.square(grad)
+    m_hat = m / (1.0 - cfg.adam_beta1**t)
+    v_hat = v / (1.0 - cfg.adam_beta2**t)
+    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
-    ``t`` counts the updates applied to these parameters, starting at 1.
+
+class GroupTable(NamedTuple):
+    """One group's members as feature-store rows, class after class.
+
+    Class ``k`` (label ``k`` of the group's head) owns ``sizes[k]`` rows from ``starts[k]``.
     """
-    if t < 1:
-        raise DomainError(f"Adam step count must be >= 1, got {t}")
-    for name, theta in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if name not in moments.first:
-            moments.first[name] = np.zeros_like(theta)
-            moments.second[name] = np.zeros_like(theta)
-        m = moments.first[name]
-        v = moments.second[name]
-        m *= cfg.adam_beta1
-        m += (1.0 - cfg.adam_beta1) * g
-        v *= cfg.adam_beta2
-        v += (1.0 - cfg.adam_beta2) * np.square(g)
-        m_hat = m / (1.0 - cfg.adam_beta1**t)
-        v_hat = v / (1.0 - cfg.adam_beta2**t)
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+    rows: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
 
 
-def sample_batch(
-    partition: Partition,
-    group: GroupId,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> list[tuple[str, int]]:
+def group_table(partition: Partition, group: GroupId, features: FeatureStore) -> GroupTable:
+    """The table ``sample_batch`` draws from; a group needs at least 2 classes."""
+    classes = partition.group_classes.get(group, [])
+    if len(classes) < 2:
+        raise TrainingError(
+            f"group {tuple(group)} has {len(classes)} classes; training needs at least 2 "
+            "(sparse data: lower groups_used or the strides)"
+        )
+    sizes = np.array([len(partition.class_members[c]) for c in classes])
+    rows = features.rows(rid for c in classes for rid in partition.class_members[c])
+    return GroupTable(rows, np.cumsum(sizes) - sizes, sizes)
+
+
+def sample_batch(table: GroupTable, batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """Class-uniform batch: a uniform class, then a uniform member image.
 
     Class-uniform (rather than image-uniform) sampling counters class-size
-    imbalance. Returns (image id, label index inside the group's head).
+    imbalance. Returns a (batch_size, 2) array of (feature-store row, label
+    index inside the group's head).
     """
-    classes = partition.group_classes.get(group, [])
-    if len(classes) < 2:
-        raise TrainingError(f"group {tuple(group)} has {len(classes)} classes; need at least 2")
-    out: list[tuple[str, int]] = []
-    for _ in range(batch_size):
-        label = int(rng.integers(len(classes)))
-        members = partition.class_members[classes[label]]
-        out.append((members[int(rng.integers(len(members)))], label))
-    return out
+    labels = rng.integers(len(table.sizes), size=batch_size)
+    members = rng.integers(table.sizes[labels])
+    return np.stack((table.rows[table.starts[labels] + members], labels), axis=1)
 
 
 @dataclass
@@ -163,7 +169,6 @@ class EpochStats:
     group: GroupId
     mean_loss: float
     recall_at: dict[int, float]
-    iteration_losses: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -181,19 +186,19 @@ class TrainState:
 def embed_records(
     model: EmbeddingModel,
     records: Sequence[ImageRecord],
-    features: Mapping[str, np.ndarray],
+    features: FeatureStore,
     batch_size: int,
     budget: DescriptorBudget | None = None,
 ) -> np.ndarray:
     """Embed records chunk by chunk; only one chunk of descriptors is transient."""
     if budget is None:
         budget = DescriptorBudget()
+    rows = features.rows(r.id for r in records)
     out = np.empty((len(records), model.output_dim))
     for start in range(0, len(records), batch_size):
-        chunk = records[start : start + batch_size]
-        maps = np.stack([features[r.id] for r in chunk])
+        chunk = rows[start : start + batch_size]
         budget.acquire(len(chunk))
-        out[start : start + len(chunk)] = embed.forward_batch(model, maps)
+        out[start : start + len(chunk)] = embed.forward_batch(model, features.block[chunk])
         budget.release(len(chunk))
     return out
 
@@ -202,8 +207,8 @@ def _validate(
     model: EmbeddingModel,
     val_db: Sequence[ImageRecord],
     val_queries: Sequence[ImageRecord],
-    features: Mapping[str, np.ndarray],
-    query_features: Mapping[str, np.ndarray],
+    features: FeatureStore,
+    query_features: FeatureStore,
     cfg: TrainConfig,
     budget: DescriptorBudget,
 ) -> dict[int, float]:
@@ -214,15 +219,15 @@ def _validate(
 
 def run_training(
     partition: Partition,
-    features: Mapping[str, np.ndarray],
+    features: FeatureStore,
     cfg: TrainConfig,
     val_db: Sequence[ImageRecord],
     val_queries: Sequence[ImageRecord],
-    query_features: Mapping[str, np.ndarray] | None = None,
+    query_features: FeatureStore | None = None,
 ) -> TrainState:
     """Train over the first ``groups_used`` groups, one group per epoch.
 
-    ``features`` maps image id to its (C, H, W) map; ``query_features``
+    ``features`` holds each image's (C, H, W) map; ``query_features``
     optionally overrides the store for validation queries (domain shift).
     Raises TrainingError when a group among the first G is unusable or the
     loss turns non-finite.
@@ -237,26 +242,15 @@ def run_training(
         )
 
     used_groups = enumerate_groups(partition.config)[: cfg.groups_used]
-    for g in used_groups:
-        n_classes = len(partition.group_classes.get(g, []))
-        if n_classes < 2:
-            raise TrainingError(
-                f"group {tuple(g)} among the first {cfg.groups_used} has {n_classes} classes; "
-                "training needs at least 2 (sparse data: lower groups_used or the strides)"
-            )
+    tables = {g: group_table(partition, g, features) for g in used_groups}
     if cfg.groups_used == 1:
         logger.info("single group in use: the schedule degenerates to one plain cosFace run")
 
-    # Infer the channel count from a feature map training reads.
-    any_id = partition.class_members[partition.group_classes[used_groups[0]][0]][0]
-    channels = features[any_id].shape[0]
-
-    model = embed.init_model(channels, cfg.model, cfg.seed)
+    model = embed.init_model(features.block.shape[1], cfg.model, cfg.seed)
     heads = {
         g: new_head(g, len(partition.group_classes[g]), cfg.model.output_dim, cfg.seed)
         for g in used_groups
     }
-    moments = AdamMoments()
     budget = DescriptorBudget()
     sampler = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x5A3B1E]))
 
@@ -270,46 +264,37 @@ def run_training(
         budget=budget,
     )
 
+    # The model's projection and bias are views into one flat vector that
+    # Adam updates, followed by a slot for the GeM exponent when it is learned.
     learn_p = cfg.model.pooling == embed.GEM and cfg.model.learn_gem_p
-    model_step = 0
-    head_steps = {g: 0 for g in used_groups}
+    n_proj = model.projection.size
+    params = np.concatenate([model.projection.ravel(), model.bias, [model.gem_p] if learn_p else []])
+    model.projection = params[:n_proj].reshape(model.projection.shape)
+    model.bias = params[n_proj : n_proj + model.output_dim]
+    model_moments = AdamMoments.zeros_like(params)
+    # A head steps only in its group's epochs, so each keeps its own count.
+    head_moments = {g: AdamMoments.zeros_like(heads[g].weights) for g in used_groups}
     for epoch in range(cfg.total_epochs):
         group = used_groups[epoch % cfg.groups_used]
         head = heads[group]
         iteration_losses: list[float] = []
         for it in range(cfg.iterations_per_epoch):
-            batch = sample_batch(partition, group, cfg.batch_size, sampler)
-            maps = np.stack([features[rid] for rid, _ in batch])
-            labels = np.array([label for _, label in batch])
+            batch = sample_batch(tables[group], cfg.batch_size, sampler)
             budget.acquire(len(batch))
-            descriptors, cache = embed.forward_cached(model, maps)
-            loss_value, grad_desc, grad_w = margin_cosine_loss_and_grads(descriptors, labels, head, cfg.loss)
+            descriptors, cache = embed.forward_cached(model, features.block[batch[:, 0]])
+            loss_value, grad_desc, grad_w = margin_cosine_loss_and_grads(descriptors, batch[:, 1], head, cfg.loss)
             if not np.isfinite(loss_value):
                 raise TrainingError(
                     f"loss diverged to {loss_value} at epoch {epoch}, iteration {it}"
                 )
-            model_grads = embed.backward_cached(model, cache, grad_desc, gem_p_grad=learn_p)
+            grads = embed.backward_cached(model, cache, grad_desc, gem_p_grad=learn_p)
             budget.release(len(batch))
 
-            params = {"projection": model.projection, "bias": model.bias}
-            grads = {"projection": model_grads.projection, "bias": model_grads.bias}
+            grad = np.concatenate([grads.projection.ravel(), grads.bias, [grads.gem_p] if learn_p else []])
+            adam_step(params, grad, model_moments, cfg)
             if learn_p:
-                p_arr = np.array([model.gem_p])
-                params["gem_p"] = p_arr
-                grads["gem_p"] = np.array([model_grads.gem_p])
-            model_step += 1
-            adam_step(params, grads, moments, model_step, cfg)
-            if "gem_p" in params:
-                model.gem_p = float(max(params["gem_p"][0], 1.0))
-
-            head_steps[group] += 1
-            adam_step(
-                {f"head{tuple(group)}": head.weights},
-                {f"head{tuple(group)}": grad_w},
-                moments,
-                head_steps[group],
-                cfg,
-            )
+                model.gem_p = params[-1] = float(max(params[-1], 1.0))
+            adam_step(head.weights, grad_w, head_moments[group], cfg)
             iteration_losses.append(loss_value)
 
         recalls = _validate(model, val_db, val_queries, features, query_features, cfg, budget)
@@ -320,7 +305,6 @@ def run_training(
                 group=group,
                 mean_loss=mean_loss,
                 recall_at=dict(recalls),
-                iteration_losses=iteration_losses,
             )
         )
         if recalls[1] > state.best_val_recall1:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from geoloc.errors import DomainError
+from geoloc.errors import DomainError, ManifestError
 from geoloc.partition import PartitionConfig, assign_class, build_partition
 from geoloc.retrieval import build_index, recall_at_n
 from geoloc.synth import (
@@ -154,8 +154,7 @@ def test_domain_shift_only_touches_query_maps():
         np.abs(world.query_features[rid] - world.features[rid]).max() > 0.0 for rid in world.features
     )
     plain = generate_city(SMALL)
-    for rid in plain.features:
-        assert plain.query_features[rid] is plain.features[rid]
+    assert plain.query_features is plain.features
 
 
 def test_extent_too_small_is_rejected():
@@ -237,3 +236,15 @@ def test_load_features_all_members_and_repeated_ids(tmp_path):
     assert list(repeated) == ["r2", "r3"]
     assert sum(a.nbytes for a in repeated.values()) == 2 * arrays["r2"].nbytes
     assert load_features(path, []) == {}
+
+
+def test_store_rows_index_its_block_and_name_an_absent_id(tmp_path):
+    arrays = {f"r{i}": np.full((2, 1, 1), float(i)) for i in range(4)}
+    path = tmp_path / "store.npz"
+    np.savez(path, **arrays)
+    store = load_features(path, ["r3", "r1", "r2"])
+    rows = store.rows(["r2", "r3", "r2"])
+    np.testing.assert_array_equal(store.block[rows], np.stack([arrays["r2"], arrays["r3"], arrays["r2"]]))
+    assert store["r1"].base is store.block
+    with pytest.raises(ManifestError, match="'r0'"):
+        store.rows(["r1", "r0"])

@@ -7,7 +7,7 @@ import pytest
 
 from geoloc import embed
 from geoloc.embed import ModelConfig, model_from_dict
-from geoloc.errors import DomainError, TrainingError
+from geoloc.errors import TrainingError
 from geoloc.ingest import split_validation
 from geoloc.loss import LossConfig
 from geoloc.partition import PartitionConfig, build_partition, enumerate_groups
@@ -17,6 +17,7 @@ from geoloc.train import (
     TrainConfig,
     adam_step,
     export_inference_model,
+    group_table,
     history_csv,
     run_training,
     sample_batch,
@@ -77,17 +78,18 @@ def trained(world, setup):
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     theta = np.array([1.0, -2.0])
-    moments = AdamMoments()
-    adam_step({"w": theta}, {"w": np.zeros(2)}, moments, t=1, cfg=BASE)
+    moments = AdamMoments.zeros_like(theta)
+    adam_step(theta, np.zeros(2), moments, BASE)
     np.testing.assert_array_equal(theta, [1.0, -2.0])
-    np.testing.assert_array_equal(moments.first["w"], np.zeros(2))
-    np.testing.assert_array_equal(moments.second["w"], np.zeros(2))
+    np.testing.assert_array_equal(moments.first, np.zeros(2))
+    np.testing.assert_array_equal(moments.second, np.zeros(2))
+    assert moments.steps == 1
 
 
 def test_adam_first_step_hand_value():
     cfg = dataclasses.replace(BASE, learning_rate=0.1)
     theta = np.array([0.0])
-    adam_step({"w": theta}, {"w": np.array([1.0])}, AdamMoments(), t=1, cfg=cfg)
+    adam_step(theta, np.array([1.0]), AdamMoments.zeros_like(theta), cfg)
     # Bias-corrected first step: lr * 1 / (1 + eps).
     assert theta[0] == pytest.approx(-0.1, abs=1e-8)
 
@@ -95,59 +97,81 @@ def test_adam_first_step_hand_value():
 def test_adam_constant_gradient_approaches_signed_step():
     cfg = dataclasses.replace(BASE, learning_rate=0.01)
     theta = np.array([0.0])
-    moments = AdamMoments()
+    moments = AdamMoments.zeros_like(theta)
     prev = 0.0
     for t in range(1, 400):
-        adam_step({"w": theta}, {"w": np.array([2.5])}, moments, t=t, cfg=cfg)
+        adam_step(theta, np.array([2.5]), moments, cfg)
+        assert moments.steps == t
         if t > 300:
             assert (prev - theta[0]) == pytest.approx(0.01, rel=1e-3)
         prev = theta[0]
 
 
 def test_adam_rejects_non_finite_gradient():
-    with pytest.raises(TrainingError, match="w"):
-        adam_step({"w": np.array([0.0])}, {"w": np.array([np.nan])}, AdamMoments(), t=1, cfg=BASE)
-    with pytest.raises(DomainError):
-        adam_step({"w": np.array([0.0])}, {"w": np.array([1.0])}, AdamMoments(), t=0, cfg=BASE)
+    theta = np.array([0.0])
+    moments = AdamMoments.zeros_like(theta)
+    with pytest.raises(TrainingError, match="non-finite"):
+        adam_step(theta, np.array([np.nan]), moments, BASE)
+    assert moments.steps == 0 and theta[0] == 0.0
+
+
+def test_adam_on_a_flat_vector_equals_adam_on_its_pieces():
+    # The trainer steps the model's projection, bias and GeM p as one flat
+    # vector; Adam is elementwise, so that is bit for bit a step per piece.
+    rng = np.random.default_rng(4)
+    cfg = dataclasses.replace(BASE, learning_rate=0.05)
+    pieces = [rng.standard_normal((3, 4)), rng.standard_normal(3), np.array([3.0])]
+    flat = np.concatenate([p.ravel() for p in pieces])
+    flat_moments = AdamMoments.zeros_like(flat)
+    piece_moments = [AdamMoments.zeros_like(p) for p in pieces]
+    for _ in range(5):
+        grads = [rng.standard_normal(p.shape) for p in pieces]
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), flat_moments, cfg)
+        for p, g, m in zip(pieces, grads, piece_moments):
+            adam_step(p, g, m, cfg)
+    assert flat.tobytes() == np.concatenate([p.ravel() for p in pieces]).tobytes()
+    assert flat_moments.second.tobytes() == np.concatenate([m.second.ravel() for m in piece_moments]).tobytes()
 
 
 # Batch sampling
 
 
-def test_sample_batch_is_class_uniform(setup):
+def test_sample_batch_is_class_uniform(world, setup):
     part, *_ = setup
-    # Build a two-class partition with wildly imbalanced member counts.
-    lopsided = dataclasses.replace(part)
+    # A two-class group with wildly imbalanced member counts.
     group = enumerate_groups(PCFG)[0]
-    classes = part.group_classes[group][:2]
-    a, b = classes
-    lopsided_members = dict(part.class_members)
-    lopsided_members[a] = part.class_members[a][:2]
-    lopsided = dataclasses.replace(part, class_members=lopsided_members,
-                                   group_classes={**part.group_classes, group: [a, b]})
+    a, b = part.group_classes[group][:2]
+    lopsided = dataclasses.replace(
+        part,
+        class_members={**part.class_members, a: part.class_members[a][:2]},
+        group_classes={**part.group_classes, group: [a, b]},
+    )
+    table = group_table(lopsided, group, world.features)
+    assert table.sizes.tolist() == [2, len(part.class_members[b])]
     rng = np.random.default_rng(0)
-    draws = [label for _ in range(400) for _, label in sample_batch(lopsided, group, 25, rng)]
-    freq_a = draws.count(0) / len(draws)
-    assert freq_a == pytest.approx(0.5, abs=0.02)
+    labels = np.concatenate([sample_batch(table, 25, rng)[:, 1] for _ in range(400)])
+    assert np.mean(labels == 0) == pytest.approx(0.5, abs=0.02)
 
 
-def test_sample_batch_size_and_determinism(setup):
+def test_sample_batch_size_and_determinism(world, setup):
     part, *_ = setup
     group = enumerate_groups(PCFG)[0]
-    batch = sample_batch(part, group, 32, np.random.default_rng(9))
-    assert len(batch) == 32
-    again = sample_batch(part, group, 32, np.random.default_rng(9))
-    assert batch == again
-    for rid, label in batch:
-        assert rid in part.class_members[part.group_classes[group][label]]
+    table = group_table(part, group, world.features)
+    batch = sample_batch(table, 32, np.random.default_rng(9))
+    assert batch.shape == (32, 2)
+    again = sample_batch(table, 32, np.random.default_rng(9))
+    np.testing.assert_array_equal(batch, again)
+    classes = part.group_classes[group]
+    for row, label in batch:
+        assert world.features.ids[row] in part.class_members[classes[label]]
 
 
-def test_sample_batch_needs_two_classes(setup):
+def test_sample_batch_needs_two_classes(world, setup):
     part, *_ = setup
     group = enumerate_groups(PCFG)[0]
     thin = dataclasses.replace(part, group_classes={**part.group_classes, group: part.group_classes[group][:1]})
     with pytest.raises(TrainingError, match="classes"):
-        sample_batch(thin, group, 4, np.random.default_rng(0))
+        group_table(thin, group, world.features)
 
 
 # Training loop behavior
@@ -279,13 +303,14 @@ def test_gem_p_gradient_computed_only_when_learned(world, setup, monkeypatch, le
 
 def test_first_epoch_loss_trend_is_decreasing(world, setup):
     # On a separable group, the per-50-iteration loss means of the first
-    # epoch fall strictly.
+    # 200 iterations fall strictly. With one group, four 50-iteration epochs
+    # train exactly as one 200-iteration epoch, and each epoch's mean loss
+    # is one such bucket.
     part, val_db, val_q = setup
-    cfg = dataclasses.replace(BASE, iterations_per_epoch=200, total_epochs=1)
+    cfg = dataclasses.replace(BASE, groups_used=1, iterations_per_epoch=50, total_epochs=4)
     state = run_training(part, world.features, cfg, val_db, val_q, world.query_features)
-    losses = state.history[0].iteration_losses
-    assert len(losses) == 200
-    buckets = [sum(losses[i : i + 50]) / 50.0 for i in range(0, 200, 50)]
+    buckets = [h.mean_loss for h in state.history]
+    assert len(buckets) == 4
     assert all(b < a for a, b in zip(buckets, buckets[1:])), buckets
 
 
