@@ -118,14 +118,12 @@ def _check_partition_provenance(path: str, doc: dict, part: Partition, cfg: RunC
     echo = doc.get("run_config")
     if not isinstance(echo, dict) or not doc.get("split_applied", False):
         return
-    same_split = (
-        echo.get("seed") == cfg.seed
-        and echo.get("split", {}).get("fraction") == cfg.split.fraction
-    )
-    if not same_split:
+    split = echo.get("split")
+    if not isinstance(split, dict):
+        raise PartitionError(f"partition {path}: run_config.split must be a mapping, got {split!r}")
+    if (echo.get("seed"), split.get("fraction")) != (cfg.seed, cfg.split.fraction):
         raise ConfigError(
-            f"partition {path} was built with split seed/fraction "
-            f"{echo.get('seed')}/{echo.get('split', {}).get('fraction')}, "
+            f"partition {path} was built with split seed/fraction {echo.get('seed')}/{split.get('fraction')}, "
             f"but this run uses {cfg.seed}/{cfg.split.fraction}"
         )
 

@@ -1,22 +1,22 @@
 """Declarative run configuration: one file drives the whole pipeline.
 
 The file (JSON or YAML) mirrors the nested dataclasses below; unknown keys
-are rejected so a typo cannot silently fall back to a default. The resolved
-config is echoed into every output artifact for provenance.
+are rejected so a typo cannot silently fall back to a default. The few
+values that must agree across sections are set once and derived for the
+others (``DERIVED``). The resolved config is echoed into every output
+artifact for provenance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .embed import ModelConfig
 from .errors import ConfigError, DomainError
-from .loss import LossConfig
 from .partition import PartitionConfig
 from .synth import CityConfig
 from .train import TrainConfig
@@ -43,6 +43,16 @@ class EvalConfig:
         object.__setattr__(self, "ks", ks)
 
 
+# Values a run config derives from another section instead of accepting
+# them: validation scores at the eval threshold, and a synthetic world aligns
+# to the grid the partition builds. Config files, overrides and echoes omit them.
+DERIVED = {
+    "train.val_threshold_m": "eval.threshold_m",
+    "city.cell_size_m": "partition.cell_size_m",
+    "city.heading_bin_deg": "partition.heading_bin_deg",
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -52,23 +62,34 @@ class RunConfig:
     split: SplitConfig = field(default_factory=SplitConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self) -> None:
+        for target, source in DERIVED.items():
+            section, name = target.split(".")
+            source_section, source_name = source.split(".")
+            value = getattr(getattr(self, source_section), source_name)
+            # object.__setattr__ because the dataclass is frozen
+            object.__setattr__(self, section, replace(getattr(self, section), **{name: value}))
+
+
+def _key(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
 
 def _build(cls: type, data: Any, path: str) -> Any:
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path or cls.__name__!r} must be a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
+    hints = get_type_hints(cls)
+    known = {f.name for f in fields(cls) if _key(path, f.name) not in DERIVED}
     unknown = [str(k) for k in data if k not in known]  # YAML keys may be numbers
     if unknown:
-        where = f"{path}." if path else ""
-        raise ConfigError(f"unknown config key(s): {', '.join(where + k for k in sorted(unknown))}")
+        raise ConfigError(f"unknown config key(s): {', '.join(_key(path, k) for k in sorted(unknown))}")
     kwargs = {}
     for name, value in data.items():
-        f = known[name]
-        key = f"{path}.{name}" if path else name
-        if is_dataclass(f.type) or (isinstance(f.type, str) and f.type in _SECTION_TYPES):
-            kwargs[name] = _build(_SECTION_TYPES.get(f.type, f.type), value, key)
+        hint, key = hints[name], _key(path, name)
+        if is_dataclass(hint):
+            kwargs[name] = _build(hint, value, key)
         else:
-            _check_type(value, f.type, key)
+            _check_type(value, hint, key)
             kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
@@ -76,36 +97,19 @@ def _build(cls: type, data: Any, path: str) -> Any:
         raise ConfigError(f"invalid config at {path or 'top level'}: {exc}") from exc
 
 
-# Python types a scalar field takes, by its annotation.
-_SCALARS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
-
-
-def _check_type(value: Any, annotation: str, key: str) -> None:
-    """Raise ConfigError unless ``value`` fits a field annotated ``annotation``.
+def _check_type(value: Any, hint: Any, key: str) -> None:
+    """Raise ConfigError unless ``value`` fits a field of type ``hint``.
 
     A tuple field takes a list of its element type; a bool is not a number.
     """
-    if annotation.startswith("tuple["):
-        element = annotation[len("tuple["):].split(",")[0]
-        items = value if isinstance(value, list) else None
+    if get_origin(hint) is tuple:
+        element, items = get_args(hint)[0], value if isinstance(value, list) else None
     else:
-        element, items = annotation, [value]
-    allowed = _SCALARS[element]
-    if items is None or not all(isinstance(v, allowed) and isinstance(v, bool) == (bool in allowed) for v in items):
-        raise ConfigError(f"config value {key} must be {annotation}, got {value!r}")
-
-
-# Dataclass fields carry string annotations (from __future__ annotations), so
-# nested sections are resolved by name.
-_SECTION_TYPES = {
-    "PartitionConfig": PartitionConfig,
-    "TrainConfig": TrainConfig,
-    "CityConfig": CityConfig,
-    "SplitConfig": SplitConfig,
-    "EvalConfig": EvalConfig,
-    "LossConfig": LossConfig,
-    "ModelConfig": ModelConfig,
-}
+        element, items = hint, [value]
+    allowed = (int, float) if element is float else (element,)
+    if items is None or not all(isinstance(v, allowed) and isinstance(v, bool) == (element is bool) for v in items):
+        name = str(hint) if get_origin(hint) else hint.__name__
+        raise ConfigError(f"config value {key} must be {name}, got {value!r}")
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -113,14 +117,17 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    def convert(value: Any) -> Any:
+    """The settable values of ``cfg`` as plain data; derived values are left out."""
+
+    def convert(value: Any, path: str) -> Any:
         if is_dataclass(value):
-            return {f.name: convert(getattr(value, f.name)) for f in fields(value)}
+            keys = ((f.name, _key(path, f.name)) for f in fields(value))
+            return {name: convert(getattr(value, name), key) for name, key in keys if key not in DERIVED}
         if isinstance(value, tuple):
-            return [convert(v) for v in value]
+            return list(value)
         return value
 
-    return convert(cfg)
+    return convert(cfg, "")
 
 
 def load_run_config(path: str | Path) -> RunConfig:

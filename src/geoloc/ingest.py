@@ -55,6 +55,49 @@ def _parse_float(text: str, column: str, line: int) -> float:
     return value
 
 
+def _parse_row(row: dict, line: int) -> tuple[tuple, tuple[int, str] | None]:
+    """One row's (id, pose, uri, lat, lon) and its explicit or projected zone, if any.
+
+    Raises ManifestError itself; the DomainError of ``LatLon``, the projection or
+    ``GeoPose`` is left for the caller, which adds the line number.
+    """
+    heading_raw = _parse_float(row["heading"], "heading", line)
+    if not 0.0 <= heading_raw < 720.0:
+        raise ManifestError(f"line {line}: heading {heading_raw} outside [0, 720)")
+
+    lat = lon = latlon = None
+    if row.get("lat") not in (None, "") and row.get("lon") not in (None, ""):
+        lat = _parse_float(row["lat"], "lat", line)
+        lon = _parse_float(row["lon"], "lon", line)
+        latlon = LatLon(lat, lon)  # checks the latitude even when the row is not projected
+
+    zone: tuple[int, str] | None = None
+    if row.get("zone") not in (None, ""):
+        zone_number = _parse_float(row["zone"], "zone", line)
+        if not (zone_number.is_integer() and 1 <= zone_number <= 60):
+            raise ManifestError(f"line {line}: zone must be an integer in [1, 60], got {row['zone']!r}")
+        hemisphere = (row.get("hemisphere") or "").strip()
+        if hemisphere not in HEMISPHERES:
+            raise ManifestError(f"line {line}: hemisphere must be one of {HEMISPHERES}, got {hemisphere!r}")
+        zone = (int(zone_number), hemisphere)
+
+    has_utm = row.get("east") not in (None, "") and row.get("north") not in (None, "")
+    if not has_utm and latlon is None:
+        raise ManifestError(f"line {line}: neither east/north nor lat/lon present")
+    if latlon is not None and (zone is None or not has_utm):
+        utm = latlon_to_utm(latlon)
+        if zone is None:
+            zone = (utm.zone_number, utm.hemisphere)
+    if has_utm:
+        east = _parse_float(row["east"], "east", line)
+        north = _parse_float(row["north"], "north", line)
+    else:
+        east, north = utm.east, utm.north
+
+    pose = GeoPose(east=east, north=north, heading=heading_raw % 360.0)
+    return (row["id"].strip(), pose, (row.get("uri") or "").strip() or None, lat, lon), zone
+
+
 def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     """Parse and validate a manifest, reporting offending line numbers.
 
@@ -96,52 +139,11 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     fields: list[tuple] = []
     zone_of: list[tuple[int, str] | None] = []
     for line, row in rows:
-        heading_raw = _parse_float(row["heading"], "heading", line)
-        if not 0.0 <= heading_raw < 720.0:
-            raise ManifestError(f"line {line}: heading {heading_raw} outside [0, 720)")
-        heading = heading_raw % 360.0
-
-        lat = lon = None
-        if row.get("lat") not in (None, "") and row.get("lon") not in (None, ""):
-            lat = _parse_float(row["lat"], "lat", line)
-            lon = _parse_float(row["lon"], "lon", line)
-
-        zone: tuple[int, str] | None = None
-        if row.get("zone") not in (None, ""):
-            zone_number = int(_parse_float(row["zone"], "zone", line))
-            hemisphere = (row.get("hemisphere") or "").strip()
-            if hemisphere not in HEMISPHERES:
-                raise ManifestError(
-                    f"line {line}: hemisphere must be one of {HEMISPHERES}, got {hemisphere!r}"
-                )
-            zone = (zone_number, hemisphere)
-
-        if row.get("east") not in (None, "") and row.get("north") not in (None, ""):
-            east = _parse_float(row["east"], "east", line)
-            north = _parse_float(row["north"], "north", line)
-            if zone is None and lat is not None:
-                try:
-                    utm = latlon_to_utm(LatLon(lat, lon))
-                except DomainError as exc:
-                    raise ManifestError(f"line {line}: {exc}") from exc
-                zone = (utm.zone_number, utm.hemisphere)
-        elif lat is not None:
-            try:
-                utm = latlon_to_utm(LatLon(lat, lon))
-            except DomainError as exc:
-                raise ManifestError(f"line {line}: {exc}") from exc
-            east, north = utm.east, utm.north
-            if zone is None:
-                zone = (utm.zone_number, utm.hemisphere)
-        else:
-            raise ManifestError(f"line {line}: neither east/north nor lat/lon present")
-
-        uri = (row.get("uri") or "").strip() or None
         try:
-            pose = GeoPose(east=east, north=north, heading=heading)
+            row_fields, zone = _parse_row(row, line)
         except DomainError as exc:
             raise ManifestError(f"line {line}: {exc}") from exc
-        fields.append((row["id"].strip(), pose, uri, lat, lon))
+        fields.append(row_fields)
         zone_of.append(zone)
 
     explicit = sorted({z for z in zone_of if z is not None})

@@ -116,7 +116,9 @@ def margin_cosine_loss_and_grads(
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
     total = e.sum(axis=1, keepdims=True)
-    losses = zmax[:, 0] + np.log(total[:, 0]) - z[rows, labels]
+    # zmax - z_y first: adding then subtracting a logit of the scale's size
+    # leaves rounding noise on a saturated loss.
+    losses = (zmax[:, 0] - z[rows, labels]) + np.log(total[:, 0])
     probs = e / total
     probs[rows, labels] -= 1.0
     coeff = (cfg.scale / batch) * probs

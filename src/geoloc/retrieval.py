@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RetrievalError
-from .geodesy import HEMISPHERES
 from .ingest import ImageRecord
 from .partition import GeoPose
 
@@ -41,8 +40,6 @@ class DescriptorIndex:
     ids: list[str]
     matrix: np.ndarray
     positions: np.ndarray
-    zone_number: int | None = None
-    hemisphere: str | None = None
 
     @property
     def dim(self) -> int:
@@ -56,8 +53,6 @@ def build_index(
     descriptors: np.ndarray | Sequence[np.ndarray],
     ids: Sequence[str],
     poses: Sequence[GeoPose],
-    zone_number: int | None = None,
-    hemisphere: str | None = None,
 ) -> DescriptorIndex:
     """Validate and freeze descriptors into an index, preserving insertion order."""
     if len(ids) != len(poses):
@@ -75,8 +70,6 @@ def build_index(
         if rid in seen:
             raise RetrievalError(f"duplicate id {rid!r} in index")
         seen.add(rid)
-    if hemisphere is not None and hemisphere not in HEMISPHERES:
-        raise DomainError(f"hemisphere must be one of {HEMISPHERES}, got {hemisphere!r}")
     norms = np.linalg.norm(matrix, axis=1)
     bad = np.nonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))[0]  # NaN rows fail too
     if bad.size:
@@ -85,8 +78,6 @@ def build_index(
         ids=list(ids),
         matrix=matrix.copy(),
         positions=np.array([(p.east, p.north) for p in poses], dtype=np.float64).reshape(-1, 2),
-        zone_number=zone_number,
-        hemisphere=hemisphere,
     )
 
 
@@ -166,14 +157,11 @@ def recall_at_n(
     queries: Sequence[tuple[np.ndarray, GeoPose]],
     ks: Sequence[int] = DEFAULT_KS,
     threshold_m: float = DEFAULT_THRESHOLD_M,
-    query_zone_number: int | None = None,
-    query_hemisphere: str | None = None,
 ) -> EvalReport:
     """Fraction of queries with a correct item in the top K, for each K.
 
     A database item is correct when its pose is within ``threshold_m`` meters
-    of the query pose (planar fixed-zone metric). Query and database zones
-    must agree when both are specified.
+    of the query pose (planar metric; the poses share one zone).
     """
     if not queries:
         raise RetrievalError("empty query list")
@@ -182,15 +170,6 @@ def recall_at_n(
         raise DomainError(f"ks must be positive and ascending, got {ks}")
     if threshold_m < 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold_m}")
-    if (
-        index.zone_number is not None
-        and query_zone_number is not None
-        and (index.zone_number, index.hemisphere) != (query_zone_number, query_hemisphere)
-    ):
-        raise DomainError(
-            f"query zone {query_zone_number} {query_hemisphere} does not match "
-            f"database zone {index.zone_number} {index.hemisphere}"
-        )
     kmax = min(max(ks), len(index))
     first_correct: list[int | None] = [None] * len(queries)
     if kmax:
@@ -226,26 +205,20 @@ def evaluate(
     """Recall@K of query descriptors searched against database descriptors.
 
     Row i of ``db_vecs``/``query_vecs`` belongs to record i of its list. The
-    index takes the database records' ids and poses, and the zone of the
-    first record (a manifest holds one zone); the query zone must match it.
+    index takes the database records' ids and poses. A manifest holds one
+    zone, so the first query record's zone must match the first database
+    record's.
     """
     if not db_records or not query_records:
         raise RetrievalError("evaluation needs a non-empty database and query set")
     if len(query_vecs) != len(query_records):
         raise RetrievalError(f"{len(query_vecs)} query descriptors vs {len(query_records)} query records")
-    index = build_index(
-        db_vecs,
-        [r.id for r in db_records],
-        [r.pose for r in db_records],
-        zone_number=db_records[0].zone_number,
-        hemisphere=db_records[0].hemisphere,
-    )
-    return recall_at_n(
-        index,
-        list(zip(query_vecs, [r.pose for r in query_records])),
-        ks=ks,
-        threshold_m=threshold_m,
-        query_zone_number=query_records[0].zone_number,
-        query_hemisphere=query_records[0].hemisphere,
-    )
+    db, query = db_records[0], query_records[0]
+    if (query.zone_number, query.hemisphere) != (db.zone_number, db.hemisphere):
+        raise DomainError(
+            f"query zone {query.zone_number} {query.hemisphere} does not match "
+            f"database zone {db.zone_number} {db.hemisphere}"
+        )
+    index = build_index(db_vecs, [r.id for r in db_records], [r.pose for r in db_records])
+    return recall_at_n(index, list(zip(query_vecs, [r.pose for r in query_records])), ks=ks, threshold_m=threshold_m)
 

@@ -48,9 +48,10 @@ class CityConfig:
     """Geometry, appearance, and noise of a synthetic world.
 
     ``cell_size_m`` and ``heading_bin_deg`` name the partition geometry the
-    world is aligned to: image positions jitter less than a quarter cell and
-    headings less than a quarter bin around snapped centers. ``nuisance_dim``
-    and ``nuisance_sigma`` control the per-image structured component; zero
+    world is aligned to (a run config takes them from its partition section):
+    image positions jitter less than a quarter cell and headings less than a
+    quarter bin around snapped centers. ``nuisance_dim`` and
+    ``nuisance_sigma`` control the per-image structured component; zero
     disables it and makes same-(place, bin) maps identical at zero noise.
     """
 
@@ -76,8 +77,6 @@ class CityConfig:
             raise DomainError(
                 f"extent {self.extent_m} m is too small for one place at {self.place_spacing_m} m spacing"
             )
-        if self.place_spacing_m < self.cell_size_m:
-            raise DomainError("place spacing below the cell size would merge places into one class")
         if self.headings_per_place < 1 or self.images_per_place_heading < 1:
             raise DomainError("headings_per_place and images_per_place_heading must be >= 1")
         if self.latent_dim < 2:
@@ -163,6 +162,8 @@ def _spread_unit_vectors(rng: np.random.Generator, count: int, dim: int, iterati
 
 def generate_city(cfg: CityConfig) -> SyntheticWorld:
     """Build a deterministic world from the config seed."""
+    if cfg.place_spacing_m < cfg.cell_size_m:
+        raise DomainError("place spacing below the cell size would merge places into one class")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x51714]))
     m = cfg.cell_size_m
     alpha = cfg.heading_bin_deg

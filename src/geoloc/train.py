@@ -66,7 +66,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     loss: LossConfig = field(default_factory=LossConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    val_threshold_m: float = 25.0
+    val_threshold_m: float = 25.0  # a run config sets it to eval.threshold_m
     seed: int = 0
 
     def __post_init__(self) -> None:

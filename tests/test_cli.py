@@ -5,6 +5,7 @@ import os
 import struct
 import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import yaml
 from geoloc import cli, ingest
 from geoloc.cli import main
 from geoloc.errors import TrainingError
+from geoloc.partition import PartitionConfig, build_partition
+from geoloc.synth import oracle_pairwise_check
 
 CONFIG = {
     "seed": 5,
@@ -780,3 +783,108 @@ def test_eval_rejects_store_member_with_corrupt_header(workspace, tiny_model, tm
     err = capsys.readouterr().err
     _single_error_line(err, "domain")
     assert str(store) in err
+
+
+DERIVED_KEYS = ["train.val_threshold_m", "city.cell_size_m", "city.heading_bin_deg"]
+
+
+@pytest.mark.parametrize("key", DERIVED_KEYS)
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_derived_config_key_rejected(workspace, tmp_path, capsys, key, where):
+    _, cfg_path, world_dir = workspace
+    section, name = key.split(".")
+    if where == "file":
+        doc = json.loads(json.dumps(CONFIG))
+        doc[section][name] = 25.0
+        cfg_path = tmp_path / "run.yaml"
+        cfg_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    extra = ["--set", f"{key}=25.0"] if where == "set" else []
+    capsys.readouterr()
+    code = main(["partition", "--config", str(cfg_path), *extra,
+                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(tmp_path / "p.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error[config]: unknown config key(s): {key}\n"
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_validation_scores_at_the_eval_threshold(workspace, tmp_path, monkeypatch):
+    _, cfg_path, world_dir = workspace
+    thresholds = []
+    real_evaluate = cli.train.evaluate
+
+    def spy(*args, **kwargs):
+        thresholds.append(args[5])
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.train, "evaluate", spy)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--set", "eval.threshold_m=7.5",
+                 "--manifest", str(world_dir / "manifest.csv"),
+                 "--features", str(world_dir / "features.npz"), "--out-dir", str(out_dir)]) == 0
+    assert thresholds == [7.5] * CONFIG["train"]["total_epochs"]
+    echo = json.loads((out_dir / "history.meta.json").read_text())["config"]
+    assert echo["eval"]["threshold_m"] == 7.5
+    assert "val_threshold_m" not in echo["train"]
+
+
+@pytest.mark.parametrize("cell", [20.0, 25.0])
+def test_synth_aligns_the_world_to_the_partition_grid(workspace, tmp_path, cell):
+    _, cfg_path, _ = workspace
+    world_dir = tmp_path / "world"
+    assert main(["synth", "--config", str(cfg_path), "--set", f"partition.cell_size_m={cell}",
+                 "--out-dir", str(world_dir)]) == 0
+    records = ingest.load_manifest(world_dir / "manifest.csv")
+    pcfg = PartitionConfig(**{**CONFIG["partition"], "cell_size_m": cell})
+    part = build_partition(records, pcfg)
+    assert oracle_pairwise_check(SimpleNamespace(records=records), part) == []
+    # Every image of one (place, heading) slot lands in the slot's one class.
+    class_of = {rid: cid for cid, members in part.class_members.items() for rid in members}
+    slots = {}
+    for r in records:
+        slots.setdefault(r.id[:8], set()).add(class_of[r.id])  # ids read p<place>h<slot>i<image>
+    assert all(len(classes) == 1 for classes in slots.values())
+    assert len({next(iter(c)) for c in slots.values()}) == len(slots)
+    assert "cell_size_m" not in json.loads((world_dir / "world.json").read_text())["config"]["city"]
+
+
+def test_train_with_a_coarse_cell_is_not_held_to_the_default_world(workspace, tmp_path):
+    # The default city section places worlds 10 m apart; a 25 m cell only
+    # matters to a world that synth generates, not to training on a manifest.
+    _, _, world_dir = workspace
+    doc = {k: v for k, v in CONFIG.items() if k != "city"}
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path), "--set", "partition.cell_size_m=25",
+                 "--manifest", str(world_dir / "manifest.csv"),
+                 "--features", str(world_dir / "features.npz"), "--out-dir", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("split", [5, None, "0.15"])
+def test_train_rejects_partition_with_malformed_split_echo(workspace, tmp_path, capsys, split):
+    _, cfg_path, world_dir = workspace
+    part_path = tmp_path / "p.json"
+    assert main(["partition", "--config", str(cfg_path),
+                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
+    doc = json.loads(part_path.read_text())
+    doc["run_config"]["split"] = split
+    part_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["train", "--config", str(cfg_path), "--manifest", str(world_dir / "manifest.csv"),
+                 "--features", str(world_dir / "features.npz"), "--partition", str(part_path),
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "partition")
+    assert "run_config.split" in err
+
+
+# tests/test_ingest.py covers every out-of-range case; here each ends in one error line.
+@pytest.mark.parametrize("row, problem", [("b,1,2,3,33.7,north,,", "zone"), ("b,1,2,3,10,north,95,10", "latitude")])
+def test_convert_rejects_out_of_range_zone_or_latitude(tmp_path, capsys, row, problem):
+    src = tmp_path / "bad.csv"
+    src.write_text(f"id,east,north,heading,zone,hemisphere,lat,lon\na,1,2,3,10,north,,\n{row}\n")
+    capsys.readouterr()
+    assert main(["convert", "--input", str(src), "--output", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "manifest")
+    assert err.startswith(f"error[manifest]: line 3: {problem}")

@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from geoloc.config import (
+    DERIVED,
     RunConfig,
     apply_overrides,
     load_run_config,
@@ -102,3 +103,17 @@ def test_number_key_rejected(tmp_path):
     path.write_text("city: {extent_m: 100,0}\n")  # a mistyped decimal point makes the key 0
     with pytest.raises(ConfigError, match=r"unknown config key\(s\): city\.0"):
         load_run_config(path)
+
+
+def test_derived_values_follow_their_sources():
+    raw = {"eval": {"threshold_m": 7.5}, "partition": {"cell_size_m": 20.0, "heading_bin_deg": 45.0}}
+    cfg = run_config_from_dict(raw)
+    assert cfg.train.val_threshold_m == 7.5
+    assert (cfg.city.cell_size_m, cfg.city.heading_bin_deg) == (20.0, 45.0)
+    echo = run_config_to_dict(cfg)
+    for key in DERIVED:
+        section, name = key.split(".")
+        assert name not in echo[section]
+        with pytest.raises(ConfigError, match=rf"unknown config key\(s\): {key}$"):
+            run_config_from_dict({section: {name: 1.0}})
+    assert run_config_from_dict(echo) == cfg

@@ -133,3 +133,22 @@ def test_latlon_manifest_and_its_east_north_round_trip_parse_equal():
     assert "east" in stream.getvalue().splitlines()[0]
     assert parse(stream.getvalue()) == latlon
     assert {(r.zone_number, r.hemisphere) for r in latlon} == {(10, "north")}
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("b,1,2,3,0,north,,", "zone"),
+        ("b,1,2,3,99,north,,", "zone"),
+        ("b,1,2,3,33.7,north,,", "zone"),
+        ("b,1,2,3,10,north,95,10", "latitude"),  # not projected, still checked
+        ("b,,,3,,,-95,10", "latitude"),
+    ],
+)
+def test_out_of_range_zone_or_latitude_rejected(row, problem):
+    with pytest.raises(ManifestError, match=rf"^line 3: {problem}"):
+        parse(f"id,east,north,heading,zone,hemisphere,lat,lon\na,1,2,3,10,north,,\n{row}\n")
+
+
+def test_integral_zone_text_accepted():
+    assert parse("id,east,north,heading,zone,hemisphere\na,1,2,3,33.0,south\n")[0].zone_number == 33

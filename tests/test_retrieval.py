@@ -31,7 +31,7 @@ def random_index(rng, n, dim, spread=100.0):
         GeoPose(east=float(rng.uniform(0, spread)), north=float(rng.uniform(0, spread)), heading=0.0)
         for _ in range(n)
     ]
-    return build_index(vecs, ids, poses, zone_number=10, hemisphere="north"), vecs
+    return build_index(vecs, ids, poses), vecs
 
 
 def brute_force_oracle(matrix, ids, query, k):
@@ -148,24 +148,14 @@ def test_recall_monotone_in_k_and_threshold():
 
 
 def test_recall_zone_mismatch_rejected():
+    # evaluate takes both zones from the records; zone number and hemisphere must both agree.
     vecs = np.eye(1)
-    poses = [GeoPose(10.0, 0.0, 0.0)]
-    index = build_index(vecs, ["p0"], poses, zone_number=10, hemisphere="north")
-    queries = [(np.array([1.0]), GeoPose(0.0, 0.0, 0.0))]
-    with pytest.raises(DomainError, match="zone"):
-        recall_at_n(index, queries, ks=(1,), query_zone_number=11, query_hemisphere="north")
-    with pytest.raises(DomainError, match="zone"):
-        recall_at_n(index, queries, ks=(1,), query_zone_number=10, query_hemisphere="south")
-    # Matching or unspecified zones pass through.
-    recall_at_n(index, queries, ks=(1,), query_zone_number=10, query_hemisphere="north")
-    recall_at_n(index, queries, ks=(1,))
-    # evaluate takes both zones from the records.
-    db = [ImageRecord(id="p0", pose=poses[0], zone_number=10, hemisphere="north")]
-    query = [ImageRecord(id="q0", pose=GeoPose(0.0, 0.0, 0.0), zone_number=11, hemisphere="north")]
-    with pytest.raises(DomainError, match="zone"):
-        evaluate(vecs, db, np.eye(1), query, ks=(1,))
-    same_zone = [dataclasses.replace(query[0], zone_number=10)]
-    assert evaluate(vecs, db, np.eye(1), same_zone, ks=(1,)).recall_at == {1: 1.0}
+    db = [ImageRecord(id="p0", pose=GeoPose(10.0, 0.0, 0.0), zone_number=10, hemisphere="north")]
+    query = ImageRecord(id="q0", pose=GeoPose(0.0, 0.0, 0.0), zone_number=10, hemisphere="north")
+    for other in (dataclasses.replace(query, zone_number=11), dataclasses.replace(query, hemisphere="south")):
+        with pytest.raises(DomainError, match="zone"):
+            evaluate(vecs, db, np.eye(1), [other], ks=(1,))
+    assert evaluate(vecs, db, np.eye(1), [query], ks=(1,)).recall_at == {1: 1.0}
 
 
 def test_recall_requires_queries_and_sorted_ks():

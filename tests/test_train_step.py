@@ -52,8 +52,8 @@ def _reference_logits(descriptors, labels, head, cfg):
 def reference_loss(descriptors, labels, head, cfg):
     z, _, _ = _reference_logits(descriptors, labels, head, cfg)
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    return float((lse - z[np.arange(len(labels)), labels]).mean())
+    log_sum = np.log(np.exp(z - zmax).sum(axis=1))
+    return float(((zmax[:, 0] - z[np.arange(len(labels)), labels]) + log_sum).mean())
 
 
 def reference_grads(descriptors, labels, head, cfg):
