@@ -1,62 +1,3 @@
 """Grid-partitioned classification training and retrieval evaluation for geo-localization."""
 
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DomainError,
-    EmptyPartitionError,
-    ManifestError,
-    PartitionError,
-    RetrievalError,
-    ToolError,
-    TrainingError,
-)
-from .geodesy import LatLon, UtmCoord, latlon_to_utm, utm_distance, utm_to_latlon
-from .ingest import ImageRecord, parse_manifest, serialize_manifest, split_validation
-from .partition import (
-    ClassId,
-    GeoPose,
-    GroupId,
-    Partition,
-    PartitionConfig,
-    adjacent,
-    assign_class,
-    assign_group,
-    build_partition,
-    enumerate_groups,
-    partition_stats,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckpointError",
-    "ClassId",
-    "ConfigError",
-    "DomainError",
-    "EmptyPartitionError",
-    "GeoPose",
-    "GroupId",
-    "ImageRecord",
-    "LatLon",
-    "ManifestError",
-    "Partition",
-    "PartitionConfig",
-    "PartitionError",
-    "RetrievalError",
-    "ToolError",
-    "TrainingError",
-    "UtmCoord",
-    "adjacent",
-    "assign_class",
-    "assign_group",
-    "build_partition",
-    "enumerate_groups",
-    "latlon_to_utm",
-    "parse_manifest",
-    "partition_stats",
-    "serialize_manifest",
-    "split_validation",
-    "utm_distance",
-    "utm_to_latlon",
-]

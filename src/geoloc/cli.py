@@ -32,7 +32,6 @@ from .errors import ConfigError, ManifestError, PartitionError, RetrievalError, 
 from .partition import (
     Partition,
     build_partition,
-    enumerate_groups,
     format_stats_table,
     load_partition,
     partition_from_dict,
@@ -148,9 +147,9 @@ def _run_training_from_files(args: argparse.Namespace, cfg: RunConfig):
         _check_partition_provenance(args.partition, doc, part, cfg)
     else:
         part = build_partition(train_records, cfg.partition)
-    # Training reads the members of its first groups_used groups only.
-    groups = enumerate_groups(part.config)[: cfg.train.groups_used]
-    members = [rid for g in groups for cid in part.group_classes.get(g, []) for rid in part.class_members[cid]]
+    # Training reads the members of the groups it visits only.
+    groups = train.used_groups(part, cfg.train)
+    members = [rid for g in groups for cid in part.group_classes[g] for rid in part.class_members[cid]]
     features, query_features = _load_stores(
         args.features, members + [r.id for r in val_db], args.query_features, [r.id for r in val_queries]
     )

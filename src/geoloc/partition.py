@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .ingest import ImageRecord
 
 PARTITION_FORMAT = "geo-partition"
-PARTITION_VERSION = 1
+PARTITION_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -159,23 +159,23 @@ def adjacent(a: ClassId, b: ClassId, cfg: PartitionConfig) -> bool:
 class Partition:
     """The complete class/group structure over a set of image records.
 
-    ``group_classes`` has one entry per enumerated group (possibly empty);
-    each list is sorted by class id and the position of a class inside its
-    group's list is that class's label index for the group's classifier head.
-    Member id lists are sorted, so the whole structure is independent of the
-    input record order.
+    ``group_classes`` is derived from the classes: it has one entry per
+    enumerated group (possibly empty), each list is sorted by class id, and
+    the position of a class inside its group's list is that class's label
+    index for the group's classifier head. Member id lists are sorted, so the
+    whole structure is independent of the input record order.
     """
 
     config: PartitionConfig
     class_members: dict[ClassId, list[str]]
-    class_group: dict[ClassId, GroupId]
-    group_classes: dict[GroupId, list[ClassId]]
     discarded_classes: int
     discarded_images: int
+    group_classes: dict[GroupId, list[ClassId]] = field(init=False)
 
-    @property
-    def retained_images(self) -> int:
-        return sum(len(m) for m in self.class_members.values())
+    def __post_init__(self) -> None:
+        self.group_classes = {g: [] for g in enumerate_groups(self.config)}
+        for cid in sorted(self.class_members):
+            self.group_classes[assign_group(cid, self.config)].append(cid)
 
 
 def build_partition(records: Sequence["ImageRecord"], cfg: PartitionConfig) -> Partition:
@@ -209,19 +209,7 @@ def build_partition(records: Sequence["ImageRecord"], cfg: PartitionConfig) -> P
             f"({discarded_classes} classes / {discarded_images} images discarded)"
         )
 
-    class_group = {cid: assign_group(cid, cfg) for cid in class_members}
-    group_classes: dict[GroupId, list[ClassId]] = {g: [] for g in enumerate_groups(cfg)}
-    for cid in sorted(class_members):
-        group_classes[class_group[cid]].append(cid)
-
-    return Partition(
-        config=cfg,
-        class_members=class_members,
-        class_group=class_group,
-        group_classes=group_classes,
-        discarded_classes=discarded_classes,
-        discarded_images=discarded_images,
-    )
+    return Partition(cfg, class_members, discarded_classes, discarded_images)
 
 
 @dataclass
@@ -296,7 +284,6 @@ def partition_to_dict(p: Partition, extra: dict | None = None) -> dict:
         "classes": [
             {
                 "cell": list(cid),
-                "group": list(p.class_group[cid]),
                 "members": p.class_members[cid],
             }
             for cid in sorted(p.class_members)
@@ -315,32 +302,23 @@ def partition_from_dict(doc: dict) -> Partition:
     try:
         cfg = PartitionConfig(**doc["config"])
         class_members: dict[ClassId, list[str]] = {}
-        class_group: dict[ClassId, GroupId] = {}
-        group_classes: dict[GroupId, list[ClassId]] = {g: [] for g in enumerate_groups(cfg)}
         for entry in doc["classes"]:
-            cid = ClassId(*entry["cell"])
-            gid = GroupId(*entry["group"])
+            cell, members = entry["cell"], entry["members"]
+            # type() rather than isinstance(): a bool is not a cell index
+            if not (isinstance(cell, list) and len(cell) == 3 and all(type(v) is int for v in cell)):
+                raise PartitionError(f"class cell must be three integers, got {cell!r}")
+            if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
+                raise PartitionError(f"class {cell} members must be a list of strings, got {members!r}")
+            cid = ClassId(*cell)
             if cid in class_members:
                 raise PartitionError(f"class {cid} appears twice in the document")
-            if assign_group(cid, cfg) != gid:
-                raise PartitionError(f"class {cid} stored under group {gid}, expected {assign_group(cid, cfg)}")
-            class_members[cid] = list(entry["members"])
-            class_group[cid] = gid
-            group_classes[gid].append(cid)
-        discarded_classes = int(doc["discarded_classes"])
-        discarded_images = int(doc["discarded_images"])
+            class_members[cid] = members
+        discarded = doc["discarded_classes"], doc["discarded_images"]
+        if not all(type(n) is int and n >= 0 for n in discarded):
+            raise PartitionError(f"discarded counts must be non-negative integers, got {discarded!r}")
+        return Partition(cfg, class_members, *discarded)
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise PartitionError(f"partition document has a missing or malformed field: {exc!r}") from exc
-    for gid in group_classes:
-        group_classes[gid].sort()
-    return Partition(
-        config=cfg,
-        class_members=class_members,
-        class_group=class_group,
-        group_classes=group_classes,
-        discarded_classes=discarded_classes,
-        discarded_images=discarded_images,
-    )
 
 
 def save_partition(p: Partition, path: str | Path, extra: dict | None = None) -> None:

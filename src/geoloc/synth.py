@@ -330,18 +330,18 @@ def oracle_pairwise_check(world: SyntheticWorld, part: Partition) -> list[Violat
             listed_in.setdefault(tuple(cid), []).append(gid)
     for cid in part.class_members:
         expected_gid = tuple(v % s for v, s in zip(cid, strides))
-        if tuple(part.class_group[cid]) != expected_gid:
+        lists = listed_in.get(tuple(cid), [])
+        if len(lists) != 1:
+            violations.append(
+                Violation("group-assignment", (cid,), f"listed under groups {lists}")
+            )
+        elif tuple(lists[0]) != expected_gid:
             violations.append(
                 Violation(
                     "group-assignment",
                     (cid,),
-                    f"assigned {tuple(part.class_group[cid])}, definition gives {expected_gid}",
+                    f"assigned {tuple(lists[0])}, definition gives {expected_gid}",
                 )
-            )
-        lists = listed_in.get(tuple(cid), [])
-        if len(lists) != 1 or tuple(lists[0]) != tuple(part.class_group[cid]):
-            violations.append(
-                Violation("group-assignment", (cid,), f"listed under groups {lists}")
             )
 
     # Group count (property 3).
@@ -353,9 +353,10 @@ def oracle_pairwise_check(world: SyntheticWorld, part: Partition) -> list[Violat
     }
     if len(all_groups) != cfg.cell_stride * cfg.cell_stride * cfg.heading_stride:
         violations.append(Violation("group-count", (), "enumeration size mismatch"))
-    for cid, gid in part.class_group.items():
+    for gid, classes in part.group_classes.items():
         if tuple(gid) not in all_groups:
-            violations.append(Violation("group-count", (cid,), f"group {tuple(gid)} outside enumeration"))
+            for cid in classes:
+                violations.append(Violation("group-count", (cid,), f"group {tuple(gid)} outside enumeration"))
 
     # Separation (property 2): same group, different classes -> far apart in
     # space or in heading. Scanned exhaustively over image pairs, chunked.

@@ -46,6 +46,12 @@ logger = logging.getLogger(__name__)
 
 VALIDATION_KS = (1, 5, 10)
 
+# Adam's usual moment decay rates and denominator guard; the recipe tunes
+# only the learning rate.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -61,9 +67,6 @@ class TrainConfig:
     total_epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     loss: LossConfig = field(default_factory=LossConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     val_threshold_m: float = 25.0  # a run config sets it to eval.threshold_m
@@ -78,10 +81,6 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0.0:
             raise DomainError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise DomainError("Adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise DomainError("Adam epsilon must be > 0")
 
 
 @dataclass
@@ -103,13 +102,22 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, moments: AdamMoments, cfg: Tr
         raise TrainingError("non-finite gradient")
     moments.steps += 1
     m, v, t = moments.first, moments.second, moments.steps
-    m *= cfg.adam_beta1
-    m += (1.0 - cfg.adam_beta1) * grad
-    v *= cfg.adam_beta2
-    v += (1.0 - cfg.adam_beta2) * np.square(grad)
-    m_hat = m / (1.0 - cfg.adam_beta1**t)
-    v_hat = v / (1.0 - cfg.adam_beta2**t)
-    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * np.square(grad)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def used_groups(partition: Partition, cfg: TrainConfig) -> list[GroupId]:
+    """The first ``groups_used`` groups in enumeration order: the groups training visits."""
+    if cfg.groups_used > partition.config.group_count:
+        raise TrainingError(
+            f"groups_used={cfg.groups_used} exceeds the partition's {partition.config.group_count} groups"
+        )
+    return enumerate_groups(partition.config)[: cfg.groups_used]
 
 
 class GroupTable(NamedTuple):
@@ -125,7 +133,7 @@ class GroupTable(NamedTuple):
 
 def group_table(partition: Partition, group: GroupId, features: FeatureStore) -> GroupTable:
     """The table ``sample_batch`` draws from; a group needs at least 2 classes."""
-    classes = partition.group_classes.get(group, [])
+    classes = partition.group_classes[group]
     if len(classes) < 2:
         raise TrainingError(
             f"group {tuple(group)} has {len(classes)} classes; training needs at least 2 "
@@ -236,20 +244,16 @@ def run_training(
         query_features = features
     if not val_db or not val_queries:
         raise TrainingError("validation split is empty")
-    if cfg.groups_used > partition.config.group_count:
-        raise TrainingError(
-            f"groups_used={cfg.groups_used} exceeds the partition's {partition.config.group_count} groups"
-        )
 
-    used_groups = enumerate_groups(partition.config)[: cfg.groups_used]
-    tables = {g: group_table(partition, g, features) for g in used_groups}
+    groups = used_groups(partition, cfg)
+    tables = {g: group_table(partition, g, features) for g in groups}
     if cfg.groups_used == 1:
         logger.info("single group in use: the schedule degenerates to one plain cosFace run")
 
     model = embed.init_model(features.block.shape[1], cfg.model, cfg.seed)
     heads = {
         g: new_head(g, len(partition.group_classes[g]), cfg.model.output_dim, cfg.seed)
-        for g in used_groups
+        for g in groups
     }
     budget = DescriptorBudget()
     sampler = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x5A3B1E]))
@@ -273,9 +277,9 @@ def run_training(
     model.bias = params[n_proj : n_proj + model.output_dim]
     model_moments = AdamMoments.zeros_like(params)
     # A head steps only in its group's epochs, so each keeps its own count.
-    head_moments = {g: AdamMoments.zeros_like(heads[g].weights) for g in used_groups}
+    head_moments = {g: AdamMoments.zeros_like(heads[g].weights) for g in groups}
     for epoch in range(cfg.total_epochs):
-        group = used_groups[epoch % cfg.groups_used]
+        group = groups[epoch % cfg.groups_used]
         head = heads[group]
         iteration_losses: list[float] = []
         for it in range(cfg.iterations_per_epoch):

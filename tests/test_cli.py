@@ -377,29 +377,74 @@ def _single_error_line(err: str, code: str) -> None:
     assert len(lines) == 1 and lines[0].startswith(f"error[{code}]: "), err
 
 
-NO_CLASSES = json.dumps({
-    "format": "geo-partition", "version": 1, "config": CONFIG["partition"],
+NO_CLASSES = {
+    "format": "geo-partition", "version": 2, "config": CONFIG["partition"],
     "discarded_classes": 0, "discarded_images": 0,
-})
+}
 
 
-@pytest.mark.parametrize(
-    "content",
-    ['{"format": "partition", "classes": [', "[1, 2]", pytest.param(NO_CLASSES, id="no-classes")],
-)
-def test_train_rejects_corrupt_partition_file(workspace, tmp_path, capsys, content):
-    _, cfg_path, world_dir = workspace
-    part_path = tmp_path / "corrupt.json"
+def _partition_doc(version: int = 2, **entry) -> str:
+    """A partition file holding one class; ``entry`` overrides the class's fields."""
+    classes = [{"cell": [0, 0, 0], "members": ["x"], **entry}]
+    return json.dumps({**NO_CLASSES, "version": version, "classes": classes})
+
+
+def _train_on_partition_file(world_dir, cfg_path, tmp_path, content: str) -> int:
+    part_path = tmp_path / "partition.json"
     part_path.write_text(content, encoding="utf-8")
-    code = main([
+    return main([
         "train", "--config", str(cfg_path),
         "--manifest", str(world_dir / "manifest.csv"),
         "--features", str(world_dir / "features.npz"),
         "--partition", str(part_path),
         "--out-dir", str(tmp_path / "run"),
     ])
-    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"format": "partition", "classes": [', "[1, 2]", pytest.param(json.dumps(NO_CLASSES), id="no-classes")],
+)
+def test_train_rejects_corrupt_partition_file(workspace, tmp_path, capsys, content):
+    _, cfg_path, world_dir = workspace
+    assert _train_on_partition_file(world_dir, cfg_path, tmp_path, content) == 1
     _single_error_line(capsys.readouterr().err, "partition")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("cell", [True, 0, 0]), ("cell", [1.0, 0, 0]), ("cell", ["a", 0, 0]), ("members", "abc")],
+    ids=["bool-cell", "float-cell", "string-cell", "string-members"],
+)
+def test_train_rejects_malformed_partition_class(workspace, tmp_path, capsys, field, value):
+    _, cfg_path, world_dir = workspace
+    assert _train_on_partition_file(world_dir, cfg_path, tmp_path, _partition_doc(**{field: value})) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "partition")
+    assert f"{field} must be" in err
+
+
+def test_train_rejects_version_1_partition_file(workspace, tmp_path, capsys):
+    # Version 1 stored each class's group beside its cell; version 2 derives it.
+    _, cfg_path, world_dir = workspace
+    assert _train_on_partition_file(world_dir, cfg_path, tmp_path, _partition_doc(version=1, group=[0, 0, 0])) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "partition")
+    assert "unsupported" in err and "version 1" in err
+
+
+def test_train_checks_groups_used_before_reading_a_store(workspace, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    code = main([
+        "train", "--config", str(cfg_path), "--set", "train.groups_used=51",
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(tmp_path / "missing.npz"),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "training")
+    assert "groups_used=51" in err
 
 
 @pytest.mark.parametrize("empty_side", ["--db", "--queries"])
@@ -786,9 +831,11 @@ def test_eval_rejects_store_member_with_corrupt_header(workspace, tiny_model, tm
 
 
 DERIVED_KEYS = ["train.val_threshold_m", "city.cell_size_m", "city.heading_bin_deg"]
+# Adam's decay rates and epsilon are constants of the trainer, not settings.
+ADAM_KEYS = ["train.adam_beta1", "train.adam_beta2", "train.adam_eps"]
 
 
-@pytest.mark.parametrize("key", DERIVED_KEYS)
+@pytest.mark.parametrize("key", DERIVED_KEYS + ADAM_KEYS)
 @pytest.mark.parametrize("where", ["file", "set"])
 def test_derived_config_key_rejected(workspace, tmp_path, capsys, key, where):
     _, cfg_path, world_dir = workspace

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoloc.errors import DomainError, EmptyPartitionError
+from geoloc.errors import DomainError, EmptyPartitionError, PartitionError
 from geoloc.ingest import ImageRecord
 from geoloc.partition import (
     ClassId,
@@ -153,9 +153,7 @@ def test_label_order_is_lexicographic_within_groups():
 def test_stats_of_empty_partition_are_zero():
     from geoloc.partition import Partition
 
-    empty = Partition(config=CFG, class_members={}, class_group={},
-                      group_classes={g: [] for g in enumerate_groups(CFG)},
-                      discarded_classes=0, discarded_images=0)
+    empty = Partition(config=CFG, class_members={}, discarded_classes=0, discarded_images=0)
     stats = partition_stats(empty)
     assert stats.retained_classes == 0
     assert stats.retained_images == 0
@@ -183,7 +181,7 @@ def test_uniform_density_city_balances_groups():
     # Direct recount from the membership tables agrees.
     recount = {g: 0 for g in part.group_classes}
     for cid in part.class_members:
-        recount[part.class_group[cid]] += 1
+        recount[assign_group(cid, CFG)] += 1
     assert recount == stats.group_class_counts
 
 
@@ -222,10 +220,16 @@ def test_serialization_round_trip(tmp_path):
 
 def test_corrupt_partition_document_rejected():
     part = build_partition([rec("a", 5.0, 5.0, 10.0)], PartitionConfig(min_images_per_class=0))
-    doc = partition_to_dict(part)
-    doc["classes"][0]["group"] = [1, 1, 1]
-    with pytest.raises(Exception, match="group"):
-        partition_from_dict(json.loads(json.dumps(doc)))
+    for cell in ([True, 0, 0], [1.0, 0, 0], ["a", 0, 0], [0, 0], None):
+        doc = partition_to_dict(part)
+        doc["classes"][0]["cell"] = cell
+        with pytest.raises(PartitionError, match="cell"):
+            partition_from_dict(json.loads(json.dumps(doc)))
+    for count in (1.5, "3", True, -1):
+        doc = partition_to_dict(part)
+        doc["discarded_images"] = count
+        with pytest.raises(PartitionError, match="discarded"):
+            partition_from_dict(json.loads(json.dumps(doc)))
 
 
 # Structural properties on a small exhaustive partition.
@@ -250,8 +254,7 @@ def test_property_every_class_in_exactly_one_group(stride, heading_stride, bin_d
         for cid in classes:
             assert cid not in seen
             seen[cid] = gid
-    assert seen == part.class_group
-    assert set(seen) == set(part.class_members)
+    assert seen == {cid: assign_group(cid, cfg) for cid in part.class_members}
 
 
 @pytest.mark.parametrize("stride,heading_stride", [(5, 2), (3, 3), (2, 2)])
@@ -297,4 +300,4 @@ def test_group_membership_depends_only_on_pose():
     assert len(part.class_members) == 1
     (cid,) = part.class_members
     assert cid == assign_class(pose, CFG)
-    assert part.class_group[cid] == assign_group(cid, CFG)
+    assert part.group_classes[assign_group(cid, CFG)] == [cid]

@@ -172,9 +172,8 @@ def test_pairwise_check_reports_corrupted_group_assignment():
     world = generate_city(SMALL)
     part = build_partition(world.records, aligned_partition_config(SMALL))
     victim = next(iter(part.class_members))
-    correct = part.class_group[victim]
+    correct = next(g for g, classes in part.group_classes.items() if victim in classes)
     wrong = next(g for g in part.group_classes if g != correct and part.group_classes[g])
-    part.class_group[victim] = wrong
     part.group_classes[correct].remove(victim)
     part.group_classes[wrong].append(victim)
     violations = oracle_pairwise_check(world, part)

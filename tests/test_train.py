@@ -140,12 +140,10 @@ def test_sample_batch_is_class_uniform(world, setup):
     part, *_ = setup
     # A two-class group with wildly imbalanced member counts.
     group = enumerate_groups(PCFG)[0]
-    a, b = part.group_classes[group][:2]
-    lopsided = dataclasses.replace(
-        part,
-        class_members={**part.class_members, a: part.class_members[a][:2]},
-        group_classes={**part.group_classes, group: [a, b]},
-    )
+    a, b, *rest = part.group_classes[group]
+    members = {c: m for c, m in part.class_members.items() if c not in rest}
+    lopsided = dataclasses.replace(part, class_members={**members, a: members[a][:2]})
+    assert lopsided.group_classes[group] == [a, b]
     table = group_table(lopsided, group, world.features)
     assert table.sizes.tolist() == [2, len(part.class_members[b])]
     rng = np.random.default_rng(0)
@@ -169,7 +167,8 @@ def test_sample_batch_size_and_determinism(world, setup):
 def test_sample_batch_needs_two_classes(world, setup):
     part, *_ = setup
     group = enumerate_groups(PCFG)[0]
-    thin = dataclasses.replace(part, group_classes={**part.group_classes, group: part.group_classes[group][:1]})
+    dropped = part.group_classes[group][1:]
+    thin = dataclasses.replace(part, class_members={c: m for c, m in part.class_members.items() if c not in dropped})
     with pytest.raises(TrainingError, match="classes"):
         group_table(thin, group, world.features)
 
