@@ -4,8 +4,10 @@ Every command loads one declarative config (JSON or YAML), applies
 ``--set section.key=value`` overrides plus the global ``--seed``, and
 echoes the resolved config into each output artifact. Errors exit nonzero
 with a single machine-parseable line (``error[<code>]: message``) on
-stderr; exit zero means every written file was re-read and validated by
-its own loader.
+stderr. Before a zero exit, the manifests that ``convert`` and ``synth``
+write, the partition file, the model checkpoint and the eval report are
+re-read and validated by their own loaders; the training history, the
+world summary, the validation manifests and the sweep CSV are not.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from .config import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from .errors import ConfigError, ManifestError, PartitionError, RetrievalError, ToolError
+from .errors import ConfigError, ManifestError, RetrievalError, ToolError
 from .partition import (
     Partition,
     build_partition,
     format_stats_table,
     load_partition,
-    partition_from_dict,
     partition_stats,
     save_partition,
 )
@@ -89,42 +90,39 @@ def cmd_convert(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
     records = ingest.load_manifest(args.manifest)
-    if args.no_split:
-        part_records = records
-    else:
-        part_records, _, _ = _split_records(records, cfg)
-    part = build_partition(part_records, cfg.partition)
+    train_records, _, _ = _split_records(records, cfg)
+    part = build_partition(train_records, cfg.partition)
     stats = partition_stats(part)
-    save_partition(
-        part,
-        args.output,
-        extra={"run_config": run_config_to_dict(cfg), "split_applied": not args.no_split, "stats": stats.to_dict()},
-    )
+    save_partition(part, args.output, extra={"run_config": run_config_to_dict(cfg), "stats": stats.to_dict()})
     load_partition(args.output)  # validate what we wrote
     print(format_stats_table(stats))
     return 0
 
 
-def _check_partition_provenance(path: str, doc: dict, part: Partition, cfg: RunConfig) -> None:
-    """Reject a partition built with another partition config or validation split.
+def _check_same_partition(path: str, loaded: Partition, built: Partition) -> None:
+    """Reject the partition file at ``path`` unless it equals the partition this run builds.
 
-    ``doc`` is the partition document read from ``path``, ``part`` the partition built from it.
+    The message names the config difference, else the first class or discarded count that differs.
     """
-    if part.config != cfg.partition:
-        ours, theirs = asdict(cfg.partition), asdict(part.config)
+    if loaded == built:
+        return
+    if loaded.config != built.config:
+        ours, theirs = asdict(built.config), asdict(loaded.config)
         diff = ", ".join(f"{k} {theirs[k]!r} vs {ours[k]!r}" for k in ours if ours[k] != theirs[k])
         raise ConfigError(f"partition {path} was built with another partition config than this run's ({diff})")
-    echo = doc.get("run_config")
-    if not isinstance(echo, dict) or not doc.get("split_applied", False):
-        return
-    split = echo.get("split")
-    if not isinstance(split, dict):
-        raise PartitionError(f"partition {path}: run_config.split must be a mapping, got {split!r}")
-    if (echo.get("seed"), split.get("fraction")) != (cfg.seed, cfg.split.fraction):
-        raise ConfigError(
-            f"partition {path} was built with split seed/fraction {echo.get('seed')}/{split.get('fraction')}, "
-            f"but this run uses {cfg.seed}/{cfg.split.fraction}"
+    for cid in sorted(loaded.class_members.keys() | built.class_members.keys()):
+        theirs, ours = loaded.class_members.get(cid, []), built.class_members.get(cid, [])
+        if theirs != ours:
+            at = next(i for i in range(len(theirs) + 1) if theirs[i : i + 1] != ours[i : i + 1])
+            diff = f"class {list(cid)} member #{at} {theirs[at : at + 1]} vs {ours[at : at + 1]}"
+            break
+    else:
+        diff = ", ".join(
+            f"{k} {getattr(loaded, k)} vs {getattr(built, k)}"
+            for k in ("discarded_classes", "discarded_images")
+            if getattr(loaded, k) != getattr(built, k)
         )
+    raise ConfigError(f"partition {path} is not the partition of this run's manifest, split and config ({diff})")
 
 
 def _load_stores(db_path: str, db_ids: list[str], query_path: str | None, query_ids: list[str]):
@@ -138,35 +136,34 @@ def _load_stores(db_path: str, db_ids: list[str], query_path: str | None, query_
     return synth.load_features(db_path, db_ids), synth.load_features(query_path, query_ids)
 
 
-def _run_training_from_files(args: argparse.Namespace, cfg: RunConfig):
-    records = ingest.load_manifest(args.manifest)
+def _run_training_from_files(
+    cfg: RunConfig, manifest: str, features: str, query_features: str | None, partition: str | None = None
+):
+    records = ingest.load_manifest(manifest)
     train_records, val_db, val_queries = _split_records(records, cfg)
-    if args.partition:
-        doc = read_json(args.partition, PartitionError, "partition file")
-        part = partition_from_dict(doc)
-        _check_partition_provenance(args.partition, doc, part, cfg)
-    else:
-        part = build_partition(train_records, cfg.partition)
+    loaded = load_partition(partition) if partition else None
+    part = build_partition(train_records, cfg.partition)
+    if loaded is not None:
+        _check_same_partition(partition, loaded, part)
     # Training reads the members of the groups it visits only.
     groups = train.used_groups(part, cfg.train)
     members = [rid for g in groups for cid in part.group_classes[g] for rid in part.class_members[cid]]
-    features, query_features = _load_stores(
-        args.features, members + [r.id for r in val_db], args.query_features, [r.id for r in val_queries]
+    store, query_store = _load_stores(
+        features, members + [r.id for r in val_db], query_features, [r.id for r in val_queries]
     )
-    state = train.run_training(part, features, cfg.train, val_db, val_queries, query_features)
-    return state, features, query_features, val_db, val_queries
+    state = train.run_training(part, store, cfg.train, val_db, val_queries, query_store)
+    return state, store, query_store, val_db, val_queries
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     out_dir = make_dir(args.out_dir)
-    state, *_ = _run_training_from_files(args, cfg)
+    state, *_ = _run_training_from_files(cfg, args.manifest, args.features, args.query_features, args.partition)
 
     model_path = out_dir / "model_best.json"
     embed.save_model(state.best_model, model_path, extra={"config": run_config_to_dict(cfg)})
     embed.load_model(model_path)  # validate what we wrote
 
     write_atomic(out_dir / "history.csv", train.history_csv(state.history))
-    _write_json(out_dir / "history.meta.json", {"config": run_config_to_dict(cfg)})
 
     print(
         f"best val R@1 {state.best_val_recall1:.3f} at epoch {state.best_epoch}; "
@@ -254,17 +251,13 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
             raw["train"][args.param] = value
         sub_cfgs.append((value, run_config_from_dict(raw)))
 
-    sub_args = argparse.Namespace(
-        manifest=args.manifest,
-        features=args.features,
-        query_features=args.query_features,
-        partition=None,
-    )
     # Open the output first: an unwritable path fails before any training, and an old file stays until the end.
     with AtomicFile(args.output, "wb") as out:
         rows = []
         for value, sub_cfg in sub_cfgs:
-            state, features, query_features, val_db, val_queries = _run_training_from_files(sub_args, sub_cfg)
+            state, features, query_features, val_db, val_queries = _run_training_from_files(
+                sub_cfg, args.manifest, args.features, args.query_features
+            )
             db_vecs = train.embed_records(state.best_model, val_db, features, sub_cfg.train.batch_size)
             q_vecs = train.embed_records(state.best_model, val_queries, query_features, sub_cfg.train.batch_size)
             report = retrieval.evaluate(
@@ -301,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="build the class/group partition of a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument(
-        "--no-split",
-        action="store_true",
-        help="partition every record instead of excluding the validation split",
-    )
     _add_common(p)
     p.set_defaults(func=cmd_partition)
 
@@ -313,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True, help="feature store (.npz keyed by record id)")
     p.add_argument("--query-features", help="feature store for validation queries (domain shift)")
-    p.add_argument("--partition", help="partition file from the partition command (rebuilt if omitted)")
+    p.add_argument("--partition", help="partition file that must equal the one training builds")
     p.add_argument("--out-dir", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_train)

@@ -1,4 +1,4 @@
-"""WGS-84 latitude/longitude <-> UTM conversion and planar metric distances.
+"""WGS-84 latitude/longitude <-> UTM conversion.
 
 The projection uses the Krueger series in the third flattening carried to
 order n^6, which is accurate to well under a millimeter anywhere inside a
@@ -196,12 +196,3 @@ def utm_to_latlon(c: UtmCoord) -> LatLon:
     longitude = central_meridian_deg(c.zone_number) + math.degrees(lam)
     return LatLon(latitude=math.degrees(phi), longitude=longitude)
 
-
-def utm_distance(a: UtmCoord, b: UtmCoord) -> float:
-    """Planar Euclidean distance in meters between two same-zone points."""
-    if a.zone_number != b.zone_number or a.hemisphere != b.hemisphere:
-        raise DomainError(
-            "cannot measure distance across zones: "
-            f"{a.zone_number} {a.hemisphere} vs {b.zone_number} {b.hemisphere}"
-        )
-    return math.hypot(a.east - b.east, a.north - b.north)

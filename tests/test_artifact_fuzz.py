@@ -117,7 +117,7 @@ def _required(kind: str, blob: bytes) -> list[str]:
         return [n.removesuffix(".npy") for n in zipfile.ZipFile(io.BytesIO(blob)).namelist()]
     if kind.startswith("config"):
         return sorted(CONFIG)
-    optional = {"partition": {"run_config", "split_applied", "stats"}}.get(kind, {"config"})
+    optional = {"partition": {"run_config", "stats"}}.get(kind, {"config"})
     return sorted(set(json.loads(blob)) - optional)
 
 

@@ -13,8 +13,10 @@ import yaml
 
 from geoloc import cli, ingest
 from geoloc.cli import main
+from geoloc.config import load_run_config
 from geoloc.errors import TrainingError
-from geoloc.partition import PartitionConfig, build_partition
+from geoloc.partition import PartitionConfig, build_partition, load_partition, partition_to_dict
+from geoloc.train import used_groups
 from geoloc.synth import oracle_pairwise_check
 
 CONFIG = {
@@ -133,7 +135,7 @@ def test_train_and_eval_pipeline(workspace, tmp_path, capsys):
         "--out-dir", str(out_dir),
     ]) == 0
     capsys.readouterr()
-    assert {p.name for p in out_dir.iterdir()} == {"model_best.json", "history.csv", "history.meta.json"}
+    assert {p.name for p in out_dir.iterdir()} == {"model_best.json", "history.csv"}
     history = (out_dir / "history.csv").read_text().splitlines()
     assert history[0].startswith("epoch,group,mean_loss")
     assert len(history) == 1 + CONFIG["train"]["total_epochs"]
@@ -472,8 +474,8 @@ def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypa
     _, cfg_path, world_dir = workspace
     real = cli._run_training_from_files
 
-    def queries_in_next_zone(args, cfg):
-        *out, val_queries = real(args, cfg)
+    def queries_in_next_zone(*args):
+        *out, val_queries = real(*args)
         return (*out, [dataclasses.replace(r, zone_number=r.zone_number + 1) for r in val_queries])
 
     monkeypatch.setattr(cli, "_run_training_from_files", queries_in_next_zone)
@@ -605,21 +607,24 @@ def test_train_rejects_partition_member_missing_from_store(workspace, tmp_path, 
     part_path = tmp_path / "partition.json"
     assert main(["partition", "--config", str(cfg_path),
                  "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
-    doc = json.loads(part_path.read_text())
-    doc["classes"][0]["members"].append("ghost")
-    part_path.write_text(json.dumps(doc))
+    part = load_partition(part_path)
+    groups = used_groups(part, load_run_config(cfg_path).train)
+    missing = next(part.class_members[cid][0] for g in groups for cid in part.group_classes[g])
+    store = tmp_path / "features.npz"
+    with np.load(world_dir / "features.npz") as full:
+        np.savez(store, **{rid: full[rid] for rid in full.files if rid != missing})
     capsys.readouterr()
     code = main([
         "train", "--config", str(cfg_path),
         "--manifest", str(world_dir / "manifest.csv"),
-        "--features", str(world_dir / "features.npz"),
+        "--features", str(store),
         "--partition", str(part_path),
         "--out-dir", str(tmp_path / "run"),
     ])
     assert code == 1
     err = capsys.readouterr().err
     _single_error_line(err, "manifest")
-    assert "'ghost'" in err and str(world_dir / "features.npz") in err
+    assert repr(missing) in err and str(store) in err
 
 
 def _flip_member_byte(blob: bytes, member: str) -> bytes:
@@ -869,7 +874,7 @@ def test_validation_scores_at_the_eval_threshold(workspace, tmp_path, monkeypatc
                  "--manifest", str(world_dir / "manifest.csv"),
                  "--features", str(world_dir / "features.npz"), "--out-dir", str(out_dir)]) == 0
     assert thresholds == [7.5] * CONFIG["train"]["total_epochs"]
-    echo = json.loads((out_dir / "history.meta.json").read_text())["config"]
+    echo = json.loads((out_dir / "model_best.json").read_text())["config"]
     assert echo["eval"]["threshold_m"] == 7.5
     assert "val_threshold_m" not in echo["train"]
 
@@ -906,14 +911,35 @@ def test_train_with_a_coarse_cell_is_not_held_to_the_default_world(workspace, tm
                  "--features", str(world_dir / "features.npz"), "--out-dir", str(tmp_path / "run")]) == 0
 
 
-@pytest.mark.parametrize("split", [5, None, "0.15"])
-def test_train_rejects_partition_with_malformed_split_echo(workspace, tmp_path, capsys, split):
+def _all_records(doc, world_dir):
+    records = ingest.load_manifest(world_dir / "manifest.csv")
+    whole = partition_to_dict(build_partition(records, PartitionConfig(**CONFIG["partition"])))
+    doc.update({k: whole[k] for k in ("classes", "discarded_classes", "discarded_images")})
+
+
+def _duplicate_member(doc, world_dir):
+    first, second = doc["classes"][:2]
+    second["members"].append(first["members"][0])
+
+
+def _move_class(doc, world_dir):
+    doc["classes"][-1]["cell"] = [10_000, 10_000, 0]
+
+
+def _move_member(doc, world_dir):
+    first, second = doc["classes"][:2]
+    second["members"].append(first["members"].pop())
+
+
+@pytest.mark.parametrize("mutate", [_all_records, _duplicate_member, _move_class, _move_member],
+                         ids=["all-records", "duplicated-member", "moved-class", "moved-member"])
+def test_train_rejects_partition_that_differs_from_its_manifest(workspace, tmp_path, capsys, mutate):
     _, cfg_path, world_dir = workspace
     part_path = tmp_path / "p.json"
     assert main(["partition", "--config", str(cfg_path),
                  "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
     doc = json.loads(part_path.read_text())
-    doc["run_config"]["split"] = split
+    mutate(doc, world_dir)
     part_path.write_text(json.dumps(doc))
     capsys.readouterr()
     code = main(["train", "--config", str(cfg_path), "--manifest", str(world_dir / "manifest.csv"),
@@ -921,8 +947,8 @@ def test_train_rejects_partition_with_malformed_split_echo(workspace, tmp_path, 
                  "--out-dir", str(tmp_path / "run")])
     assert code == 1
     err = capsys.readouterr().err
-    _single_error_line(err, "partition")
-    assert "run_config.split" in err
+    _single_error_line(err, "config")
+    assert "is not the partition of this run's manifest, split and config (class [" in err
 
 
 # tests/test_ingest.py covers every out-of-range case; here each ends in one error line.

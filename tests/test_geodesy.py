@@ -9,7 +9,6 @@ from geoloc.geodesy import (
     LatLon,
     UtmCoord,
     latlon_to_utm,
-    utm_distance,
     utm_to_latlon,
     zone_number_for_longitude,
 )
@@ -90,31 +89,12 @@ def test_zone_rule():
     assert zone_number_for_longitude(180.0) == 1  # wraps to -180
 
 
-def test_distance_examples():
-    a = UtmCoord(500000.0, 4000000.0, 10, "north")
-    assert utm_distance(a, a) == 0.0
-    b = UtmCoord(500003.0, 4000004.0, 10, "north")
-    assert utm_distance(a, b) == pytest.approx(5.0)
-    c = UtmCoord(500025.0, 4000000.0, 10, "north")
-    assert utm_distance(a, c) == 25.0  # the positive-match threshold, exactly
-
-
-def test_distance_zone_mismatch_rejected():
-    a = UtmCoord(500000.0, 4000000.0, 10, "north")
-    b = UtmCoord(500000.0, 4000000.0, 11, "north")
-    c = UtmCoord(500000.0, 4000000.0, 10, "south")
-    with pytest.raises(DomainError):
-        utm_distance(a, b)
-    with pytest.raises(DomainError):
-        utm_distance(a, c)
-
-
 def test_one_longitude_degree_at_equator():
     # Near the central meridian of zone 31: 1 degree of longitude should span
     # about 111 320 m (within 0.5%, the UTM scale factor included).
     a = latlon_to_utm(LatLon(0.0, 2.5))
     b = latlon_to_utm(LatLon(0.0, 3.5))
-    assert utm_distance(a, b) == pytest.approx(111_320.0, rel=5e-3)
+    assert math.hypot(b.east - a.east, b.north - a.north) == pytest.approx(111_320.0, rel=5e-3)
 
 
 @given(
@@ -128,22 +108,6 @@ def test_round_trip_property(lat, lon):
     # Longitude wraps; compare circularly.
     dlon = abs(p.longitude - lon) % 360.0
     assert min(dlon, 360.0 - dlon) < 1e-6
-
-
-@given(
-    coords=st.lists(
-        st.tuples(st.floats(200000.0, 800000.0), st.floats(0.0, 9000000.0)),
-        min_size=3,
-        max_size=3,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_distance_is_a_metric(coords):
-    pts = [UtmCoord(e, n, 10, "north") for e, n in coords]
-    a, b, c = pts
-    assert utm_distance(a, b) == utm_distance(b, a)
-    assert (utm_distance(a, b) == 0.0) == (a.east == b.east and a.north == b.north)
-    assert utm_distance(a, c) <= utm_distance(a, b) + utm_distance(b, c) + 1e-9
 
 
 def test_latlon_invariants():

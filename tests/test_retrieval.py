@@ -119,9 +119,11 @@ def make_planted_index(offsets):
 
 
 def test_recall_threshold_semantics():
-    index = make_planted_index([10.0, 500.0, 900.0])
-    # The query descriptor matches entry 0 whose pose is 10 m away.
-    queries = [(np.eye(3)[0], GeoPose(east=0.0, north=0.0, heading=0.0))]
+    index = make_planted_index([10.0, 500.0, 900.0, 25.0])
+    # The first query descriptor matches entry 0, whose pose is 10 m away; the
+    # second matches entry 3, exactly at the 25 m threshold, which counts.
+    origin = GeoPose(east=0.0, north=0.0, heading=0.0)
+    queries = [(np.eye(4)[0], origin), (np.eye(4)[3], origin)]
     r25 = recall_at_n(index, queries, ks=(1,), threshold_m=25.0)
     assert r25.recall_at[1] == 1.0
     r5 = recall_at_n(index, queries, ks=(1,), threshold_m=5.0)
