@@ -273,7 +273,6 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         for row in rows:
             lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header))
         out.write(("\n".join(lines) + "\n").encode("utf-8"))
-    _write_json(Path(args.output).with_suffix(".meta.json"), {"config": run_config_to_dict(cfg)})
     print(f"wrote {len(rows)} sweep rows to {args.output}")
     return 0
 

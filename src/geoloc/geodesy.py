@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # WGS-84 ellipsoid
@@ -110,10 +112,10 @@ class UtmCoord:
             raise DomainError(f"northing {self.north} is negative (false-northing convention)")
 
 
-def zone_number_for_longitude(longitude: float) -> int:
-    """UTM zone from the standard 6 degree rule."""
+def zone_number_for_longitude(longitude: float | np.ndarray) -> np.int64 | np.ndarray:
+    """UTM zone from the standard 6 degree rule, elementwise on an array."""
     lon = normalize_longitude(longitude)
-    return int((lon + 180.0) // 6.0) + 1
+    return np.floor_divide(lon + 180.0, 6.0).astype(np.int64) + 1
 
 
 def central_meridian_deg(zone_number: int) -> float:
@@ -122,39 +124,57 @@ def central_meridian_deg(zone_number: int) -> float:
     return (zone_number - 1) * 6.0 - 180.0 + 3.0
 
 
-def latlon_to_utm(p: LatLon) -> UtmCoord:
-    """Project WGS-84 geodetic coordinates to UTM.
+def latlon_to_utm_arrays(
+    latitude: np.ndarray, longitude: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Project WGS-84 points to UTM, each in the zone of its own longitude.
 
-    Raises DomainError when |latitude| exceeds the 84 degree transverse
-    Mercator validity band.
+    Takes latitudes and longitudes in degrees (longitudes in any range) as
+    arrays of one shape and returns ``(east, north, zone_number, south)``
+    of that shape: meters, the zone as an integer and the southern
+    hemisphere as a boolean. Raises DomainError naming the first latitude
+    outside the +/-84 degree transverse Mercator validity band (NaN
+    included). A one-point call on 0-d inputs returns numpy scalars.
     """
-    if abs(p.latitude) > MAX_UTM_LATITUDE:
+    latitude = np.asarray(latitude, dtype=np.float64)
+    longitude = normalize_longitude(np.asarray(longitude, dtype=np.float64))
+    outside = ~(np.abs(latitude) <= MAX_UTM_LATITUDE)  # NaN is outside too
+    if outside.any():
         raise DomainError(
-            f"latitude {p.latitude} outside the +/-{MAX_UTM_LATITUDE} degree UTM band"
+            f"latitude {latitude[outside].flat[0]} outside the +/-{MAX_UTM_LATITUDE} degree UTM band"
         )
-    zone = zone_number_for_longitude(p.longitude)
-    lam0 = math.radians(central_meridian_deg(zone))
-    phi = math.radians(p.latitude)
-    lam = math.radians(p.longitude) - lam0
+    zone = zone_number_for_longitude(longitude)
+    phi = np.radians(latitude)
+    # Minus the zone's central meridian (``central_meridian_deg``, which takes one zone).
+    lam = np.radians(longitude) - np.radians((zone - 1) * 6.0 - 180.0 + 3.0)
 
     # Gauss-Schreiber coordinates on the conformal sphere.
-    s = math.sin(phi)
-    t = math.sinh(math.atanh(s) - _E * math.atanh(_E * s))
-    xi_p = math.atan2(t, math.cos(lam))
-    eta_p = math.asinh(math.sin(lam) / math.hypot(t, math.cos(lam)))
+    s = np.sin(phi)
+    t = np.sinh(np.arctanh(s) - _E * np.arctanh(_E * s))
+    xi_p = np.arctan2(t, np.cos(lam))
+    eta_p = np.arcsinh(np.sin(lam) / np.hypot(t, np.cos(lam)))
 
     xi = xi_p
     eta = eta_p
     for j, a in enumerate(_ALPHA, start=1):
-        xi += a * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
-        eta += a * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
+        xi = xi + a * np.sin(2 * j * xi_p) * np.cosh(2 * j * eta_p)
+        eta = eta + a * np.cos(2 * j * xi_p) * np.sinh(2 * j * eta_p)
 
     east = FALSE_EASTING + UTM_SCALE * _RECTIFYING_RADIUS * eta
-    north = UTM_SCALE * _RECTIFYING_RADIUS * xi
-    hemisphere = NORTH if p.latitude >= 0.0 else SOUTH
-    if hemisphere == SOUTH:
-        north += FALSE_NORTHING_SOUTH
-    return UtmCoord(east=east, north=north, zone_number=zone, hemisphere=hemisphere)
+    south = latitude < 0.0
+    north = UTM_SCALE * _RECTIFYING_RADIUS * xi + np.where(south, FALSE_NORTHING_SOUTH, 0.0)
+    return east, north, zone, south
+
+
+def latlon_to_utm(p: LatLon) -> UtmCoord:
+    """Project WGS-84 geodetic coordinates to UTM (``latlon_to_utm_arrays`` on one point).
+
+    Raises DomainError when |latitude| exceeds the 84 degree transverse
+    Mercator validity band.
+    """
+    east, north, zone, south = latlon_to_utm_arrays(p.latitude, p.longitude)
+    hemisphere = SOUTH if south else NORTH
+    return UtmCoord(east=float(east), north=float(north), zone_number=int(zone), hemisphere=hemisphere)
 
 
 def _tau_from_tau_prime(tau_p: float) -> float:

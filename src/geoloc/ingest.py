@@ -2,10 +2,12 @@
 
 A manifest is a UTF-8 CSV whose header names a subset of the known columns.
 ``id`` and ``heading`` are always required; positions come either from
-``east``/``north`` (UTM meters) or from ``lat``/``lon`` (converted on the
-fly). Optional ``zone``/``hemisphere`` columns pin the UTM zone explicitly,
-``uri`` records a source location. All records of one manifest must live in
-a single zone and hemisphere.
+``east``/``north`` (UTM meters) or from ``lat``/``lon``. Lat/lon rows are
+projected to UTM after every row has been checked, all in one
+``geodesy.latlon_to_utm_arrays`` call, which also gives the zone when no
+row names one. Optional ``zone``/``hemisphere`` columns pin the UTM zone
+explicitly, ``uri`` records a source location. All records of one
+manifest must live in a single zone and hemisphere.
 """
 
 from __future__ import annotations
@@ -18,9 +20,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .atomic import AtomicFile
 from .errors import DomainError, ManifestError
-from .geodesy import HEMISPHERES, NORTH, LatLon, latlon_to_utm
+from .geodesy import HEMISPHERES, MAX_UTM_LATITUDE, NORTH, SOUTH, latlon_to_utm_arrays
+# latlon_to_utm stays importable from this module, where the benchmark's
+# tracer test looks it up.
+from .geodesy import latlon_to_utm  # noqa: F401
 from .partition import GeoPose
 
 # Zone assumed when a manifest carries neither explicit zone columns nor
@@ -55,21 +62,24 @@ def _parse_float(text: str, column: str, line: int) -> float:
     return value
 
 
-def _parse_row(row: dict, line: int) -> tuple[tuple, tuple[int, str] | None]:
-    """One row's (id, pose, uri, lat, lon) and its explicit or projected zone, if any.
+def _parse_row(row: dict, line: int) -> tuple[list, tuple[int, str] | None, bool]:
+    """One row's fields, its explicit zone (if any) and whether it is projected.
 
-    Raises ManifestError itself; the DomainError of ``LatLon``, the projection or
-    ``GeoPose`` is left for the caller, which adds the line number.
+    The fields are ``[id, east, north, heading, uri, lat, lon]``. A lat/lon
+    row is projected when it lacks east/north (which are then None) or a
+    zone; its latitude is checked against the UTM band here, so the first
+    bad row is the one reported.
     """
     heading_raw = _parse_float(row["heading"], "heading", line)
     if not 0.0 <= heading_raw < 720.0:
         raise ManifestError(f"line {line}: heading {heading_raw} outside [0, 720)")
 
-    lat = lon = latlon = None
+    lat = lon = None
     if row.get("lat") not in (None, "") and row.get("lon") not in (None, ""):
         lat = _parse_float(row["lat"], "lat", line)
         lon = _parse_float(row["lon"], "lon", line)
-        latlon = LatLon(lat, lon)  # checks the latitude even when the row is not projected
+        if not -90.0 <= lat <= 90.0:  # checked even when the row is not projected
+            raise ManifestError(f"line {line}: latitude {lat} outside [-90, 90]")
 
     zone: tuple[int, str] | None = None
     if row.get("zone") not in (None, ""):
@@ -82,27 +92,27 @@ def _parse_row(row: dict, line: int) -> tuple[tuple, tuple[int, str] | None]:
         zone = (int(zone_number), hemisphere)
 
     has_utm = row.get("east") not in (None, "") and row.get("north") not in (None, "")
-    if not has_utm and latlon is None:
+    if not has_utm and lat is None:
         raise ManifestError(f"line {line}: neither east/north nor lat/lon present")
-    if latlon is not None and (zone is None or not has_utm):
-        utm = latlon_to_utm(latlon)
-        if zone is None:
-            zone = (utm.zone_number, utm.hemisphere)
+    projected = lat is not None and (zone is None or not has_utm)
+    if projected and abs(lat) > MAX_UTM_LATITUDE:
+        raise ManifestError(f"line {line}: latitude {lat} outside the +/-{MAX_UTM_LATITUDE} degree UTM band")
+    east = north = None
     if has_utm:
         east = _parse_float(row["east"], "east", line)
         north = _parse_float(row["north"], "north", line)
-    else:
-        east, north = utm.east, utm.north
-
-    pose = GeoPose(east=east, north=north, heading=heading_raw % 360.0)
-    return (row["id"].strip(), pose, (row.get("uri") or "").strip() or None, lat, lon), zone
+    uri = (row.get("uri") or "").strip() or None
+    return [row["id"].strip(), east, north, heading_raw % 360.0, uri, lat, lon], zone, projected
 
 
 def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     """Parse and validate a manifest, reporting offending line numbers.
 
     Headings must lie in [0, 720) before normalization into [0, 360).
-    Duplicate ids, unknown columns, and mixed zones are rejected.
+    Duplicate ids, unknown columns, and mixed zones are rejected. Every row
+    is checked, in file order, before any is projected: the lat/lon rows
+    that need UTM positions are then projected in one call, which also
+    gives the zone of a manifest without zone columns.
     """
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
@@ -135,16 +145,27 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
         seen[rid] = line
         rows.append((line, row))
 
-    # (id, pose, uri, lat, lon) per row; records are built once the zone is known.
-    fields: list[tuple] = []
+    # [id, east, north, heading, uri, lat, lon] per row; records are built
+    # once the projected rows have their positions and zones.
+    fields: list[list] = []
     zone_of: list[tuple[int, str] | None] = []
+    projected: list[int] = []
     for line, row in rows:
-        try:
-            row_fields, zone = _parse_row(row, line)
-        except DomainError as exc:
-            raise ManifestError(f"line {line}: {exc}") from exc
+        row_fields, zone, project = _parse_row(row, line)
+        if project:
+            projected.append(len(fields))
         fields.append(row_fields)
         zone_of.append(zone)
+
+    if projected:
+        utm = latlon_to_utm_arrays(
+            np.array([fields[i][5] for i in projected]), np.array([fields[i][6] for i in projected])
+        )
+        for i, east, north, zone_number, south in zip(projected, *(a.tolist() for a in utm)):
+            if fields[i][1] is None:
+                fields[i][1:3] = east, north
+            if zone_of[i] is None:
+                zone_of[i] = (zone_number, SOUTH if south else NORTH)
 
     explicit = sorted({z for z in zone_of if z is not None})
     if len(explicit) > 1:
@@ -152,9 +173,15 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     zone_number, hemisphere = explicit[0] if explicit else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
     return [
         ImageRecord(
-            id=rid, pose=pose, zone_number=zone_number, hemisphere=hemisphere, source_uri=uri, lat=lat, lon=lon
+            id=rid,
+            pose=GeoPose(east=east, north=north, heading=heading),
+            zone_number=zone_number,
+            hemisphere=hemisphere,
+            source_uri=uri,
+            lat=lat,
+            lon=lon,
         )
-        for rid, pose, uri, lat, lon in fields
+        for rid, east, north, heading, uri, lat, lon in fields
     ]
 
 

@@ -5,10 +5,11 @@ cosine similarity. Search is an exhaustive scan whose cost is exactly
 rows x dim multiply-accumulates per query; exactly equal computed
 similarities rank in insertion order, but BLAS may round duplicate rows'
 products differently by position, so duplicates can rank by that rounding.
-``recall_at_n`` scores queries in blocks, one matrix product per block,
-sized so a block's similarity matrix stays within about 1 MiB, and selects
-each query's top K with a partial partition plus an exact sort of the
-candidates (exact flat inner-product search, as in FAISS). A retrieved item
+``recall_at_n`` scores queries in blocks, one matrix product per block
+against a C-contiguous ``(dim, rows)`` copy of the database made once per
+call, sized so a block's similarity matrix stays within about 8 MiB. It
+selects each query's top K with a partial partition plus an exact sort of
+the candidates (exact flat inner-product search, as in FAISS). A retrieved item
 counts as correct for a query when its pose lies within the metric
 threshold of the query pose, both taken in one shared UTM zone.
 """
@@ -28,7 +29,7 @@ _UNIT_TOL = 1e-5
 DEFAULT_KS = (1, 5, 10, 20)
 DEFAULT_THRESHOLD_M = 25.0
 # Bytes of one search block's (queries x rows) similarity matrix.
-SEARCH_BLOCK_BYTES = 1 << 20
+SEARCH_BLOCK_BYTES = 8 << 20
 REPORT_FORMAT = "eval-report"
 REPORT_VERSION = 1
 
@@ -95,16 +96,17 @@ def _query_matrix(descriptors: Sequence[np.ndarray], dim: int) -> np.ndarray:
 def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
     """Row indices of the ``k`` largest entries of each row of ``sims``, by (-sim, row).
 
-    A partial partition finds each row's k-th largest similarity; every
-    entry at least that large, ties with it included, is a candidate, and
-    an exact sort of the candidates makes the cut. Returns (Q, min(k, N)).
+    A partial partition of a copy of the row finds its k-th largest
+    similarity; every entry at least that large, ties with it included, is
+    a candidate, and an exact sort of the candidates makes the cut. Copying
+    one row at a time keeps the block's similarity matrix the only large
+    buffer. Returns (Q, min(k, N)).
     """
     n = sims.shape[1]
     k = min(k, n)
-    kth = np.partition(sims, n - k, axis=1)[:, n - k]
     out = np.empty((sims.shape[0], k), dtype=np.intp)
     for i, row in enumerate(sims):
-        candidates = np.flatnonzero(row >= kth[i])
+        candidates = np.flatnonzero(row >= np.partition(row, n - k)[n - k])
         out[i] = candidates[np.lexsort((candidates, -row[candidates]))[:k]]
     return out
 
@@ -176,9 +178,11 @@ def recall_at_n(
         descriptors = _query_matrix([d for d, _ in queries], index.dim)
         positions = np.array([(p.east, p.north) for _, p in queries], dtype=np.float64)
         block = max(1, SEARCH_BLOCK_BYTES // (8 * len(index)))
+        # (D, N) and C-contiguous, so each block's product streams the rows once.
+        database = np.ascontiguousarray(index.matrix.T)
         for start in range(0, len(queries), block):
             stop = start + block
-            sims = descriptors[start:stop] @ index.matrix.T
+            sims = descriptors[start:stop] @ database
             offsets = index.positions[_top_rows(sims, kmax)] - positions[start:stop, None, :]
             near = np.hypot(offsets[..., 0], offsets[..., 1]) <= threshold_m
             ranks = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 0)

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import io
 import math
+import struct
 import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -441,43 +442,102 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
-def _npy_layout(raw: bytes, known: dict[bytes, tuple]) -> tuple[int, tuple[int, ...], bool, np.dtype]:
-    """(data offset, shape, Fortran order, dtype) of one ``.npy`` member.
+# A zip member's local header: signature, flags, compression, name and extra lengths.
+_LOCAL_HEADER = struct.Struct("<4s2xHH16xHH")
+_LOCAL_SIGNATURE = b"PK\x03\x04"
+# Encrypted, compressed-patch and strongly encrypted members cannot be read.
+_UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
+_UTF8_NAME_FLAG = 0x800
+# Read buffer of a store: members are read in file order, most from this buffer.
+_STORE_BUFFER_BYTES = 1 << 20
+
+
+def _read_exact(src: BinaryIO, size: int) -> bytes:
+    data = src.read(size)
+    if len(data) != size:
+        raise EOFError("feature store ends inside a member")
+    return data
+
+
+def _npy_header(src: BinaryIO) -> bytes:
+    """The header bytes of the ``.npy`` array ``src`` is positioned at, up to its data."""
+    prefix = src.read(10)
+    if len(prefix) < 10 or prefix[:6] != b"\x93NUMPY":
+        raise ValueError("member is not an .npy array")
+    if prefix[6] == 1:
+        size = int.from_bytes(prefix[8:10], "little")
+    else:
+        prefix += _read_exact(src, 2)
+        size = int.from_bytes(prefix[8:12], "little")
+    return prefix + _read_exact(src, size)
+
+
+def _npy_layout(header: bytes, known: dict[bytes, tuple]) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """(shape, Fortran order, dtype) of one ``.npy`` header.
 
     ``known`` maps header bytes already parsed to their layout, so a store
     whose members share one header parses it once.
     """
-    if raw[:6] != b"\x93NUMPY" or len(raw) < 12:
-        raise ValueError("member is not an .npy array")
-    start = 10 + int.from_bytes(raw[8:10], "little") if raw[6] == 1 else 12 + int.from_bytes(raw[8:12], "little")
-    header = raw[:start]
     layout = known.get(header)
     if layout is None:
         fp = io.BytesIO(header)
         version = np.lib.format.read_magic(fp)
         if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fp)
+            layout = np.lib.format.read_array_header_1_0(fp)
         elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(fp)
+            layout = np.lib.format.read_array_header_2_0(fp)
         else:
             raise ValueError(f"unsupported .npy format version {version}")
-        layout = known[header] = (start, shape, fortran, dtype)
+        known[header] = layout
     return layout
+
+
+def _member_source(fh: BinaryIO, info: zipfile.ZipInfo) -> BinaryIO:
+    """Check a member's local header and return a stream at its first uncompressed byte.
+
+    A stored member is read from ``fh`` itself; a deflated one is inflated
+    into memory. The checks are the ones ``ZipFile.open`` makes: the
+    signature, the name against the central directory's, no encryption, and
+    a compression this reader knows.
+    """
+    fh.seek(info.header_offset)
+    signature, flags, method, name_len, extra_len = _LOCAL_HEADER.unpack(_read_exact(fh, _LOCAL_HEADER.size))
+    if signature != _LOCAL_SIGNATURE:
+        raise zipfile.BadZipFile(f"bad local header signature for member {info.filename!r}")
+    name = _read_exact(fh, name_len + extra_len)[:name_len]
+    if name != info.orig_filename.encode("utf-8" if info.flag_bits & _UTF8_NAME_FLAG else "cp437"):
+        raise zipfile.BadZipFile(f"member {info.filename!r} has local header name {name!r}")
+    if (flags | info.flag_bits) & _UNREADABLE_FLAGS:
+        raise zipfile.BadZipFile(f"member {info.filename!r} is encrypted")
+    if method != info.compress_type or method not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+        raise zipfile.BadZipFile(f"member {info.filename!r} has unsupported compression {info.compress_type}")
+    if method == zipfile.ZIP_STORED:
+        if info.compress_size != info.file_size:
+            raise zipfile.BadZipFile(f"stored member {info.filename!r} has unequal sizes")
+        return fh
+    data = zlib.decompress(_read_exact(fh, info.compress_size), -zlib.MAX_WBITS)
+    if len(data) != info.file_size:
+        raise zipfile.BadZipFile(f"member {info.filename!r} inflates to {len(data)} bytes, not {info.file_size}")
+    return io.BytesIO(data)
 
 
 def load_features(path: str | Path, ids: Iterable[str] | None = None) -> FeatureStore:
     """Arrays of a keyed ``.npz`` store (one member per record id), by id.
 
     Reads only the members named in ``ids`` (every member when ``ids`` is
-    None; a repeated id loads once), in one pass over the zip with its CRC
-    checks. Every member must share one shape and dtype: they are copied
-    into one ``(n, *shape)`` block, which the returned store holds. An id
+    None; a repeated id loads once). ``zipfile`` reads the central
+    directory; each member is then read once, in file order: its local
+    header and ``.npy`` header are checked and its data is read straight
+    into its row of one ``(n, *shape)`` block, which the returned store
+    holds. Stored and deflated (``np.savez_compressed``) members load;
+    C- and Fortran-order members of any byte order keep their values. Every
+    member must share one shape and dtype, and its CRC-32 must match. An id
     missing from the store raises ManifestError; an unreadable or corrupt
     store, an object-dtype member, or mixed shapes or dtypes raise
     DomainError.
     """
     try:
-        with zipfile.ZipFile(path) as zf:
+        with open(path, "rb", buffering=_STORE_BUFFER_BYTES) as fh, zipfile.ZipFile(fh) as zf:
             names = list(dict.fromkeys(zf.namelist()))
             stray = next((n for n in names if not n.endswith(".npy")), None)
             if stray is not None:
@@ -490,29 +550,39 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> Feature
                 missing = next((k for k in keys if f"{k}.npy" not in present), None)
                 if missing is not None:
                     raise ManifestError(f"feature store {path} has no entry for record {missing!r}")
+            infos = [zf.getinfo(f"{key}.npy") for key in keys]
             known: dict[bytes, tuple] = {}
-            block = None
-            for i, key in enumerate(keys):
-                raw = zf.read(f"{key}.npy")
-                start, shape, fortran, dtype = _npy_layout(raw, known)
+            block = rows = scratch = first = None
+            for i in sorted(range(len(keys)), key=lambda i: infos[i].header_offset):
+                key, info = keys[i], infos[i]
+                src = _member_source(fh, info)
+                header = _npy_header(src)
+                shape, fortran, dtype = _npy_layout(header, known)
                 if dtype.hasobject:
                     raise DomainError(f"feature store {path}: member {key!r} holds Python objects (dtype {dtype})")
                 if block is None:
                     block = np.empty((len(keys), *shape), dtype=dtype)
-                    row_bytes = block.nbytes // len(keys)
+                    # Each row as raw bytes, for readinto and the CRC whatever the byte order.
+                    rows = block.reshape(len(keys), -1).view(np.uint8)
+                    scratch = np.empty(rows.shape[1], dtype=np.uint8)
+                    first = key
                 elif (shape, dtype) != (block.shape[1:], block.dtype):
                     raise DomainError(
                         f"feature store {path} mixes member layouts: {key!r} is {dtype}{list(shape)}, "
-                        f"{keys[0]!r} is {block.dtype}{list(block.shape[1:])}"
+                        f"{first!r} is {block.dtype}{list(block.shape[1:])}"
                     )
-                if len(raw) - start != row_bytes:
+                if info.file_size - len(header) != rows.shape[1]:
                     raise DomainError(
-                        f"feature store {path}: member {key!r} holds {len(raw) - start} data bytes, "
-                        f"its header says {row_bytes}"
+                        f"feature store {path}: member {key!r} holds {info.file_size - len(header)} data bytes, "
+                        f"its header says {rows.shape[1]}"
                     )
-                data = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=start)
-                block[i] = data.reshape(shape[::-1]).T if fortran else data.reshape(shape)
-    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
-        # RuntimeError: a corrupt header can mark a member encrypted or give it an unknown compression.
+                target = scratch if fortran else rows[i]
+                if src.readinto(target) != rows.shape[1]:
+                    raise EOFError(f"feature store ends inside member {key!r}")
+                if zlib.crc32(target, zlib.crc32(header)) != info.CRC:
+                    raise zipfile.BadZipFile(f"Bad CRC-32 for member {key!r}")
+                if fortran:
+                    block[i] = scratch.view(dtype).reshape(shape[::-1]).T
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise DomainError(f"cannot read feature store {path}: {exc}") from exc
     return FeatureStore(keys, np.empty(0) if block is None else block)

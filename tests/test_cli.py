@@ -268,7 +268,7 @@ def test_sweep_over_groups_used(workspace, tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("param,value,recall_at_1")
     assert len(lines) == 3
-    assert out.with_suffix(".meta.json").exists()
+    assert not out.with_suffix(".meta.json").exists()
 
 
 def test_sweep_row_reproducible_from_its_own_train_run(workspace, tmp_path, capsys):
@@ -833,6 +833,28 @@ def test_eval_rejects_store_member_with_corrupt_header(workspace, tiny_model, tm
     err = capsys.readouterr().err
     _single_error_line(err, "domain")
     assert str(store) in err
+
+
+def test_eval_rejects_store_member_whose_local_name_differs(workspace, tiny_model, tmp_path, capsys):
+    # The central directory still names the member; only its local header is renamed.
+    _, cfg_path, world_dir = workspace
+    db_ids = [r.id for r in ingest.load_manifest(world_dir / "db.csv")]
+    blob = (world_dir / "features.npz").read_bytes()
+    at = zipfile.ZipFile(io.BytesIO(blob)).getinfo(f"{db_ids[1]}.npy").header_offset + 30
+    assert blob[at : at + 1] == b"p"
+    store = tmp_path / "bad.npz"
+    store.write_bytes(blob[:at] + b"q" + blob[at + 1 :])
+    capsys.readouterr()
+    rc = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(store),
+        "--queries", str(world_dir / "queries.csv"),
+        "--query-features", str(world_dir / "query_features.npz"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert str(store) in err and f"{db_ids[1]}.npy" in err
 
 
 DERIVED_KEYS = ["train.val_threshold_m", "city.cell_size_m", "city.heading_bin_deg"]

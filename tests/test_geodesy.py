@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from geoloc.geodesy import (
     LatLon,
     UtmCoord,
     latlon_to_utm,
+    latlon_to_utm_arrays,
     utm_to_latlon,
     zone_number_for_longitude,
 )
@@ -124,3 +126,48 @@ def test_utm_in_zone_easting_range():
         for lon in (-177.0, -10.2, 0.1, 44.4, 179.0):
             c = latlon_to_utm(LatLon(lat, lon))
             assert 100000.0 < c.east < 900000.0
+
+
+def _reference_utm(lat: float, lon: float) -> tuple[float, float, int, bool]:
+    """The order-6 Krueger series point by point with ``math``: (east, north, zone, south)."""
+    from geoloc import geodesy as g
+
+    zone = int((lon + 180.0) // 6.0) + 1
+    phi = math.radians(lat)
+    lam = math.radians(lon) - math.radians((zone - 1) * 6.0 - 177.0)
+    s = math.sin(phi)
+    t = math.sinh(math.atanh(s) - g._E * math.atanh(g._E * s))
+    xi_p = math.atan2(t, math.cos(lam))
+    eta_p = math.asinh(math.sin(lam) / math.hypot(t, math.cos(lam)))
+    xi, eta = xi_p, eta_p
+    for j, a in enumerate(g._ALPHA, start=1):
+        xi += a * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
+        eta += a * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
+    scale = g.UTM_SCALE * g._RECTIFYING_RADIUS
+    north = scale * xi + (g.FALSE_NORTHING_SOUTH if lat < 0.0 else 0.0)
+    return g.FALSE_EASTING + scale * eta, north, zone, lat < 0.0
+
+
+def test_array_projection_matches_the_scalar_one():
+    # Criterion 10's points, southern ones included.
+    rng = np.random.default_rng(100)
+    lats = rng.uniform(-70.0, 70.0, size=10_000)
+    lons = rng.uniform(-180.0, 180.0, size=10_000)
+    east, north, zone, south = latlon_to_utm_arrays(lats, lons)
+    assert south.any() and not south.all()
+    for i, (lat, lon) in enumerate(zip(lats, lons)):
+        c = latlon_to_utm(LatLon(float(lat), float(lon)))
+        ref_east, ref_north, ref_zone, ref_south = _reference_utm(float(lat), float(lon))
+        for value in (east[i], c.east):
+            assert abs(value - ref_east) < 1e-8
+        for value in (north[i], c.north):
+            assert abs(value - ref_north) < 1e-8
+        assert c.zone_number == zone[i] == ref_zone
+        assert c.hemisphere == ("south" if south[i] else "north") == ("south" if ref_south else "north")
+
+
+def test_array_projection_names_the_first_latitude_outside_the_band():
+    with pytest.raises(DomainError, match=r"latitude -85\.0 outside"):
+        latlon_to_utm_arrays(np.array([10.0, -85.0, 86.0]), np.array([0.0, 0.0, 0.0]))
+    with pytest.raises(DomainError, match="latitude nan outside"):
+        latlon_to_utm_arrays(np.array([float("nan")]), np.array([0.0]))

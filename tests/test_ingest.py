@@ -152,3 +152,29 @@ def test_out_of_range_zone_or_latitude_rejected(row, problem):
 
 def test_integral_zone_text_accepted():
     assert parse("id,east,north,heading,zone,hemisphere\na,1,2,3,33.0,south\n")[0].zone_number == 33
+
+
+def _latlon_manifest(lats, lons, headings=None):
+    headings = headings or [10.0] * len(lats)
+    rows = [f"r{i},{lat!r},{lon!r},{h!r}" for i, (lat, lon, h) in enumerate(zip(lats, lons, headings))]
+    return "id,lat,lon,heading\n" + "\n".join(rows) + "\n"
+
+
+def test_latitude_outside_the_utm_band_names_its_late_line():
+    lats = [37.7 + 1e-5 * i for i in range(500)]
+    lats[470] = 84.5
+    headings = [10.0] * 500
+    headings[490] = 800.0  # a later bad row must not be the one reported
+    with pytest.raises(ManifestError, match=r"^line 472: latitude 84\.5 outside the \+/-84"):
+        parse(_latlon_manifest(lats, [-122.4] * 500, headings))
+    lats[470] = 37.7
+    with pytest.raises(ManifestError, match=r"^line 492: heading 800\.0"):
+        parse(_latlon_manifest(lats, [-122.4] * 500, headings))
+
+
+def test_latlon_manifest_spanning_two_zones_rejected():
+    lons = [-120.5 + 0.002 * i for i in range(500)]  # crosses the zone 10/11 edge at -120
+    with pytest.raises(ManifestError, match=r"mixes zones/hemispheres: \[\(10, 'north'\), \(11, 'north'\)\]"):
+        parse(_latlon_manifest([37.7] * 500, lons))
+    with pytest.raises(ManifestError, match="mixes zones"):
+        parse(_latlon_manifest([0.5 - 0.002 * i for i in range(500)], [-122.4] * 500))

@@ -1,4 +1,7 @@
 import dataclasses
+import io
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -247,3 +250,32 @@ def test_store_rows_index_its_block_and_name_an_absent_id(tmp_path):
     assert store["r1"].base is store.block
     with pytest.raises(ManifestError, match="'r0'"):
         store.rows(["r1", "r0"])
+
+
+def test_load_features_reads_a_compressed_store_like_np_load(tmp_path):
+    rng = np.random.default_rng(4)
+    arrays = {f"r{i}": rng.standard_normal((3, 2, 4)) for i in range(5)}
+    arrays["r2"] = np.asfortranarray(arrays["r2"])
+    path = tmp_path / "store.npz"
+    np.savez_compressed(path, **arrays)
+    with zipfile.ZipFile(path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    wanted = ["r3", "r2", "r0"]
+    got = load_features(path, wanted)
+    assert list(got) == wanted
+    with np.load(path) as reference:
+        for key in wanted:
+            np.testing.assert_array_equal(got[key], reference[key])
+
+
+def test_load_features_rejects_a_crc_flip_in_a_fortran_member(tmp_path):
+    arrays = {f"r{i}": np.asfortranarray(np.arange(24.0).reshape(3, 2, 4) + i) for i in range(3)}
+    path = tmp_path / "store.npz"
+    np.savez(path, **arrays)
+    blob = path.read_bytes()
+    info = zipfile.ZipFile(io.BytesIO(blob)).getinfo("r1.npy")
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    last = info.header_offset + 30 + name_len + extra_len + info.compress_size - 1
+    path.write_bytes(blob[:last] + bytes([blob[last] ^ 0x01]) + blob[last + 1 :])
+    with pytest.raises(DomainError, match="CRC"):
+        load_features(path)
