@@ -12,9 +12,17 @@ to the power p once and returns the descriptors with a ``ForwardCache``
 ``backward_cached`` turns descriptor gradients into exact analytic gradients
 of the composed map pool -> affine -> normalize with respect to the
 projection, the bias and, only when asked, the GeM exponent p, without
-pooling again. ``pool``, ``forward``/``forward_batch`` and
-``backward``/``backward_batch`` call the same kernel; the gradients are
-verified against central finite differences in the tests.
+pooling again. ``forward_cached`` is ``_pool`` followed by ``project`` (the
+affine map, the normalization and the cache). ``pool``,
+``forward``/``forward_batch`` and ``backward``/``backward_batch`` call the
+same kernel; the gradients are verified against central finite differences
+in the tests.
+
+With a fixed exponent (average, max, or GeM whose p is not learned) a map's
+pooled vector depends on the map alone, so training pools each stored map it
+reads once per run and each step runs ``project`` on the gathered vectors.
+That is not a descriptor cache: descriptors depend on the projection, which
+every step changes, and ``project`` recomputes them from the pooled inputs.
 """
 
 from __future__ import annotations
@@ -151,7 +159,19 @@ def forward_cached(m: EmbeddingModel, features: np.ndarray) -> tuple[np.ndarray,
         raise DomainError(f"batch must be (B, C, H, W), got shape {features.shape}")
     if features.shape[1] != m.channels:
         raise DomainError(f"feature maps have {features.shape[1]} channels, model expects {m.channels}")
-    pooled, gem_terms = _pool(features, m.pooling, m.gem_p)
+    return project(m, *_pool(features, m.pooling, m.gem_p))
+
+
+def project(
+    m: EmbeddingModel,
+    pooled: np.ndarray,
+    gem_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Unit-norm descriptors of (B, C) pooled vectors and the cache backward reuses.
+
+    ``gem_terms`` are ``_pool``'s GeM terms for the same rows; without them
+    ``backward_cached`` reports a zero p-gradient.
+    """
     raw = pooled @ m.projection.T + m.bias
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms < _NORM_FLOOR):

@@ -11,6 +11,11 @@ naive exponentials overflow at the default scale of 30.
 Head rows are stored unnormalized and normalized on the fly, and the
 backward pass chains through that normalization, so optimizer updates on
 the stored rows stay unconstrained.
+
+``margin_cosine_loss_and_grads`` checks its inputs, then runs
+``margin_cosine_kernel``; the training step calls the kernel directly, since
+its descriptors are normalized by the projection and its labels index the
+head they were sampled for.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ def new_head(group: GroupId, num_classes: int, dim: int, seed: int) -> Classifie
 
 def _check_inputs(
     descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     descriptors = np.asarray(descriptors, dtype=np.float64)
     labels = np.asarray(labels)
     if descriptors.ndim != 2 or descriptors.shape[0] < 1:
@@ -86,11 +91,9 @@ def _check_inputs(
     norms = np.linalg.norm(descriptors, axis=1)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise DomainError("descriptors must be unit-norm")
-    row_norms = np.linalg.norm(head.weights, axis=1)
-    if np.any(row_norms < _ROW_NORM_FLOOR):
+    if np.any(np.linalg.norm(head.weights, axis=1) < _ROW_NORM_FLOOR):
         raise DomainError("head has a zero weight row")
-    w_hat = head.weights / row_norms[:, None]
-    return descriptors, labels, w_hat, row_norms
+    return descriptors, labels
 
 
 def _margin_logits(
@@ -102,16 +105,20 @@ def _margin_logits(
     return z
 
 
-def margin_cosine_loss_and_grads(
+def margin_cosine_kernel(
     descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead, cfg: LossConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean loss over the batch and its gradients wrt descriptors and the stored head rows.
+    """``margin_cosine_loss_and_grads`` without its input checks.
 
-    One input check and one logit pass serve the value and both gradients.
+    The caller guarantees what ``_check_inputs`` would check: float64
+    unit-norm (B, D) descriptors with B >= 1, one integer label in
+    [0, num_classes) per row, and a head of the same D with no zero row. A
+    training step meets these by construction.
     """
-    descriptors, labels, w_hat, row_norms = _check_inputs(descriptors, labels, head)
     batch = len(labels)
     rows = np.arange(batch)
+    row_norms = np.linalg.norm(head.weights, axis=1)
+    w_hat = head.weights / row_norms[:, None]
     z = _margin_logits(descriptors, labels, w_hat, cfg)
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
@@ -128,6 +135,17 @@ def margin_cosine_loss_and_grads(
     radial = (grad_w_hat * w_hat).sum(axis=1, keepdims=True)
     grad_weights = (grad_w_hat - radial * w_hat) / row_norms[:, None]
     return float(losses.mean()), grad_descriptors, grad_weights
+
+
+def margin_cosine_loss_and_grads(
+    descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead, cfg: LossConfig
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean loss over the batch and its gradients wrt descriptors and the stored head rows.
+
+    One input check and one logit pass serve the value and both gradients.
+    """
+    descriptors, labels = _check_inputs(descriptors, labels, head)
+    return margin_cosine_kernel(descriptors, labels, head, cfg)
 
 
 def margin_cosine_loss(

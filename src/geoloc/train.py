@@ -8,8 +8,17 @@ After each epoch a retrieval validation runs on the held-out split and the
 checkpoint with the best recall@1 is retained; heads never enter the
 exported inference model.
 
+Unless the GeM exponent is learned, pooling is a fixed function of the
+stored maps, so the run pools every row it will read once, before the first
+step (``PooledRows``): the used groups' members and the validation split.
+Each step then gathers pooled rows and runs projection, loss, backward and
+Adam; each validation projects the pooled split. With a learned exponent
+the step pools its gathered maps and each validation pools the split again.
+Pooled vectors are inputs, not descriptors: descriptors depend on the
+projection that every step changes, and none outlives its step or chunk.
+
 The loop holds at most one batch of descriptors at a time (validation
-embeds in batch-sized chunks straight into the index matrix); the
+projects in batch-sized chunks straight into the index matrix); the
 ``DescriptorBudget`` instrumentation records the peak so the no-cache
 contract is testable.
 """
@@ -33,7 +42,7 @@ from .loss import (  # noqa: F401
     ClassifierHead,
     LossConfig,
     margin_cosine_grads,
-    margin_cosine_loss_and_grads,
+    margin_cosine_kernel,
     new_head,
 )
 from .partition import GroupId, Partition, enumerate_groups
@@ -211,18 +220,57 @@ def embed_records(
     return out
 
 
+class PooledRows:
+    """Pooled vectors of chosen rows of one feature store, looked up by store row.
+
+    Each distinct row is pooled once, ``chunk`` maps at a time: pooling a
+    whole block in one call would hold two (N, C, H, W) GeM temporaries. A
+    non-finite map raises DomainError naming its record. Look up only rows
+    given at construction.
+    """
+
+    def __init__(self, store: FeatureStore, rows: np.ndarray, pooling: str, p: float, chunk: int) -> None:
+        used = np.unique(rows)
+        self.vectors = np.empty((len(used), store.block.shape[1]))
+        for start in range(0, len(used), chunk):
+            part = used[start : start + chunk]
+            maps = store.block[part]
+            try:
+                self.vectors[start : start + len(part)] = embed.pool(maps, pooling, p)
+            except DomainError:
+                bad = ~np.isfinite(maps).reshape(len(part), -1).all(axis=1)
+                if not bad.any():
+                    raise
+                raise DomainError(
+                    f"feature map of record {store.ids[part[bad.argmax()]]!r} contains non-finite values"
+                ) from None
+        self.slot = np.full(len(store), -1, dtype=np.intp)
+        self.slot[used] = np.arange(len(used))
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        return self.vectors[self.slot[rows]]
+
+
 def _validate(
     model: EmbeddingModel,
     val_db: Sequence[ImageRecord],
     val_queries: Sequence[ImageRecord],
-    features: FeatureStore,
-    query_features: FeatureStore,
+    db: tuple[PooledRows, np.ndarray],
+    queries: tuple[PooledRows, np.ndarray],
     cfg: TrainConfig,
     budget: DescriptorBudget,
 ) -> dict[int, float]:
-    db_vecs = embed_records(model, val_db, features, cfg.batch_size, budget)
-    q_vecs = embed_records(model, val_queries, query_features, cfg.batch_size, budget)
-    return evaluate(db_vecs, val_db, q_vecs, val_queries, VALIDATION_KS, cfg.val_threshold_m).recall_at
+    """Recall of the validation split: each side's pooled store rows, projected ``batch_size`` rows at a time."""
+    vecs = []
+    for pooled, rows in (db, queries):
+        out = np.empty((len(rows), model.output_dim))
+        for start in range(0, len(rows), cfg.batch_size):
+            chunk = rows[start : start + cfg.batch_size]
+            budget.acquire(len(chunk))
+            out[start : start + len(chunk)] = embed.project(model, pooled[chunk])[0]
+            budget.release(len(chunk))
+        vecs.append(out)
+    return evaluate(vecs[0], val_db, vecs[1], val_queries, VALIDATION_KS, cfg.val_threshold_m).recall_at
 
 
 def run_training(
@@ -247,6 +295,8 @@ def run_training(
 
     groups = used_groups(partition, cfg)
     tables = {g: group_table(partition, g, features) for g in groups}
+    val_rows = features.rows(r.id for r in val_db)
+    query_rows = query_features.rows(r.id for r in val_queries)
     if cfg.groups_used == 1:
         logger.info("single group in use: the schedule degenerates to one plain cosFace run")
 
@@ -278,6 +328,21 @@ def run_training(
     model_moments = AdamMoments.zeros_like(params)
     # A head steps only in its group's epochs, so each keeps its own count.
     head_moments = {g: AdamMoments.zeros_like(heads[g].weights) for g in groups}
+
+    shared = query_features is features
+
+    def pool(train_rows: list[np.ndarray]) -> tuple[PooledRows, PooledRows]:
+        """Both stores pooled at the current exponent: ``train_rows`` plus the validation split."""
+        reads = [*train_rows, val_rows, query_rows] if shared else [*train_rows, val_rows]
+        db = PooledRows(features, np.concatenate(reads), model.pooling, model.gem_p, cfg.batch_size)
+        queries = db if shared else PooledRows(query_features, query_rows, model.pooling, model.gem_p, cfg.batch_size)
+        return db, queries
+
+    # Unless p is learned, a map's pooled vector is fixed: pool each row the
+    # run reads once. The pooled vectors are inputs, not descriptors, so the
+    # one-batch descriptor budget still holds.
+    if not learn_p:
+        pooled, query_pooled = pool([t.rows for t in tables.values()])
     for epoch in range(cfg.total_epochs):
         group = groups[epoch % cfg.groups_used]
         head = heads[group]
@@ -285,8 +350,11 @@ def run_training(
         for it in range(cfg.iterations_per_epoch):
             batch = sample_batch(tables[group], cfg.batch_size, sampler)
             budget.acquire(len(batch))
-            descriptors, cache = embed.forward_cached(model, features.block[batch[:, 0]])
-            loss_value, grad_desc, grad_w = margin_cosine_loss_and_grads(descriptors, batch[:, 1], head, cfg.loss)
+            if learn_p:
+                descriptors, cache = embed.forward_cached(model, features.block[batch[:, 0]])
+            else:
+                descriptors, cache = embed.project(model, pooled[batch[:, 0]])
+            loss_value, grad_desc, grad_w = margin_cosine_kernel(descriptors, batch[:, 1], head, cfg.loss)
             if not np.isfinite(loss_value):
                 raise TrainingError(
                     f"loss diverged to {loss_value} at epoch {epoch}, iteration {it}"
@@ -301,7 +369,9 @@ def run_training(
             adam_step(head.weights, grad_w, head_moments[group], cfg)
             iteration_losses.append(loss_value)
 
-        recalls = _validate(model, val_db, val_queries, features, query_features, cfg, budget)
+        if learn_p:
+            pooled, query_pooled = pool([])
+        recalls = _validate(model, val_db, val_queries, (pooled, val_rows), (query_pooled, query_rows), cfg, budget)
         mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
         state.history.append(
             EpochStats(

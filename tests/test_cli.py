@@ -627,6 +627,36 @@ def test_train_rejects_partition_member_missing_from_store(workspace, tmp_path, 
     assert repr(missing) in err and str(store) in err
 
 
+def test_train_names_the_record_whose_map_is_not_finite(workspace, tmp_path, capsys):
+    # Epoch 0 of a one-epoch run trains group 0 only, so no step reads the
+    # group-2 member; the map is still one that the run loads and pools.
+    _, cfg_path, world_dir = workspace
+    schedule = ["--set", "train.groups_used=4", "--set", "train.total_epochs=1"]
+    part_path = tmp_path / "partition.json"
+    assert main(["partition", "--config", str(cfg_path),
+                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
+    part = load_partition(part_path)
+    group = used_groups(part, dataclasses.replace(load_run_config(cfg_path).train, groups_used=4))[2]
+    bad = part.class_members[part.group_classes[group][0]][0]
+    store = tmp_path / "features.npz"
+    with np.load(world_dir / "features.npz") as full:
+        arrays = {rid: full[rid] for rid in full.files}
+    arrays[bad][0, 0, 0] = np.nan
+    np.savez(store, **arrays)
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path), *schedule,
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(store),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert repr(bad) in err
+    assert not (tmp_path / "run" / "model_best.json").exists()
+
+
 def _flip_member_byte(blob: bytes, member: str) -> bytes:
     """Flip the last data byte of one stored zip member, leaving its CRC stale."""
     info = zipfile.ZipFile(io.BytesIO(blob)).getinfo(member)

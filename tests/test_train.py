@@ -14,6 +14,7 @@ from geoloc.partition import PartitionConfig, build_partition, enumerate_groups
 from geoloc.synth import CityConfig, generate_city
 from geoloc.train import (
     AdamMoments,
+    PooledRows,
     TrainConfig,
     adam_step,
     export_inference_model,
@@ -298,6 +299,52 @@ def test_gem_p_gradient_computed_only_when_learned(world, setup, monkeypatch, le
     )
     run_training(part, world.features, cfg, val_db, val_q, world.query_features)
     assert len(calls) == (cfg.iterations_per_epoch if learn_p else 0)
+
+
+@pytest.mark.parametrize("pooling", ["gem", "average", "max"])
+def test_pooled_rows_equal_pooling_the_gathered_batch(world, setup, pooling):
+    part, _, _ = setup
+    table = group_table(part, enumerate_groups(part.config)[0], world.features)
+    rng = np.random.default_rng(3)
+    rows = np.concatenate([rng.permutation(table.rows), table.rows[:5]])
+    picks = rng.choice(table.rows, size=3 * BASE.batch_size)
+    assert len(np.unique(picks)) < len(picks) and np.any(np.diff(picks) < 0)
+    want = embed.pool(world.features.block[picks], pooling, 3.0)
+    for chunk in (1, 7, BASE.batch_size, len(table.rows)):
+        pooled = PooledRows(world.features, rows, pooling, 3.0, chunk)
+        assert np.array_equal(pooled[picks], want)
+
+
+@pytest.mark.parametrize("learn_p", [False, True])
+def test_maps_pooled_once_per_run_unless_p_is_learned(world, setup, monkeypatch, learn_p):
+    part, val_db, val_q = setup
+    calls = []
+    original = embed._pool
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "_pool", counted)
+    counts = {}
+    for iterations, epochs in ((5, 1), (10, 1), (5, 2)):
+        cfg = dataclasses.replace(
+            BASE,
+            iterations_per_epoch=iterations,
+            total_epochs=epochs,
+            model=ModelConfig(output_dim=16, pooling="gem", gem_p=3.0, learn_gem_p=learn_p),
+        )
+        calls.clear()
+        run_training(part, world.features, cfg, val_db, val_q, world.query_features)
+        counts[iterations, epochs] = len(calls)
+    if learn_p:
+        # Each iteration pools its batch, and each validation pools the split again.
+        per_validation = counts[5, 1] - 5
+        assert per_validation > 0
+        assert counts[10, 1] == counts[5, 1] + 5
+        assert counts[5, 2] == 2 * counts[5, 1]
+    else:
+        assert counts[5, 1] == counts[10, 1] == counts[5, 2]
 
 
 def test_first_epoch_loss_trend_is_decreasing(world, setup):

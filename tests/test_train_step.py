@@ -16,6 +16,7 @@ from geoloc.loss import (
     ClassifierHead,
     LossConfig,
     margin_cosine_grads,
+    margin_cosine_kernel,
     margin_cosine_loss,
     margin_cosine_loss_and_grads,
 )
@@ -138,6 +139,12 @@ def test_cached_step_equals_uncached_composition(pooling, learn_p, monkeypatch):
 
         # The public entry points share the kernel and agree exactly.
         assert np.array_equal(embed.forward_batch(m, maps), ref_desc)
+        # So does a fixed-p training step: project pooled vectors, then the unchecked loss kernel.
+        pooled_desc, _ = embed.project(m, embed.pool(maps, m.pooling, m.gem_p))
+        assert np.array_equal(pooled_desc, ref_desc)
+        kernel_loss, kernel_grad_desc, kernel_grad_w = margin_cosine_kernel(pooled_desc, labels, head, CFG)
+        assert kernel_loss == loss
+        assert np.array_equal(kernel_grad_desc, grad_desc) and np.array_equal(kernel_grad_w, grad_w)
         assert np.array_equal(embed.pool(maps, m.pooling, m.gem_p), reference_pool(maps, m.pooling, m.gem_p))
         assert margin_cosine_loss(descriptors, labels, head, CFG) == loss
         for got, want in zip(margin_cosine_grads(descriptors, labels, head, CFG), (grad_desc, grad_w)):
