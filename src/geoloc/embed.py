@@ -2,9 +2,10 @@
 
 Inputs are feature maps of shape (C, H, W); the deep backbone that would
 produce them on real imagery is out of scope, so maps come from a feature
-store or the synthetic-world generator. Generalized-mean pooling clamps at
-zero first so the p-th power stays real; p = 1 reproduces average pooling
-and large p approaches max pooling.
+store or the synthetic-world generator, which writes float32. Pooling casts
+the maps to float64, so every later step computes in float64.
+Generalized-mean pooling clamps at zero first so the p-th power stays real;
+p = 1 reproduces average pooling and large p approaches max pooling.
 
 Training runs one cached step: ``forward_cached`` raises each clamped map
 to the power p once and returns the descriptors with a ``ForwardCache``

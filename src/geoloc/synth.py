@@ -15,6 +15,10 @@ the nuisance keeps an untrained projection from solving retrieval for
 free. Query-side maps get an extra seeded perturbation to mimic a domain
 shift.
 
+Maps are computed in float64 and stored as float32, rounded once; the query
+perturbation is added before the rounding. ``load_features`` keeps a store's
+dtype, so a reloaded world holds the generated bits; the embedding computes in float64.
+
 Everything is generated from one seeded stream, so equal configs produce
 bit-identical worlds.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -100,11 +105,19 @@ class FeatureStore(Mapping[str, np.ndarray]):
     """Read-only feature maps by record id, held as one ``(N, C, H, W)`` block.
 
     Row ``i`` of ``block`` is the map of ``ids[i]``; ``rows`` turns ids into row indices.
+    The block keeps its dtype; one that is not real numbers, or a non-finite
+    map (named by its record), raises DomainError, so readers need not check again.
     """
 
     def __init__(self, ids: Sequence[str], block: np.ndarray) -> None:
         self.ids = list(ids)
         self.block = block
+        if block.dtype.kind not in "biuf":
+            raise DomainError(f"feature maps must be real numbers, not {block.dtype}")
+        # min and max propagate NaN and reach any infinity, without a block-sized temporary.
+        if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            bad = ~np.isfinite(block.reshape(len(block), -1)).all(axis=1)
+            raise DomainError(f"feature map of record {self.ids[bad.argmax()]!r} contains non-finite values")
         self._row = {rid: i for i, rid in enumerate(self.ids)}
 
     def __getitem__(self, rid: str) -> np.ndarray:
@@ -221,7 +234,8 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
     offset = float(-signal.min()) + 1.0 + 4.0 * (cfg.noise_sigma + cfg.nuisance_sigma + cfg.domain_shift_sigma)
 
     records: list[ImageRecord] = []
-    block = np.empty((len(place_positions) * cfg.headings_per_place * cfg.images_per_place_heading, c, h, w))
+    n_images = len(place_positions) * cfg.headings_per_place * cfg.images_per_place_heading
+    block = np.empty((n_images, c, h, w), dtype=np.float32)
     shifted = cfg.domain_shift_sigma > 0.0
     query_block = np.empty_like(block) if shifted else block
     latent_key_of: dict[str, tuple[int, int]] = {}
@@ -240,9 +254,10 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
                         nuisance_lift @ rng.standard_normal(cfg.nuisance_dim)
                     )
                 row = len(records)
-                np.add(chan[:, None, None], cfg.noise_sigma * rng.standard_normal((c, h, w)), out=block[row])
+                fmap = chan[:, None, None] + cfg.noise_sigma * rng.standard_normal((c, h, w))
+                block[row] = fmap
                 if shifted:
-                    np.add(block[row], cfg.domain_shift_sigma * rng.standard_normal((c, h, w)), out=query_block[row])
+                    query_block[row] = fmap + cfg.domain_shift_sigma * rng.standard_normal((c, h, w))
                 records.append(
                     ImageRecord(
                         id=rid,
@@ -421,7 +436,7 @@ def oracle_pairwise_check(world: SyntheticWorld, part: Partition) -> list[Violat
 
 
 def write_world(world: SyntheticWorld, out_dir: str | Path) -> dict[str, Path]:
-    """Export manifest + feature stores + oracle latents for the CLI pipeline."""
+    """Export manifest + float32 feature stores + float64 oracle latents for the CLI pipeline."""
     out = make_dir(out_dir)
     paths = {
         "manifest": out / "manifest.csv",
@@ -533,8 +548,8 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> Feature
     C- and Fortran-order members of any byte order keep their values. Every
     member must share one shape and dtype, and its CRC-32 must match. An id
     missing from the store raises ManifestError; an unreadable or corrupt
-    store, an object-dtype member, or mixed shapes or dtypes raise
-    DomainError.
+    store, an object-dtype member, mixed shapes or dtypes, or a non-finite
+    map among those read raise DomainError.
     """
     try:
         with open(path, "rb", buffering=_STORE_BUFFER_BYTES) as fh, zipfile.ZipFile(fh) as zf:
@@ -583,6 +598,10 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> Feature
                     raise zipfile.BadZipFile(f"Bad CRC-32 for member {key!r}")
                 if fortran:
                     block[i] = scratch.view(dtype).reshape(shape[::-1]).T
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+    # numpy's .npy header reader lets a tokenizer error through on a mangled header dict.
+    except (OSError, EOFError, ValueError, SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error) as exc:
         raise DomainError(f"cannot read feature store {path}: {exc}") from exc
-    return FeatureStore(keys, np.empty(0) if block is None else block)
+    try:
+        return FeatureStore(keys, np.empty(0) if block is None else block)
+    except DomainError as exc:
+        raise DomainError(f"feature store {path}: {exc}") from None

@@ -224,9 +224,8 @@ class PooledRows:
     """Pooled vectors of chosen rows of one feature store, looked up by store row.
 
     Each distinct row is pooled once, ``chunk`` maps at a time: pooling a
-    whole block in one call would hold two (N, C, H, W) GeM temporaries. A
-    non-finite map raises DomainError naming its record. Look up only rows
-    given at construction.
+    whole block in one call would hold two (N, C, H, W) GeM temporaries.
+    Look up only rows given at construction.
     """
 
     def __init__(self, store: FeatureStore, rows: np.ndarray, pooling: str, p: float, chunk: int) -> None:
@@ -234,16 +233,7 @@ class PooledRows:
         self.vectors = np.empty((len(used), store.block.shape[1]))
         for start in range(0, len(used), chunk):
             part = used[start : start + chunk]
-            maps = store.block[part]
-            try:
-                self.vectors[start : start + len(part)] = embed.pool(maps, pooling, p)
-            except DomainError:
-                bad = ~np.isfinite(maps).reshape(len(part), -1).all(axis=1)
-                if not bad.any():
-                    raise
-                raise DomainError(
-                    f"feature map of record {store.ids[part[bad.argmax()]]!r} contains non-finite values"
-                ) from None
+            self.vectors[start : start + len(part)] = embed.pool(store.block[part], pooling, p)
         self.slot = np.full(len(store), -1, dtype=np.intp)
         self.slot[used] = np.arange(len(used))
 

@@ -657,6 +657,61 @@ def test_train_names_the_record_whose_map_is_not_finite(workspace, tmp_path, cap
     assert not (tmp_path / "run" / "model_best.json").exists()
 
 
+def test_train_with_learned_p_names_the_record_whose_map_is_not_finite(workspace, tmp_path, capsys):
+    # As above, with a learned exponent: no step pools the group-2 member,
+    # so only the store's own check can find it.
+    _, cfg_path, world_dir = workspace
+    schedule = ["--set", "train.groups_used=4", "--set", "train.total_epochs=1",
+                "--set", "train.model.learn_gem_p=true"]
+    part_path = tmp_path / "partition.json"
+    assert main(["partition", "--config", str(cfg_path),
+                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
+    part = load_partition(part_path)
+    group = used_groups(part, dataclasses.replace(load_run_config(cfg_path).train, groups_used=4))[2]
+    bad = part.class_members[part.group_classes[group][0]][0]
+    store = tmp_path / "features.npz"
+    with np.load(world_dir / "features.npz") as full:
+        arrays = {rid: full[rid] for rid in full.files}
+    arrays[bad][0, 0, 0] = np.nan
+    np.savez(store, **arrays)
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path), *schedule,
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(store),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert repr(bad) in err and str(store) in err
+    assert not (tmp_path / "run" / "model_best.json").exists()
+
+
+def test_eval_rejects_a_store_member_with_a_mangled_npy_header(workspace, tiny_model, tmp_path, capsys):
+    # numpy's header reader raises a tokenizer error on this dict (TokenError
+    # or SyntaxError, by Python version); the loader must turn it into one line.
+    _, cfg_path, world_dir = workspace
+    db_ids = [r.id for r in ingest.load_manifest(world_dir / "db.csv")]
+    store = tmp_path / "db_features.npz"
+    with np.load(world_dir / "features.npz") as full:
+        np.savez(store, **{rid: full[rid] for rid in db_ids})
+    blob = store.read_bytes()
+    at = blob.index(b"{", zipfile.ZipFile(io.BytesIO(blob)).getinfo(f"{db_ids[1]}.npy").header_offset)
+    store.write_bytes(blob[:at] + b"z" + blob[at + 1 :])
+    capsys.readouterr()
+    rc = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(store),
+        "--queries", str(world_dir / "queries.csv"),
+        "--query-features", str(world_dir / "query_features.npz"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert str(store) in err
+
+
 def _flip_member_byte(blob: bytes, member: str) -> bytes:
     """Flip the last data byte of one stored zip member, leaving its CRC stale."""
     info = zipfile.ZipFile(io.BytesIO(blob)).getinfo(member)

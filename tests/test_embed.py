@@ -90,6 +90,15 @@ def test_pool_rejects_bad_input():
         pool(np.ones((3, 2, 2)), "median")
 
 
+@pytest.mark.parametrize("pooling", [GEM, AVERAGE, MAX])
+def test_pool_of_float32_maps_equals_pool_of_their_float64_cast(pooling):
+    # Stores hold float32 maps; pooling computes in float64 whatever it is given.
+    maps = (np.random.default_rng(12).standard_normal((5, 6, 3, 2)) + 2.0).astype(np.float32)
+    got = pool(maps, pooling, 3.0)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, pool(maps.astype(np.float64), pooling, 3.0))
+
+
 def test_forward_identity_projection_one_hot():
     m = EmbeddingModel(pooling=AVERAGE, gem_p=3.0, projection=np.eye(4), bias=np.zeros(4))
     fm = np.zeros((4, 2, 2))

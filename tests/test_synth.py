@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 import struct
 import zipfile
 
@@ -11,6 +12,7 @@ from geoloc.partition import PartitionConfig, assign_class, build_partition
 from geoloc.retrieval import build_index, recall_at_n
 from geoloc.synth import (
     CityConfig,
+    FeatureStore,
     SYNTH_ZONE_NUMBER,
     generate_city,
     load_features,
@@ -205,6 +207,47 @@ def test_world_export_and_reload(tmp_path):
     np.testing.assert_allclose(store[records[0].id], world.features[records[0].id])
     latents = load_features(paths["latents"])
     np.testing.assert_allclose(latents[records[0].id], oracle_descriptor(world, records[0].id))
+
+
+def test_float32_world_stores_load_bitwise_equal_to_the_world(tmp_path):
+    world = generate_city(dataclasses.replace(SMALL, domain_shift_sigma=0.2))
+    paths = write_world(world, tmp_path)
+    for name, expected in (("features", world.features), ("query_features", world.query_features)):
+        store = load_features(paths[name])
+        assert store.ids == expected.ids
+        assert expected.block.dtype == store.block.dtype == np.float32
+        assert np.array_equal(store.block, expected.block)
+    with np.load(paths["latents"]) as latents:
+        assert {latents[key].dtype for key in latents.files} == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_store_rejects_a_non_finite_map_naming_its_record(tmp_path, bad):
+    block = np.ones((4, 2, 1, 1), dtype=np.float32)
+    block[2, 1, 0, 0] = bad
+    with pytest.raises(DomainError, match="'r2'"):
+        FeatureStore(["r0", "r1", "r2", "r3"], block)
+    path = tmp_path / "store.npz"
+    np.savez(path, **{f"r{i}": block[i] for i in range(4)})
+    with pytest.raises(DomainError, match=re.escape(str(path)) + ".*'r2'"):
+        load_features(path)
+    assert len(load_features(path, ["r0", "r3"])) == 2  # a load without the bad map succeeds
+
+
+def test_store_rejects_maps_that_are_not_real_numbers():
+    with pytest.raises(DomainError, match="real numbers"):
+        FeatureStore(["a"], np.array([[[["1.5"]]]]))
+
+
+@pytest.mark.parametrize("char", [b"z", b"'"])
+def test_load_features_rejects_a_mangled_npy_header(tmp_path, char):
+    path = tmp_path / "store.npz"
+    np.savez(path, a=np.ones((8, 2, 2)), b=np.ones((8, 2, 2)))
+    blob = path.read_bytes()
+    at = blob.index(b"{", zipfile.ZipFile(io.BytesIO(blob)).getinfo("b.npy").header_offset)
+    path.write_bytes(blob[:at] + char + blob[at + 1 :])
+    with pytest.raises(DomainError, match="cannot read feature store"):
+        load_features(path)
 
 
 @pytest.mark.parametrize("dtype", ["<f8", ">f4"])
