@@ -7,21 +7,22 @@ the maps to float64, so every later step computes in float64.
 Generalized-mean pooling clamps at zero first so the p-th power stays real;
 p = 1 reproduces average pooling and large p approaches max pooling.
 
-Training runs one cached step: ``forward_cached`` raises each clamped map
-to the power p once and returns the descriptors with a ``ForwardCache``
-(the powers, pooled vectors, raw norms and descriptors), and
-``backward_cached`` turns descriptor gradients into exact analytic gradients
-of the composed map pool -> affine -> normalize with respect to the
-projection, the bias and, only when asked, the GeM exponent p, without
-pooling again. ``forward_cached`` is ``_pool`` followed by ``project`` (the
-affine map, the normalization and the cache). ``pool``,
+A training step with a learned GeM exponent runs ``forward_cached``: it
+raises each clamped map to the power p once and returns the descriptors with
+a ``ForwardCache`` (the powers, pooled vectors, raw norms and descriptors),
+and ``backward_cached`` turns descriptor gradients into exact analytic
+gradients of the composed map pool -> affine -> normalize with respect to
+the projection, the bias and the GeM exponent p, without pooling again.
+``forward_cached`` is ``_pool`` followed by ``project`` (the affine map, the
+normalization and the cache). ``pool``,
 ``forward``/``forward_batch`` and ``backward``/``backward_batch`` call the
 same kernel; the gradients are verified against central finite differences
 in the tests.
 
 With a fixed exponent (average, max, or GeM whose p is not learned) a map's
-pooled vector depends on the map alone, so training pools each stored map it
-reads once per run and each step runs ``project`` on the gathered vectors.
+pooled vector depends on the map alone, so training pools each store once
+per run and each step runs ``project`` on the gathered vectors; that cache
+carries no GeM terms, so ``backward_cached`` skips the p-gradient.
 That is not a descriptor cache: descriptors depend on the projection, which
 every step changes, and ``project`` recomputes them from the pooled inputs.
 """
@@ -206,13 +207,11 @@ def _gem_dpool_dp(
     return out
 
 
-def backward_cached(
-    m: EmbeddingModel, cache: ForwardCache, grad_descriptors: np.ndarray, gem_p_grad: bool = True
-) -> ModelGradients:
+def backward_cached(m: EmbeddingModel, cache: ForwardCache, grad_descriptors: np.ndarray) -> ModelGradients:
     """Parameter gradients, summed over the batch, from a forward cache.
 
-    The GeM exponent's gradient is computed only when ``gem_p_grad`` is set;
-    otherwise it is reported as 0.
+    The GeM exponent's gradient is computed only when the cache carries GeM
+    terms (``forward_cached`` of a GeM model); otherwise it is reported as 0.
     """
     grad_descriptors = np.asarray(grad_descriptors, dtype=np.float64)
     d = cache.descriptors
@@ -224,7 +223,7 @@ def backward_cached(
     grad_projection = g_raw.T @ cache.pooled
     grad_bias = g_raw.sum(axis=0)
     grad_p = 0.0
-    if gem_p_grad and cache.gem_terms is not None:
+    if cache.gem_terms is not None:
         g_pooled = g_raw @ m.projection
         dpool_dp = _gem_dpool_dp(*cache.gem_terms, cache.pooled, m.gem_p)
         grad_p = float((g_pooled * dpool_dp).sum())

@@ -9,13 +9,14 @@ checkpoint with the best recall@1 is retained; heads never enter the
 exported inference model.
 
 Unless the GeM exponent is learned, pooling is a fixed function of the
-stored maps, so the run pools every row it will read once, before the first
-step (``PooledRows``): the used groups' members and the validation split.
-Each step then gathers pooled rows and runs projection, loss, backward and
-Adam; each validation projects the pooled split. With a learned exponent
-the step pools its gathered maps and each validation pools the split again.
-Pooled vectors are inputs, not descriptors: descriptors depend on the
-projection that every step changes, and none outlives its step or chunk.
+stored maps, so the run pools each store once, before the first step, into
+one (N, C) array indexed by block row (``pool_store``). Each step then
+gathers its pooled rows and runs projection, loss, backward and Adam; each
+validation projects the split's pooled rows. With a learned exponent the
+step pools its gathered maps and both stores are pooled again before each
+validation. Pooled vectors are inputs, not descriptors: descriptors depend
+on the projection that every step changes, and none outlives its step or
+chunk.
 
 The loop holds at most one batch of descriptors at a time (validation
 projects in batch-sized chunks straight into the index matrix); the
@@ -220,44 +221,35 @@ def embed_records(
     return out
 
 
-class PooledRows:
-    """Pooled vectors of chosen rows of one feature store, looked up by store row.
+def pool_store(store: FeatureStore, pooling: str, p: float, chunk: int) -> np.ndarray:
+    """Every map of ``store`` pooled into one (N, C) array, row ``i`` from block row ``i``.
 
-    Each distinct row is pooled once, ``chunk`` maps at a time: pooling a
-    whole block in one call would hold two (N, C, H, W) GeM temporaries.
-    Look up only rows given at construction.
+    Pools ``chunk`` maps per call: pooling a whole block in one call would
+    hold two (N, C, H, W) GeM temporaries.
     """
-
-    def __init__(self, store: FeatureStore, rows: np.ndarray, pooling: str, p: float, chunk: int) -> None:
-        used = np.unique(rows)
-        self.vectors = np.empty((len(used), store.block.shape[1]))
-        for start in range(0, len(used), chunk):
-            part = used[start : start + chunk]
-            self.vectors[start : start + len(part)] = embed.pool(store.block[part], pooling, p)
-        self.slot = np.full(len(store), -1, dtype=np.intp)
-        self.slot[used] = np.arange(len(used))
-
-    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
-        return self.vectors[self.slot[rows]]
+    pooled = np.empty(store.block.shape[:2])
+    for start in range(0, len(store), chunk):
+        pooled[start : start + chunk] = embed.pool(store.block[start : start + chunk], pooling, p)
+    return pooled
 
 
 def _validate(
     model: EmbeddingModel,
     val_db: Sequence[ImageRecord],
     val_queries: Sequence[ImageRecord],
-    db: tuple[PooledRows, np.ndarray],
-    queries: tuple[PooledRows, np.ndarray],
+    db_pooled: np.ndarray,
+    query_pooled: np.ndarray,
     cfg: TrainConfig,
     budget: DescriptorBudget,
 ) -> dict[int, float]:
-    """Recall of the validation split: each side's pooled store rows, projected ``batch_size`` rows at a time."""
+    """Recall of the validation split from each side's pooled vectors, projected ``batch_size`` rows at a time."""
     vecs = []
-    for pooled, rows in (db, queries):
-        out = np.empty((len(rows), model.output_dim))
-        for start in range(0, len(rows), cfg.batch_size):
-            chunk = rows[start : start + cfg.batch_size]
+    for pooled in (db_pooled, query_pooled):
+        out = np.empty((len(pooled), model.output_dim))
+        for start in range(0, len(pooled), cfg.batch_size):
+            chunk = pooled[start : start + cfg.batch_size]
             budget.acquire(len(chunk))
-            out[start : start + len(chunk)] = embed.project(model, pooled[chunk])[0]
+            out[start : start + len(chunk)] = embed.project(model, chunk)[0]
             budget.release(len(chunk))
         vecs.append(out)
     return evaluate(vecs[0], val_db, vecs[1], val_queries, VALIDATION_KS, cfg.val_threshold_m).recall_at
@@ -274,9 +266,10 @@ def run_training(
     """Train over the first ``groups_used`` groups, one group per epoch.
 
     ``features`` holds each image's (C, H, W) map; ``query_features``
-    optionally overrides the store for validation queries (domain shift).
-    Raises TrainingError when a group among the first G is unusable or the
-    loss turns non-finite.
+    optionally overrides the store for validation queries (domain shift),
+    with the same channel count. Raises DomainError for maps of another
+    shape, and TrainingError when a group among the first G is unusable or
+    the loss turns non-finite.
     """
     if query_features is None:
         query_features = features
@@ -287,6 +280,14 @@ def run_training(
     tables = {g: group_table(partition, g, features) for g in groups}
     val_rows = features.rows(r.id for r in val_db)
     query_rows = query_features.rows(r.id for r in val_queries)
+    for name, store in (("feature", features), ("query feature", query_features)):
+        if store.block.ndim != 4:
+            raise DomainError(f"{name} maps must be (C, H, W), got shape {store.block.shape[1:]}")
+    if query_features.block.shape[1] != features.block.shape[1]:
+        raise DomainError(
+            f"query feature maps have {query_features.block.shape[1]} channels, "
+            f"database feature maps have {features.block.shape[1]}"
+        )
     if cfg.groups_used == 1:
         logger.info("single group in use: the schedule degenerates to one plain cosFace run")
 
@@ -319,20 +320,13 @@ def run_training(
     # A head steps only in its group's epochs, so each keeps its own count.
     head_moments = {g: AdamMoments.zeros_like(heads[g].weights) for g in groups}
 
-    shared = query_features is features
-
-    def pool(train_rows: list[np.ndarray]) -> tuple[PooledRows, PooledRows]:
-        """Both stores pooled at the current exponent: ``train_rows`` plus the validation split."""
-        reads = [*train_rows, val_rows, query_rows] if shared else [*train_rows, val_rows]
-        db = PooledRows(features, np.concatenate(reads), model.pooling, model.gem_p, cfg.batch_size)
-        queries = db if shared else PooledRows(query_features, query_rows, model.pooling, model.gem_p, cfg.batch_size)
-        return db, queries
-
-    # Unless p is learned, a map's pooled vector is fixed: pool each row the
-    # run reads once. The pooled vectors are inputs, not descriptors, so the
-    # one-batch descriptor budget still holds.
+    # Unless p is learned, a map's pooled vector is fixed: pool each store
+    # once. The pooled vectors are inputs, not descriptors, so the one-batch
+    # descriptor budget still holds. ``pooled[-1]`` is the query store's, the
+    # database store's array when both are one store.
+    stores = (features,) if query_features is features else (features, query_features)
     if not learn_p:
-        pooled, query_pooled = pool([t.rows for t in tables.values()])
+        pooled = [pool_store(s, model.pooling, model.gem_p, cfg.batch_size) for s in stores]
     for epoch in range(cfg.total_epochs):
         group = groups[epoch % cfg.groups_used]
         head = heads[group]
@@ -343,13 +337,13 @@ def run_training(
             if learn_p:
                 descriptors, cache = embed.forward_cached(model, features.block[batch[:, 0]])
             else:
-                descriptors, cache = embed.project(model, pooled[batch[:, 0]])
+                descriptors, cache = embed.project(model, pooled[0][batch[:, 0]])
             loss_value, grad_desc, grad_w = margin_cosine_kernel(descriptors, batch[:, 1], head, cfg.loss)
             if not np.isfinite(loss_value):
                 raise TrainingError(
                     f"loss diverged to {loss_value} at epoch {epoch}, iteration {it}"
                 )
-            grads = embed.backward_cached(model, cache, grad_desc, gem_p_grad=learn_p)
+            grads = embed.backward_cached(model, cache, grad_desc)
             budget.release(len(batch))
 
             grad = np.concatenate([grads.projection.ravel(), grads.bias, [grads.gem_p] if learn_p else []])
@@ -360,8 +354,8 @@ def run_training(
             iteration_losses.append(loss_value)
 
         if learn_p:
-            pooled, query_pooled = pool([])
-        recalls = _validate(model, val_db, val_queries, (pooled, val_rows), (query_pooled, query_rows), cfg, budget)
+            pooled = [pool_store(s, model.pooling, model.gem_p, cfg.batch_size) for s in stores]
+        recalls = _validate(model, val_db, val_queries, pooled[0][val_rows], pooled[-1][query_rows], cfg, budget)
         mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
         state.history.append(
             EpochStats(

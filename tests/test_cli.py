@@ -688,6 +688,65 @@ def test_train_with_learned_p_names_the_record_whose_map_is_not_finite(workspace
     assert not (tmp_path / "run" / "model_best.json").exists()
 
 
+@pytest.mark.parametrize("reshape", [lambda m: m[:, :, 0], lambda m: m[None]], ids=["C,H", "1,C,H,W"])
+def test_train_rejects_a_store_of_maps_that_are_not_chw(workspace, tmp_path, capsys, reshape):
+    _, cfg_path, world_dir = workspace
+    store = tmp_path / "features.npz"
+    with np.load(world_dir / "features.npz") as full:
+        np.savez(store, **{rid: reshape(full[rid]) for rid in full.files})
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path),
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(store),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert "(C, H, W)" in err
+    assert not (tmp_path / "run" / "model_best.json").exists()
+
+
+@pytest.mark.parametrize("learn_p", [False, True])
+def test_train_rejects_query_maps_with_another_channel_count(workspace, tmp_path, capsys, learn_p):
+    # 6 query channels against the database's 16; another H x W is accepted,
+    # since pooling removes it.
+    _, cfg_path, world_dir = workspace
+    schedule = ["--set", f"train.model.learn_gem_p={str(learn_p).lower()}"]
+    store = tmp_path / "query_features.npz"
+    with np.load(world_dir / "query_features.npz") as full:
+        np.savez(store, **{rid: full[rid][:6] for rid in full.files})
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path), *schedule,
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--query-features", str(store),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert "6 channels" in err and "16" in err
+    assert not (tmp_path / "run" / "model_best.json").exists()
+
+
+def test_train_accepts_query_maps_of_another_size(workspace, tmp_path):
+    _, cfg_path, world_dir = workspace
+    store = tmp_path / "query_features.npz"
+    with np.load(world_dir / "query_features.npz") as full:
+        np.savez(store, **{rid: np.repeat(full[rid], 2, axis=2) for rid in full.files})
+    assert main([
+        "train", "--config", str(cfg_path),
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--query-features", str(store),
+        "--out-dir", str(tmp_path / "run"),
+    ]) == 0
+    assert (tmp_path / "run" / "model_best.json").exists()
+
+
 def test_eval_rejects_a_store_member_with_a_mangled_npy_header(workspace, tiny_model, tmp_path, capsys):
     # numpy's header reader raises a tokenizer error on this dict (TokenError
     # or SyntaxError, by Python version); the loader must turn it into one line.

@@ -14,12 +14,12 @@ from geoloc.partition import PartitionConfig, build_partition, enumerate_groups
 from geoloc.synth import CityConfig, generate_city
 from geoloc.train import (
     AdamMoments,
-    PooledRows,
     TrainConfig,
     adam_step,
     export_inference_model,
     group_table,
     history_csv,
+    pool_store,
     run_training,
     sample_batch,
 )
@@ -305,13 +305,14 @@ def test_gem_p_gradient_computed_only_when_learned(world, setup, monkeypatch, le
 def test_pooled_rows_equal_pooling_the_gathered_batch(world, setup, pooling):
     part, _, _ = setup
     table = group_table(part, enumerate_groups(part.config)[0], world.features)
-    rng = np.random.default_rng(3)
-    rows = np.concatenate([rng.permutation(table.rows), table.rows[:5]])
-    picks = rng.choice(table.rows, size=3 * BASE.batch_size)
+    picks = np.random.default_rng(3).choice(table.rows, size=3 * BASE.batch_size)
     assert len(np.unique(picks)) < len(picks) and np.any(np.diff(picks) < 0)
     want = embed.pool(world.features.block[picks], pooling, 3.0)
-    for chunk in (1, 7, BASE.batch_size, len(table.rows)):
-        pooled = PooledRows(world.features, rows, pooling, 3.0, chunk)
+    store = world.features
+    assert len(store) % 7  # the last chunk of 7 is partial
+    for chunk in (1, 7, BASE.batch_size, len(store)):
+        pooled = pool_store(store, pooling, 3.0, chunk)
+        assert pooled.shape == (len(store), store.block.shape[1])
         assert np.array_equal(pooled[picks], want)
 
 

@@ -122,9 +122,13 @@ def test_cached_step_equals_uncached_composition(pooling, learn_p, monkeypatch):
     for seed in range(5):
         m, maps, labels, head = _problem(seed, pooling)
 
-        descriptors, cache = embed.forward_cached(m, maps)
+        if learn_p:
+            descriptors, cache = embed.forward_cached(m, maps)
+        else:
+            # A fixed-p step's cache: pooled vectors without GeM terms.
+            descriptors, cache = embed.project(m, embed.pool(maps, m.pooling, m.gem_p))
         loss, grad_desc, grad_w = margin_cosine_loss_and_grads(descriptors, labels, head, CFG)
-        grads = embed.backward_cached(m, cache, grad_desc, gem_p_grad=learn_p)
+        grads = embed.backward_cached(m, cache, grad_desc)
 
         ref_desc = reference_forward(m, maps)
         ref_grad_desc, ref_grad_w = reference_grads(ref_desc, labels, head, CFG)
