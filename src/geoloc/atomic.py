@@ -69,8 +69,8 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
         fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 
 
-def dump_json(doc: dict) -> str:
-    """The serialized form of a JSON artifact; equal documents give equal text."""
+def dump_json(doc: object) -> str:
+    """The serialized form of a JSON artifact or value; equal documents give equal text."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

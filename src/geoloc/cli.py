@@ -6,8 +6,10 @@ echoes the resolved config into each output artifact. Errors exit nonzero
 with a single machine-parseable line (``error[<code>]: message``) on
 stderr. Before a zero exit, the manifests that ``convert`` and ``synth``
 write, the partition file, the model checkpoint and the eval report are
-re-read and validated by their own loaders; the training history, the
-world summary, the validation manifests and the sweep CSV are not.
+re-read and validated; the training history, the world summary, the
+validation manifests and the sweep CSV are not.
+A partition file is never parsed into a partition: it is compared as JSON
+text with the partition the command builds (``_check_partition_file``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,15 @@ from .config import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from .errors import ConfigError, ManifestError, RetrievalError, ToolError
+from .errors import ConfigError, DomainError, ManifestError, PartitionError, RetrievalError, ToolError
 from .partition import (
+    PARTITION_FORMAT,
+    PARTITION_VERSION,
     Partition,
     build_partition,
     format_stats_table,
-    load_partition,
     partition_stats,
+    partition_to_dict,
     save_partition,
 )
 
@@ -94,34 +97,36 @@ def cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
     part = build_partition(train_records, cfg.partition)
     stats = partition_stats(part)
     save_partition(part, args.output, extra={"run_config": run_config_to_dict(cfg), "stats": stats.to_dict()})
-    load_partition(args.output)  # validate what we wrote
+    _check_partition_file(args.output, part)  # validate what we wrote
     print(format_stats_table(stats))
     return 0
 
 
-def _check_same_partition(path: str, loaded: Partition, built: Partition) -> None:
-    """Reject the partition file at ``path`` unless it equals the partition this run builds.
+def _check_partition_file(path: str | Path, built: Partition) -> None:
+    """Reject the partition file at ``path`` unless it holds ``partition_to_dict(built)``'s keys and values.
 
-    The message names the config difference, else the first class or discarded count that differs.
+    Values compare as canonical JSON text, so ``1.0`` or ``true`` never passes for ``1``; other keys are
+    not read. The message names the config fields that differ, else the first class, else the keys.
     """
-    if loaded == built:
+    doc = read_json(path, PartitionError, "partition file")
+    check_header(doc, PARTITION_FORMAT, PARTITION_VERSION, PartitionError, "partition file")
+    ours = partition_to_dict(built)
+    missing = [k for k in ours if k not in doc]
+    if missing:
+        raise PartitionError(f"partition file {path} lacks {missing}")
+    differ = [k for k in ours if dump_json(doc[k]) != dump_json(ours[k])]
+    if not differ:
         return
-    if loaded.config != built.config:
-        ours, theirs = asdict(built.config), asdict(loaded.config)
-        diff = ", ".join(f"{k} {theirs[k]!r} vs {ours[k]!r}" for k in ours if ours[k] != theirs[k])
+    if "config" in differ:
+        theirs = doc["config"] if isinstance(doc["config"], dict) else {}
+        pairs = {k: (theirs.get(k), ours["config"].get(k)) for k in {**ours["config"], **theirs}}
+        diff = ", ".join(f"{k} {a!r} vs {b!r}" for k, (a, b) in pairs.items() if dump_json(a) != dump_json(b))
         raise ConfigError(f"partition {path} was built with another partition config than this run's ({diff})")
-    for cid in sorted(loaded.class_members.keys() | built.class_members.keys()):
-        theirs, ours = loaded.class_members.get(cid, []), built.class_members.get(cid, [])
-        if theirs != ours:
-            at = next(i for i in range(len(theirs) + 1) if theirs[i : i + 1] != ours[i : i + 1])
-            diff = f"class {list(cid)} member #{at} {theirs[at : at + 1]} vs {ours[at : at + 1]}"
-            break
-    else:
-        diff = ", ".join(
-            f"{k} {getattr(loaded, k)} vs {getattr(built, k)}"
-            for k in ("discarded_classes", "discarded_images")
-            if getattr(loaded, k) != getattr(built, k)
-        )
+    diff = ", ".join(differ)
+    if "classes" in differ and isinstance(doc["classes"], list):
+        theirs, classes = doc["classes"], ours["classes"]
+        at = next(i for i in range(len(theirs) + 1) if dump_json(theirs[i : i + 1]) != dump_json(classes[i : i + 1]))
+        diff = f"class {classes[at]['cell']}" if at < len(classes) else f"extra class #{at}"
     raise ConfigError(f"partition {path} is not the partition of this run's manifest, split and config ({diff})")
 
 
@@ -141,10 +146,9 @@ def _run_training_from_files(
 ):
     records = ingest.load_manifest(manifest)
     train_records, val_db, val_queries = _split_records(records, cfg)
-    loaded = load_partition(partition) if partition else None
     part = build_partition(train_records, cfg.partition)
-    if loaded is not None:
-        _check_same_partition(partition, loaded, part)
+    if partition:
+        _check_partition_file(partition, part)
     # Training reads the members of the groups it visits only.
     groups = train.used_groups(part, cfg.train)
     members = [rid for g in groups for cid in part.group_classes[g] for rid in part.class_members[cid]]
@@ -192,11 +196,14 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         q_vecs = train.embed_records(model, query_records, query_features, cfg.train.batch_size)
         del db_features, query_features  # the maps dominate memory; free them before the search
     else:
-        latents = synth.load_features(args.oracle_latents, db_ids + query_ids)
-        db_vecs = latents.block[latents.rows(db_ids)]
-        q_vecs = latents.block[latents.rows(query_ids)]
-        db_vecs /= np.linalg.norm(db_vecs, axis=1, keepdims=True)
-        q_vecs /= np.linalg.norm(q_vecs, axis=1, keepdims=True)
+        ids = db_ids + query_ids
+        latents = synth.load_features(args.oracle_latents, ids)
+        vecs = np.asarray(latents.block[latents.rows(ids)], dtype=np.float64)
+        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        if not norms.all():
+            raise DomainError(f"oracle latent of record {ids[norms.argmin()]!r} in {args.oracle_latents} is zero")
+        vecs /= norms
+        db_vecs, q_vecs = vecs[: len(db_ids)], vecs[len(db_ids) :]
 
     report = retrieval.evaluate(
         db_vecs, db_records, q_vecs, query_records, cfg.eval.ks, cfg.eval.threshold_m

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .atomic import check_header, dump_json, read_json, write_atomic
+from .atomic import dump_json, write_atomic
 from .errors import DomainError, EmptyPartitionError, PartitionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -297,33 +297,6 @@ def partition_to_dict(p: Partition, extra: dict | None = None) -> dict:
     return doc
 
 
-def partition_from_dict(doc: dict) -> Partition:
-    check_header(doc, PARTITION_FORMAT, PARTITION_VERSION, PartitionError, "partition document")
-    try:
-        cfg = PartitionConfig(**doc["config"])
-        class_members: dict[ClassId, list[str]] = {}
-        for entry in doc["classes"]:
-            cell, members = entry["cell"], entry["members"]
-            # type() rather than isinstance(): a bool is not a cell index
-            if not (isinstance(cell, list) and len(cell) == 3 and all(type(v) is int for v in cell)):
-                raise PartitionError(f"class cell must be three integers, got {cell!r}")
-            if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
-                raise PartitionError(f"class {cell} members must be a list of strings, got {members!r}")
-            cid = ClassId(*cell)
-            if cid in class_members:
-                raise PartitionError(f"class {cid} appears twice in the document")
-            class_members[cid] = members
-        discarded = doc["discarded_classes"], doc["discarded_images"]
-        if not all(type(n) is int and n >= 0 for n in discarded):
-            raise PartitionError(f"discarded counts must be non-negative integers, got {discarded!r}")
-        return Partition(cfg, class_members, *discarded)
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise PartitionError(f"partition document has a missing or malformed field: {exc!r}") from exc
-
-
 def save_partition(p: Partition, path: str | Path, extra: dict | None = None) -> None:
     write_atomic(path, dump_json(partition_to_dict(p, extra)))
 
-
-def load_partition(path: str | Path) -> Partition:
-    return partition_from_dict(read_json(path, PartitionError, "partition file"))

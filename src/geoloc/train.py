@@ -13,8 +13,8 @@ stored maps, so the run pools each store once, before the first step, into
 one (N, C) array indexed by block row (``pool_store``). Each step then
 gathers its pooled rows and runs projection, loss, backward and Adam; each
 validation projects the split's pooled rows. With a learned exponent the
-step pools its gathered maps and both stores are pooled again before each
-validation. Pooled vectors are inputs, not descriptors: descriptors depend
+step pools its gathered maps and each validation pools the split's rows
+alone. Pooled vectors are inputs, not descriptors: descriptors depend
 on the projection that every step changes, and none outlives its step or
 chunk.
 
@@ -221,15 +221,16 @@ def embed_records(
     return out
 
 
-def pool_store(store: FeatureStore, pooling: str, p: float, chunk: int) -> np.ndarray:
-    """Every map of ``store`` pooled into one (N, C) array, row ``i`` from block row ``i``.
+def pool_store(store: FeatureStore, pooling: str, p: float, chunk: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """The maps at block ``rows`` of ``store`` (every map by default) pooled into one (len(rows), C) array.
 
     Pools ``chunk`` maps per call: pooling a whole block in one call would
     hold two (N, C, H, W) GeM temporaries.
     """
-    pooled = np.empty(store.block.shape[:2])
-    for start in range(0, len(store), chunk):
-        pooled[start : start + chunk] = embed.pool(store.block[start : start + chunk], pooling, p)
+    rows = np.arange(len(store)) if rows is None else rows
+    pooled = np.empty((len(rows), store.block.shape[1]))
+    for start in range(0, len(rows), chunk):
+        pooled[start : start + chunk] = embed.pool(store.block[rows[start : start + chunk]], pooling, p)
     return pooled
 
 
@@ -354,8 +355,11 @@ def run_training(
             iteration_losses.append(loss_value)
 
         if learn_p:
-            pooled = [pool_store(s, model.pooling, model.gem_p, cfg.batch_size) for s in stores]
-        recalls = _validate(model, val_db, val_queries, pooled[0][val_rows], pooled[-1][query_rows], cfg, budget)
+            db_pooled = pool_store(features, model.pooling, model.gem_p, cfg.batch_size, val_rows)
+            query_pooled = pool_store(query_features, model.pooling, model.gem_p, cfg.batch_size, query_rows)
+        else:
+            db_pooled, query_pooled = pooled[0][val_rows], pooled[-1][query_rows]
+        recalls = _validate(model, val_db, val_queries, db_pooled, query_pooled, cfg, budget)
         mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
         state.history.append(
             EpochStats(

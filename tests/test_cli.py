@@ -15,7 +15,7 @@ from geoloc import cli, ingest
 from geoloc.cli import main
 from geoloc.config import load_run_config
 from geoloc.errors import TrainingError
-from geoloc.partition import PartitionConfig, build_partition, load_partition, partition_to_dict
+from geoloc.partition import PartitionConfig, build_partition, partition_to_dict
 from geoloc.train import used_groups
 from geoloc.synth import oracle_pairwise_check
 
@@ -187,6 +187,38 @@ def test_eval_oracle_mode_reaches_full_recall(workspace, tmp_path, capsys):
     ]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].split()[0] == "100.0"
+
+
+def _oracle_eval_on(world_dir, cfg_path, tmp_path, convert) -> int:
+    """Oracle eval of every record against the queries, on latents passed through ``convert``."""
+    store = tmp_path / "latents.npz"
+    with np.load(world_dir / "latents.npz") as full:
+        np.savez(store, **convert({rid: full[rid] for rid in full.files}))
+    return main([
+        "eval", "--config", str(cfg_path), "--oracle-latents", str(store),
+        "--db", str(world_dir / "manifest.csv"), "--queries", str(world_dir / "queries.csv"),
+    ])
+
+
+def test_eval_oracle_mode_reads_integer_latents(workspace, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+
+    def as_int(latents):
+        return {rid: np.rint(v * 1000).astype(np.int64) for rid, v in latents.items()}
+
+    capsys.readouterr()
+    assert _oracle_eval_on(world_dir, cfg_path, tmp_path, as_int) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1].split()[0] == "100.0"
+
+
+def test_eval_oracle_mode_names_a_zero_latent(workspace, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    zero = ingest.load_manifest(world_dir / "manifest.csv")[3].id
+    capsys.readouterr()
+    assert _oracle_eval_on(world_dir, cfg_path, tmp_path, lambda latents: {**latents, zero: 0 * latents[zero]}) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert repr(zero) in err
 
 
 def test_eval_untrained_baseline_row(workspace, tmp_path, capsys):
@@ -413,17 +445,58 @@ def test_train_rejects_corrupt_partition_file(workspace, tmp_path, capsys, conte
     _single_error_line(capsys.readouterr().err, "partition")
 
 
+def _written_partition(cfg_path, world_dir, tmp_path) -> dict:
+    """The document that ``geoloc partition`` writes for the workspace manifest."""
+    part_path = tmp_path / "p.json"
+    assert main(["partition", "--config", str(cfg_path),
+                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
+    return json.loads(part_path.read_text())
+
+
+def _bool_heading_bin(classes):
+    entry = next(c for c in classes if c["cell"][2] in (0, 1))
+    entry["cell"][2] = bool(entry["cell"][2])
+
+
+def _float_cell(classes):
+    classes[0]["cell"] = [float(v) for v in classes[0]["cell"]]
+
+
+def _string_cell(classes):
+    classes[0]["cell"][0] = str(classes[0]["cell"][0])
+
+
+def _string_members(classes):
+    classes[0]["members"] = "".join(classes[0]["members"])
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [("cell", [True, 0, 0]), ("cell", [1.0, 0, 0]), ("cell", ["a", 0, 0]), ("members", "abc")],
+    "mutate", [_bool_heading_bin, _float_cell, _string_cell, _string_members],
     ids=["bool-cell", "float-cell", "string-cell", "string-members"],
 )
-def test_train_rejects_malformed_partition_class(workspace, tmp_path, capsys, field, value):
+def test_train_rejects_malformed_partition_class(workspace, tmp_path, capsys, mutate):
+    # The file's class holds the built partition's values as other JSON types; 1.0 and true equal 1 in Python.
     _, cfg_path, world_dir = workspace
-    assert _train_on_partition_file(world_dir, cfg_path, tmp_path, _partition_doc(**{field: value})) == 1
+    doc = _written_partition(cfg_path, world_dir, tmp_path)
+    mutate(doc["classes"])
+    capsys.readouterr()
+    assert _train_on_partition_file(world_dir, cfg_path, tmp_path, json.dumps(doc)) == 1
     err = capsys.readouterr().err
-    _single_error_line(err, "partition")
-    assert f"{field} must be" in err
+    _single_error_line(err, "config")
+    assert "(class [" in err
+
+
+@pytest.mark.parametrize("count", [False, 0.0, "0", None], ids=["bool", "float", "string", "null"])
+def test_train_rejects_discarded_count_of_another_json_type(workspace, tmp_path, capsys, count):
+    _, cfg_path, world_dir = workspace
+    doc = _written_partition(cfg_path, world_dir, tmp_path)
+    assert doc["discarded_images"] == 0
+    doc["discarded_images"] = count
+    capsys.readouterr()
+    assert _train_on_partition_file(world_dir, cfg_path, tmp_path, json.dumps(doc)) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "config")
+    assert "(discarded_images)" in err
 
 
 def test_train_rejects_version_1_partition_file(workspace, tmp_path, capsys):
@@ -574,6 +647,25 @@ def test_eval_rejects_checkpoint_without_projection(workspace, tiny_model, tmp_p
     _single_error_line(capsys.readouterr().err, "checkpoint")
 
 
+def test_eval_rejects_checkpoint_of_another_channel_count(workspace, tiny_model, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    doc = json.loads(tiny_model.read_text())
+    doc["projection"] = [row[:-1] for row in doc["projection"]]
+    doc["channels"] -= 1
+    checkpoint = tmp_path / "model_best.json"
+    checkpoint.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(world_dir / "features.npz"),
+        "--queries", str(world_dir / "queries.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert f"feature maps have {doc['channels'] + 1} channels, model expects {doc['channels']}" in err
+
+
 def test_eval_checkpoint_needs_db_features(workspace, tiny_model, capsys):
     _, cfg_path, world_dir = workspace
     code = main([
@@ -602,12 +694,20 @@ def test_eval_rejects_db_id_missing_from_store(workspace, tiny_model, tmp_path, 
     assert "'ghost'" in err and str(world_dir / "features.npz") in err
 
 
+def _built_partition(cfg_path, world_dir):
+    """The partition that ``geoloc train`` builds from the workspace manifest under ``cfg_path``."""
+    cfg = load_run_config(cfg_path)
+    records = ingest.load_manifest(world_dir / "manifest.csv")
+    train_records, _, _ = ingest.split_validation(records, cfg.split.fraction, cfg.seed)
+    return build_partition(train_records, cfg.partition)
+
+
 def test_train_rejects_partition_member_missing_from_store(workspace, tmp_path, capsys):
     _, cfg_path, world_dir = workspace
     part_path = tmp_path / "partition.json"
     assert main(["partition", "--config", str(cfg_path),
                  "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
-    part = load_partition(part_path)
+    part = _built_partition(cfg_path, world_dir)
     groups = used_groups(part, load_run_config(cfg_path).train)
     missing = next(part.class_members[cid][0] for g in groups for cid in part.group_classes[g])
     store = tmp_path / "features.npz"
@@ -632,10 +732,7 @@ def test_train_names_the_record_whose_map_is_not_finite(workspace, tmp_path, cap
     # group-2 member; the map is still one that the run loads and pools.
     _, cfg_path, world_dir = workspace
     schedule = ["--set", "train.groups_used=4", "--set", "train.total_epochs=1"]
-    part_path = tmp_path / "partition.json"
-    assert main(["partition", "--config", str(cfg_path),
-                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
-    part = load_partition(part_path)
+    part = _built_partition(cfg_path, world_dir)
     group = used_groups(part, dataclasses.replace(load_run_config(cfg_path).train, groups_used=4))[2]
     bad = part.class_members[part.group_classes[group][0]][0]
     store = tmp_path / "features.npz"
@@ -663,10 +760,7 @@ def test_train_with_learned_p_names_the_record_whose_map_is_not_finite(workspace
     _, cfg_path, world_dir = workspace
     schedule = ["--set", "train.groups_used=4", "--set", "train.total_epochs=1",
                 "--set", "train.model.learn_gem_p=true"]
-    part_path = tmp_path / "partition.json"
-    assert main(["partition", "--config", str(cfg_path),
-                 "--manifest", str(world_dir / "manifest.csv"), "--output", str(part_path)]) == 0
-    part = load_partition(part_path)
+    part = _built_partition(cfg_path, world_dir)
     group = used_groups(part, dataclasses.replace(load_run_config(cfg_path).train, groups_used=4))[2]
     bad = part.class_members[part.group_classes[group][0]][0]
     store = tmp_path / "features.npz"

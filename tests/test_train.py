@@ -348,6 +348,24 @@ def test_maps_pooled_once_per_run_unless_p_is_learned(world, setup, monkeypatch,
         assert counts[5, 1] == counts[10, 1] == counts[5, 2]
 
 
+def test_learned_p_validation_pools_only_the_split(world, setup, monkeypatch):
+    part, val_db, val_q = setup
+    rows = []
+    original = embed._pool
+
+    def counted(features, *args, **kwargs):
+        rows.append(len(features))
+        return original(features, *args, **kwargs)
+
+    monkeypatch.setattr(embed, "_pool", counted)
+    cfg = dataclasses.replace(
+        BASE, total_epochs=2, model=ModelConfig(output_dim=16, pooling="gem", gem_p=3.0, learn_gem_p=True)
+    )
+    run_training(part, world.features, cfg, val_db, val_q, world.query_features)
+    steps = cfg.total_epochs * cfg.iterations_per_epoch * cfg.batch_size
+    assert sum(rows) - steps == cfg.total_epochs * (len(val_db) + len(val_q))
+
+
 def test_first_epoch_loss_trend_is_decreasing(world, setup):
     # On a separable group, the per-50-iteration loss means of the first
     # 200 iterations fall strictly. With one group, four 50-iteration epochs
