@@ -89,27 +89,35 @@ def _build(cls: type, data: Any, path: str) -> Any:
         if is_dataclass(hint):
             kwargs[name] = _build(hint, value, key)
         else:
-            _check_type(value, hint, key)
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
+            kwargs[name] = _typed(value, hint, key)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError(f"invalid config at {path or 'top level'}: {exc}") from exc
 
 
-def _check_type(value: Any, hint: Any, key: str) -> None:
-    """Raise ConfigError unless ``value`` fits a field of type ``hint``.
+def _typed(value: Any, hint: Any, key: str) -> Any:
+    """``value`` as a field of type ``hint`` stores it; ConfigError unless it fits.
 
-    A tuple field takes a list of its element type; a bool is not a number.
+    A tuple field takes a list of its element type; a bool is not a number. A
+    float field stores an int as a float, so ``10`` and ``10.0`` give the same
+    config and the same bytes wherever it is echoed.
     """
     if get_origin(hint) is tuple:
         element, items = get_args(hint)[0], value if isinstance(value, list) else None
     else:
         element, items = hint, [value]
     allowed = (int, float) if element is float else (element,)
+    name = str(hint) if get_origin(hint) else hint.__name__
+    error = ConfigError(f"config value {key} must be {name}, got {value!r}")
     if items is None or not all(isinstance(v, allowed) and isinstance(v, bool) == (element is bool) for v in items):
-        name = str(hint) if get_origin(hint) else hint.__name__
-        raise ConfigError(f"config value {key} must be {name}, got {value!r}")
+        raise error
+    if element is float:
+        try:
+            items = [float(v) for v in items]
+        except OverflowError:  # an int too large for a float
+            raise error from None
+    return tuple(items) if get_origin(hint) is tuple else items[0]
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

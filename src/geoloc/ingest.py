@@ -2,8 +2,11 @@
 
 A manifest is a UTF-8 CSV whose header names a subset of the known columns.
 ``id`` and ``heading`` are always required; positions come either from
-``east``/``north`` (UTM meters) or from ``lat``/``lon``. Lat/lon rows are
-projected to UTM after every row has been checked, all in one
+``east``/``north`` (UTM meters) or from ``lat``/``lon``. The file is read
+as columns: one ``csv.reader`` pass checks the header, cell counts and ids,
+then each numeric column is parsed with ``float`` and checked as arrays; the
+fault reported is the earliest faulty row's first failed check. Lat/lon rows
+are projected to UTM after every row has been checked, all in one
 ``geodesy.latlon_to_utm_arrays`` call, which also gives the zone when no
 row names one. Optional ``zone``/``hemisphere`` columns pin the UTM zone
 explicitly, ``uri`` records a source location. All records of one
@@ -14,11 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,136 +54,123 @@ class ImageRecord:
     lon: float | None = None
 
 
-def _parse_float(text: str, column: str, line: int) -> float:
+def _floats(cells: Sequence[str], use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of each used cell (NaN elsewhere) and the mask of used cells it rejects."""
+    values, rejected = np.full(len(cells), np.nan), np.zeros(len(cells), bool)
+    rows = np.flatnonzero(use)
+    used = cells if rows.size == len(cells) else [cells[i] for i in rows]
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise ManifestError(f"line {line}: column {column!r} is not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise ManifestError(f"line {line}: column {column!r} must be finite, got {text!r}")
-    return value
-
-
-def _parse_row(row: dict, line: int) -> tuple[list, tuple[int, str] | None, bool]:
-    """One row's fields, its explicit zone (if any) and whether it is projected.
-
-    The fields are ``[id, east, north, heading, uri, lat, lon]``. A lat/lon
-    row is projected when it lacks east/north (which are then None) or a
-    zone; its latitude is checked against the UTM band here, so the first
-    bad row is the one reported.
-    """
-    heading_raw = _parse_float(row["heading"], "heading", line)
-    if not 0.0 <= heading_raw < 720.0:
-        raise ManifestError(f"line {line}: heading {heading_raw} outside [0, 720)")
-
-    lat = lon = None
-    if row.get("lat") not in (None, "") and row.get("lon") not in (None, ""):
-        lat = _parse_float(row["lat"], "lat", line)
-        lon = _parse_float(row["lon"], "lon", line)
-        if not -90.0 <= lat <= 90.0:  # checked even when the row is not projected
-            raise ManifestError(f"line {line}: latitude {lat} outside [-90, 90]")
-
-    zone: tuple[int, str] | None = None
-    if row.get("zone") not in (None, ""):
-        zone_number = _parse_float(row["zone"], "zone", line)
-        if not (zone_number.is_integer() and 1 <= zone_number <= 60):
-            raise ManifestError(f"line {line}: zone must be an integer in [1, 60], got {row['zone']!r}")
-        hemisphere = (row.get("hemisphere") or "").strip()
-        if hemisphere not in HEMISPHERES:
-            raise ManifestError(f"line {line}: hemisphere must be one of {HEMISPHERES}, got {hemisphere!r}")
-        zone = (int(zone_number), hemisphere)
-
-    has_utm = row.get("east") not in (None, "") and row.get("north") not in (None, "")
-    if not has_utm and lat is None:
-        raise ManifestError(f"line {line}: neither east/north nor lat/lon present")
-    projected = lat is not None and (zone is None or not has_utm)
-    if projected and abs(lat) > MAX_UTM_LATITUDE:
-        raise ManifestError(f"line {line}: latitude {lat} outside the +/-{MAX_UTM_LATITUDE} degree UTM band")
-    east = north = None
-    if has_utm:
-        east = _parse_float(row["east"], "east", line)
-        north = _parse_float(row["north"], "north", line)
-    uri = (row.get("uri") or "").strip() or None
-    return [row["id"].strip(), east, north, heading_raw % 360.0, uri, lat, lon], zone, projected
+        values[rows] = list(map(float, used))
+    except ValueError:
+        for i in rows:
+            try:
+                values[i] = float(cells[i])
+            except ValueError:
+                rejected[i] = True
+    return values, rejected
 
 
 def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     """Parse and validate a manifest, reporting offending line numbers.
 
     Headings must lie in [0, 720) before normalization into [0, 360).
-    Duplicate ids, unknown columns, and mixed zones are rejected. Every row
-    is checked, in file order, before any is projected: the lat/lon rows
-    that need UTM positions are then projected in one call, which also
-    gives the zone of a manifest without zone columns.
+    Duplicate ids, unknown columns, and mixed zones are rejected. Each row
+    meets the value checks in one fixed order (``checks``); a fault names the
+    earliest faulty row and the first check it fails, as a row-by-row parse
+    would.
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
         raise ManifestError("manifest is empty (no header row)")
-    unknown = [c for c in reader.fieldnames if c not in _KNOWN_COLUMNS]
+    unknown = [c for c in header if c not in _KNOWN_COLUMNS]
     if unknown:
         raise ManifestError(f"unknown manifest columns: {unknown}")
-    missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
     if missing:
         raise ManifestError(f"manifest header lacks required columns: {missing}")
-    has_position = ("east" in reader.fieldnames and "north" in reader.fieldnames) or (
-        "lat" in reader.fieldnames and "lon" in reader.fieldnames
-    )
-    if not has_position:
+    if not ({"east", "north"} <= set(header) or {"lat", "lon"} <= set(header)):
         raise ManifestError("manifest needs east/north or lat/lon columns")
 
-    rows: list[tuple[int, dict]] = []
-    seen: dict[str, int] = {}
+    id_col = max(i for i, c in enumerate(header) if c == "id")  # a repeated name reads its last column
+    rows: list[list[str]] = []
+    seen: dict[str, int] = {}  # id -> line, in file order
     for row in reader:
+        if not row:  # blank line
+            continue
         line = reader.line_num
-        if None in row:
-            raise ManifestError(f"line {line}: more cells than header columns")
-        if None in row.values():
-            raise ManifestError(f"line {line}: fewer cells than header columns")
-        rid = (row.get("id") or "").strip()
+        if len(row) != len(header):
+            count = "more" if len(row) > len(header) else "fewer"
+            raise ManifestError(f"line {line}: {count} cells than header columns")
+        rid = row[id_col].strip()
         if not rid:
             raise ManifestError(f"line {line}: empty id")
         if rid in seen:
             raise ManifestError(f"duplicate id {rid!r} on lines {seen[rid]} and {line}")
         seen[rid] = line
-        rows.append((line, row))
+        rows.append(row)
+    n, lines = len(rows), list(seen.values())
+    # A repeated header name reads its last column, as a csv.DictReader row does.
+    cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+    del rows  # the columns hold every cell now
+    blank = ("",) * n
 
-    # [id, east, north, heading, uri, lat, lon] per row; records are built
-    # once the projected rows have their positions and zones.
-    fields: list[list] = []
-    zone_of: list[tuple[int, str] | None] = []
-    projected: list[int] = []
-    for line, row in rows:
-        row_fields, zone, project = _parse_row(row, line)
-        if project:
-            projected.append(len(fields))
-        fields.append(row_fields)
-        zone_of.append(zone)
+    def present(*names: str) -> np.ndarray:
+        return np.logical_and.reduce([np.fromiter(map(bool, cells.get(c, blank)), bool, n) for c in names])
 
-    if projected:
-        utm = latlon_to_utm_arrays(
-            np.array([fields[i][5] for i in projected]), np.array([fields[i][6] for i in projected])
-        )
-        for i, east, north, zone_number, south in zip(projected, *(a.tolist() for a in utm)):
-            if fields[i][1] is None:
-                fields[i][1:3] = east, north
-            if zone_of[i] is None:
-                zone_of[i] = (zone_number, SOUTH if south else NORTH)
+    # (mask of faulty rows, message for row i), in the order one row is checked.
+    checks: list[tuple[np.ndarray, Callable[[int], str]]] = []
 
-    explicit = sorted({z for z in zone_of if z is not None})
-    if len(explicit) > 1:
-        raise ManifestError(f"manifest mixes zones/hemispheres: {explicit}")
-    zone_number, hemisphere = explicit[0] if explicit else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
+    def numbers(name: str, use: np.ndarray) -> np.ndarray:
+        values, rejected = _floats(cells.get(name, blank), use)
+        checks.append((rejected, lambda i: f"column {name!r} is not a number: {cells[name][i]!r}"))
+        checks.append((use & ~np.isfinite(values), lambda i: f"column {name!r} must be finite, got {cells[name][i]!r}"))
+        return values
+
+    heading = numbers("heading", np.ones(n, bool))
+    checks.append((~((heading >= 0.0) & (heading < 720.0)), lambda i: f"heading {heading[i].item()} outside [0, 720)"))
+    latlon = present("lat", "lon")
+    lat, lon = numbers("lat", latlon), numbers("lon", latlon)
+    checks.append((latlon & ~(np.abs(lat) <= 90.0), lambda i: f"latitude {lat[i].item()} outside [-90, 90]"))
+    zoned = present("zone")
+    zone = numbers("zone", zoned)
+    bad_zone = zoned & ~((zone == np.floor(zone)) & (zone >= 1.0) & (zone <= 60.0))
+    checks.append((bad_zone, lambda i: f"zone must be an integer in [1, 60], got {cells['zone'][i]!r}"))
+    hemispheres = [h.strip() for h in cells.get("hemisphere", blank)]
+    bad_hemisphere = zoned & np.array([h not in HEMISPHERES for h in hemispheres], bool)
+    checks.append((bad_hemisphere, lambda i: f"hemisphere must be one of {HEMISPHERES}, got {hemispheres[i]!r}"))
+    has_utm = present("east", "north")
+    checks.append((~has_utm & ~latlon, lambda i: "neither east/north nor lat/lon present"))
+    projected = latlon & (~zoned | ~has_utm)
+    outside_band = projected & (np.abs(lat) > MAX_UTM_LATITUDE)
+    checks.append(
+        (outside_band, lambda i: f"latitude {lat[i].item()} outside the +/-{MAX_UTM_LATITUDE} degree UTM band")
+    )
+    east, north = numbers("east", has_utm), numbers("north", has_utm)
+    faulty = np.logical_or.reduce([mask for mask, _ in checks])
+    if faulty.any():
+        i = int(faulty.argmax())
+        raise ManifestError(f"line {lines[i]}: {next(message for mask, message in checks if mask[i])(i)}")
+
+    zones = set(zip(zone[zoned].astype(int).tolist(), (h for h, z in zip(hemispheres, zoned.tolist()) if z)))
+    rows_projected = np.flatnonzero(projected)
+    if rows_projected.size:
+        utm_east, utm_north, utm_zone, south = latlon_to_utm_arrays(lat[rows_projected], lon[rows_projected])
+        fill = ~has_utm[rows_projected]
+        east[rows_projected[fill]], north[rows_projected[fill]] = utm_east[fill], utm_north[fill]
+        derived = ~zoned[rows_projected]
+        zones.update(zip(utm_zone[derived].tolist(), np.where(south[derived], SOUTH, NORTH).tolist()))
+    if len(zones) > 1:
+        raise ManifestError(f"manifest mixes zones/hemispheres: {sorted(zones)}")
+    zone_number, hemisphere = zones.pop() if zones else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
+    uris = [u.strip() or None for u in cells["uri"]] if "uri" in cells else [None] * n
+    lats, lons = ([v if m else None for v, m in zip(a.tolist(), latlon.tolist())] for a in (lat, lon))
+    # Positional arguments, in field order: keywords cost a third more per row.
     return [
-        ImageRecord(
-            id=rid,
-            pose=GeoPose(east=east, north=north, heading=heading),
-            zone_number=zone_number,
-            hemisphere=hemisphere,
-            source_uri=uri,
-            lat=lat,
-            lon=lon,
+        ImageRecord(rid, GeoPose(e, nn, h), zone_number, hemisphere, uri, la, lo)
+        for rid, e, nn, h, uri, la, lo in zip(
+            seen, east.tolist(), north.tolist(), np.remainder(heading, 360.0).tolist(), uris, lats, lons
         )
-        for rid, east, north, heading, uri, lat, lon in fields
     ]
 
 

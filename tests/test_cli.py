@@ -1171,6 +1171,31 @@ def test_train_with_a_coarse_cell_is_not_held_to_the_default_world(workspace, tm
                  "--features", str(world_dir / "features.npz"), "--out-dir", str(tmp_path / "run")]) == 0
 
 
+def test_int_and_float_spellings_of_a_float_value_write_the_same_bytes(workspace, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    spellings = ("10", "10.0")
+    for cell in spellings:
+        assert main(["partition", "--config", str(cfg_path), "--set", f"partition.cell_size_m={cell}",
+                     "--manifest", str(world_dir / "manifest.csv"),
+                     "--output", str(tmp_path / f"partition_{cell}.json")]) == 0
+    for cell, other in zip(spellings, reversed(spellings)):
+        run = ["--config", str(cfg_path), "--set", f"partition.cell_size_m={cell}"]
+        assert main(["train", *run, "--manifest", str(world_dir / "manifest.csv"),
+                     "--features", str(world_dir / "features.npz"),
+                     "--partition", str(tmp_path / f"partition_{other}.json"),
+                     "--out-dir", str(tmp_path / f"run_{cell}")]) == 0
+        assert main(["eval", *run, "--checkpoint", str(tmp_path / f"run_{cell}" / "model_best.json"),
+                     "--db", str(world_dir / "db.csv"), "--db-features", str(world_dir / "features.npz"),
+                     "--queries", str(world_dir / "queries.csv"),
+                     "--query-features", str(world_dir / "query_features.npz"),
+                     "--output", str(tmp_path / f"report_{cell}.json")]) == 0
+    capsys.readouterr()
+    for name in ("partition_{}.json", "run_{}/model_best.json", "report_{}.json"):
+        first, second = (tmp_path / name.format(cell) for cell in spellings)
+        assert first.read_bytes() == second.read_bytes(), name
+    assert json.loads(first.read_text())["config"]["partition"]["cell_size_m"] == 10.0
+
+
 def _all_records(doc, world_dir):
     records = ingest.load_manifest(world_dir / "manifest.csv")
     whole = partition_to_dict(build_partition(records, PartitionConfig(**CONFIG["partition"])))

@@ -6,6 +6,7 @@ import yaml
 from geoloc.config import (
     DERIVED,
     RunConfig,
+    _typed,
     apply_overrides,
     load_run_config,
     run_config_from_dict,
@@ -80,6 +81,16 @@ def test_tuple_fields_accept_lists():
     cfg = run_config_from_dict({"eval": {"ks": [1, 2, 3]}, "city": {"feature_map_shape": [8, 2, 2]}})
     assert cfg.eval.ks == (1, 2, 3)
     assert cfg.city.feature_map_shape == (8, 2, 2)
+
+
+def test_float_fields_store_ints_as_floats():
+    cfg = run_config_from_dict({"partition": {"cell_size_m": 10}, "train": {"loss": {"scale": 30}}})
+    assert type(cfg.partition.cell_size_m) is float and type(cfg.city.cell_size_m) is float
+    assert json.dumps(run_config_to_dict(cfg)) == json.dumps(run_config_to_dict(RunConfig()))
+    elements = _typed([1, 2.5], tuple[float, ...], "k")
+    assert elements == (1.0, 2.5) and all(type(v) is float for v in elements)
+    with pytest.raises(ConfigError, match="partition.cell_size_m must be float"):
+        run_config_from_dict({"partition": {"cell_size_m": 10**400}})
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
+import csv
 import io
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoloc.errors import DomainError, ManifestError
 from geoloc.ingest import (
@@ -178,3 +182,108 @@ def test_latlon_manifest_spanning_two_zones_rejected():
         parse(_latlon_manifest([37.7] * 500, lons))
     with pytest.raises(ManifestError, match="mixes zones"):
         parse(_latlon_manifest([0.5 - 0.002 * i for i in range(500)], [-122.4] * 500))
+
+
+@st.composite
+def _manifest_rows(draw):
+    """A manifest text and, per row, the fields its record must carry.
+
+    Rows give east/north, lat/lon only, or both; every row lies in one zone,
+    named by zone columns or, without them, the default zone 10 north.
+    """
+    zoned = draw(st.booleans())
+    zone, south = (draw(st.integers(1, 60)), draw(st.booleans())) if zoned else (10, False)
+    west = (zone - 1) * 6.0 - 180.0
+    lats = st.floats(-84.0, -1e-6) if south else st.floats(0.0, 84.0)
+    ids = st.text("abz09_-., \"", min_size=1, max_size=6).map(str.strip).filter(bool)
+    columns = ["id", "heading", "east", "north", "lat", "lon", "uri"] + (["zone", "hemisphere"] if zoned else [])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    expected = []
+    for rid in draw(st.lists(ids, min_size=1, max_size=8, unique=True)):
+        kind = draw(st.sampled_from(["utm", "latlon", "both"]))
+        heading = draw(st.floats(0.0, 720.0, exclude_max=True) | st.just(-0.0))
+        east, north = draw(st.floats(1e5, 9e5)), draw(st.floats(0.0, 9e6))
+        lat, lon = draw(lats), draw(st.floats(west + 1e-6, west + 6.0 - 1e-6))
+        uri = draw(st.sampled_from(["", "s3://b/x.jpg", " http://h/y "]))
+        cells = {"id": rid, "heading": repr(heading), "uri": uri}
+        if kind != "latlon":
+            cells.update(east=repr(east), north=repr(north))
+        if kind != "utm":
+            cells.update(lat=repr(lat), lon=repr(lon))
+        if zoned and kind != "latlon":
+            cells.update(zone=str(zone), hemisphere="south" if south else "north")
+        writer.writerow([cells.get(c, "") for c in columns])
+        position = (east, north) if kind != "latlon" else None
+        latlon = (lat, lon) if kind != "utm" else (None, None)
+        expected.append((rid, repr(heading % 360.0), position, latlon, uri.strip() or None))
+    return text.getvalue(), expected, (zone, "south" if south else "north")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_manifest_rows())
+def test_parsed_rows_survive_serialize_and_parse(manifest):
+    text, expected, zone = manifest
+    records = parse(text)
+    for r, (rid, heading, position, latlon, uri) in zip(records, expected, strict=True):
+        assert (r.id, repr(r.pose.heading), (r.lat, r.lon), r.source_uri) == (rid, heading, latlon, uri)
+        assert position is None or (r.pose.east, r.pose.north) == position
+        assert (r.zone_number, r.hemisphere) == zone
+    buf = io.StringIO()
+    serialize_manifest(records, buf)
+    assert parse(buf.getvalue()) == records
+
+
+_HEADER = "id,east,north,heading,zone,hemisphere,lat,lon\n"
+# One faulty row per kind (its id is filled in) and the fault it is reported with.
+_FAULTS = {
+    "not-a-number": ("{},1,zz,3,10,north,,", "column 'north' is not a number: 'zz'"),
+    "heading": ("{},1,2,720,10,north,,", "heading 720.0 outside [0, 720)"),
+    "zone": ("{},1,2,3,61,north,,", "zone must be an integer in [1, 60], got '61'"),
+    "hemisphere": ("{},1,2,3,10,up,,", "hemisphere must be one of ('north', 'south'), got 'up'"),
+    "no-position": ("{},,,3,10,north,,", "neither east/north nor lat/lon present"),
+    "utm-band": ("{},,,3,,,85,10", "latitude 85.0 outside the +/-84.0 degree UTM band"),
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.product(_FAULTS, repeat=2))
+def test_the_earlier_of_two_faulty_rows_is_reported(first, second):
+    rows = ["a,1,2,3,10,north,,", _FAULTS[first][0].format("b"), "c,1,2,3,10,north,,", _FAULTS[second][0].format("d")]
+    with pytest.raises(ManifestError) as exc:
+        parse(_HEADER + "\n".join(rows) + "\n")
+    assert str(exc.value) == f"line 3: {_FAULTS[first][1]}"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a,zz,2,800,99,up,95,10", "heading 800.0 outside [0, 720)"),
+        ("a,zz,2,3,99,up,,", "zone must be an integer in [1, 60], got '99'"),
+        ("a,zz,2,3,10,up,,", "hemisphere must be one of ('north', 'south'), got 'up'"),
+        ("a,zz,,3,10,north,,", "neither east/north nor lat/lon present"),
+        ("a,zz,2,3,,,85,10", "latitude 85.0 outside the +/-84.0 degree UTM band"),
+        ("a,1,2,3,10,north,95,zz", "column 'lon' is not a number: 'zz'"),
+        ("a,1,2,nan,10,north,95,zz", "column 'heading' must be finite, got 'nan'"),
+    ],
+)
+def test_a_row_with_several_faults_reports_its_first_check(row, message):
+    with pytest.raises(ManifestError) as exc:
+        parse(_HEADER + row + "\n")
+    assert str(exc.value) == f"line 2: {message}"
+
+
+def test_a_quoted_multiline_cell_keeps_physical_line_numbers():
+    text = 'id,east,north,heading,uri\na,1,2,3,"line\nbreak"\nb,1,2,4,\n'
+    assert [r.source_uri for r in parse(text)] == ["line\nbreak", None]
+    with pytest.raises(ManifestError) as exc:
+        parse(text.replace("b,1,2,4", "b,1,2,xx"))
+    assert str(exc.value) == "line 4: column 'heading' is not a number: 'xx'"
+
+
+def test_blank_lines_are_skipped():
+    text = "id,east,north,heading\n\na,1,2,3\n\n\nb,1,2,4\n\n"
+    assert [r.id for r in parse(text)] == ["a", "b"]
+    with pytest.raises(ManifestError) as exc:
+        parse(text.replace("b,1,2,4", "b,1,2,zz"))
+    assert str(exc.value) == "line 6: column 'heading' is not a number: 'zz'"
