@@ -7,7 +7,8 @@ with a single machine-parseable line (``error[<code>]: message``) on
 stderr. Before a zero exit, the manifests that ``convert`` and ``synth``
 write, the partition file, the model checkpoint and the eval report are
 re-read and validated; the training history, the world summary, the
-validation manifests and the sweep CSV are not.
+validation manifests and the sweep CSV are not. A sweep row is its run's
+best epoch's validation, which training scores at ``eval.ks``.
 A partition file is never parsed into a partition: it is compared as JSON
 text with the partition the command builds (``_check_partition_file``).
 """
@@ -155,13 +156,12 @@ def _run_training_from_files(
     store, query_store = _load_stores(
         features, members + [r.id for r in val_db], query_features, [r.id for r in val_queries]
     )
-    state = train.run_training(part, store, cfg.train, val_db, val_queries, query_store)
-    return state, store, query_store, val_db, val_queries
+    return train.run_training(part, store, cfg.train, val_db, val_queries, query_store)
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     out_dir = make_dir(args.out_dir)
-    state, *_ = _run_training_from_files(cfg, args.manifest, args.features, args.query_features, args.partition)
+    state = _run_training_from_files(cfg, args.manifest, args.features, args.query_features, args.partition)
 
     model_path = out_dir / "model_best.json"
     embed.save_model(state.best_model, model_path, extra={"config": run_config_to_dict(cfg)})
@@ -262,18 +262,12 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     with AtomicFile(args.output, "wb") as out:
         rows = []
         for value, sub_cfg in sub_cfgs:
-            state, features, query_features, val_db, val_queries = _run_training_from_files(
-                sub_cfg, args.manifest, args.features, args.query_features
-            )
-            db_vecs = train.embed_records(state.best_model, val_db, features, sub_cfg.train.batch_size)
-            q_vecs = train.embed_records(state.best_model, val_queries, query_features, sub_cfg.train.batch_size)
-            report = retrieval.evaluate(
-                db_vecs, val_db, q_vecs, val_queries, sub_cfg.eval.ks, sub_cfg.eval.threshold_m
-            )
+            state = _run_training_from_files(sub_cfg, args.manifest, args.features, args.query_features)
+            recall_at = state.history[state.best_epoch].recall_at
             row = {"param": args.param, "value": value}
-            row.update({f"recall_at_{k}": v for k, v in sorted(report.recall_at.items())})
+            row.update({f"recall_at_{k}": recall_at[k] for k in sub_cfg.eval.ks})
             rows.append(row)
-            logger.info("sweep %s=%s -> R@1 %.3f", args.param, value, report.recall_at[min(report.recall_at)])
+            logger.info("sweep %s=%s -> R@1 %.3f", args.param, value, state.best_val_recall1)
 
         header = list(rows[0].keys())
         lines = [",".join(header)]

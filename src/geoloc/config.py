@@ -44,10 +44,11 @@ class EvalConfig:
 
 
 # Values a run config derives from another section instead of accepting
-# them: validation scores at the eval threshold, and a synthetic world aligns
-# to the grid the partition builds. Config files, overrides and echoes omit them.
+# them: validation scores at the eval threshold and ks, and a synthetic world
+# aligns to the grid the partition builds. Config files, overrides and echoes omit them.
 DERIVED = {
     "train.val_threshold_m": "eval.threshold_m",
+    "train.val_ks": "eval.ks",
     "city.cell_size_m": "partition.cell_size_m",
     "city.heading_bin_deg": "partition.heading_bin_deg",
 }

@@ -205,7 +205,7 @@ def load_manifest(path: str | Path) -> list[ImageRecord]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return parse_manifest(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
 
 

@@ -18,6 +18,10 @@ alone. Pooled vectors are inputs, not descriptors: descriptors depend
 on the projection that every step changes, and none outlives its step or
 chunk.
 
+Validation embeds through ``embed_records``, the loop ``geoloc eval`` runs,
+and scores at the eval ks too (``TrainConfig.val_ks``): the best epoch's
+recalls are what an eval of the exported model on the split reports.
+
 The loop holds at most one batch of descriptors at a time (validation
 projects in batch-sized chunks straight into the index matrix); the
 ``DescriptorBudget`` instrumentation records the peak so the no-cache
@@ -80,6 +84,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     val_threshold_m: float = 25.0  # a run config sets it to eval.threshold_m
+    val_ks: tuple[int, ...] = (1, 5, 10, 20)  # a run config sets it to eval.ks
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -207,8 +212,12 @@ def embed_records(
     features: FeatureStore,
     batch_size: int,
     budget: DescriptorBudget | None = None,
+    pooled: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Embed records chunk by chunk; only one chunk of descriptors is transient."""
+    """Unit descriptors of ``records``, ``batch_size`` at a time; only one chunk of descriptors is alive.
+
+    A chunk projects its rows of ``pooled`` (``pool_store`` of ``features``) if given, else pools its maps.
+    """
     if budget is None:
         budget = DescriptorBudget()
     rows = features.rows(r.id for r in records)
@@ -216,21 +225,23 @@ def embed_records(
     for start in range(0, len(records), batch_size):
         chunk = rows[start : start + batch_size]
         budget.acquire(len(chunk))
-        out[start : start + len(chunk)] = embed.forward_batch(model, features.block[chunk])
+        if pooled is None:
+            out[start : start + len(chunk)] = embed.forward_batch(model, features.block[chunk])
+        else:
+            out[start : start + len(chunk)] = embed.project(model, pooled[chunk])[0]
         budget.release(len(chunk))
     return out
 
 
-def pool_store(store: FeatureStore, pooling: str, p: float, chunk: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """The maps at block ``rows`` of ``store`` (every map by default) pooled into one (len(rows), C) array.
+def pool_store(store: FeatureStore, pooling: str, p: float, chunk: int) -> np.ndarray:
+    """Every map of ``store`` pooled into one (N, C) array, indexed by block row.
 
     Pools ``chunk`` maps per call: pooling a whole block in one call would
     hold two (N, C, H, W) GeM temporaries.
     """
-    rows = np.arange(len(store)) if rows is None else rows
-    pooled = np.empty((len(rows), store.block.shape[1]))
-    for start in range(0, len(rows), chunk):
-        pooled[start : start + chunk] = embed.pool(store.block[rows[start : start + chunk]], pooling, p)
+    pooled = np.empty(store.block.shape[:2])
+    for start in range(0, len(store), chunk):
+        pooled[start : start + chunk] = embed.pool(store.block[start : start + chunk], pooling, p)
     return pooled
 
 
@@ -238,22 +249,18 @@ def _validate(
     model: EmbeddingModel,
     val_db: Sequence[ImageRecord],
     val_queries: Sequence[ImageRecord],
-    db_pooled: np.ndarray,
-    query_pooled: np.ndarray,
+    features: FeatureStore,
+    query_features: FeatureStore,
+    db_pooled: np.ndarray | None,
+    query_pooled: np.ndarray | None,
     cfg: TrainConfig,
     budget: DescriptorBudget,
 ) -> dict[int, float]:
-    """Recall of the validation split from each side's pooled vectors, projected ``batch_size`` rows at a time."""
-    vecs = []
-    for pooled in (db_pooled, query_pooled):
-        out = np.empty((len(pooled), model.output_dim))
-        for start in range(0, len(pooled), cfg.batch_size):
-            chunk = pooled[start : start + cfg.batch_size]
-            budget.acquire(len(chunk))
-            out[start : start + len(chunk)] = embed.project(model, chunk)[0]
-            budget.release(len(chunk))
-        vecs.append(out)
-    return evaluate(vecs[0], val_db, vecs[1], val_queries, VALIDATION_KS, cfg.val_threshold_m).recall_at
+    """Recall of the validation split at ``VALIDATION_KS`` and ``cfg.val_ks``, embedded by ``embed_records``."""
+    db_vecs = embed_records(model, val_db, features, cfg.batch_size, budget, db_pooled)
+    query_vecs = embed_records(model, val_queries, query_features, cfg.batch_size, budget, query_pooled)
+    ks = sorted({*VALIDATION_KS, *cfg.val_ks})
+    return evaluate(db_vecs, val_db, query_vecs, val_queries, ks, cfg.val_threshold_m).recall_at
 
 
 def run_training(
@@ -279,8 +286,6 @@ def run_training(
 
     groups = used_groups(partition, cfg)
     tables = {g: group_table(partition, g, features) for g in groups}
-    val_rows = features.rows(r.id for r in val_db)
-    query_rows = query_features.rows(r.id for r in val_queries)
     for name, store in (("feature", features), ("query feature", query_features)):
         if store.block.ndim != 4:
             raise DomainError(f"{name} maps must be (C, H, W), got shape {store.block.shape[1:]}")
@@ -324,10 +329,9 @@ def run_training(
     # Unless p is learned, a map's pooled vector is fixed: pool each store
     # once. The pooled vectors are inputs, not descriptors, so the one-batch
     # descriptor budget still holds. ``pooled[-1]`` is the query store's, the
-    # database store's array when both are one store.
+    # database store's array when both are one store; None pools at each use.
     stores = (features,) if query_features is features else (features, query_features)
-    if not learn_p:
-        pooled = [pool_store(s, model.pooling, model.gem_p, cfg.batch_size) for s in stores]
+    pooled = [None] if learn_p else [pool_store(s, model.pooling, model.gem_p, cfg.batch_size) for s in stores]
     for epoch in range(cfg.total_epochs):
         group = groups[epoch % cfg.groups_used]
         head = heads[group]
@@ -354,12 +358,7 @@ def run_training(
             adam_step(head.weights, grad_w, head_moments[group], cfg)
             iteration_losses.append(loss_value)
 
-        if learn_p:
-            db_pooled = pool_store(features, model.pooling, model.gem_p, cfg.batch_size, val_rows)
-            query_pooled = pool_store(query_features, model.pooling, model.gem_p, cfg.batch_size, query_rows)
-        else:
-            db_pooled, query_pooled = pooled[0][val_rows], pooled[-1][query_rows]
-        recalls = _validate(model, val_db, val_queries, db_pooled, query_pooled, cfg, budget)
+        recalls = _validate(model, val_db, val_queries, features, query_features, pooled[0], pooled[-1], cfg, budget)
         mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
         state.history.append(
             EpochStats(

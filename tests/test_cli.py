@@ -542,16 +542,16 @@ def test_eval_rejects_empty_manifest(workspace, tmp_path, capsys, empty_side):
 
 
 def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypatch):
-    # One manifest holds one zone, so the mismatch is planted between training
-    # and the sweep's own evaluation.
+    # One manifest holds one zone, so the mismatch is planted in the split,
+    # before training validates against it.
     _, cfg_path, world_dir = workspace
-    real = cli._run_training_from_files
+    real = cli._split_records
 
     def queries_in_next_zone(*args):
         *out, val_queries = real(*args)
         return (*out, [dataclasses.replace(r, zone_number=r.zone_number + 1) for r in val_queries])
 
-    monkeypatch.setattr(cli, "_run_training_from_files", queries_in_next_zone)
+    monkeypatch.setattr(cli, "_split_records", queries_in_next_zone)
     code = main([
         "sweep", "--config", str(cfg_path),
         "--param", "groups_used", "--values", "1",
@@ -563,6 +563,50 @@ def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     _single_error_line(err, "domain")
     assert "zone" in err
+
+
+@pytest.mark.parametrize("learn_p", [False, True])
+def test_sweep_row_is_the_best_epoch_validation(workspace, tmp_path, monkeypatch, learn_p):
+    # The sweep searches only inside training: each row is its run's best
+    # epoch's validation, and that equals a fresh embed and search of the
+    # split with the exported model at every eval k.
+    _, cfg_path, world_dir = workspace
+    real_evaluate, real_run = cli.train.evaluate, cli.train.run_training
+    evaluations, runs = [], []
+
+    def count_evaluate(*args, **kwargs):
+        evaluations.append(1)
+        return real_evaluate(*args, **kwargs)
+
+    def keep_run(*args):
+        state = real_run(*args)
+        runs.append((args, state))
+        return state
+
+    monkeypatch.setattr(cli.train, "evaluate", count_evaluate)
+    monkeypatch.setattr(cli.retrieval, "evaluate", count_evaluate)
+    monkeypatch.setattr(cli.train, "run_training", keep_run)
+    output = tmp_path / "sweep.csv"
+    assert main([*_sweep_argv(cfg_path, world_dir, "1,2", output),
+                 "--query-features", str(world_dir / "query_features.npz"),
+                 "--set", f"train.model.learn_gem_p={json.dumps(learn_p)}"]) == 0
+    assert len(evaluations) == CONFIG["train"]["total_epochs"] * 2
+
+    ks = CONFIG["eval"]["ks"]
+    lines = output.read_text().splitlines()
+    assert lines[0] == "param,value," + ",".join(f"recall_at_{k}" for k in ks)
+    assert len(lines) == 1 + len(runs) == 3
+    for line, ((_, store, train_cfg, val_db, val_queries, query_store), state) in zip(lines[1:], runs):
+        assert train_cfg.model.learn_gem_p == learn_p
+        best = state.history[state.best_epoch].recall_at
+        assert line.split(",")[2:] == [repr(best[k]) for k in ks]
+        model, batch = state.best_model, train_cfg.batch_size
+        fresh = real_evaluate(
+            cli.train.embed_records(model, val_db, store, batch), val_db,
+            cli.train.embed_records(model, val_queries, query_store, batch), val_queries,
+            ks, CONFIG["eval"]["threshold_m"],
+        )
+        assert [best[k] for k in ks] == [fresh.recall_at[k] for k in ks]
 
 
 def _sweep_argv(cfg_path, world_dir, values, output):
@@ -1095,7 +1139,7 @@ def test_eval_rejects_store_member_whose_local_name_differs(workspace, tiny_mode
     assert str(store) in err and f"{db_ids[1]}.npy" in err
 
 
-DERIVED_KEYS = ["train.val_threshold_m", "city.cell_size_m", "city.heading_bin_deg"]
+DERIVED_KEYS = ["train.val_threshold_m", "train.val_ks", "city.cell_size_m", "city.heading_bin_deg"]
 # Adam's decay rates and epsilon are constants of the trainer, not settings.
 ADAM_KEYS = ["train.adam_beta1", "train.adam_beta2", "train.adam_eps"]
 
@@ -1234,6 +1278,17 @@ def test_train_rejects_partition_that_differs_from_its_manifest(workspace, tmp_p
     err = capsys.readouterr().err
     _single_error_line(err, "config")
     assert "is not the partition of this run's manifest, split and config (class [" in err
+
+
+def test_convert_rejects_a_cell_over_the_csv_field_limit(tmp_path, capsys):
+    src = tmp_path / "long.csv"
+    src.write_text(f"id,east,north,heading\n{'a' * 140_000},1,2,3\n")
+    capsys.readouterr()
+    assert main(["convert", "--input", str(src), "--output", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "manifest")
+    assert str(src) in err and "field limit" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # tests/test_ingest.py covers every out-of-range case; here each ends in one error line.

@@ -117,9 +117,9 @@ def test_number_key_rejected(tmp_path):
 
 
 def test_derived_values_follow_their_sources():
-    raw = {"eval": {"threshold_m": 7.5}, "partition": {"cell_size_m": 20.0, "heading_bin_deg": 45.0}}
+    raw = {"eval": {"threshold_m": 7.5, "ks": [1, 20]}, "partition": {"cell_size_m": 20.0, "heading_bin_deg": 45.0}}
     cfg = run_config_from_dict(raw)
-    assert cfg.train.val_threshold_m == 7.5
+    assert (cfg.train.val_threshold_m, cfg.train.val_ks) == (7.5, (1, 20))
     assert (cfg.city.cell_size_m, cfg.city.heading_bin_deg) == (20.0, 45.0)
     echo = run_config_to_dict(cfg)
     for key in DERIVED:

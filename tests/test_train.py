@@ -14,8 +14,10 @@ from geoloc.partition import PartitionConfig, build_partition, enumerate_groups
 from geoloc.synth import CityConfig, generate_city
 from geoloc.train import (
     AdamMoments,
+    DescriptorBudget,
     TrainConfig,
     adam_step,
+    embed_records,
     export_inference_model,
     group_table,
     history_csv,
@@ -314,6 +316,21 @@ def test_pooled_rows_equal_pooling_the_gathered_batch(world, setup, pooling):
         pooled = pool_store(store, pooling, 3.0, chunk)
         assert pooled.shape == (len(store), store.block.shape[1])
         assert np.array_equal(pooled[picks], want)
+
+
+@pytest.mark.parametrize("pooling", ["gem", "average", "max"])
+def test_embedding_pooled_rows_equals_embedding_the_maps(world, setup, pooling):
+    # Validation embeds from the run's pooled store and eval from the maps;
+    # the exported model's R@1 equals the best epoch's only if both agree bit for bit.
+    _, val_db, val_q = setup
+    model = embed.init_model(world.features.block.shape[1], ModelConfig(output_dim=16, pooling=pooling), 7)
+    for records, store in ((val_db, world.features), (val_q[::-1], world.query_features)):
+        assert len(records) % BASE.batch_size  # the last chunk is partial
+        budget = DescriptorBudget()
+        pooled = pool_store(store, pooling, model.gem_p, 7)
+        got = embed_records(model, records, store, BASE.batch_size, budget, pooled=pooled)
+        assert np.array_equal(got, embed_records(model, records, store, BASE.batch_size))
+        assert budget.current == 0 and 0 < budget.peak <= BASE.batch_size
 
 
 @pytest.mark.parametrize("learn_p", [False, True])
