@@ -7,8 +7,9 @@ with a single machine-parseable line (``error[<code>]: message``) on
 stderr. Before a zero exit, the manifests that ``convert`` and ``synth``
 write, the partition file, the model checkpoint and the eval report are
 re-read and validated; the training history, the world summary, the
-validation manifests and the sweep CSV are not. A sweep row is its run's
-best epoch's validation, which training scores at ``eval.ks``.
+validation manifests and the sweep CSV are not. ``sweep --param`` is any key
+path ``--set`` takes, each value applied last; a row holds the value as the
+run's config stores it and the best epoch's validation at ``eval.ks``.
 A partition file is never parsed into a partition: it is compared as JSON
 text with the partition the command builds (``_check_partition_file``).
 """
@@ -16,7 +17,6 @@ text with the partition the command builds (``_check_partition_file``).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -28,6 +28,7 @@ from .atomic import AtomicFile, check_header, dump_json, make_dir, read_json, wr
 from .config import (
     RunConfig,
     apply_overrides,
+    key_path,
     load_run_config,
     run_config_from_dict,
     run_config_to_dict,
@@ -45,9 +46,6 @@ from .partition import (
 )
 
 logger = logging.getLogger("geoloc")
-
-_SWEEP_PARTITION_PARAMS = ("cell_size_m", "heading_bin_deg", "cell_stride", "heading_stride")
-_SWEEP_PARAMS = _SWEEP_PARTITION_PARAMS + ("groups_used",)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -239,24 +237,19 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.param not in _SWEEP_PARAMS:
-        raise ConfigError(f"sweep parameter must be one of {_SWEEP_PARAMS}, got {args.param!r}")
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigError("sweep needs a non-empty comma-separated --values list")
 
     sub_cfgs = []
     for text in values:
-        try:
-            value = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"sweep value {text!r} is not a JSON value: {exc}") from exc
-        raw = run_config_to_dict(cfg)
-        if args.param in _SWEEP_PARTITION_PARAMS:
-            raw["partition"][args.param] = value
-        else:
-            raw["train"][args.param] = value
-        sub_cfgs.append((value, run_config_from_dict(raw)))
+        sub_cfg = run_config_from_dict(apply_overrides(run_config_to_dict(cfg), [f"{args.param}={text}"]))
+        value = run_config_to_dict(sub_cfg)  # the value as the run's config stores it
+        for key in key_path(args.param):
+            value = value[key]
+        if isinstance(value, dict):
+            raise ConfigError(f"sweep parameter {args.param} names a config section, not a value")
+        sub_cfgs.append((value, sub_cfg))
 
     # Open the output first: an unwritable path fails before any training, and an old file stays until the end.
     with AtomicFile(args.output, "wb") as out:
@@ -269,10 +262,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
             rows.append(row)
             logger.info("sweep %s=%s -> R@1 %.3f", args.param, value, state.best_val_recall1)
 
-        header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header))
+        header = list(dict.fromkeys(h for row in rows for h in row))  # values of eval.ks bring their own columns
+        lines = [",".join(header)] + [",".join(str(row.get(h, "")) for h in header) for row in rows]
         out.write(("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {len(rows)} sweep rows to {args.output}")
     return 0
@@ -323,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sweep", help="train/evaluate across one hyperparameter dimension")
-    p.add_argument("--param", required=True, help=f"one of {', '.join(_SWEEP_PARAMS)}")
+    p.add_argument("--param", required=True, metavar="KEY.PATH", help="a --set key path; each value applies last")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True)

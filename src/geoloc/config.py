@@ -10,6 +10,7 @@ artifact for provenance.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -102,7 +103,7 @@ def _typed(value: Any, hint: Any, key: str) -> Any:
 
     A tuple field takes a list of its element type; a bool is not a number. A
     float field stores an int as a float, so ``10`` and ``10.0`` give the same
-    config and the same bytes wherever it is echoed.
+    config and the same bytes wherever it is echoed, and rejects NaN and ±inf.
     """
     if get_origin(hint) is tuple:
         element, items = get_args(hint)[0], value if isinstance(value, list) else None
@@ -114,10 +115,9 @@ def _typed(value: Any, hint: Any, key: str) -> Any:
     if items is None or not all(isinstance(v, allowed) and isinstance(v, bool) == (element is bool) for v in items):
         raise error
     if element is float:
-        try:
-            items = [float(v) for v in items]
-        except OverflowError:  # an int too large for a float
-            raise error from None
+        if not all(abs(v) <= sys.float_info.max for v in items):  # NaN, ±inf or an int too large for a float
+            raise ConfigError(f"config value {key} must be float and finite, got {value!r}")
+        items = [float(v) for v in items]
     return tuple(items) if get_origin(hint) is tuple else items[0]
 
 
@@ -157,13 +157,18 @@ def load_run_config(path: str | Path) -> RunConfig:
     return run_config_from_dict(data)
 
 
+def key_path(text: str) -> list[str]:
+    """The keys of a ``section.key`` path, outermost first."""
+    return [p for p in text.strip().split(".") if p]
+
+
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply ``section.key=value`` overrides onto a raw config mapping."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key.path=value")
         keypath, raw = item.split("=", 1)
-        parts = [p for p in keypath.strip().split(".") if p]
+        parts = key_path(keypath)
         if not parts:
             raise ConfigError(f"override {item!r} lacks a key path")
         try:

@@ -290,7 +290,7 @@ def test_sweep_over_groups_used(workspace, tmp_path, capsys):
         "sweep", "--config", str(cfg_path),
         "--set", "train.total_epochs=1",
         "--set", "train.iterations_per_epoch=5",
-        "--param", "groups_used", "--values", "1,2",
+        "--param", "train.groups_used", "--values", "1,2",
         "--manifest", str(world_dir / "manifest.csv"),
         "--features", str(world_dir / "features.npz"),
         "--query-features", str(world_dir / "query_features.npz"),
@@ -299,7 +299,7 @@ def test_sweep_over_groups_used(workspace, tmp_path, capsys):
     capsys.readouterr()
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("param,value,recall_at_1")
-    assert len(lines) == 3
+    assert [line.split(",")[:2] for line in lines[1:]] == [["train.groups_used", "1"], ["train.groups_used", "2"]]
     assert not out.with_suffix(".meta.json").exists()
 
 
@@ -311,7 +311,7 @@ def test_sweep_row_reproducible_from_its_own_train_run(workspace, tmp_path, caps
     sweep_out = tmp_path / "one.csv"
     assert main([
         "sweep", "--config", str(cfg_path), *overrides,
-        "--param", "groups_used", "--values", "2",
+        "--param", "train.groups_used", "--values", "2",
         "--manifest", str(world_dir / "manifest.csv"),
         "--features", str(world_dir / "features.npz"),
         "--query-features", str(world_dir / "query_features.npz"),
@@ -344,6 +344,50 @@ def test_sweep_row_reproducible_from_its_own_train_run(workspace, tmp_path, caps
     assert direct_r1 == pytest.approx(sweep_r1, abs=1e-12)
 
 
+def test_int_and_float_spellings_sweep_to_the_same_row(workspace, tmp_path, capsys):
+    # A row's value is the value as the run's config stores it, so both
+    # spellings of one float are one run and one row.
+    _, cfg_path, world_dir = workspace
+    out = tmp_path / "cells.csv"
+    assert main([*_sweep_argv(cfg_path, world_dir, "10,10.0", out, "partition.cell_size_m"),
+                 "--set", "train.total_epochs=1", "--set", "train.iterations_per_epoch=5"]) == 0
+    capsys.readouterr()
+    _, first, second = out.read_bytes().splitlines()
+    assert first == second
+    assert first.split(b",")[:2] == [b"partition.cell_size_m", b"10.0"]
+
+
+def test_sweep_over_eval_ks_leaves_the_other_recall_cells_empty(workspace, tmp_path, capsys):
+    _, cfg_path, world_dir = workspace
+    out = tmp_path / "ks.csv"
+    assert main([*_sweep_argv(cfg_path, world_dir, "[1],[5]", out, "eval.ks"),
+                 "--set", "train.total_epochs=1", "--set", "train.iterations_per_epoch=2"]) == 0
+    capsys.readouterr()
+    header, first, second = (line.split(",") for line in out.read_text().splitlines())
+    assert header == ["param", "value", "recall_at_1", "recall_at_5"]
+    assert first[:2] == ["eval.ks", "[1]"] and first[3] == "" and float(first[2]) >= 0
+    assert second[:3] == ["eval.ks", "[5]", ""] and float(second[3]) >= 0
+
+
+@pytest.mark.parametrize("override", ["eval.threshold_m=NaN", "eval.threshold_m=-Infinity", "train.learning_rate=Infinity"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_config_float_rejected_before_any_output(workspace, tmp_path, capsys, command, override):
+    _, cfg_path, world_dir = workspace
+    out = tmp_path / "out"
+    args = {
+        "train": ["--manifest", str(world_dir / "manifest.csv"), "--features", str(world_dir / "features.npz"),
+                  "--out-dir", str(out)],
+        "eval": ["--oracle-latents", str(world_dir / "latents.npz"), "--db", str(world_dir / "db.csv"),
+                 "--queries", str(world_dir / "queries.csv"), "--output", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), "--set", override, *args]) == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "config")
+    assert f"{override.split('=')[0]} must be float and finite" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_console_script_entrypoint():
     import subprocess
     import sys
@@ -359,7 +403,7 @@ def test_sweep_rejects_empty_values(workspace, tmp_path, capsys):
     _, cfg_path, world_dir = workspace
     code = main([
         "sweep", "--config", str(cfg_path),
-        "--param", "groups_used", "--values", ",",
+        "--param", "train.groups_used", "--values", ",",
         "--manifest", str(world_dir / "manifest.csv"),
         "--features", str(world_dir / "features.npz"),
         "--output", str(tmp_path / "x.csv"),
@@ -554,7 +598,7 @@ def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "_split_records", queries_in_next_zone)
     code = main([
         "sweep", "--config", str(cfg_path),
-        "--param", "groups_used", "--values", "1",
+        "--param", "train.groups_used", "--values", "1",
         "--manifest", str(world_dir / "manifest.csv"),
         "--features", str(world_dir / "features.npz"),
         "--output", str(tmp_path / "sweep.csv"),
@@ -586,33 +630,43 @@ def test_sweep_row_is_the_best_epoch_validation(workspace, tmp_path, monkeypatch
     monkeypatch.setattr(cli.train, "evaluate", count_evaluate)
     monkeypatch.setattr(cli.retrieval, "evaluate", count_evaluate)
     monkeypatch.setattr(cli.train, "run_training", keep_run)
-    output = tmp_path / "sweep.csv"
-    assert main([*_sweep_argv(cfg_path, world_dir, "1,2", output),
-                 "--query-features", str(world_dir / "query_features.npz"),
-                 "--set", f"train.model.learn_gem_p={json.dumps(learn_p)}"]) == 0
-    assert len(evaluations) == CONFIG["train"]["total_epochs"] * 2
-
     ks = CONFIG["eval"]["ks"]
-    lines = output.read_text().splitlines()
-    assert lines[0] == "param,value," + ",".join(f"recall_at_{k}" for k in ks)
-    assert len(lines) == 1 + len(runs) == 3
-    for line, ((_, store, train_cfg, val_db, val_queries, query_store), state) in zip(lines[1:], runs):
-        assert train_cfg.model.learn_gem_p == learn_p
-        best = state.history[state.best_epoch].recall_at
-        assert line.split(",")[2:] == [repr(best[k]) for k in ks]
-        model, batch = state.best_model, train_cfg.batch_size
-        fresh = real_evaluate(
-            cli.train.embed_records(model, val_db, store, batch), val_db,
-            cli.train.embed_records(model, val_queries, query_store, batch), val_queries,
-            ks, CONFIG["eval"]["threshold_m"],
-        )
-        assert [best[k] for k in ks] == [fresh.recall_at[k] for k in ks]
+    for param, values in (("train.groups_used", "1,2"), ("train.model.output_dim", "8,16")):
+        evaluations.clear()
+        runs.clear()
+        output = tmp_path / f"{param}.csv"
+        assert main([*_sweep_argv(cfg_path, world_dir, values, output, param),
+                     "--query-features", str(world_dir / "query_features.npz"),
+                     "--set", f"train.model.learn_gem_p={json.dumps(learn_p)}"]) == 0
+        assert len(evaluations) == CONFIG["train"]["total_epochs"] * 2
+
+        lines = output.read_text().splitlines()
+        assert lines[0] == "param,value," + ",".join(f"recall_at_{k}" for k in ks)
+        assert len(lines) == 1 + len(runs) == 3
+        for line, value, ((_, store, train_cfg, val_db, val_queries, query_store), state) in zip(
+            lines[1:], values.split(","), runs
+        ):
+            assert line.split(",")[:2] == [param, value]
+            assert train_cfg.model.learn_gem_p == learn_p
+            if param == "train.groups_used":
+                assert train_cfg.groups_used == int(value)
+            else:
+                assert train_cfg.model.output_dim == state.best_model.output_dim == int(value)
+            best = state.history[state.best_epoch].recall_at
+            assert line.split(",")[2:] == [repr(best[k]) for k in ks]
+            model, batch = state.best_model, train_cfg.batch_size
+            fresh = real_evaluate(
+                cli.train.embed_records(model, val_db, store, batch), val_db,
+                cli.train.embed_records(model, val_queries, query_store, batch), val_queries,
+                ks, CONFIG["eval"]["threshold_m"],
+            )
+            assert [best[k] for k in ks] == [fresh.recall_at[k] for k in ks]
 
 
-def _sweep_argv(cfg_path, world_dir, values, output):
+def _sweep_argv(cfg_path, world_dir, values, output, param="train.groups_used"):
     return [
         "sweep", "--config", str(cfg_path),
-        "--param", "groups_used", "--values", values,
+        "--param", param, "--values", values,
         "--manifest", str(world_dir / "manifest.csv"),
         "--features", str(world_dir / "features.npz"),
         "--output", str(output),
@@ -624,12 +678,19 @@ def _diverge(*args, **kwargs):
 
 
 # A sweep that trained before rejecting its arguments ends in error[training].
-@pytest.mark.parametrize("values, named", [("1,abc", "'abc'"), ('1,"two"', "two")])
-def test_sweep_rejects_bad_value_before_training(workspace, tmp_path, capsys, monkeypatch, values, named):
+@pytest.mark.parametrize("param, values, named", [
+    pytest.param("train.groups_used", "1,abc", "'abc'", id="1,abc-'abc'"),
+    pytest.param("train.groups_used", '1,"two"', "two", id='1,"two"-two'),
+    ("groups_used", "1,2", "unknown config key(s): groups_used"),
+    ("train.val_ks", "1", "unknown config key(s): train.val_ks"),
+    ("train.model", '{"output_dim":16}', "train.model names a config section"),
+    ("eval.threshold_m", "25,NaN", "eval.threshold_m must be float and finite, got nan"),
+])
+def test_sweep_rejects_bad_value_before_training(workspace, tmp_path, capsys, monkeypatch, param, values, named):
     _, cfg_path, world_dir = workspace
     monkeypatch.setattr(cli.train, "run_training", _diverge)
     capsys.readouterr()
-    assert main(_sweep_argv(cfg_path, world_dir, values, tmp_path / "s.csv")) == 1
+    assert main(_sweep_argv(cfg_path, world_dir, values, tmp_path / "s.csv", param)) == 1
     err = capsys.readouterr().err
     _single_error_line(err, "config")
     assert named in err

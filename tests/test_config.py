@@ -93,6 +93,21 @@ def test_float_fields_store_ints_as_floats():
         run_config_from_dict({"partition": {"cell_size_m": 10**400}})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_floats_rejected(tmp_path, bad):
+    with pytest.raises(ConfigError, match=r"eval\.threshold_m must be float and finite"):
+        run_config_from_dict({"eval": {"threshold_m": bad}})
+    with pytest.raises(ConfigError, match=r"train\.loss\.scale must be float and finite"):
+        run_config_from_dict(apply_overrides(run_config_to_dict(RunConfig()), [f"train.loss.scale={json.dumps(bad)}"]))
+    for name, text in (("c.json", json.dumps({"train": {"learning_rate": bad}})),
+                       ("c.yaml", yaml.safe_dump({"train": {"learning_rate": bad}}))):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ConfigError, match=r"train\.learning_rate must be float and finite"):
+            load_run_config(tmp_path / name)
+    with pytest.raises(ConfigError, match="k must be float and finite"):
+        _typed([1.0, bad], tuple[float, ...], "k")
+
+
 @pytest.mark.parametrize(
     "raw",
     [
