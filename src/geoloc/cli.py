@@ -74,10 +74,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return run_config_from_dict(raw)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    write_atomic(path, dump_json(doc))
-
-
 def _split_records(records, cfg: RunConfig):
     return ingest.split_validation(records, cfg.split.fraction, cfg.seed)
 
@@ -95,7 +91,7 @@ def cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
     train_records, _, _ = _split_records(records, cfg)
     part = build_partition(train_records, cfg.partition)
     stats = partition_stats(part)
-    save_partition(part, args.output, extra={"run_config": run_config_to_dict(cfg), "stats": stats.to_dict()})
+    save_partition(part, args.output, extra={"run_config": run_config_to_dict(cfg), "stats": stats})
     _check_partition_file(args.output, part)  # validate what we wrote
     print(format_stats_table(stats))
     return 0
@@ -209,7 +205,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc = report.to_dict()
     doc["config"] = run_config_to_dict(cfg)
     if args.output:
-        _write_json(Path(args.output), doc)
+        write_atomic(args.output, dump_json(doc))
         written = read_json(args.output, RetrievalError, "eval report")  # validate what we wrote
         check_header(written, retrieval.REPORT_FORMAT, retrieval.REPORT_VERSION, RetrievalError, "eval report")
     print(retrieval.format_report_table(report))
@@ -222,15 +218,13 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     _, val_db, val_queries = _split_records(world.records, cfg)
     ingest.save_manifest(val_db, Path(args.out_dir) / "db.csv")
     ingest.save_manifest(val_queries, Path(args.out_dir) / "queries.csv")
-    _write_json(
-        Path(args.out_dir) / "world.json",
-        {
-            "config": run_config_to_dict(cfg),
-            "records": len(world.records),
-            "dropped_places": world.dropped_places,
-            "max_cross_similarity": world.max_cross_similarity,
-        },
-    )
+    summary = {
+        "config": run_config_to_dict(cfg),
+        "records": len(world.records),
+        "dropped_places": world.dropped_places,
+        "max_cross_similarity": world.max_cross_similarity,
+    }
+    write_atomic(Path(args.out_dir) / "world.json", dump_json(summary))
     ingest.load_manifest(paths["manifest"])  # validate what we wrote
     print(f"wrote {len(world.records)} records under {args.out_dir}")
     return 0

@@ -36,7 +36,7 @@ class EvalConfig:
     ks: tuple[int, ...] = (1, 5, 10, 20)
 
     def __post_init__(self) -> None:
-        if self.threshold_m < 0:
+        if not self.threshold_m >= 0:
             raise DomainError(f"threshold must be >= 0, got {self.threshold_m}")
         ks = tuple(self.ks)
         if not ks or any(k < 1 for k in ks) or list(ks) != sorted(ks):

@@ -62,7 +62,7 @@ def _pool(
     if pooling == MAX:
         return features.max(axis=(-2, -1)), None
     if pooling == GEM:
-        if p < 1.0:
+        if not p >= 1.0:
             raise DomainError(f"gem exponent must be >= 1, got {p}")
         clamped = np.maximum(features, 0.0)
         powers = np.power(clamped, p)
@@ -120,7 +120,7 @@ class ModelConfig:
             raise DomainError(f"output dimension must be >= 1, got {self.output_dim}")
         if self.pooling not in POOLINGS:
             raise DomainError(f"unknown pooling {self.pooling!r}")
-        if self.pooling == GEM and self.gem_p < 1.0:
+        if self.pooling == GEM and not self.gem_p >= 1.0:
             raise DomainError(f"gem exponent must be >= 1, got {self.gem_p}")
 
 

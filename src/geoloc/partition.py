@@ -212,60 +212,39 @@ def build_partition(records: Sequence["ImageRecord"], cfg: PartitionConfig) -> P
     return Partition(cfg, class_members, discarded_classes, discarded_images)
 
 
-@dataclass
-class PartitionStats:
-    group_count: int
-    retained_classes: int
-    retained_images: int
-    discarded_classes: int
-    discarded_images: int
-    group_class_counts: dict[GroupId, int]
-    class_size_min: int
-    class_size_mean: float
-    class_size_max: int
+def partition_stats(p: Partition) -> dict:
+    """Counts of a partition, as ``partition.json`` stores them under ``stats``.
 
-    def to_dict(self) -> dict:
-        return {
-            "group_count": self.group_count,
-            "retained_classes": self.retained_classes,
-            "retained_images": self.retained_images,
-            "discarded_classes": self.discarded_classes,
-            "discarded_images": self.discarded_images,
-            "group_class_counts": {
-                "_".join(map(str, g)): n for g, n in sorted(self.group_class_counts.items())
-            },
-            "class_size_min": self.class_size_min,
-            "class_size_mean": self.class_size_mean,
-            "class_size_max": self.class_size_max,
-        }
-
-
-def partition_stats(p: Partition) -> PartitionStats:
+    Group keys are ``"<east>_<north>_<heading>"`` residues; an empty
+    partition gives zero sizes.
+    """
     sizes = [len(m) for m in p.class_members.values()]
-    return PartitionStats(
-        group_count=p.config.group_count,
-        retained_classes=len(p.class_members),
-        retained_images=sum(sizes),
-        discarded_classes=p.discarded_classes,
-        discarded_images=p.discarded_images,
-        group_class_counts={g: len(cs) for g, cs in p.group_classes.items()},
-        class_size_min=min(sizes) if sizes else 0,
-        class_size_mean=(sum(sizes) / len(sizes)) if sizes else 0.0,
-        class_size_max=max(sizes) if sizes else 0,
-    )
+    return {
+        "group_count": p.config.group_count,
+        "retained_classes": len(p.class_members),
+        "retained_images": sum(sizes),
+        "discarded_classes": p.discarded_classes,
+        "discarded_images": p.discarded_images,
+        "group_class_counts": {"_".join(map(str, g)): len(cs) for g, cs in p.group_classes.items()},
+        "class_size_min": min(sizes, default=0),
+        "class_size_mean": sum(sizes) / len(sizes) if sizes else 0.0,
+        "class_size_max": max(sizes, default=0),
+    }
 
 
-def format_stats_table(stats: PartitionStats) -> str:
-    counts = [n for n in stats.group_class_counts.values()]
+def format_stats_table(stats: dict) -> str:
+    """The table ``geoloc partition`` prints for ``partition_stats``'s dict."""
+    counts = list(stats["group_class_counts"].values())
     nonempty = sum(1 for n in counts if n > 0)
     lines = [
-        f"groups              {stats.group_count}",
+        f"groups              {stats['group_count']}",
         f"non-empty groups    {nonempty}",
-        f"retained classes    {stats.retained_classes}",
-        f"retained images     {stats.retained_images}",
-        f"discarded classes   {stats.discarded_classes}",
-        f"discarded images    {stats.discarded_images}",
-        f"class size          min {stats.class_size_min} / mean {stats.class_size_mean:.2f} / max {stats.class_size_max}",
+        f"retained classes    {stats['retained_classes']}",
+        f"retained images     {stats['retained_images']}",
+        f"discarded classes   {stats['discarded_classes']}",
+        f"discarded images    {stats['discarded_images']}",
+        f"class size          min {stats['class_size_min']} / mean {stats['class_size_mean']:.2f}"
+        f" / max {stats['class_size_max']}",
     ]
     if counts:
         lines.append(

@@ -170,7 +170,7 @@ def recall_at_n(
     ks = list(ks)
     if any(k < 1 for k in ks) or ks != sorted(ks):
         raise DomainError(f"ks must be positive and ascending, got {ks}")
-    if threshold_m < 0.0:
+    if not threshold_m >= 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold_m}")
     kmax = min(max(ks), len(index))
     first_correct: list[int | None] = [None] * len(queries)

@@ -77,8 +77,10 @@ class CityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.extent_m <= 0 or self.place_spacing_m <= 0 or self.cell_size_m <= 0:
-            raise DomainError("extents, spacings and cell sizes must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.extent_m, self.place_spacing_m, self.cell_size_m)):
+            raise DomainError("extents, spacings and cell sizes must be positive and finite")
+        if not (math.isfinite(self.heading_bin_deg) and self.heading_bin_deg > 0):
+            raise DomainError(f"heading bin must be positive, got {self.heading_bin_deg}")
         if self.extent_m < self.place_spacing_m:
             raise DomainError(
                 f"extent {self.extent_m} m is too small for one place at {self.place_spacing_m} m spacing"
@@ -90,7 +92,7 @@ class CityConfig:
         c, h, w = self.feature_map_shape
         if c < 1 or h < 1 or w < 1:
             raise DomainError(f"bad feature map shape {self.feature_map_shape}")
-        if min(self.noise_sigma, self.domain_shift_sigma, self.nuisance_sigma) < 0:
+        if not all(s >= 0 for s in (self.noise_sigma, self.domain_shift_sigma, self.nuisance_sigma)):
             raise DomainError("noise sigmas must be >= 0")
         if self.nuisance_dim < 0:
             raise DomainError("nuisance_dim must be >= 0")
@@ -184,38 +186,25 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
     n_bins = round(360.0 / alpha)
     n_side = int(cfg.extent_m // cfg.place_spacing_m)
 
-    # Place centers: nominal grid points snapped to their cell center plus a
-    # small jitter that keeps later image jitter strictly inside the cell.
-    place_positions: list[np.ndarray] = []
-    dropped = 0
-    for iy in range(n_side):
-        for ix in range(n_side):
-            nominal = np.array([(ix + 0.5) * cfg.place_spacing_m, (iy + 0.5) * cfg.place_spacing_m])
-            cell = np.floor(nominal / m)
-            if cell.min() < 0 or ((cell + 1.0) * m).max() > cfg.extent_m + 1e-9:
-                dropped += 1  # cell sticks out of the extent; skip the place
-                continue
-            center = (cell + 0.5) * m
-            place_positions.append(center + rng.uniform(-m / 8.0, m / 8.0, size=2))
-    if not place_positions:
+    # Place centers: nominal grid points (row by row) snapped to their cell
+    # center, skipping cells that stick out of the extent, plus a small jitter
+    # that keeps later image jitter strictly inside the cell.
+    grid_x, grid_y = np.meshgrid(np.arange(n_side), np.arange(n_side))
+    cells = np.floor((np.stack([grid_x.ravel(), grid_y.ravel()], axis=1) + 0.5) * cfg.place_spacing_m / m)
+    cells = cells[((cells + 1.0) * m).max(axis=1) <= cfg.extent_m + 1e-9]
+    if not len(cells):
         raise DomainError("no place cell fits fully inside the extent")
+    dropped = n_side * n_side - len(cells)
+    positions = (cells + 0.5) * m + rng.uniform(-m / 8.0, m / 8.0, size=(len(cells), 2))
 
-    # Heading slots per place: nominal equally-spaced headings snapped to the
-    # center of their bin, again with a safe jitter margin.
-    slot_bins = []
-    slot_centers_all: list[list[float]] = []
-    for _p, pos in enumerate(place_positions):
-        centers = []
-        bins = []
-        for k in range(cfg.headings_per_place):
-            nominal_h = k * 360.0 / cfg.headings_per_place
-            h_bin = int(nominal_h // alpha) % n_bins
-            centers.append((h_bin + 0.5) * alpha + rng.uniform(-alpha / 8.0, alpha / 8.0))
-            bins.append(h_bin)
-        slot_centers_all.append(centers)
-        slot_bins.append(bins)
+    # Heading slots: equally spaced nominal headings snapped to the center of
+    # their bin, the same bins at every place, again with a safe jitter margin.
+    slot_bins = [int(k * 360.0 / cfg.headings_per_place // alpha) % n_bins for k in range(cfg.headings_per_place)]
+    slot_centers = (np.array(slot_bins) + 0.5) * alpha + rng.uniform(
+        -alpha / 8.0, alpha / 8.0, size=(len(positions), cfg.headings_per_place)
+    )
 
-    latent_keys = sorted({(p, b) for p, bins in enumerate(slot_bins) for b in bins})
+    latent_keys = [(p, b) for p in range(len(positions)) for b in sorted(set(slot_bins))]
     vectors = _spread_unit_vectors(rng, len(latent_keys), cfg.latent_dim, cfg.repel_iterations)
     latents = {key: vectors[i] for i, key in enumerate(latent_keys)}
     gram = vectors @ vectors.T
@@ -234,21 +223,19 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
     offset = float(-signal.min()) + 1.0 + 4.0 * (cfg.noise_sigma + cfg.nuisance_sigma + cfg.domain_shift_sigma)
 
     records: list[ImageRecord] = []
-    n_images = len(place_positions) * cfg.headings_per_place * cfg.images_per_place_heading
+    n_images = len(positions) * cfg.headings_per_place * cfg.images_per_place_heading
     block = np.empty((n_images, c, h, w), dtype=np.float32)
     shifted = cfg.domain_shift_sigma > 0.0
     query_block = np.empty_like(block) if shifted else block
     latent_key_of: dict[str, tuple[int, int]] = {}
-    for p, pos in enumerate(place_positions):
-        for k in range(cfg.headings_per_place):
-            h_bin = slot_bins[p][k]
-            slot_center = slot_centers_all[p][k]
-            z = latents[(p, h_bin)]
+    for p, pos in enumerate(positions):
+        for k, h_bin in enumerate(slot_bins):
+            slot_chan = lift @ latents[(p, h_bin)] + offset
             for i in range(cfg.images_per_place_heading):
                 xy = pos + rng.uniform(-m / 5.0, m / 5.0, size=2)
-                heading = (slot_center + rng.uniform(-alpha / 5.0, alpha / 5.0)) % 360.0
+                heading = (slot_centers[p, k] + rng.uniform(-alpha / 5.0, alpha / 5.0)) % 360.0
                 rid = f"p{p:04d}h{k:02d}i{i:03d}"
-                chan = lift @ z + offset
+                chan = slot_chan
                 if nuisance_lift is not None and cfg.nuisance_sigma > 0.0:
                     chan = chan + cfg.nuisance_sigma * (
                         nuisance_lift @ rng.standard_normal(cfg.nuisance_dim)

@@ -94,7 +94,7 @@ class TrainConfig:
             raise DomainError("iterations_per_epoch and total_epochs must be >= 1")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise DomainError(f"learning_rate must be >= 0, got {self.learning_rate}")
 
 
@@ -379,21 +379,10 @@ def run_training(
     return state
 
 
-def export_inference_model(state: TrainState) -> bytes:
-    """The best validated model checkpoint; classifier heads are discarded.
-
-    Byte-identical across repeated exports of the same state.
-    """
-    if state.best_model is None:
-        raise TrainingError("no validation pass has completed; nothing to export")
-    return embed.checkpoint_bytes(state.best_model)
-
-
 def history_csv(history: Sequence[EpochStats]) -> str:
-    lines = ["epoch,group,mean_loss,recall_at_1,recall_at_5,recall_at_10"]
-    for row in history:
-        lines.append(
-            f"{row.epoch},{'_'.join(map(str, row.group))},{row.mean_loss!r},"
-            f"{row.recall_at.get(1, 0.0)!r},{row.recall_at.get(5, 0.0)!r},{row.recall_at.get(10, 0.0)!r}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ["epoch", "group", "mean_loss", *(f"recall_at_{k}" for k in VALIDATION_KS)]
+    rows = [
+        [str(r.epoch), "_".join(map(str, r.group)), repr(r.mean_loss), *(repr(r.recall_at[k]) for k in VALIDATION_KS)]
+        for r in history
+    ]
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])

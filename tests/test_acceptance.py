@@ -28,7 +28,6 @@ from geoloc.train import (
     DescriptorBudget,
     TrainConfig,
     embed_records,
-    export_inference_model,
     run_training,
 )
 
@@ -334,7 +333,7 @@ def test_criterion_6_end_to_end_training_efficacy(desk, desk_run):
         oracle_q = np.stack([oracle_descriptor(world, r.id) for r in val_q])
         oracle = evaluate_vectors(oracle_db, oracle_q, val_db, val_q).recall_at[1]
 
-        trained_model = model_from_dict(json.loads(export_inference_model(state)))
+        trained_model = model_from_dict(json.loads(embed.checkpoint_bytes(state.best_model)))
         trained = evaluate_model(trained_model, world, val_db, val_q).recall_at[1]
 
         print(
@@ -358,8 +357,8 @@ def test_criterion_7_single_group_ablation(desk, desk_run):
         g1_cfg = dataclasses.replace(DESK_TRAIN, groups_used=1)
         g1_state = run_training(part, world.features, g1_cfg, val_db, val_q, world.query_features)
 
-        g4_model = model_from_dict(json.loads(export_inference_model(desk_run)))
-        g1_model = model_from_dict(json.loads(export_inference_model(g1_state)))
+        g4_model = model_from_dict(json.loads(embed.checkpoint_bytes(desk_run.best_model)))
+        g1_model = model_from_dict(json.loads(embed.checkpoint_bytes(g1_state.best_model)))
         g4 = evaluate_model(g4_model, world, val_db, val_q).recall_at[1]
         g1 = evaluate_model(g1_model, world, val_db, val_q).recall_at[1]
         print(f"  G=4 R@1 {g4:.3f} | G=1 R@1 {g1:.3f}")
@@ -383,10 +382,10 @@ def test_criterion_9_bitwise_determinism(desk, desk_run):
     with criterion(9, "identical seed reproduces checkpoint and eval report bit for bit"):
         world, part, val_db, val_q = desk
         repeat = run_training(part, world.features, DESK_TRAIN, val_db, val_q, world.query_features)
-        assert export_inference_model(repeat) == export_inference_model(desk_run)
+        assert embed.checkpoint_bytes(repeat.best_model) == embed.checkpoint_bytes(desk_run.best_model)
 
         def report_bytes(state):
-            model = model_from_dict(json.loads(export_inference_model(state)))
+            model = model_from_dict(json.loads(embed.checkpoint_bytes(state.best_model)))
             report = evaluate_model(model, world, val_db, val_q)
             return json.dumps(report.to_dict(), sort_keys=True).encode()
 

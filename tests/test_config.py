@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 from geoloc.config import (
     DERIVED,
+    EvalConfig,
     RunConfig,
     _typed,
     apply_overrides,
@@ -12,7 +14,12 @@ from geoloc.config import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from geoloc.errors import ConfigError
+from geoloc.embed import ModelConfig, pool
+from geoloc.errors import ConfigError, DomainError
+from geoloc.partition import GeoPose
+from geoloc.retrieval import build_index, recall_at_n
+from geoloc.synth import CityConfig
+from geoloc.train import TrainConfig
 
 
 def test_documented_defaults():
@@ -106,6 +113,33 @@ def test_non_finite_floats_rejected(tmp_path, bad):
             load_run_config(tmp_path / name)
     with pytest.raises(ConfigError, match="k must be float and finite"):
         _typed([1.0, bad], tuple[float, ...], "k")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: TrainConfig(learning_rate=NAN), id="learning_rate"),
+        pytest.param(lambda: EvalConfig(threshold_m=NAN), id="threshold_m"),
+        pytest.param(lambda: ModelConfig(gem_p=NAN), id="gem_p"),
+        pytest.param(lambda: CityConfig(extent_m=NAN), id="extent_m"),
+        pytest.param(lambda: CityConfig(noise_sigma=NAN), id="noise_sigma"),
+        pytest.param(lambda: CityConfig(heading_bin_deg=NAN), id="heading_bin_deg-nan"),
+        pytest.param(lambda: CityConfig(heading_bin_deg=float("inf")), id="heading_bin_deg-inf"),
+        pytest.param(lambda: pool(np.ones((2, 1, 1)), "gem", NAN), id="pool"),
+        pytest.param(
+            lambda: recall_at_n(build_index(np.eye(2), ["a", "b"], [GeoPose(0.0, 0.0, 0.0)] * 2),
+                                [(np.eye(2)[0], GeoPose(0.0, 0.0, 0.0))], threshold_m=NAN),
+            id="recall_at_n",
+        ),
+    ],
+)
+def test_library_range_checks_reject_nan(build):
+    # The library types and calls check their own ranges, not only the config boundary.
+    with pytest.raises(DomainError):
+        build()
 
 
 @pytest.mark.parametrize(

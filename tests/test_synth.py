@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geoloc.errors import DomainError, ManifestError
-from geoloc.partition import PartitionConfig, assign_class, build_partition
+from geoloc.partition import GeoPose, PartitionConfig, assign_class, build_partition
 from geoloc.retrieval import build_index, recall_at_n
 from geoloc.synth import (
     CityConfig,
@@ -62,6 +62,18 @@ def test_same_seed_is_bit_identical():
         np.testing.assert_array_equal(a.features[rid], b.features[rid])
     different = generate_city(dataclasses.replace(SMALL, seed=12))
     assert [r.pose.east for r in a.records] != [r.pose.east for r in different.records]
+
+
+def test_generator_stream_is_pinned():
+    # Poses are generator draws and plain IEEE arithmetic, so these values hold on
+    # any machine; drawing in another order, or another number of draws, moves them.
+    world = generate_city(CityConfig(seed=5, extent_m=100.0, place_spacing_m=20.0, cell_size_m=15.0,
+                                     headings_per_place=6, nuisance_dim=2, nuisance_sigma=0.5))
+    assert world.dropped_places == 9
+    assert len(world.records) == 1152
+    first, last = world.records[0], world.records[-1]
+    assert (first.id, first.pose) == ("p0000h00i000", GeoPose(550005.843202138, 4180005.6858921773, 12.698468558249878))
+    assert (last.id, last.pose) == ("p0015h05i011", GeoPose(550070.1386834594, 4180064.873785056, 320.37661974957393))
 
 
 def test_noiseless_world_has_identical_same_class_maps():

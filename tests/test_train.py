@@ -18,7 +18,6 @@ from geoloc.train import (
     TrainConfig,
     adam_step,
     embed_records,
-    export_inference_model,
     group_table,
     history_csv,
     pool_store,
@@ -222,7 +221,7 @@ def test_training_is_deterministic(world, setup):
     cfg = dataclasses.replace(BASE, total_epochs=2)
     a = run_training(part, world.features, cfg, val_db, val_q, world.query_features)
     b = run_training(part, world.features, cfg, val_db, val_q, world.query_features)
-    assert export_inference_model(a) == export_inference_model(b)
+    assert embed.checkpoint_bytes(a.best_model) == embed.checkpoint_bytes(b.best_model)
     assert [h.mean_loss for h in a.history] == [h.mean_loss for h in b.history]
 
 
@@ -234,18 +233,18 @@ def test_inert_run_exports_the_initialization(world, setup):
     state = run_training(part, world.features, cfg, val_db, val_q, world.query_features)
     any_id = next(iter(part.class_members.values()))[0]
     init = embed.init_model(world.features[any_id].shape[0], cfg.model, cfg.seed)
-    assert export_inference_model(state) == embed.checkpoint_bytes(init)
+    assert embed.checkpoint_bytes(state.best_model) == embed.checkpoint_bytes(init)
     assert state.best_epoch == 0  # equal recalls keep the earliest checkpoint
 
 
 def test_export_contains_no_head_weights(trained):
-    doc = json.loads(export_inference_model(trained))
+    doc = json.loads(embed.checkpoint_bytes(trained.best_model))
     assert doc["format"] == "embedding-model"
     text = json.dumps(doc).lower()
     assert "head" not in text and "classifier" not in text
     model_from_dict(doc)  # loadable as a bare model
     # Re-export is byte-identical.
-    assert export_inference_model(trained) == export_inference_model(trained)
+    assert embed.checkpoint_bytes(trained.best_model) == embed.checkpoint_bytes(trained.best_model)
 
 
 def test_best_recall_is_nondecreasing_over_prefixes(trained):
