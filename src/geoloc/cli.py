@@ -20,6 +20,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -125,15 +126,22 @@ def _check_partition_file(path: str | Path, built: Partition) -> None:
     raise ConfigError(f"partition {path} is not the partition of this run's manifest, split and config ({diff})")
 
 
-def _load_stores(db_path: str, db_ids: list[str], query_path: str | None, query_ids: list[str]):
+def _load_stores(
+    db_path: str,
+    db_ids: list[str],
+    query_path: str | None,
+    query_ids: list[str],
+    reduce: Callable[[np.ndarray], np.ndarray] | None = None,
+):
     """The database and query feature stores, holding only the ids the command reads.
 
-    Without ``query_path`` both are one load of the database store.
+    Without ``query_path`` both are one load of the database store. ``reduce``
+    goes to ``synth.load_features``.
     """
     if query_path is None:
-        store = synth.load_features(db_path, db_ids + query_ids)
+        store = synth.load_features(db_path, db_ids + query_ids, reduce)
         return store, store
-    return synth.load_features(db_path, db_ids), synth.load_features(query_path, query_ids)
+    return synth.load_features(db_path, db_ids, reduce), synth.load_features(query_path, query_ids, reduce)
 
 
 def _run_training_from_files(
@@ -184,11 +192,17 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     query_ids = [r.id for r in query_records]
 
     if args.checkpoint:
-        db_features, query_features = _load_stores(args.db_features, db_ids, args.query_features, query_ids)
         model = embed.load_model(args.checkpoint)
-        db_vecs = train.embed_records(model, db_records, db_features, cfg.train.batch_size)
-        q_vecs = train.embed_records(model, query_records, query_features, cfg.train.batch_size)
-        del db_features, query_features  # the maps dominate memory; free them before the search
+        # The checkpoint fixes the pooling, so each chunk of maps is pooled as it is read and only
+        # the (N, C) pooled rows are held.
+        db_pooled, query_pooled = _load_stores(
+            args.db_features, db_ids, args.query_features, query_ids, lambda maps: embed.pool_batch(model, maps)[0]
+        )
+        db_vecs = train.embed_records(model, db_records, db_pooled, cfg.train.batch_size, pooled=db_pooled.block)
+        q_vecs = train.embed_records(
+            model, query_records, query_pooled, cfg.train.batch_size, pooled=query_pooled.block
+        )
+        del db_pooled, query_pooled  # free the pooled rows before the search
     else:
         ids = db_ids + query_ids
         latents = synth.load_features(args.oracle_latents, ids)

@@ -13,8 +13,9 @@ a ``ForwardCache`` (the powers, pooled vectors, raw norms and descriptors),
 and ``backward_cached`` turns descriptor gradients into exact analytic
 gradients of the composed map pool -> affine -> normalize with respect to
 the projection, the bias and the GeM exponent p, without pooling again.
-``forward_cached`` is ``_pool`` followed by ``project`` (the affine map, the
-normalization and the cache). ``pool``,
+``forward_cached`` is ``pool_batch`` (the batch and channel checks, then
+``_pool``) followed by ``project`` (the affine map, the normalization and the
+cache). ``pool``,
 ``forward``/``forward_batch`` and ``backward``/``backward_batch`` call the
 same kernel; the gradients are verified against central finite differences
 in the tests.
@@ -25,6 +26,9 @@ per run and each step runs ``project`` on the gathered vectors; that cache
 carries no GeM terms, so ``backward_cached`` skips the p-gradient.
 That is not a descriptor cache: descriptors depend on the projection, which
 every step changes, and ``project`` recomputes them from the pooled inputs.
+A loaded checkpoint's exponent is fixed too, so ``geoloc eval`` runs
+``pool_batch`` on each chunk of maps as the store is read and keeps only the
+pooled rows.
 """
 
 from __future__ import annotations
@@ -154,14 +158,21 @@ class ForwardCache:
     gem_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
-def forward_cached(m: EmbeddingModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Unit-norm descriptors of a (B, C, H, W) batch and the cache backward reuses."""
+def pool_batch(
+    m: EmbeddingModel, features: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """The model's pooling of a (B, C, H, W) batch of its channel count: (B, C) vectors and ``_pool``'s GeM terms."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 4:
         raise DomainError(f"batch must be (B, C, H, W), got shape {features.shape}")
     if features.shape[1] != m.channels:
         raise DomainError(f"feature maps have {features.shape[1]} channels, model expects {m.channels}")
-    return project(m, *_pool(features, m.pooling, m.gem_p))
+    return _pool(features, m.pooling, m.gem_p)
+
+
+def forward_cached(m: EmbeddingModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Unit-norm descriptors of a (B, C, H, W) batch and the cache backward reuses."""
+    return project(m, *pool_batch(m, features))
 
 
 def project(

@@ -5,13 +5,15 @@ cosine similarity. Search is an exhaustive scan whose cost is exactly
 rows x dim multiply-accumulates per query; exactly equal computed
 similarities rank in insertion order, but BLAS may round duplicate rows'
 products differently by position, so duplicates can rank by that rounding.
-``recall_at_n`` scores queries in blocks, one matrix product per block
-against a C-contiguous ``(dim, rows)`` copy of the database made once per
-call, sized so a block's similarity matrix stays within about 8 MiB. It
-selects each query's top K with a partial partition plus an exact sort of
-the candidates (exact flat inner-product search, as in FAISS). A retrieved item
-counts as correct for a query when its pose lies within the metric
-threshold of the query pose, both taken in one shared UTM zone.
+``build_index`` freezes the descriptors in one Fortran-ordered copy, so the
+C-contiguous ``(dim, rows)`` database that ``recall_at_n`` multiplies with is
+a view of the index, not a copy. ``recall_at_n`` scores queries in blocks,
+one matrix product per block, sized so a block's similarity matrix stays
+within about 8 MiB. It selects each query's top K with a partial partition
+plus an exact sort of the candidates (exact flat inner-product search, as in
+FAISS). A retrieved item counts as correct for a query when its pose lies
+within the metric threshold of the query pose, both taken in one shared UTM
+zone.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def build_index(
         raise RetrievalError(f"descriptor for id {ids[bad[0]]!r} is not unit-norm ({norms[bad[0]]:.6f})")
     return DescriptorIndex(
         ids=list(ids),
-        matrix=matrix.copy(),
+        # Fortran order: ``matrix.T`` is the C-contiguous (dim, rows) array the search multiplies with.
+        matrix=matrix.copy(order="F"),
         positions=np.array([(p.east, p.north) for p in poses], dtype=np.float64).reshape(-1, 2),
     )
 
@@ -178,8 +181,8 @@ def recall_at_n(
         descriptors = _query_matrix([d for d, _ in queries], index.dim)
         positions = np.array([(p.east, p.north) for _, p in queries], dtype=np.float64)
         block = max(1, SEARCH_BLOCK_BYTES // (8 * len(index)))
-        # (D, N) and C-contiguous, so each block's product streams the rows once.
-        database = np.ascontiguousarray(index.matrix.T)
+        # (D, N) and C-contiguous (a view of the index), so each block's product streams the rows once.
+        database = index.matrix.T
         for start in range(0, len(queries), block):
             stop = start + block
             sims = descriptors[start:stop] @ database

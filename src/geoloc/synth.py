@@ -18,6 +18,9 @@ shift.
 Maps are computed in float64 and stored as float32, rounded once; the query
 perturbation is added before the rounding. ``load_features`` keeps a store's
 dtype, so a reloaded world holds the generated bits; the embedding computes in float64.
+Given a ``reduce`` function, ``load_features`` applies it to each chunk of
+``REDUCE_CHUNK_ROWS`` maps as it reads them and keeps only the reduced rows,
+which is how ``geoloc eval`` pools a store without holding its maps.
 
 Everything is generated from one seeded stream, so equal configs produce
 bit-identical worlds.
@@ -33,7 +36,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,23 +106,32 @@ class CityConfig:
         object.__setattr__(self, "feature_map_shape", tuple(self.feature_map_shape))
 
 
+def _check_maps(block: np.ndarray, ids: Sequence[str], where: str = "") -> None:
+    """Raise DomainError, its message prefixed by ``where``, unless ``block`` holds real, finite maps.
+
+    Row ``i`` of ``block`` is the map of ``ids[i]``; a non-finite map is named by its record.
+    """
+    if block.dtype.kind not in "biuf":
+        raise DomainError(f"{where}feature maps must be real numbers, not {block.dtype}")
+    # min and max propagate NaN and reach any infinity, without a block-sized temporary.
+    if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):
+        bad = ~np.isfinite(block.reshape(len(block), -1)).all(axis=1)
+        raise DomainError(f"{where}feature map of record {ids[bad.argmax()]!r} contains non-finite values")
+
+
 class FeatureStore(Mapping[str, np.ndarray]):
     """Read-only feature maps by record id, held as one ``(N, C, H, W)`` block.
 
     Row ``i`` of ``block`` is the map of ``ids[i]``; ``rows`` turns ids into row indices.
     The block keeps its dtype; one that is not real numbers, or a non-finite
     map (named by its record), raises DomainError, so readers need not check again.
+    A store that ``load_features`` reduced holds one reduced row per id instead.
     """
 
     def __init__(self, ids: Sequence[str], block: np.ndarray) -> None:
         self.ids = list(ids)
         self.block = block
-        if block.dtype.kind not in "biuf":
-            raise DomainError(f"feature maps must be real numbers, not {block.dtype}")
-        # min and max propagate NaN and reach any infinity, without a block-sized temporary.
-        if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):
-            bad = ~np.isfinite(block.reshape(len(block), -1)).all(axis=1)
-            raise DomainError(f"feature map of record {self.ids[bad.argmax()]!r} contains non-finite values")
+        _check_maps(block, self.ids)
         self._row = {rid: i for i, rid in enumerate(self.ids)}
 
     def __getitem__(self, rid: str) -> np.ndarray:
@@ -452,6 +464,9 @@ _UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
 _UTF8_NAME_FLAG = 0x800
 # Read buffer of a store: members are read in file order, most from this buffer.
 _STORE_BUFFER_BYTES = 1 << 20
+# Maps a reducing ``load_features`` stages before it reduces them; 32 was at
+# least as fast as 128 or 256 on eval_large's stores.
+REDUCE_CHUNK_ROWS = 32
 
 
 def _read_exact(src: BinaryIO, size: int) -> bytes:
@@ -523,7 +538,11 @@ def _member_source(fh: BinaryIO, info: zipfile.ZipInfo) -> BinaryIO:
     return io.BytesIO(data)
 
 
-def load_features(path: str | Path, ids: Iterable[str] | None = None) -> FeatureStore:
+def load_features(
+    path: str | Path,
+    ids: Iterable[str] | None = None,
+    reduce: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> FeatureStore:
     """Arrays of a keyed ``.npz`` store (one member per record id), by id.
 
     Reads only the members named in ``ids`` (every member when ``ids`` is
@@ -537,6 +556,14 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> Feature
     missing from the store raises ManifestError; an unreadable or corrupt
     store, an object-dtype member, mixed shapes or dtypes, or a non-finite
     map among those read raise DomainError.
+
+    With ``reduce``, members are read into a staging block of
+    ``REDUCE_CHUNK_ROWS`` rows instead; each full chunk (and the last) is
+    checked as a store checks its block, and ``reduce(chunk)``, one row per
+    map, goes into the rows of those ids in the returned store's block. The
+    ``(n, *shape)`` block is never allocated. ``reduce`` is not called when
+    ``ids`` is empty, and a non-finite map can be reported before a later
+    member's layout error.
     """
     try:
         with open(path, "rb", buffering=_STORE_BUFFER_BYTES) as fh, zipfile.ZipFile(fh) as zf:
@@ -554,8 +581,11 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> Feature
                     raise ManifestError(f"feature store {path} has no entry for record {missing!r}")
             infos = [zf.getinfo(f"{key}.npy") for key in keys]
             known: dict[bytes, tuple] = {}
-            block = rows = scratch = first = None
-            for i in sorted(range(len(keys)), key=lambda i: infos[i].header_offset):
+            block = rows = scratch = first = out = None
+            # Reducing: the store index of each map staged in ``block``, in staging order.
+            staged: list[int] = []
+            order = sorted(range(len(keys)), key=lambda i: infos[i].header_offset)
+            for done, i in enumerate(order, 1):
                 key, info = keys[i], infos[i]
                 src = _member_source(fh, info)
                 header = _npy_header(src)
@@ -563,9 +593,10 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> Feature
                 if dtype.hasobject:
                     raise DomainError(f"feature store {path}: member {key!r} holds Python objects (dtype {dtype})")
                 if block is None:
-                    block = np.empty((len(keys), *shape), dtype=dtype)
+                    n = len(keys) if reduce is None else min(len(keys), REDUCE_CHUNK_ROWS)
+                    block = np.empty((n, *shape), dtype=dtype)
                     # Each row as raw bytes, for readinto and the CRC whatever the byte order.
-                    rows = block.reshape(len(keys), -1).view(np.uint8)
+                    rows = block.reshape(n, -1).view(np.uint8)
                     scratch = np.empty(rows.shape[1], dtype=np.uint8)
                     first = key
                 elif (shape, dtype) != (block.shape[1:], block.dtype):
@@ -578,16 +609,30 @@ def load_features(path: str | Path, ids: Iterable[str] | None = None) -> Feature
                         f"feature store {path}: member {key!r} holds {info.file_size - len(header)} data bytes, "
                         f"its header says {rows.shape[1]}"
                     )
-                target = scratch if fortran else rows[i]
+                row = i if reduce is None else len(staged)
+                target = scratch if fortran else rows[row]
                 if src.readinto(target) != rows.shape[1]:
                     raise EOFError(f"feature store ends inside member {key!r}")
                 if zlib.crc32(target, zlib.crc32(header)) != info.CRC:
                     raise zipfile.BadZipFile(f"Bad CRC-32 for member {key!r}")
                 if fortran:
-                    block[i] = scratch.view(dtype).reshape(shape[::-1]).T
+                    block[row] = scratch.view(dtype).reshape(shape[::-1]).T
+                if reduce is None:
+                    continue
+                staged.append(i)
+                if len(staged) == len(block) or done == len(keys):
+                    chunk = block[: len(staged)]
+                    _check_maps(chunk, [keys[j] for j in staged], f"feature store {path}: ")
+                    reduced = reduce(chunk)
+                    if out is None:
+                        out = np.empty((len(keys), *reduced.shape[1:]), dtype=reduced.dtype)
+                    out[staged] = reduced
+                    staged.clear()
     # numpy's .npy header reader lets a tokenizer error through on a mangled header dict.
     except (OSError, EOFError, ValueError, SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error) as exc:
         raise DomainError(f"cannot read feature store {path}: {exc}") from exc
+    if reduce is not None:
+        block = out
     try:
         return FeatureStore(keys, np.empty(0) if block is None else block)
     except DomainError as exc:

@@ -21,6 +21,9 @@ chunk.
 Validation embeds through ``embed_records``, the loop ``geoloc eval`` runs,
 and scores at the eval ks too (``TrainConfig.val_ks``): the best epoch's
 recalls are what an eval of the exported model on the split reports.
+``geoloc eval`` passes ``pooled`` rows that the store loader pooled as it
+read the maps (``synth.load_features(..., reduce=...)``); pooling reduces
+each map on its own, so both paths give the same descriptors.
 
 The loop holds at most one batch of descriptors at a time (validation
 projects in batch-sized chunks straight into the index matrix); the
@@ -216,7 +219,8 @@ def embed_records(
 ) -> np.ndarray:
     """Unit descriptors of ``records``, ``batch_size`` at a time; only one chunk of descriptors is alive.
 
-    A chunk projects its rows of ``pooled`` (``pool_store`` of ``features``) if given, else pools its maps.
+    A chunk projects its rows of ``pooled`` if given, else pools its maps. ``pooled`` is indexed by
+    ``features``' block rows: ``pool_store`` of it, or the block itself when the store was loaded with ``reduce``.
     """
     if budget is None:
         budget = DescriptorBudget()

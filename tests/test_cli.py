@@ -771,6 +771,25 @@ def test_eval_rejects_checkpoint_of_another_channel_count(workspace, tiny_model,
     assert f"feature maps have {doc['channels'] + 1} channels, model expects {doc['channels']}" in err
 
 
+def test_eval_reports_a_bad_checkpoint_before_a_bad_store(workspace, tiny_model, tmp_path, capsys):
+    # The checkpoint loads before the stores, whose maps are pooled with it as they are read.
+    _, cfg_path, world_dir = workspace
+    broken = tmp_path / "model_best.json"
+    broken.write_text("{not json", encoding="utf-8")
+    store = tmp_path / "features.npz"
+    store.write_bytes(b"not a zip file")
+    for checkpoint, code in ((broken, "checkpoint"), (tiny_model, "domain")):
+        capsys.readouterr()
+        assert main([
+            "eval", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+            "--db", str(world_dir / "db.csv"), "--db-features", str(store),
+            "--queries", str(world_dir / "queries.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        _single_error_line(err, code)
+        assert (str(store) in err) == (code == "domain")
+
+
 def test_eval_checkpoint_needs_db_features(workspace, tiny_model, capsys):
     _, cfg_path, world_dir = workspace
     code = main([

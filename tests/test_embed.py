@@ -11,11 +11,14 @@ from geoloc.embed import (
     checkpoint_bytes,
     forward,
     forward_batch,
+    forward_cached,
     init_model,
     load_model,
     model_from_dict,
     model_to_dict,
     pool,
+    pool_batch,
+    project,
     save_model,
 )
 from geoloc.errors import CheckpointError, DomainError
@@ -143,6 +146,23 @@ def test_forward_batch_matches_singles():
     batch = forward_batch(m, fms)
     singles = np.stack([forward(m, fm) for fm in fms])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+@pytest.mark.parametrize("pooling", [GEM, AVERAGE, MAX])
+def test_forward_cached_is_the_checked_pool_batch_then_project(pooling):
+    rng = np.random.default_rng(13)
+    m = random_model(rng, 5, 4, pooling=pooling)
+    fms = rng.standard_normal((6, 5, 2, 3)).astype(np.float32)
+    pooled, gem_terms = pool_batch(m, fms)
+    assert np.array_equal(pooled, pool(fms, pooling, m.gem_p))
+    assert (gem_terms is not None) == (pooling == GEM)
+    descriptors, cache = forward_cached(m, fms)
+    assert np.array_equal(descriptors, project(m, pooled, gem_terms)[0])
+    assert np.array_equal(cache.pooled, pooled)
+    with pytest.raises(DomainError, match="feature maps have 4 channels, model expects 5"):
+        pool_batch(m, fms[:, :4])
+    with pytest.raises(DomainError, match=r"batch must be \(B, C, H, W\)"):
+        pool_batch(m, fms[0])
 
 
 def test_normalization_jacobian_kills_radial_direction():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -267,3 +268,43 @@ def test_recall_checks_every_query_with_the_knn_messages():
         recall_at_n(index, [good, (2.0 * vecs[1], good[1])])
     with pytest.raises(RetrievalError, match="unit-norm"):
         recall_at_n(index, [(np.full(3, np.nan), good[1]), good])
+
+
+def test_search_multiplies_with_a_view_of_the_index():
+    rng = np.random.default_rng(9)
+    index, _ = random_index(rng, 4000, 64)
+    database = np.ascontiguousarray(index.matrix.T)  # the (dim, rows) array recall_at_n multiplies with
+    assert np.shares_memory(database, index.matrix)
+    queries = [(q, GeoPose(50.0, 50.0, 0.0)) for q in unit_rows(rng.standard_normal((40, 64)))]
+    # Blocks of 8 queries keep each similarity matrix at 256 KiB, an eighth of the 2 MiB index.
+    with mock.patch.object(retrieval, "SEARCH_BLOCK_BYTES", 8 * 8 * len(index)):
+        tracemalloc.start()
+        try:
+            recall_at_n(index, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < index.matrix.nbytes / 2, f"peak {peak} bytes for a {index.matrix.nbytes}-byte index"
+
+
+def test_fortran_ordered_index_searches_like_a_c_ordered_one():
+    # build_index stores its copy in Fortran order; a C-ordered twin is the parent layout.
+    rng = np.random.default_rng(10)
+    index, vecs = random_index(rng, 300, 16, spread=60.0)
+    assert index.matrix.flags.f_contiguous and np.array_equal(index.matrix, vecs)
+    twin = dataclasses.replace(index, matrix=np.ascontiguousarray(index.matrix))
+    queries = [
+        (q, GeoPose(float(e), float(n), 0.0))
+        for q, (e, n) in zip(unit_rows(rng.standard_normal((60, 16))), rng.uniform(0, 60, size=(60, 2)))
+    ]
+    for q, _ in queries:
+        got, want = knn(index, q, 10), knn(twin, q, 10)
+        assert [rid for rid, _ in got] == [rid for rid, _ in want]
+        np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-15)
+    assert recall_at_n(index, queries).to_dict() == recall_at_n(twin, queries).to_dict()
+    planted = make_planted_index([10.0, 500.0, 900.0, 25.0])
+    planted_queries = [(axis, GeoPose(0.0, 0.0, 0.0)) for axis in np.eye(4)]
+    report = recall_at_n(planted, planted_queries, ks=(1, 2))
+    assert report.first_correct_rank == [1, 2, 2, 1]
+    twin = dataclasses.replace(planted, matrix=np.ascontiguousarray(planted.matrix))
+    assert recall_at_n(twin, planted_queries, ks=(1, 2)).to_dict() == report.to_dict()

@@ -2,15 +2,18 @@ import dataclasses
 import io
 import re
 import struct
+import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 
+from geoloc import embed
 from geoloc.errors import DomainError, ManifestError
 from geoloc.partition import GeoPose, PartitionConfig, assign_class, build_partition
 from geoloc.retrieval import build_index, recall_at_n
 from geoloc.synth import (
+    REDUCE_CHUNK_ROWS,
     CityConfig,
     FeatureStore,
     SYNTH_ZONE_NUMBER,
@@ -323,14 +326,118 @@ def test_load_features_reads_a_compressed_store_like_np_load(tmp_path):
             np.testing.assert_array_equal(got[key], reference[key])
 
 
+def _flip_last_data_byte(path, member):
+    """Flip the last data byte of one stored member, leaving its CRC stale."""
+    blob = path.read_bytes()
+    info = zipfile.ZipFile(io.BytesIO(blob)).getinfo(member)
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    last = info.header_offset + 30 + name_len + extra_len + info.compress_size - 1
+    path.write_bytes(blob[:last] + bytes([blob[last] ^ 0x01]) + blob[last + 1 :])
+
+
 def test_load_features_rejects_a_crc_flip_in_a_fortran_member(tmp_path):
     arrays = {f"r{i}": np.asfortranarray(np.arange(24.0).reshape(3, 2, 4) + i) for i in range(3)}
     path = tmp_path / "store.npz"
     np.savez(path, **arrays)
-    blob = path.read_bytes()
-    info = zipfile.ZipFile(io.BytesIO(blob)).getinfo("r1.npy")
-    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
-    last = info.header_offset + 30 + name_len + extra_len + info.compress_size - 1
-    path.write_bytes(blob[:last] + bytes([blob[last] ^ 0x01]) + blob[last + 1 :])
+    _flip_last_data_byte(path, "r1.npy")
     with pytest.raises(DomainError, match="CRC"):
         load_features(path)
+
+
+def _gem_pooling(channels):
+    """Pooling of a GeM model of ``channels`` channels, counting the maps of each call in ``calls``."""
+    model = embed.init_model(channels, embed.ModelConfig(output_dim=4, gem_p=3.0), seed=0)
+    calls = []
+
+    def reduce(maps):
+        calls.append(len(maps))
+        return embed.pool_batch(model, maps)[0]
+
+    return reduce, calls
+
+
+CHUNK_PLUS_ONE = [f"r{i}" for i in range(REDUCE_CHUNK_ROWS + 1)]
+
+
+@pytest.mark.parametrize("save", [np.savez, np.savez_compressed], ids=["stored", "deflated"])
+@pytest.mark.parametrize("dtype", ["<f4", ">f8"])
+@pytest.mark.parametrize(
+    "ids",
+    [None, CHUNK_PLUS_ONE[::-3], ["r5", "r1", "r5", "r5", "r0"], []],
+    ids=["all-chunk-plus-one", "subset", "repeated", "none"],
+)
+def test_reducing_load_equals_reducing_the_loaded_block(tmp_path, save, dtype, ids):
+    rng = np.random.default_rng(21)
+    arrays = {rid: rng.standard_normal((3, 2, 4)).astype(dtype) for rid in CHUNK_PLUS_ONE}
+    for rid in CHUNK_PLUS_ONE[1::4]:
+        arrays[rid] = np.asfortranarray(arrays[rid])
+    path = tmp_path / "store.npz"
+    save(path, **arrays)
+    reduce, calls = _gem_pooling(3)
+    got = load_features(path, ids, reduce=reduce)
+    loaded = load_features(path, ids)
+    assert got.ids == loaded.ids
+    assert all(n <= REDUCE_CHUNK_ROWS for n in calls)
+    assert sum(calls) == len(loaded)
+    want = loaded.block if ids == [] else reduce(loaded.block)  # with no ids, neither load reads a map
+    assert (got.block.dtype, got.block.shape) == (want.dtype, want.shape)
+    assert got.block.tobytes() == want.tobytes()
+
+
+def _store_error(path, ids, reduce):
+    with pytest.raises((DomainError, ManifestError)) as caught:
+        load_features(path, ids, reduce=reduce)
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("fault", ["crc", "mixed-layouts", "missing-id", "nan"])
+def test_reducing_load_keeps_the_loader_errors(tmp_path, fault):
+    arrays = {f"r{i}": np.full((2, 1, 1), float(i), dtype=np.float32) for i in range(4)}
+    ids = list(arrays)
+    if fault == "mixed-layouts":
+        arrays["r2"] = np.ones((3, 1, 1), dtype=np.float32)
+    elif fault == "missing-id":
+        ids.append("r9")
+    elif fault == "nan":
+        arrays["r2"][1, 0, 0] = np.nan
+    path = tmp_path / "store.npz"
+    np.savez(path, **arrays)
+    if fault == "crc":
+        _flip_last_data_byte(path, "r1.npy")
+    reduce, _ = _gem_pooling(2)
+    error = _store_error(path, ids, None)
+    assert _store_error(path, ids, reduce) == error
+    expected = {
+        "crc": (DomainError, "Bad CRC-32 for member 'r1'"),
+        "mixed-layouts": (DomainError, "mixes member layouts: 'r2' is float32[3, 1, 1]"),
+        "missing-id": (ManifestError, "has no entry for record 'r9'"),
+        "nan": (DomainError, f"feature store {path}: feature map of record 'r2' contains non-finite values"),
+    }[fault]
+    assert error[0] is expected[0] and expected[1] in error[1]
+
+
+def _write_store_member_by_member(path, count, shape):
+    """A stored ``.npz`` of ``count`` float32 maps, written without holding them all."""
+    base = np.random.default_rng(22).random(shape, dtype=np.float32)
+    with zipfile.ZipFile(path, "w") as zf:
+        for i in range(count):
+            with zf.open(f"r{i:05d}.npy", "w") as fh:
+                np.lib.format.write_array(fh, base + np.float32(i))
+    return count * base.nbytes
+
+
+def test_reducing_load_never_holds_the_map_block(tmp_path):
+    # numpy reports its buffers to tracemalloc. The staging chunk, the GeM
+    # temporaries, the read buffer and the zip directory stay well below a
+    # quarter of this 32 MiB block; loading the block first holds all of it.
+    path = tmp_path / "store.npz"
+    block_bytes = _write_store_member_by_member(path, 2048, (16, 16, 16))
+    reduce, _ = _gem_pooling(16)
+    tracemalloc.start()
+    try:
+        pooled = load_features(path, reduce=reduce)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pooled.block.shape == (2048, 16)
+    assert peak < block_bytes / 4, f"peak {peak} bytes for a {block_bytes}-byte map block"
