@@ -5,15 +5,16 @@ cosine similarity. Search is an exhaustive scan whose cost is exactly
 rows x dim multiply-accumulates per query; exactly equal computed
 similarities rank in insertion order, but BLAS may round duplicate rows'
 products differently by position, so duplicates can rank by that rounding.
-``build_index`` freezes the descriptors in one Fortran-ordered copy, so the
-C-contiguous ``(dim, rows)`` database that ``recall_at_n`` multiplies with is
-a view of the index, not a copy. ``recall_at_n`` scores queries in blocks,
-one matrix product per block, sized so a block's similarity matrix stays
-within about 8 MiB. It selects each query's top K with a partial partition
-plus an exact sort of the candidates (exact flat inner-product search, as in
-FAISS). A retrieved item counts as correct for a query when its pose lies
-within the metric threshold of the query pose, both taken in one shared UTM
-zone.
+``build_index`` holds the descriptors in Fortran order, so the C-contiguous
+``(dim, rows)`` database that ``recall_at_n`` multiplies with is a view of the
+index, not a copy. It adopts a Fortran-ordered float64 array as it is and
+copies anything else once; either way it freezes the array read-only.
+``recall_at_n`` scores queries in blocks, one matrix product per block, into
+one similarity buffer of about 8 MiB that every block reuses. It selects each
+query's top K with a partial partition plus an exact sort of the candidates
+(exact flat inner-product search, as in FAISS). A retrieved item counts as
+correct for a query when its pose lies within the metric threshold of the
+query pose, both taken in one shared UTM zone.
 """
 
 from __future__ import annotations
@@ -57,13 +58,18 @@ def build_index(
     ids: Sequence[str],
     poses: Sequence[GeoPose],
 ) -> DescriptorIndex:
-    """Validate and freeze descriptors into an index, preserving insertion order."""
+    """Validate and freeze descriptors into an index, preserving insertion order.
+
+    A Fortran-ordered float64 ``descriptors`` array becomes ``index.matrix`` without a copy, and is
+    made read-only; any other input is copied once.
+    """
     if len(ids) != len(poses):
         raise RetrievalError(f"{len(ids)} ids vs {len(poses)} poses")
     if len(ids) == 0:
         matrix = np.empty((0, 0))
     else:
-        matrix = np.asarray(descriptors, dtype=np.float64)
+        # Fortran order: ``matrix.T`` is the C-contiguous (dim, rows) array the search multiplies with.
+        matrix = np.asarray(descriptors, dtype=np.float64, order="F")
     if matrix.ndim != 2:
         raise RetrievalError(f"descriptors must be (n, D), got shape {matrix.shape}")
     if matrix.shape[0] != len(ids):
@@ -77,10 +83,10 @@ def build_index(
     bad = np.nonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))[0]  # NaN rows fail too
     if bad.size:
         raise RetrievalError(f"descriptor for id {ids[bad[0]]!r} is not unit-norm ({norms[bad[0]]:.6f})")
+    matrix.flags.writeable = False
     return DescriptorIndex(
         ids=list(ids),
-        # Fortran order: ``matrix.T`` is the C-contiguous (dim, rows) array the search multiplies with.
-        matrix=matrix.copy(order="F"),
+        matrix=matrix,
         positions=np.array([(p.east, p.north) for p in poses], dtype=np.float64).reshape(-1, 2),
     )
 
@@ -183,9 +189,10 @@ def recall_at_n(
         block = max(1, SEARCH_BLOCK_BYTES // (8 * len(index)))
         # (D, N) and C-contiguous (a view of the index), so each block's product streams the rows once.
         database = index.matrix.T
+        buffer = np.empty((min(block, len(queries)), len(index)))
         for start in range(0, len(queries), block):
-            stop = start + block
-            sims = descriptors[start:stop] @ database
+            stop = min(start + block, len(queries))
+            sims = np.matmul(descriptors[start:stop], database, out=buffer[: stop - start])
             offsets = index.positions[_top_rows(sims, kmax)] - positions[start:stop, None, :]
             near = np.hypot(offsets[..., 0], offsets[..., 1]) <= threshold_m
             ranks = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 0)
@@ -212,7 +219,9 @@ def evaluate(
     """Recall@K of query descriptors searched against database descriptors.
 
     Row i of ``db_vecs``/``query_vecs`` belongs to record i of its list. The
-    index takes the database records' ids and poses. A manifest holds one
+    index takes the database records' ids and poses. It adopts ``db_vecs``
+    when that is a Fortran-ordered float64 array (as ``embed_records``
+    returns), and ``db_vecs`` then becomes read-only. A manifest holds one
     zone, so the first query record's zone must match the first database
     record's.
     """

@@ -26,9 +26,10 @@ read the maps (``synth.load_features(..., reduce=...)``); pooling reduces
 each map on its own, so both paths give the same descriptors.
 
 The loop holds at most one batch of descriptors at a time (validation
-projects in batch-sized chunks straight into the index matrix); the
-``DescriptorBudget`` instrumentation records the peak so the no-cache
-contract is testable.
+projects in batch-sized chunks straight into the index matrix:
+``embed_records`` writes a Fortran-ordered array, which ``build_index``
+adopts without a copy); the ``DescriptorBudget`` instrumentation records the
+peak so the no-cache contract is testable.
 """
 
 from __future__ import annotations
@@ -221,11 +222,12 @@ def embed_records(
 
     A chunk projects its rows of ``pooled`` if given, else pools its maps. ``pooled`` is indexed by
     ``features``' block rows: ``pool_store`` of it, or the block itself when the store was loaded with ``reduce``.
+    The result is Fortran-ordered, the layout ``retrieval.build_index`` adopts without a copy.
     """
     if budget is None:
         budget = DescriptorBudget()
     rows = features.rows(r.id for r in records)
-    out = np.empty((len(records), model.output_dim))
+    out = np.empty((len(records), model.output_dim), order="F")
     for start in range(0, len(records), batch_size):
         chunk = rows[start : start + batch_size]
         budget.acquire(len(chunk))

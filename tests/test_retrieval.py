@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -270,7 +269,7 @@ def test_recall_checks_every_query_with_the_knn_messages():
         recall_at_n(index, [(np.full(3, np.nan), good[1]), good])
 
 
-def test_search_multiplies_with_a_view_of_the_index():
+def test_search_multiplies_with_a_view_of_the_index(traced_peak):
     rng = np.random.default_rng(9)
     index, _ = random_index(rng, 4000, 64)
     database = np.ascontiguousarray(index.matrix.T)  # the (dim, rows) array recall_at_n multiplies with
@@ -278,12 +277,7 @@ def test_search_multiplies_with_a_view_of_the_index():
     queries = [(q, GeoPose(50.0, 50.0, 0.0)) for q in unit_rows(rng.standard_normal((40, 64)))]
     # Blocks of 8 queries keep each similarity matrix at 256 KiB, an eighth of the 2 MiB index.
     with mock.patch.object(retrieval, "SEARCH_BLOCK_BYTES", 8 * 8 * len(index)):
-        tracemalloc.start()
-        try:
-            recall_at_n(index, queries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: recall_at_n(index, queries))
     assert peak < index.matrix.nbytes / 2, f"peak {peak} bytes for a {index.matrix.nbytes}-byte index"
 
 
@@ -308,3 +302,40 @@ def test_fortran_ordered_index_searches_like_a_c_ordered_one():
     assert report.first_correct_rank == [1, 2, 2, 1]
     twin = dataclasses.replace(planted, matrix=np.ascontiguousarray(planted.matrix))
     assert recall_at_n(twin, planted_queries, ks=(1, 2)).to_dict() == report.to_dict()
+
+
+def test_search_holds_one_similarity_block(traced_peak):
+    rng = np.random.default_rng(12)
+    index, _ = random_index(rng, 4000, 16)
+    queries = [(q, GeoPose(50.0, 50.0, 0.0)) for q in unit_rows(rng.standard_normal((150, 16)))]
+    block_rows = 64  # 2 MB of similarities per block; the 150 queries span 3 blocks
+    block_bytes = 8 * block_rows * len(index)
+    assert -(-len(queries) // block_rows) >= 3
+    with mock.patch.object(retrieval, "SEARCH_BLOCK_BYTES", block_bytes):
+        report, peak = traced_peak(lambda: recall_at_n(index, queries))
+    assert report == recall_at_n(index, queries)
+    assert peak < 1.5 * block_bytes, f"peak {peak} bytes for {block_bytes}-byte blocks"
+
+
+def test_index_adopts_a_fortran_ordered_float64_array_and_copies_anything_else():
+    rng = np.random.default_rng(13)
+    vecs = unit_rows(rng.standard_normal((50, 8)))
+    ids = [f"r{i}" for i in range(50)]
+    poses = [GeoPose(float(i), 0.0, 0.0) for i in range(50)]
+    adopted = np.asfortranarray(vecs)
+    index = build_index(adopted, ids, poses)
+    assert index.matrix is adopted and np.shares_memory(index.matrix, adopted)
+    assert not adopted.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        index.matrix[0, 0] = 0.0
+    for given in (np.ascontiguousarray(vecs), np.asfortranarray(vecs, dtype=np.float32), list(vecs)):
+        arrays = given if isinstance(given, list) else [given]
+        before = [a.copy() for a in arrays]
+        index = build_index(given, ids, poses)
+        assert index.matrix.flags.f_contiguous and index.matrix.dtype == np.float64
+        assert np.array_equal(index.matrix, np.asarray(given, dtype=np.float64))
+        for array, copy in zip(arrays, before):
+            assert not np.shares_memory(index.matrix, array)
+            assert array.flags.writeable and np.array_equal(array, copy)
+        with pytest.raises(ValueError, match="read-only"):
+            index.matrix[0, 0] = 0.0

@@ -2,7 +2,6 @@ import dataclasses
 import io
 import re
 import struct
-import tracemalloc
 import zipfile
 
 import numpy as np
@@ -426,18 +425,13 @@ def _write_store_member_by_member(path, count, shape):
     return count * base.nbytes
 
 
-def test_reducing_load_never_holds_the_map_block(tmp_path):
+def test_reducing_load_never_holds_the_map_block(tmp_path, traced_peak):
     # numpy reports its buffers to tracemalloc. The staging chunk, the GeM
     # temporaries, the read buffer and the zip directory stay well below a
     # quarter of this 32 MiB block; loading the block first holds all of it.
     path = tmp_path / "store.npz"
     block_bytes = _write_store_member_by_member(path, 2048, (16, 16, 16))
     reduce, _ = _gem_pooling(16)
-    tracemalloc.start()
-    try:
-        pooled = load_features(path, reduce=reduce)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pooled, peak = traced_peak(lambda: load_features(path, reduce=reduce))
     assert pooled.block.shape == (2048, 16)
     assert peak < block_bytes / 4, f"peak {peak} bytes for a {block_bytes}-byte map block"

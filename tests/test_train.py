@@ -8,10 +8,11 @@ import pytest
 from geoloc import embed
 from geoloc.embed import ModelConfig, model_from_dict
 from geoloc.errors import TrainingError
-from geoloc.ingest import split_validation
+from geoloc.ingest import ImageRecord, split_validation
 from geoloc.loss import LossConfig
-from geoloc.partition import PartitionConfig, build_partition, enumerate_groups
-from geoloc.synth import CityConfig, generate_city
+from geoloc.partition import GeoPose, PartitionConfig, build_partition, enumerate_groups
+from geoloc.retrieval import SEARCH_BLOCK_BYTES, evaluate
+from geoloc.synth import CityConfig, FeatureStore, generate_city
 from geoloc.train import (
     AdamMoments,
     DescriptorBudget,
@@ -330,6 +331,42 @@ def test_embedding_pooled_rows_equals_embedding_the_maps(world, setup, pooling):
         got = embed_records(model, records, store, BASE.batch_size, budget, pooled=pooled)
         assert np.array_equal(got, embed_records(model, records, store, BASE.batch_size))
         assert budget.current == 0 and 0 < budget.peak <= BASE.batch_size
+
+
+def test_embed_records_is_fortran_ordered_rows_of_project(world, setup):
+    # The layout build_index adopts without a copy; the values are the C-ordered rows project gives.
+    # (One project call per row would take BLAS's one-row path, which can round the last bit differently.)
+    _, val_db, _ = setup
+    model = embed.init_model(world.features.block.shape[1], BASE.model, 7)
+    pooled = pool_store(world.features, "gem", model.gem_p, 7)
+    got = embed_records(model, val_db, world.features, BASE.batch_size, pooled=pooled)
+    assert got.flags.f_contiguous and got.shape == (len(val_db), BASE.model.output_dim)
+    want = embed.project(model, pooled[world.features.rows(r.id for r in val_db)])[0]
+    assert want.flags.c_contiguous and np.array_equal(got, want)
+
+
+def test_eval_holds_the_database_descriptors_once_and_one_search_block(traced_peak):
+    # The paper keeps every database descriptor in memory for retrieval; eval
+    # should hold them once, plus one similarity block. The 2 MiB slack, for
+    # the id, pose and query lists, is fixed in advance, not fitted to a reading.
+    n, q, dim = 8000, 300, 64
+    assert -(-q // (SEARCH_BLOCK_BYTES // (8 * n))) >= 3  # the queries span 3 search blocks
+    rng = np.random.default_rng(31)
+    records = [ImageRecord(id=f"r{i}", pose=GeoPose(float(i % 400), float(i // 400), 0.0)) for i in range(n + q)]
+    db, queries = records[:n], records[n:]
+    db_store = FeatureStore([r.id for r in db], rng.random((n, dim)))
+    query_store = FeatureStore([r.id for r in queries], rng.random((q, dim)))
+    model = embed.init_model(dim, ModelConfig(output_dim=dim), 3)
+
+    def run():
+        db_vecs = embed_records(model, db, db_store, 256, pooled=db_store.block)
+        query_vecs = embed_records(model, queries, query_store, 256, pooled=query_store.block)
+        return evaluate(db_vecs, db, query_vecs, queries)
+
+    report, peak = traced_peak(run)
+    assert report.num_queries == q
+    bound = n * dim * 8 + SEARCH_BLOCK_BYTES + (2 << 20)
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("learn_p", [False, True])
