@@ -20,8 +20,6 @@ import argparse
 import logging
 import sys
 from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
 from . import embed, ingest, retrieval, synth, train
@@ -131,7 +129,7 @@ def _load_stores(
     db_ids: list[str],
     query_path: str | None,
     query_ids: list[str],
-    reduce: Callable[[np.ndarray], np.ndarray] | None = None,
+    reduce: synth.Reduce | None,
 ):
     """The database and query feature stores, holding only the ids the command reads.
 
@@ -156,7 +154,8 @@ def _run_training_from_files(
     groups = train.used_groups(part, cfg.train)
     members = [rid for g in groups for cid in part.group_classes[g] for rid in part.class_members[cid]]
     store, query_store = _load_stores(
-        features, members + [r.id for r in val_db], query_features, [r.id for r in val_queries]
+        features, members + [r.id for r in val_db], query_features, [r.id for r in val_queries],
+        train.store_reduce(cfg.train.model),
     )
     return train.run_training(part, store, cfg.train, val_db, val_queries, query_store)
 
@@ -198,10 +197,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         db_pooled, query_pooled = _load_stores(
             args.db_features, db_ids, args.query_features, query_ids, lambda maps: embed.pool_batch(model, maps)[0]
         )
-        db_vecs = train.embed_records(model, db_records, db_pooled, cfg.train.batch_size, pooled=db_pooled.block)
-        q_vecs = train.embed_records(
-            model, query_records, query_pooled, cfg.train.batch_size, pooled=query_pooled.block
-        )
+        db_vecs = train.embed_records(model, db_records, db_pooled, cfg.train.batch_size)
+        q_vecs = train.embed_records(model, query_records, query_pooled, cfg.train.batch_size)
         del db_pooled, query_pooled  # free the pooled rows before the search
     else:
         ids = db_ids + query_ids
@@ -211,7 +208,9 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         if not norms.all():
             raise DomainError(f"oracle latent of record {ids[norms.argmin()]!r} in {args.oracle_latents} is zero")
         vecs /= norms
-        db_vecs, q_vecs = vecs[: len(db_ids)], vecs[len(db_ids) :]
+        # The index adopts the Fortran-ordered database side; the queries are copied out, so vecs can go.
+        db_vecs, q_vecs = np.asfortranarray(vecs[: len(db_ids)]), vecs[len(db_ids) :].copy()
+        del latents, vecs
 
     report = retrieval.evaluate(
         db_vecs, db_records, q_vecs, query_records, cfg.eval.ks, cfg.eval.threshold_m

@@ -21,14 +21,12 @@ same kernel; the gradients are verified against central finite differences
 in the tests.
 
 With a fixed exponent (average, max, or GeM whose p is not learned) a map's
-pooled vector depends on the map alone, so training pools each store once
-per run and each step runs ``project`` on the gathered vectors; that cache
-carries no GeM terms, so ``backward_cached`` skips the p-gradient.
-That is not a descriptor cache: descriptors depend on the projection, which
-every step changes, and ``project`` recomputes them from the pooled inputs.
-A loaded checkpoint's exponent is fixed too, so ``geoloc eval`` runs
-``pool_batch`` on each chunk of maps as the store is read and keeps only the
-pooled rows.
+pooled vector depends on the map alone, so the store loader pools each chunk
+of maps as it reads them (``pool`` for training, ``pool_batch`` with a loaded
+checkpoint's exponent for eval) and a step runs ``project`` on the gathered
+rows; that cache carries no GeM terms, so ``backward_cached`` skips the
+p-gradient. It is not a descriptor cache: descriptors depend on the
+projection, which every step changes.
 """
 
 from __future__ import annotations

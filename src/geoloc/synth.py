@@ -20,7 +20,7 @@ perturbation is added before the rounding. ``load_features`` keeps a store's
 dtype, so a reloaded world holds the generated bits; the embedding computes in float64.
 Given a ``reduce`` function, ``load_features`` applies it to each chunk of
 ``REDUCE_CHUNK_ROWS`` maps as it reads them and keeps only the reduced rows,
-which is how ``geoloc eval`` pools a store without holding its maps.
+so ``geoloc eval`` and a fixed-exponent ``geoloc train`` never hold maps.
 
 Everything is generated from one seeded stream, so equal configs produce
 bit-identical worlds.
@@ -467,6 +467,7 @@ _STORE_BUFFER_BYTES = 1 << 20
 # Maps a reducing ``load_features`` stages before it reduces them; 32 was at
 # least as fast as 128 or 256 on eval_large's stores.
 REDUCE_CHUNK_ROWS = 32
+Reduce = Callable[[np.ndarray], np.ndarray]  # one row out per map of a staged chunk
 
 
 def _read_exact(src: BinaryIO, size: int) -> bytes:
@@ -541,7 +542,7 @@ def _member_source(fh: BinaryIO, info: zipfile.ZipInfo) -> BinaryIO:
 def load_features(
     path: str | Path,
     ids: Iterable[str] | None = None,
-    reduce: Callable[[np.ndarray], np.ndarray] | None = None,
+    reduce: Reduce | None = None,
 ) -> FeatureStore:
     """Arrays of a keyed ``.npz`` store (one member per record id), by id.
 

@@ -9,21 +9,17 @@ checkpoint with the best recall@1 is retained; heads never enter the
 exported inference model.
 
 Unless the GeM exponent is learned, pooling is a fixed function of the
-stored maps, so the run pools each store once, before the first step, into
-one (N, C) array indexed by block row (``pool_store``). Each step then
-gathers its pooled rows and runs projection, loss, backward and Adam; each
-validation projects the split's pooled rows. With a learned exponent the
-step pools its gathered maps and each validation pools the split's rows
-alone. Pooled vectors are inputs, not descriptors: descriptors depend
-on the projection that every step changes, and none outlives its step or
-chunk.
+stored maps, so a run reads pooled (C,) rows, never maps: ``geoloc train``
+hands ``store_reduce`` to the store loader, as ``geoloc eval`` hands it its
+checkpoint's pooling, and a library caller's store of maps is pooled once
+(``pool_store``). With a learned exponent each step pools its gathered maps.
+Pooled vectors are inputs, not descriptors: descriptors depend on the
+projection that every step changes, and none outlives its step or chunk.
 
 Validation embeds through ``embed_records``, the loop ``geoloc eval`` runs,
 and scores at the eval ks too (``TrainConfig.val_ks``): the best epoch's
 recalls are what an eval of the exported model on the split reports.
-``geoloc eval`` passes ``pooled`` rows that the store loader pooled as it
-read the maps (``synth.load_features(..., reduce=...)``); pooling reduces
-each map on its own, so both paths give the same descriptors.
+Pooling reduces each map on its own, so maps and pooled rows embed alike.
 
 The loop holds at most one batch of descriptors at a time (validation
 projects in batch-sized chunks straight into the index matrix:
@@ -58,7 +54,7 @@ from .partition import GroupId, Partition, enumerate_groups
 # build_index and recall_at_n stay importable from this module, where the
 # benchmark's tracer tests look them up.
 from .retrieval import build_index, evaluate, recall_at_n  # noqa: F401
-from .synth import FeatureStore
+from .synth import REDUCE_CHUNK_ROWS, FeatureStore, Reduce
 
 logger = logging.getLogger(__name__)
 
@@ -213,42 +209,53 @@ class TrainState:
 def embed_records(
     model: EmbeddingModel,
     records: Sequence[ImageRecord],
-    features: FeatureStore,
+    store: FeatureStore,
     batch_size: int,
     budget: DescriptorBudget | None = None,
-    pooled: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unit descriptors of ``records``, ``batch_size`` at a time; only one chunk of descriptors is alive.
 
-    A chunk projects its rows of ``pooled`` if given, else pools its maps. ``pooled`` is indexed by
-    ``features``' block rows: ``pool_store`` of it, or the block itself when the store was loaded with ``reduce``.
+    ``store`` holds maps, which each chunk pools, or pooled rows (``store_reduce``), which it projects as they are.
     The result is Fortran-ordered, the layout ``retrieval.build_index`` adopts without a copy.
     """
     if budget is None:
         budget = DescriptorBudget()
-    rows = features.rows(r.id for r in records)
+    rows = store.rows(r.id for r in records)
     out = np.empty((len(records), model.output_dim), order="F")
     for start in range(0, len(records), batch_size):
-        chunk = rows[start : start + batch_size]
+        chunk = store.block[rows[start : start + batch_size]]
         budget.acquire(len(chunk))
-        if pooled is None:
-            out[start : start + len(chunk)] = embed.forward_batch(model, features.block[chunk])
-        else:
-            out[start : start + len(chunk)] = embed.project(model, pooled[chunk])[0]
+        if chunk.ndim == 4:
+            chunk = embed.pool_batch(model, chunk)[0]
+        out[start : start + len(chunk)] = embed.project(model, chunk)[0]
         budget.release(len(chunk))
     return out
 
 
-def pool_store(store: FeatureStore, pooling: str, p: float, chunk: int) -> np.ndarray:
-    """Every map of ``store`` pooled into one (N, C) array, indexed by block row.
+def store_reduce(cfg: ModelConfig) -> Reduce | None:
+    """The pooling of each (B, C, H, W) chunk of maps a run loads, or None when p is learned (the run reads maps)."""
+    if cfg.pooling == embed.GEM and cfg.learn_gem_p:
+        return None
 
-    Pools ``chunk`` maps per call: pooling a whole block in one call would
-    hold two (N, C, H, W) GeM temporaries.
+    def pool(maps: np.ndarray) -> np.ndarray:
+        if maps.ndim != 4:
+            raise DomainError(f"feature maps must be (C, H, W), got shape {maps.shape[1:]}")
+        return embed.pool(maps, cfg.pooling, cfg.gem_p)
+
+    return pool
+
+
+def pool_store(store: FeatureStore, reduce: Reduce, chunk: int = REDUCE_CHUNK_ROWS) -> FeatureStore:
+    """The store of ``store``'s maps pooled ``chunk`` at a time, as ``load_features(..., reduce=reduce)`` gives it.
+
+    A store of pooled rows is returned as it is.
     """
+    if store.block.ndim == 2:
+        return store
     pooled = np.empty(store.block.shape[:2])
     for start in range(0, len(store), chunk):
-        pooled[start : start + chunk] = embed.pool(store.block[start : start + chunk], pooling, p)
-    return pooled
+        pooled[start : start + chunk] = reduce(store.block[start : start + chunk])
+    return FeatureStore(store.ids, pooled)
 
 
 def _validate(
@@ -257,14 +264,12 @@ def _validate(
     val_queries: Sequence[ImageRecord],
     features: FeatureStore,
     query_features: FeatureStore,
-    db_pooled: np.ndarray | None,
-    query_pooled: np.ndarray | None,
     cfg: TrainConfig,
     budget: DescriptorBudget,
 ) -> dict[int, float]:
     """Recall of the validation split at ``VALIDATION_KS`` and ``cfg.val_ks``, embedded by ``embed_records``."""
-    db_vecs = embed_records(model, val_db, features, cfg.batch_size, budget, db_pooled)
-    query_vecs = embed_records(model, val_queries, query_features, cfg.batch_size, budget, query_pooled)
+    db_vecs = embed_records(model, val_db, features, cfg.batch_size, budget)
+    query_vecs = embed_records(model, val_queries, query_features, cfg.batch_size, budget)
     ks = sorted({*VALIDATION_KS, *cfg.val_ks})
     return evaluate(db_vecs, val_db, query_vecs, val_queries, ks, cfg.val_threshold_m).recall_at
 
@@ -279,11 +284,12 @@ def run_training(
 ) -> TrainState:
     """Train over the first ``groups_used`` groups, one group per epoch.
 
-    ``features`` holds each image's (C, H, W) map; ``query_features``
-    optionally overrides the store for validation queries (domain shift),
-    with the same channel count. Raises DomainError for maps of another
-    shape, and TrainingError when a group among the first G is unusable or
-    the loss turns non-finite.
+    ``features`` holds each image's (C, H, W) map, or with a fixed exponent
+    its pooled (C,) row (a store of maps is then pooled once);
+    ``query_features`` optionally overrides it for validation queries (domain
+    shift), with the same channel count. Raises DomainError for a store of
+    another shape, and TrainingError when a group among the first G is
+    unusable or the loss turns non-finite.
     """
     if query_features is None:
         query_features = features
@@ -292,8 +298,10 @@ def run_training(
 
     groups = used_groups(partition, cfg)
     tables = {g: group_table(partition, g, features) for g in groups}
+    reduce = store_reduce(cfg.model)
+    learn_p = reduce is None
     for name, store in (("feature", features), ("query feature", query_features)):
-        if store.block.ndim != 4:
+        if store.block.ndim != 4 and (learn_p or store.block.ndim != 2):  # pooled rows only with a fixed p
             raise DomainError(f"{name} maps must be (C, H, W), got shape {store.block.shape[1:]}")
     if query_features.block.shape[1] != features.block.shape[1]:
         raise DomainError(
@@ -323,7 +331,6 @@ def run_training(
 
     # The model's projection and bias are views into one flat vector that
     # Adam updates, followed by a slot for the GeM exponent when it is learned.
-    learn_p = cfg.model.pooling == embed.GEM and cfg.model.learn_gem_p
     n_proj = model.projection.size
     params = np.concatenate([model.projection.ravel(), model.bias, [model.gem_p] if learn_p else []])
     model.projection = params[:n_proj].reshape(model.projection.shape)
@@ -332,12 +339,11 @@ def run_training(
     # A head steps only in its group's epochs, so each keeps its own count.
     head_moments = {g: AdamMoments.zeros_like(heads[g].weights) for g in groups}
 
-    # Unless p is learned, a map's pooled vector is fixed: pool each store
-    # once. The pooled vectors are inputs, not descriptors, so the one-batch
-    # descriptor budget still holds. ``pooled[-1]`` is the query store's, the
-    # database store's array when both are one store; None pools at each use.
-    stores = (features,) if query_features is features else (features, query_features)
-    pooled = [None] if learn_p else [pool_store(s, model.pooling, model.gem_p, cfg.batch_size) for s in stores]
+    # A library caller's maps are pooled once; pooled rows are inputs, not descriptors.
+    if not learn_p:
+        shared = query_features is features
+        features = pool_store(features, reduce)
+        query_features = features if shared else pool_store(query_features, reduce)
     for epoch in range(cfg.total_epochs):
         group = groups[epoch % cfg.groups_used]
         head = heads[group]
@@ -345,10 +351,8 @@ def run_training(
         for it in range(cfg.iterations_per_epoch):
             batch = sample_batch(tables[group], cfg.batch_size, sampler)
             budget.acquire(len(batch))
-            if learn_p:
-                descriptors, cache = embed.forward_cached(model, features.block[batch[:, 0]])
-            else:
-                descriptors, cache = embed.project(model, pooled[0][batch[:, 0]])
+            inputs = features.block[batch[:, 0]]
+            descriptors, cache = embed.forward_cached(model, inputs) if learn_p else embed.project(model, inputs)
             loss_value, grad_desc, grad_w = margin_cosine_kernel(descriptors, batch[:, 1], head, cfg.loss)
             if not np.isfinite(loss_value):
                 raise TrainingError(
@@ -364,7 +368,7 @@ def run_training(
             adam_step(head.weights, grad_w, head_moments[group], cfg)
             iteration_losses.append(loss_value)
 
-        recalls = _validate(model, val_db, val_queries, features, query_features, pooled[0], pooled[-1], cfg, budget)
+        recalls = _validate(model, val_db, val_queries, features, query_features, cfg, budget)
         mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
         state.history.append(
             EpochStats(

@@ -189,6 +189,29 @@ def test_eval_oracle_mode_reaches_full_recall(workspace, tmp_path, capsys):
     assert lines[-1].split()[0] == "100.0"
 
 
+def test_eval_oracle_mode_index_adopts_the_database_latents(workspace, monkeypatch):
+    # The database descriptors are held once: the index is the array eval built, not a copy of it.
+    _, cfg_path, world_dir = workspace
+    seen = {}
+    real_evaluate, real_build_index = cli.retrieval.evaluate, cli.retrieval.build_index
+
+    def evaluate(db_vecs, *args, **kwargs):
+        seen["db_vecs"] = db_vecs
+        return real_evaluate(db_vecs, *args, **kwargs)
+
+    def build_index(*args, **kwargs):
+        seen["index"] = real_build_index(*args, **kwargs)
+        return seen["index"]
+
+    monkeypatch.setattr(cli.retrieval, "evaluate", evaluate)
+    monkeypatch.setattr(cli.retrieval, "build_index", build_index)
+    assert main([
+        "eval", "--config", str(cfg_path), "--oracle-latents", str(world_dir / "latents.npz"),
+        "--db", str(world_dir / "manifest.csv"), "--queries", str(world_dir / "queries.csv"),
+    ]) == 0
+    assert np.shares_memory(seen["index"].matrix, seen["db_vecs"])
+
+
 def _oracle_eval_on(world_dir, cfg_path, tmp_path, convert) -> int:
     """Oracle eval of every record against the queries, on latents passed through ``convert``."""
     store = tmp_path / "latents.npz"
@@ -923,6 +946,8 @@ def test_train_rejects_a_store_of_maps_that_are_not_chw(workspace, tmp_path, cap
     err = capsys.readouterr().err
     _single_error_line(err, "domain")
     assert "(C, H, W)" in err
+    with np.load(store) as stored:
+        assert f"got shape {stored[stored.files[0]].shape}" in err
     assert not (tmp_path / "run" / "model_best.json").exists()
 
 
@@ -948,6 +973,31 @@ def test_train_rejects_query_maps_with_another_channel_count(workspace, tmp_path
     _single_error_line(err, "domain")
     assert "6 channels" in err and "16" in err
     assert not (tmp_path / "run" / "model_best.json").exists()
+
+
+def test_fixed_p_training_memory_does_not_grow_with_the_map_size(tmp_path, traced_peak):
+    # Classification training keeps no per-image cache, and with a fixed
+    # exponent a run reads pooled rows only, so it never holds the maps. Two
+    # worlds equal but for H x W must peak alike, within what pooling one
+    # staging chunk of the larger maps holds at once (GeM's float64 cast,
+    # clamp and power) plus 1 MiB. The bound is fixed in advance, not fitted
+    # to a reading. The run uses all 8 groups, so it reads every map: the
+    # larger world's map block alone is 8 MiB.
+    peaks = {}
+    for side in (4, 16):
+        raw = json.loads(json.dumps(CONFIG))
+        raw["train"]["groups_used"] = 8
+        raw["city"]["feature_map_shape"] = [16, side, side]
+        cfg = cli.run_config_from_dict(raw)
+        paths = cli.synth.write_world(cli.synth.generate_city(cfg.city), tmp_path / f"side{side}")
+        state, peaks[side] = traced_peak(
+            lambda: cli._run_training_from_files(cfg, str(paths["manifest"]), str(paths["features"]), None)
+        )
+        assert state.best_model is not None
+    channels, side = 16, 16
+    bound = 3 * cli.synth.REDUCE_CHUNK_ROWS * channels * side * side * 8 + (1 << 20)
+    growth = peaks[16] - peaks[4]
+    assert growth < bound, f"peak grew {growth / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_train_accepts_query_maps_of_another_size(workspace, tmp_path):

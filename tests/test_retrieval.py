@@ -339,3 +339,17 @@ def test_index_adopts_a_fortran_ordered_float64_array_and_copies_anything_else()
             assert array.flags.writeable and np.array_equal(array, copy)
         with pytest.raises(ValueError, match="read-only"):
             index.matrix[0, 0] = 0.0
+
+
+def test_adopting_build_index_holds_no_matrix_sized_temporary(traced_peak):
+    # An adopted matrix is the index; checking it must not cost another one.
+    # The bound, a quarter of the matrix, is fixed in advance, not fitted to a reading.
+    n, dim = 20_000, 64
+    adopted = np.asfortranarray(unit_rows(np.random.default_rng(14).standard_normal((n, dim))))
+    ids = [f"r{i}" for i in range(n)]
+    poses = [GeoPose(float(i % 200), float(i // 200), 0.0) for i in range(n)]
+    index, peak = traced_peak(lambda: build_index(adopted, ids, poses))
+    assert index.matrix is adopted
+    assert np.array_equal(index.positions, [(p.east, p.north) for p in poses])
+    bound = n * dim * 8 / 4
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"

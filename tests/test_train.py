@@ -7,12 +7,12 @@ import pytest
 
 from geoloc import embed
 from geoloc.embed import ModelConfig, model_from_dict
-from geoloc.errors import TrainingError
+from geoloc.errors import DomainError, TrainingError
 from geoloc.ingest import ImageRecord, split_validation
 from geoloc.loss import LossConfig
 from geoloc.partition import GeoPose, PartitionConfig, build_partition, enumerate_groups
 from geoloc.retrieval import SEARCH_BLOCK_BYTES, evaluate
-from geoloc.synth import CityConfig, FeatureStore, generate_city
+from geoloc.synth import CityConfig, FeatureStore, generate_city, load_features, write_world
 from geoloc.train import (
     AdamMoments,
     DescriptorBudget,
@@ -24,6 +24,7 @@ from geoloc.train import (
     pool_store,
     run_training,
     sample_batch,
+    store_reduce,
 )
 
 BASE = TrainConfig(
@@ -313,9 +314,30 @@ def test_pooled_rows_equal_pooling_the_gathered_batch(world, setup, pooling):
     store = world.features
     assert len(store) % 7  # the last chunk of 7 is partial
     for chunk in (1, 7, BASE.batch_size, len(store)):
-        pooled = pool_store(store, pooling, 3.0, chunk)
+        pooled = pool_store(store, store_reduce(ModelConfig(pooling=pooling, gem_p=3.0)), chunk).block
         assert pooled.shape == (len(store), store.block.shape[1])
         assert np.array_equal(pooled[picks], want)
+
+
+def test_training_on_loaded_pooled_rows_equals_training_on_the_maps(world, setup, trained, tmp_path):
+    # What geoloc train does with a fixed exponent: the loader pools each
+    # chunk of maps as it reads it, and the run never sees a map.
+    part, val_db, val_q = setup
+    paths = write_world(world, tmp_path)
+    stores = [load_features(paths[name], reduce=store_reduce(BASE.model)) for name in ("features", "query_features")]
+    assert all(store.block.shape == (len(world.features), CITY.feature_map_shape[0]) for store in stores)
+    state = run_training(part, stores[0], BASE, val_db, val_q, stores[1])
+    assert state.history == trained.history
+    assert embed.checkpoint_bytes(state.best_model) == embed.checkpoint_bytes(trained.best_model)
+
+
+def test_learned_p_rejects_a_store_of_pooled_rows(world, setup):
+    part, val_db, val_q = setup
+    cfg = dataclasses.replace(BASE, model=dataclasses.replace(BASE.model, learn_gem_p=True))
+    pooled = pool_store(world.features, store_reduce(BASE.model))
+    for features, query_features in ((pooled, world.query_features), (world.features, pooled)):
+        with pytest.raises(DomainError, match=r"maps must be \(C, H, W\), got shape \(16,\)"):
+            run_training(part, features, cfg, val_db, val_q, query_features)
 
 
 @pytest.mark.parametrize("pooling", ["gem", "average", "max"])
@@ -323,12 +345,13 @@ def test_embedding_pooled_rows_equals_embedding_the_maps(world, setup, pooling):
     # Validation embeds from the run's pooled store and eval from the maps;
     # the exported model's R@1 equals the best epoch's only if both agree bit for bit.
     _, val_db, val_q = setup
-    model = embed.init_model(world.features.block.shape[1], ModelConfig(output_dim=16, pooling=pooling), 7)
+    model_cfg = ModelConfig(output_dim=16, pooling=pooling)
+    model = embed.init_model(world.features.block.shape[1], model_cfg, 7)
     for records, store in ((val_db, world.features), (val_q[::-1], world.query_features)):
         assert len(records) % BASE.batch_size  # the last chunk is partial
         budget = DescriptorBudget()
-        pooled = pool_store(store, pooling, model.gem_p, 7)
-        got = embed_records(model, records, store, BASE.batch_size, budget, pooled=pooled)
+        pooled = pool_store(store, store_reduce(model_cfg), 7)
+        got = embed_records(model, records, pooled, BASE.batch_size, budget)
         assert np.array_equal(got, embed_records(model, records, store, BASE.batch_size))
         assert budget.current == 0 and 0 < budget.peak <= BASE.batch_size
 
@@ -338,10 +361,10 @@ def test_embed_records_is_fortran_ordered_rows_of_project(world, setup):
     # (One project call per row would take BLAS's one-row path, which can round the last bit differently.)
     _, val_db, _ = setup
     model = embed.init_model(world.features.block.shape[1], BASE.model, 7)
-    pooled = pool_store(world.features, "gem", model.gem_p, 7)
-    got = embed_records(model, val_db, world.features, BASE.batch_size, pooled=pooled)
+    pooled = pool_store(world.features, store_reduce(BASE.model), 7)
+    got = embed_records(model, val_db, pooled, BASE.batch_size)
     assert got.flags.f_contiguous and got.shape == (len(val_db), BASE.model.output_dim)
-    want = embed.project(model, pooled[world.features.rows(r.id for r in val_db)])[0]
+    want = embed.project(model, pooled.block[pooled.rows(r.id for r in val_db)])[0]
     assert want.flags.c_contiguous and np.array_equal(got, want)
 
 
@@ -359,8 +382,8 @@ def test_eval_holds_the_database_descriptors_once_and_one_search_block(traced_pe
     model = embed.init_model(dim, ModelConfig(output_dim=dim), 3)
 
     def run():
-        db_vecs = embed_records(model, db, db_store, 256, pooled=db_store.block)
-        query_vecs = embed_records(model, queries, query_store, 256, pooled=query_store.block)
+        db_vecs = embed_records(model, db, db_store, 256)
+        query_vecs = embed_records(model, queries, query_store, 256)
         return evaluate(db_vecs, db, query_vecs, queries)
 
     report, peak = traced_peak(run)
