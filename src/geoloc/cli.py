@@ -194,9 +194,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         model = embed.load_model(args.checkpoint)
         # The checkpoint fixes the pooling, so each chunk of maps is pooled as it is read and only
         # the (N, C) pooled rows are held.
-        db_pooled, query_pooled = _load_stores(
-            args.db_features, db_ids, args.query_features, query_ids, lambda maps: embed.pool_batch(model, maps)[0]
-        )
+        reduce = train.store_reduce(embed.ModelConfig(model.output_dim, model.pooling, model.gem_p))
+        db_pooled, query_pooled = _load_stores(args.db_features, db_ids, args.query_features, query_ids, reduce)
         db_vecs = train.embed_records(model, db_records, db_pooled, cfg.train.batch_size)
         q_vecs = train.embed_records(model, query_records, query_pooled, cfg.train.batch_size)
         del db_pooled, query_pooled  # free the pooled rows before the search

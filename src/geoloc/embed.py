@@ -5,7 +5,9 @@ produce them on real imagery is out of scope, so maps come from a feature
 store or the synthetic-world generator, which writes float32. Pooling casts
 the maps to float64, so every later step computes in float64.
 Generalized-mean pooling clamps at zero first so the p-th power stays real;
-p = 1 reproduces average pooling and large p approaches max pooling.
+p = 1 reproduces average pooling and large p approaches max pooling. An
+exponent whose powers of the maps overflow float64 raises DomainError naming
+the exponent, since the maps themselves are finite.
 
 A training step with a learned GeM exponent runs ``forward_cached``: it
 raises each clamped map to the power p once and returns the descriptors with
@@ -22,11 +24,11 @@ in the tests.
 
 With a fixed exponent (average, max, or GeM whose p is not learned) a map's
 pooled vector depends on the map alone, so the store loader pools each chunk
-of maps as it reads them (``pool`` for training, ``pool_batch`` with a loaded
-checkpoint's exponent for eval) and a step runs ``project`` on the gathered
-rows; that cache carries no GeM terms, so ``backward_cached`` skips the
-p-gradient. It is not a descriptor cache: descriptors depend on the
-projection, which every step changes.
+of maps as it reads them (``pool``, with the run's or a loaded checkpoint's
+pooling and exponent) and a step runs ``project`` on the gathered rows; that
+cache carries no GeM terms, so ``backward_cached`` skips the p-gradient. It
+is not a descriptor cache: descriptors depend on the projection, which every
+step changes.
 """
 
 from __future__ import annotations
@@ -67,8 +69,11 @@ def _pool(
         if not p >= 1.0:
             raise DomainError(f"gem exponent must be >= 1, got {p}")
         clamped = np.maximum(features, 0.0)
-        powers = np.power(clamped, p)
-        means = powers.mean(axis=(-2, -1))
+        with np.errstate(over="ignore"):
+            powers = np.power(clamped, p)
+            means = powers.mean(axis=(-2, -1))
+        if not np.all(np.isfinite(means)):
+            raise DomainError(f"gem exponent {p} overflows float64 on these feature maps")
         return np.power(means, 1.0 / p), (clamped, powers, means)
     raise DomainError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
 

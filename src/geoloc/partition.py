@@ -99,10 +99,6 @@ class PartitionConfig:
             raise DomainError("min_images_per_class must be >= 0")
 
     @property
-    def heading_bins(self) -> int:
-        return round(360.0 / self.heading_bin_deg)
-
-    @property
     def group_count(self) -> int:
         return self.cell_stride * self.cell_stride * self.heading_stride
 
@@ -133,26 +129,6 @@ def enumerate_groups(cfg: PartitionConfig) -> list[GroupId]:
             range(cfg.cell_stride), range(cfg.cell_stride), range(cfg.heading_stride)
         )
     ]
-
-
-def circular_bin_distance(a: int, b: int, bins: int) -> int:
-    d = abs(a - b) % bins
-    return min(d, bins - d)
-
-
-def adjacent(a: ClassId, b: ClassId, cfg: PartitionConfig) -> bool:
-    """True when an infinitesimal pose change could move an image between the classes.
-
-    Cell adjacency is Chebyshev (diagonal corners count); heading adjacency is
-    circular, so bin 0 and the last bin touch.
-    """
-    if a == b:
-        raise DomainError("adjacency is defined for distinct classes")
-    return (
-        abs(a.cell_east - b.cell_east) <= 1
-        and abs(a.cell_north - b.cell_north) <= 1
-        and circular_bin_distance(a.heading_bin, b.heading_bin, cfg.heading_bins) <= 1
-    )
 
 
 @dataclass

@@ -10,9 +10,10 @@ exported inference model.
 
 Unless the GeM exponent is learned, pooling is a fixed function of the
 stored maps, so a run reads pooled (C,) rows, never maps: ``geoloc train``
-hands ``store_reduce`` to the store loader, as ``geoloc eval`` hands it its
-checkpoint's pooling, and a library caller's store of maps is pooled once
-(``pool_store``). With a learned exponent each step pools its gathered maps.
+hands ``store_reduce`` to the store loader, as ``geoloc eval`` does with its
+checkpoint's pooling and exponent, and a library caller's store of maps is
+pooled once (``pool_store``). With a learned exponent each step pools its
+gathered maps.
 Pooled vectors are inputs, not descriptors: descriptors depend on the
 projection that every step changes, and none outlives its step or chunk.
 
@@ -215,9 +216,12 @@ def embed_records(
 ) -> np.ndarray:
     """Unit descriptors of ``records``, ``batch_size`` at a time; only one chunk of descriptors is alive.
 
-    ``store`` holds maps, which each chunk pools, or pooled rows (``store_reduce``), which it projects as they are.
+    ``store`` holds maps, which each chunk pools, or pooled rows (``store_reduce``), which it projects as they are;
+    a store of another channel count than the model's raises DomainError.
     The result is Fortran-ordered, the layout ``retrieval.build_index`` adopts without a copy.
     """
+    if store.block.shape[1] != model.channels:
+        raise DomainError(f"feature maps have {store.block.shape[1]} channels, model expects {model.channels}")
     if budget is None:
         budget = DescriptorBudget()
     rows = store.rows(r.id for r in records)
@@ -233,13 +237,16 @@ def embed_records(
 
 
 def store_reduce(cfg: ModelConfig) -> Reduce | None:
-    """The pooling of each (B, C, H, W) chunk of maps a run loads, or None when p is learned (the run reads maps)."""
+    """The pooling of each (B, C, H, W) chunk of maps a run or an eval loads, or None when p is learned (the run reads maps).
+
+    A chunk that is not 4-D, or whose maps are empty, raises DomainError naming the member shape.
+    """
     if cfg.pooling == embed.GEM and cfg.learn_gem_p:
         return None
 
     def pool(maps: np.ndarray) -> np.ndarray:
-        if maps.ndim != 4:
-            raise DomainError(f"feature maps must be (C, H, W), got shape {maps.shape[1:]}")
+        if maps.ndim != 4 or 0 in maps.shape[2:]:
+            raise DomainError(f"feature maps must be (C, H, W) with H, W >= 1, got shape {maps.shape[1:]}")
         return embed.pool(maps, cfg.pooling, cfg.gem_p)
 
     return pool

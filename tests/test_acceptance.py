@@ -23,13 +23,14 @@ from geoloc.ingest import split_validation
 from geoloc.loss import ClassifierHead, LossConfig, margin_cosine_grads, margin_cosine_loss
 from geoloc.partition import GeoPose, GroupId, PartitionConfig, build_partition, enumerate_groups
 from geoloc.retrieval import build_index, knn, recall_at_n
-from geoloc.synth import CityConfig, generate_city, oracle_descriptor, oracle_pairwise_check
+from geoloc.synth import CityConfig, generate_city, oracle_descriptor
 from geoloc.train import (
     DescriptorBudget,
     TrainConfig,
     embed_records,
     run_training,
 )
+from oracles import central_difference, oracle_pairwise_check, rel_err
 
 
 @contextlib.contextmanager
@@ -209,33 +210,17 @@ def test_criterion_3_margin_loss_oracle_and_gradients():
 
             cfg = LossConfig(margin=float(rng.uniform(0.0, 0.5)), scale=scale)
             g_desc, g_w = margin_cosine_grads(desc, labels, head, cfg)
-            fd_desc = _central_diff(lambda x: margin_cosine_loss(x, labels, head, cfg), desc.copy())
-            fd_w = _central_diff(
+            fd_desc = central_difference(
+                lambda x: margin_cosine_loss(x, labels, head, cfg), desc.copy(), eps=1e-5
+            )
+            fd_w = central_difference(
                 lambda w: margin_cosine_loss(desc, labels, ClassifierHead(group=g0, weights=w), cfg),
                 head.weights.copy(),
+                eps=1e-5,
             )
-            assert _rel_err(g_desc, fd_desc) < 1e-4
-            assert _rel_err(g_w, fd_w) < 1e-4
+            assert rel_err(g_desc, fd_desc) < 1e-4
+            assert rel_err(g_w, fd_w) < 1e-4
         assert time.perf_counter() - start < 30.0
-
-
-def _central_diff(f, x, eps=1e-5):
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        grad.reshape(-1)[i] = (hi - lo) / (2.0 * eps)
-    return grad
-
-
-def _rel_err(a, b):
-    denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return np.abs(a - b).max() / denom
 
 
 def test_criterion_4_embedding_gradients():
@@ -256,7 +241,7 @@ def test_criterion_4_embedding_gradients():
             g = rng.standard_normal(dim)
             got = embed.backward(model, fm, g)
 
-            fd_proj = _central_diff(
+            fd_proj = central_difference(
                 lambda p: float(
                     embed.forward(
                         EmbeddingModel(pooling=pooling, gem_p=model.gem_p, projection=p, bias=model.bias), fm
@@ -265,7 +250,7 @@ def test_criterion_4_embedding_gradients():
                 model.projection.copy(),
                 eps=1e-6,
             )
-            fd_bias = _central_diff(
+            fd_bias = central_difference(
                 lambda bb: float(
                     embed.forward(
                         EmbeddingModel(pooling=pooling, gem_p=model.gem_p, projection=model.projection, bias=bb),
@@ -275,8 +260,8 @@ def test_criterion_4_embedding_gradients():
                 model.bias.copy(),
                 eps=1e-6,
             )
-            assert _rel_err(got.projection, fd_proj) < 1e-4
-            assert _rel_err(got.bias, fd_bias) < 1e-4
+            assert rel_err(got.projection, fd_proj) < 1e-4
+            assert rel_err(got.bias, fd_bias) < 1e-4
 
             pooled_gem1 = embed.pool(fm, GEM, 1.0)
             assert np.abs(pooled_gem1 - embed.pool(fm, AVERAGE)).max() < 1e-12

@@ -17,7 +17,7 @@ from geoloc.config import load_run_config
 from geoloc.errors import TrainingError
 from geoloc.partition import PartitionConfig, build_partition, partition_to_dict
 from geoloc.train import used_groups
-from geoloc.synth import oracle_pairwise_check
+from oracles import oracle_pairwise_check
 
 CONFIG = {
     "seed": 5,
@@ -948,6 +948,67 @@ def test_train_rejects_a_store_of_maps_that_are_not_chw(workspace, tmp_path, cap
     assert "(C, H, W)" in err
     with np.load(store) as stored:
         assert f"got shape {stored[stored.files[0]].shape}" in err
+    assert not (tmp_path / "run" / "model_best.json").exists()
+
+
+@pytest.mark.parametrize(
+    "reshape", [lambda m: m[:, :, 0], lambda m: m[None], lambda m: m[:, :0, :0]], ids=["C,H", "1,C,H,W", "C,0,0"]
+)
+def test_eval_rejects_a_store_of_maps_that_are_not_chw(workspace, tiny_model, tmp_path, capsys, reshape):
+    # Eval pools with the reduce train uses, so it names the member's shape, not the staging chunk's.
+    _, cfg_path, world_dir = workspace
+    store = tmp_path / "features.npz"
+    with np.load(world_dir / "features.npz") as full:
+        np.savez(store, **{rid: reshape(full[rid]) for rid in full.files})
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(store),
+        "--queries", str(world_dir / "queries.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert "(C, H, W)" in err
+    with np.load(store) as stored:
+        assert f"got shape {stored[stored.files[0]].shape}" in err
+
+
+def test_eval_reports_a_gem_exponent_that_overflows(workspace, tiny_model, tmp_path, capsys):
+    # 1000th powers of the world's maps overflow float64; the exponent is at fault, not the finite maps.
+    _, cfg_path, world_dir = workspace
+    doc = json.loads(tiny_model.read_text())
+    assert doc["pooling"] == "gem"
+    doc["gem_p"] = 1000.0
+    checkpoint = tmp_path / "model_best.json"
+    checkpoint.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(world_dir / "features.npz"),
+        "--queries", str(world_dir / "queries.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert "gem exponent 1000.0 overflows float64" in err
+
+
+@pytest.mark.parametrize("learn_p", [False, True])
+def test_train_reports_a_gem_exponent_that_overflows(workspace, tmp_path, capsys, learn_p):
+    _, cfg_path, world_dir = workspace
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path),
+        "--set", "train.model.gem_p=1000", "--set", f"train.model.learn_gem_p={str(learn_p).lower()}",
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "domain")
+    assert "gem exponent 1000.0 overflows float64" in err
     assert not (tmp_path / "run" / "model_best.json").exists()
 
 

@@ -22,27 +22,7 @@ from geoloc.embed import (
     save_model,
 )
 from geoloc.errors import CheckpointError, DomainError
-
-
-def central_difference(f, x, eps=1e-6):
-    """Independent numerical gradient oracle: central differences per entry."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        grad.reshape(-1)[i] = (hi - lo) / (2.0 * eps)
-    return grad
-
-
-def rel_err(a, b):
-    denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return np.abs(a - b).max() / denom
+from oracles import central_difference, rel_err
 
 
 def random_model(rng, channels, dim, pooling=GEM, p=3.0):
@@ -91,6 +71,16 @@ def test_pool_rejects_bad_input():
         pool(np.ones((3, 2, 2)), GEM, 0.5)
     with pytest.raises(DomainError):
         pool(np.ones((3, 2, 2)), "median")
+
+
+def test_gem_overflow_names_the_exponent():
+    # 30**300 overflows float64 although every map value is finite; a sum of
+    # finite powers can overflow too.
+    with pytest.raises(DomainError, match=r"gem exponent 300\.0 overflows float64"):
+        pool(np.full((3, 2, 2), 30.0), GEM, 300.0)
+    with pytest.raises(DomainError, match=r"gem exponent 1\.0 overflows float64"):
+        pool(np.full((3, 2, 2), 1e308), GEM, 1.0)
+    assert np.isfinite(pool(np.full((3, 2, 2), 30.0), GEM, 200.0)).all()
 
 
 @pytest.mark.parametrize("pooling", [GEM, AVERAGE, MAX])
@@ -205,15 +195,15 @@ def test_backward_matches_finite_differences(pooling):
             mm = EmbeddingModel(pooling=m.pooling, gem_p=m.gem_p, projection=m.projection, bias=bias)
             return float(forward(mm, fm) @ g)
 
-        assert rel_err(got.projection, central_difference(loss_of_projection, m.projection.copy())) < 1e-4
-        assert rel_err(got.bias, central_difference(loss_of_bias, m.bias.copy())) < 1e-4
+        assert rel_err(got.projection, central_difference(loss_of_projection, m.projection.copy(), eps=1e-6)) < 1e-4
+        assert rel_err(got.bias, central_difference(loss_of_bias, m.bias.copy(), eps=1e-6)) < 1e-4
 
         if pooling == GEM:
             def loss_of_p(p_arr):
                 mm = EmbeddingModel(pooling=GEM, gem_p=float(p_arr[0]), projection=m.projection, bias=m.bias)
                 return float(forward(mm, fm) @ g)
 
-            fd_p = central_difference(loss_of_p, np.array([m.gem_p]))[0]
+            fd_p = central_difference(loss_of_p, np.array([m.gem_p]), eps=1e-6)[0]
             assert abs(got.gem_p - fd_p) / max(abs(fd_p), 1e-8) < 1e-4
 
 

@@ -15,13 +15,9 @@ from geoloc.loss import (
     new_head,
 )
 from geoloc.partition import GroupId
+from oracles import central_difference, rel_err, unit_rows
 
 G0 = GroupId(0, 0, 0)
-
-
-def unit_rows(a):
-    a = np.asarray(a, dtype=np.float64)
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
 def random_instance(rng, num_classes=None, dim=None, batch=None):
@@ -159,26 +155,6 @@ def test_input_validation():
         LossConfig(margin=-0.1)
     with pytest.raises(DomainError):
         LossConfig(scale=0.0)
-
-
-def central_difference(f, x, eps=1e-6):
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        grad.reshape(-1)[i] = (hi - lo) / (2.0 * eps)
-    return grad
-
-
-def rel_err(a, b):
-    denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return np.abs(a - b).max() / denom
 
 
 def test_gradients_match_finite_differences():

@@ -11,7 +11,6 @@ from geoloc.partition import (
     GeoPose,
     GroupId,
     PartitionConfig,
-    adjacent,
     assign_class,
     assign_group,
     build_partition,
@@ -20,6 +19,7 @@ from geoloc.partition import (
     partition_to_dict,
     save_partition,
 )
+from oracles import adjacent
 
 CFG = PartitionConfig(cell_size_m=10.0, heading_bin_deg=30.0, cell_stride=5, heading_stride=2,
                       min_images_per_class=0)

@@ -17,11 +17,7 @@ from geoloc.retrieval import (
     knn,
     recall_at_n,
 )
-
-
-def unit_rows(a):
-    a = np.asarray(a, dtype=np.float64)
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
+from oracles import unit_rows
 
 
 def random_index(rng, n, dim, spread=100.0):

@@ -19,9 +19,9 @@ from geoloc.synth import (
     generate_city,
     load_features,
     oracle_descriptor,
-    oracle_pairwise_check,
     write_world,
 )
+from oracles import oracle_pairwise_check
 
 SMALL = CityConfig(
     extent_m=60.0,
