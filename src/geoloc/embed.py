@@ -9,24 +9,22 @@ p = 1 reproduces average pooling and large p approaches max pooling. An
 exponent whose powers of the maps overflow float64 raises DomainError naming
 the exponent, since the maps themselves are finite.
 
-A training step with a learned GeM exponent runs ``forward_cached``: it
-raises each clamped map to the power p once and returns the descriptors with
-a ``ForwardCache`` (the powers, pooled vectors, raw norms and descriptors),
-and ``backward_cached`` turns descriptor gradients into exact analytic
-gradients of the composed map pool -> affine -> normalize with respect to
-the projection, the bias and the GeM exponent p, without pooling again.
-``forward_cached`` is ``pool_batch`` (the batch and channel checks, then
-``_pool``) followed by ``project`` (the affine map, the normalization and the
-cache). ``pool``,
-``forward``/``forward_batch`` and ``backward``/``backward_batch`` call the
-same kernel; the gradients are verified against central finite differences
-in the tests.
+``forward`` is the one forward pass. It takes a (B, C, H, W) batch of maps,
+which it pools with the model's pooling and exponent, or (B, C) pooled rows,
+then projects, normalizes, and returns the descriptors with a
+``ForwardCache`` (the pooled vectors, raw norms and descriptors, plus, for
+maps under GeM, the clamped maps, their p-th powers and spatial means).
+``backward`` is the one backward pass: it turns descriptor gradients into
+exact analytic gradients of the composed pool -> affine -> normalize with
+respect to the projection, the bias and the GeM exponent p, without pooling
+again. ``pool`` applies a pooling without a model. The gradients are
+verified against central finite differences in the tests.
 
 With a fixed exponent (average, max, or GeM whose p is not learned) a map's
 pooled vector depends on the map alone, so the store loader pools each chunk
 of maps as it reads them (``pool``, with the run's or a loaded checkpoint's
-pooling and exponent) and a step runs ``project`` on the gathered rows; that
-cache carries no GeM terms, so ``backward_cached`` skips the p-gradient. It
+pooling and exponent), and a step runs ``forward`` on the gathered rows.
+That cache carries no GeM terms, so ``backward`` skips the p-gradient. It
 is not a descriptor cache: descriptors depend on the projection, which every
 step changes.
 """
@@ -141,14 +139,9 @@ def init_model(channels: int, cfg: ModelConfig, seed: int) -> EmbeddingModel:
     return EmbeddingModel(pooling=cfg.pooling, gem_p=cfg.gem_p, projection=projection, bias=bias)
 
 
-def forward(m: EmbeddingModel, features: np.ndarray) -> np.ndarray:
-    """Unit-norm descriptor of one (C, H, W) feature map."""
-    return forward_batch(m, np.asarray(features)[None, ...])[0]
-
-
 @dataclass
 class ForwardCache:
-    """What ``backward_cached`` needs from one forward pass over a batch.
+    """What ``backward`` needs from one forward pass over a batch.
 
     Valid only for the model parameters it was computed with; take the
     gradients before the optimizer updates the model.
@@ -157,48 +150,28 @@ class ForwardCache:
     pooled: np.ndarray
     norms: np.ndarray
     descriptors: np.ndarray
-    # GeM only: the clamped maps, their p-th powers and the powers' spatial means.
+    # GeM of maps only: the clamped maps, their p-th powers and the powers' spatial means.
     gem_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
-def pool_batch(
-    m: EmbeddingModel, features: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-    """The model's pooling of a (B, C, H, W) batch of its channel count: (B, C) vectors and ``_pool``'s GeM terms."""
+def forward(m: EmbeddingModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Unit-norm descriptors of a (B, C, H, W) batch of maps or (B, C) pooled rows, and the cache ``backward`` reuses.
+
+    Maps are pooled with the model's pooling and exponent; pooled rows carry
+    no GeM terms, so ``backward`` reports a zero p-gradient for them.
+    """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 4:
-        raise DomainError(f"batch must be (B, C, H, W), got shape {features.shape}")
+    if features.ndim not in (2, 4):
+        raise DomainError(f"batch must be (B, C, H, W) maps or (B, C) pooled rows, got shape {features.shape}")
     if features.shape[1] != m.channels:
         raise DomainError(f"feature maps have {features.shape[1]} channels, model expects {m.channels}")
-    return _pool(features, m.pooling, m.gem_p)
-
-
-def forward_cached(m: EmbeddingModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Unit-norm descriptors of a (B, C, H, W) batch and the cache backward reuses."""
-    return project(m, *pool_batch(m, features))
-
-
-def project(
-    m: EmbeddingModel,
-    pooled: np.ndarray,
-    gem_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Unit-norm descriptors of (B, C) pooled vectors and the cache backward reuses.
-
-    ``gem_terms`` are ``_pool``'s GeM terms for the same rows; without them
-    ``backward_cached`` reports a zero p-gradient.
-    """
+    pooled, gem_terms = _pool(features, m.pooling, m.gem_p) if features.ndim == 4 else (features, None)
     raw = pooled @ m.projection.T + m.bias
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms < _NORM_FLOOR):
         raise DomainError("degenerate descriptor: projection output has (near-)zero norm")
     descriptors = raw / norms[:, None]
     return descriptors, ForwardCache(pooled=pooled, norms=norms, descriptors=descriptors, gem_terms=gem_terms)
-
-
-def forward_batch(m: EmbeddingModel, features: np.ndarray) -> np.ndarray:
-    """Unit-norm descriptors, one row per map in a (B, C, H, W) batch."""
-    return forward_cached(m, features)[0]
 
 
 @dataclass
@@ -221,11 +194,11 @@ def _gem_dpool_dp(
     return out
 
 
-def backward_cached(m: EmbeddingModel, cache: ForwardCache, grad_descriptors: np.ndarray) -> ModelGradients:
+def backward(m: EmbeddingModel, cache: ForwardCache, grad_descriptors: np.ndarray) -> ModelGradients:
     """Parameter gradients, summed over the batch, from a forward cache.
 
     The GeM exponent's gradient is computed only when the cache carries GeM
-    terms (``forward_cached`` of a GeM model); otherwise it is reported as 0.
+    terms (``forward`` of maps under GeM); otherwise it is reported as 0.
     """
     grad_descriptors = np.asarray(grad_descriptors, dtype=np.float64)
     d = cache.descriptors
@@ -242,18 +215,6 @@ def backward_cached(m: EmbeddingModel, cache: ForwardCache, grad_descriptors: np
         dpool_dp = _gem_dpool_dp(*cache.gem_terms, cache.pooled, m.gem_p)
         grad_p = float((g_pooled * dpool_dp).sum())
     return ModelGradients(projection=grad_projection, bias=grad_bias, gem_p=grad_p)
-
-
-def backward_batch(
-    m: EmbeddingModel, features: np.ndarray, grad_descriptors: np.ndarray
-) -> ModelGradients:
-    """Parameter gradients, summed over the batch, for given descriptor gradients."""
-    return backward_cached(m, forward_cached(m, features)[1], grad_descriptors)
-
-
-def backward(m: EmbeddingModel, features: np.ndarray, grad_descriptor: np.ndarray) -> ModelGradients:
-    """Single-map convenience wrapper around backward_batch."""
-    return backward_batch(m, np.asarray(features)[None, ...], np.asarray(grad_descriptor)[None, :])
 
 
 def model_to_dict(m: EmbeddingModel) -> dict:

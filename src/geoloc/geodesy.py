@@ -67,9 +67,11 @@ _BETA = (
 )
 
 
-def normalize_longitude(longitude: float) -> float:
-    """Wrap a longitude in degrees into [-180, 180)."""
-    return (longitude + 180.0) % 360.0 - 180.0
+def normalize_longitude(longitude: float | np.ndarray) -> float | np.ndarray:
+    """Wrap a longitude in degrees into [-180, 180), elementwise on an array."""
+    lon = (longitude + 180.0) % 360.0 - 180.0
+    # The remainder rounds up to 360 for inputs a few ulps below -180.
+    return lon - 360.0 * (lon >= 180.0)
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,12 @@ def zone_number_for_longitude(longitude: float | np.ndarray) -> np.int64 | np.nd
     return np.floor_divide(lon + 180.0, 6.0).astype(np.int64) + 1
 
 
-def central_meridian_deg(zone_number: int) -> float:
-    if not 1 <= zone_number <= 60:
-        raise DomainError(f"zone number {zone_number} outside [1, 60]")
+def central_meridian_deg(zone_number: int | np.ndarray) -> float | np.ndarray:
+    """Longitude of a UTM zone's central meridian in degrees, elementwise on an array."""
+    zones = np.asarray(zone_number)
+    outside = ~((zones >= 1) & (zones <= 60))
+    if outside.any():
+        raise DomainError(f"zone number {zones[outside].flat[0]} outside [1, 60]")
     return (zone_number - 1) * 6.0 - 180.0 + 3.0
 
 
@@ -145,8 +150,7 @@ def latlon_to_utm_arrays(
         )
     zone = zone_number_for_longitude(longitude)
     phi = np.radians(latitude)
-    # Minus the zone's central meridian (``central_meridian_deg``, which takes one zone).
-    lam = np.radians(longitude) - np.radians((zone - 1) * 6.0 - 180.0 + 3.0)
+    lam = np.radians(longitude) - np.radians(central_meridian_deg(zone))
 
     # Gauss-Schreiber coordinates on the conformal sphere.
     s = np.sin(phi)

@@ -148,13 +148,6 @@ def margin_cosine_loss_and_grads(
     return margin_cosine_kernel(descriptors, labels, head, cfg)
 
 
-def margin_cosine_loss(
-    descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead, cfg: LossConfig
-) -> float:
-    """Mean margin-cosine loss over the batch."""
-    return margin_cosine_loss_and_grads(descriptors, labels, head, cfg)[0]
-
-
 def margin_cosine_grads(
     descriptors: np.ndarray, labels: np.ndarray, head: ClassifierHead, cfg: LossConfig
 ) -> tuple[np.ndarray, np.ndarray]:

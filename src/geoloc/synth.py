@@ -18,9 +18,10 @@ shift.
 Maps are computed in float64 and stored as float32, rounded once; the query
 perturbation is added before the rounding. ``load_features`` keeps a store's
 dtype, so a reloaded world holds the generated bits; the embedding computes in float64.
-Given a ``reduce`` function, ``load_features`` applies it to each chunk of
-``REDUCE_CHUNK_ROWS`` maps as it reads them and keeps only the reduced rows,
-so ``geoloc eval`` and a fixed-exponent ``geoloc train`` never hold maps.
+``load_features`` reads every store through one loop: it stages
+``REDUCE_CHUNK_ROWS`` maps at a time, checks each chunk, and keeps it as it
+is or, given a ``reduce`` function, only its reduced rows, so ``geoloc
+eval`` and a fixed-exponent ``geoloc train`` never hold maps.
 
 Everything is generated from one seeded stream, so equal configs produce
 bit-identical worlds.
@@ -322,8 +323,8 @@ _UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
 _UTF8_NAME_FLAG = 0x800
 # Read buffer of a store: members are read in file order, most from this buffer.
 _STORE_BUFFER_BYTES = 1 << 20
-# Maps a reducing ``load_features`` stages before it reduces them; 32 was at
-# least as fast as 128 or 256 on eval_large's stores.
+# Maps ``load_features`` stages and checks before it keeps or reduces them;
+# 32 was at least as fast as 128 or 256 on eval_large's stores.
 REDUCE_CHUNK_ROWS = 32
 Reduce = Callable[[np.ndarray], np.ndarray]  # one row out per map of a staged chunk
 
@@ -408,21 +409,19 @@ def load_features(
     None; a repeated id loads once). ``zipfile`` reads the central
     directory; each member is then read once, in file order: its local
     header and ``.npy`` header are checked and its data is read straight
-    into its row of one ``(n, *shape)`` block, which the returned store
-    holds. Stored and deflated (``np.savez_compressed``) members load;
-    C- and Fortran-order members of any byte order keep their values. Every
-    member must share one shape and dtype, and its CRC-32 must match. An id
-    missing from the store raises ManifestError; an unreadable or corrupt
-    store, an object-dtype member, mixed shapes or dtypes, or a non-finite
-    map among those read raise DomainError.
-
-    With ``reduce``, members are read into a staging block of
-    ``REDUCE_CHUNK_ROWS`` rows instead; each full chunk (and the last) is
-    checked as a store checks its block, and ``reduce(chunk)``, one row per
-    map, goes into the rows of those ids in the returned store's block. The
-    ``(n, *shape)`` block is never allocated. ``reduce`` is not called when
-    ``ids`` is empty, and a non-finite map can be reported before a later
-    member's layout error.
+    into a staging block of ``REDUCE_CHUNK_ROWS`` rows. Each full chunk (and
+    the last) is checked as a store checks its block, then goes into the
+    rows of those ids in the returned store's block: as it is, or, with
+    ``reduce``, as ``reduce(chunk)``, one row per map, so the
+    ``(n, *shape)`` map block is never allocated. ``reduce`` is not called
+    when ``ids`` is empty. Stored and deflated (``np.savez_compressed``)
+    members load; C- and Fortran-order members of any byte order keep their
+    values. Every member must share one shape and dtype, and its CRC-32 must
+    match. An id missing from the store raises ManifestError; an unreadable
+    or corrupt store, an object-dtype member, mixed shapes or dtypes, or a
+    non-finite map among those read raise DomainError. As chunks are checked
+    in turn, a non-finite map can be reported before a later member's layout
+    error, with or without ``reduce``.
     """
     try:
         with open(path, "rb", buffering=_STORE_BUFFER_BYTES) as fh, zipfile.ZipFile(fh) as zf:
@@ -441,7 +440,7 @@ def load_features(
             infos = [zf.getinfo(f"{key}.npy") for key in keys]
             known: dict[bytes, tuple] = {}
             block = rows = scratch = first = out = None
-            # Reducing: the store index of each map staged in ``block``, in staging order.
+            # The store index of each map staged in ``block``, in staging order.
             staged: list[int] = []
             order = sorted(range(len(keys)), key=lambda i: infos[i].header_offset)
             for done, i in enumerate(order, 1):
@@ -452,7 +451,7 @@ def load_features(
                 if dtype.hasobject:
                     raise DomainError(f"feature store {path}: member {key!r} holds Python objects (dtype {dtype})")
                 if block is None:
-                    n = len(keys) if reduce is None else min(len(keys), REDUCE_CHUNK_ROWS)
+                    n = min(len(keys), REDUCE_CHUNK_ROWS)
                     block = np.empty((n, *shape), dtype=dtype)
                     # Each row as raw bytes, for readinto and the CRC whatever the byte order.
                     rows = block.reshape(n, -1).view(np.uint8)
@@ -468,7 +467,7 @@ def load_features(
                         f"feature store {path}: member {key!r} holds {info.file_size - len(header)} data bytes, "
                         f"its header says {rows.shape[1]}"
                     )
-                row = i if reduce is None else len(staged)
+                row = len(staged)
                 target = scratch if fortran else rows[row]
                 if src.readinto(target) != rows.shape[1]:
                     raise EOFError(f"feature store ends inside member {key!r}")
@@ -476,13 +475,11 @@ def load_features(
                     raise zipfile.BadZipFile(f"Bad CRC-32 for member {key!r}")
                 if fortran:
                     block[row] = scratch.view(dtype).reshape(shape[::-1]).T
-                if reduce is None:
-                    continue
                 staged.append(i)
                 if len(staged) == len(block) or done == len(keys):
                     chunk = block[: len(staged)]
                     _check_maps(chunk, [keys[j] for j in staged], f"feature store {path}: ")
-                    reduced = reduce(chunk)
+                    reduced = chunk if reduce is None else reduce(chunk)
                     if out is None:
                         out = np.empty((len(keys), *reduced.shape[1:]), dtype=reduced.dtype)
                     out[staged] = reduced
@@ -490,9 +487,7 @@ def load_features(
     # numpy's .npy header reader lets a tokenizer error through on a mangled header dict.
     except (OSError, EOFError, ValueError, SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error) as exc:
         raise DomainError(f"cannot read feature store {path}: {exc}") from exc
-    if reduce is not None:
-        block = out
     try:
-        return FeatureStore(keys, np.empty(0) if block is None else block)
+        return FeatureStore(keys, np.empty(0) if out is None else out)
     except DomainError as exc:
         raise DomainError(f"feature store {path}: {exc}") from None

@@ -13,7 +13,9 @@ stored maps, so a run reads pooled (C,) rows, never maps: ``geoloc train``
 hands ``store_reduce`` to the store loader, as ``geoloc eval`` does with its
 checkpoint's pooling and exponent, and a library caller's store of maps is
 pooled once (``pool_store``). With a learned exponent each step pools its
-gathered maps.
+gathered maps. Either way a step and ``embed_records`` make one
+``embed.forward`` call per batch, which pools maps and takes rows as they
+are, and a step one ``embed.backward``.
 Pooled vectors are inputs, not descriptors: descriptors depend on the
 projection that every step changes, and none outlives its step or chunk.
 
@@ -216,12 +218,10 @@ def embed_records(
 ) -> np.ndarray:
     """Unit descriptors of ``records``, ``batch_size`` at a time; only one chunk of descriptors is alive.
 
-    ``store`` holds maps, which each chunk pools, or pooled rows (``store_reduce``), which it projects as they are;
-    a store of another channel count than the model's raises DomainError.
+    ``store`` holds maps or pooled rows (``store_reduce``); each chunk goes through ``embed.forward``,
+    so a store of another channel count than the model's raises DomainError.
     The result is Fortran-ordered, the layout ``retrieval.build_index`` adopts without a copy.
     """
-    if store.block.shape[1] != model.channels:
-        raise DomainError(f"feature maps have {store.block.shape[1]} channels, model expects {model.channels}")
     if budget is None:
         budget = DescriptorBudget()
     rows = store.rows(r.id for r in records)
@@ -229,9 +229,7 @@ def embed_records(
     for start in range(0, len(records), batch_size):
         chunk = store.block[rows[start : start + batch_size]]
         budget.acquire(len(chunk))
-        if chunk.ndim == 4:
-            chunk = embed.pool_batch(model, chunk)[0]
-        out[start : start + len(chunk)] = embed.project(model, chunk)[0]
+        out[start : start + len(chunk)] = embed.forward(model, chunk)[0]
         budget.release(len(chunk))
     return out
 
@@ -308,7 +306,8 @@ def run_training(
     reduce = store_reduce(cfg.model)
     learn_p = reduce is None
     for name, store in (("feature", features), ("query feature", query_features)):
-        if store.block.ndim != 4 and (learn_p or store.block.ndim != 2):  # pooled rows only with a fixed p
+        maps = store.block.ndim == 4 and 0 not in store.block.shape[2:]
+        if not maps and (learn_p or store.block.ndim != 2):  # pooled rows only with a fixed p
             raise DomainError(f"{name} maps must be (C, H, W), got shape {store.block.shape[1:]}")
     if query_features.block.shape[1] != features.block.shape[1]:
         raise DomainError(
@@ -358,14 +357,13 @@ def run_training(
         for it in range(cfg.iterations_per_epoch):
             batch = sample_batch(tables[group], cfg.batch_size, sampler)
             budget.acquire(len(batch))
-            inputs = features.block[batch[:, 0]]
-            descriptors, cache = embed.forward_cached(model, inputs) if learn_p else embed.project(model, inputs)
+            descriptors, cache = embed.forward(model, features.block[batch[:, 0]])
             loss_value, grad_desc, grad_w = margin_cosine_kernel(descriptors, batch[:, 1], head, cfg.loss)
             if not np.isfinite(loss_value):
                 raise TrainingError(
                     f"loss diverged to {loss_value} at epoch {epoch}, iteration {it}"
                 )
-            grads = embed.backward_cached(model, cache, grad_desc)
+            grads = embed.backward(model, cache, grad_desc)
             budget.release(len(batch))
 
             grad = np.concatenate([grads.projection.ravel(), grads.bias, [grads.gem_p] if learn_p else []])

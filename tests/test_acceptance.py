@@ -20,7 +20,7 @@ from geoloc import embed
 from geoloc.embed import AVERAGE, GEM, MAX, EmbeddingModel, ModelConfig, init_model, model_from_dict
 from geoloc.geodesy import LatLon, latlon_to_utm, utm_to_latlon
 from geoloc.ingest import split_validation
-from geoloc.loss import ClassifierHead, LossConfig, margin_cosine_grads, margin_cosine_loss
+from geoloc.loss import ClassifierHead, LossConfig, margin_cosine_grads, margin_cosine_loss_and_grads
 from geoloc.partition import GeoPose, GroupId, PartitionConfig, build_partition, enumerate_groups
 from geoloc.retrieval import build_index, knn, recall_at_n
 from geoloc.synth import CityConfig, generate_city, oracle_descriptor
@@ -205,16 +205,16 @@ def test_criterion_3_margin_loss_oracle_and_gradients():
             cos = desc @ (head.weights / np.linalg.norm(head.weights, axis=1, keepdims=True)).T
             logits = scale * cos
             ce = float(np.mean(logsumexp(logits, axis=1) - logits[np.arange(b), labels]))
-            got = margin_cosine_loss(desc, labels, head, LossConfig(margin=0.0, scale=scale))
+            got = margin_cosine_loss_and_grads(desc, labels, head, LossConfig(margin=0.0, scale=scale))[0]
             assert abs(got - ce) < 1e-10
 
             cfg = LossConfig(margin=float(rng.uniform(0.0, 0.5)), scale=scale)
             g_desc, g_w = margin_cosine_grads(desc, labels, head, cfg)
             fd_desc = central_difference(
-                lambda x: margin_cosine_loss(x, labels, head, cfg), desc.copy(), eps=1e-5
+                lambda x: margin_cosine_loss_and_grads(x, labels, head, cfg)[0], desc.copy(), eps=1e-5
             )
             fd_w = central_difference(
-                lambda w: margin_cosine_loss(desc, labels, ClassifierHead(group=g0, weights=w), cfg),
+                lambda w: margin_cosine_loss_and_grads(desc, labels, ClassifierHead(group=g0, weights=w), cfg)[0],
                 head.weights.copy(),
                 eps=1e-5,
             )
@@ -239,13 +239,13 @@ def test_criterion_4_embedding_gradients():
             )
             fm = np.abs(rng.standard_normal((channels, h, w))) + 0.1
             g = rng.standard_normal(dim)
-            got = embed.backward(model, fm, g)
+            got = embed.backward(model, embed.forward(model, fm[None])[1], g[None])
 
             fd_proj = central_difference(
                 lambda p: float(
                     embed.forward(
-                        EmbeddingModel(pooling=pooling, gem_p=model.gem_p, projection=p, bias=model.bias), fm
-                    ) @ g
+                        EmbeddingModel(pooling=pooling, gem_p=model.gem_p, projection=p, bias=model.bias), fm[None]
+                    )[0][0] @ g
                 ),
                 model.projection.copy(),
                 eps=1e-6,
@@ -254,8 +254,8 @@ def test_criterion_4_embedding_gradients():
                 lambda bb: float(
                     embed.forward(
                         EmbeddingModel(pooling=pooling, gem_p=model.gem_p, projection=model.projection, bias=bb),
-                        fm,
-                    ) @ g
+                        fm[None],
+                    )[0][0] @ g
                 ),
                 model.bias.copy(),
                 eps=1e-6,

@@ -929,18 +929,27 @@ def test_train_with_learned_p_names_the_record_whose_map_is_not_finite(workspace
     assert not (tmp_path / "run" / "model_best.json").exists()
 
 
-@pytest.mark.parametrize("reshape", [lambda m: m[:, :, 0], lambda m: m[None]], ids=["C,H", "1,C,H,W"])
-def test_train_rejects_a_store_of_maps_that_are_not_chw(workspace, tmp_path, capsys, reshape):
+_NOT_CHW = {"C,H": lambda m: m[:, :, 0], "1,C,H,W": lambda m: m[None], "C,0,0": lambda m: m[:, :0, :0]}
+
+
+@pytest.mark.parametrize(
+    "shape, learn_p",
+    # A learned exponent loads the maps unpooled, so run_training's own store check must name the member shape.
+    [(shape, learn_p) for learn_p in (False, True) for shape in _NOT_CHW],
+    ids=[shape + ("-learned-p" if learn_p else "") for learn_p in (False, True) for shape in _NOT_CHW],
+)
+def test_train_rejects_a_store_of_maps_that_are_not_chw(workspace, tmp_path, capsys, shape, learn_p):
     _, cfg_path, world_dir = workspace
     store = tmp_path / "features.npz"
     with np.load(world_dir / "features.npz") as full:
-        np.savez(store, **{rid: reshape(full[rid]) for rid in full.files})
+        np.savez(store, **{rid: _NOT_CHW[shape](full[rid]) for rid in full.files})
     capsys.readouterr()
     code = main([
         "train", "--config", str(cfg_path),
         "--manifest", str(world_dir / "manifest.csv"),
         "--features", str(store),
         "--out-dir", str(tmp_path / "run"),
+        "--set", f"train.model.learn_gem_p={str(learn_p).lower()}",
     ])
     assert code == 1
     err = capsys.readouterr().err

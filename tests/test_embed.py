@@ -10,15 +10,11 @@ from geoloc.embed import (
     backward,
     checkpoint_bytes,
     forward,
-    forward_batch,
-    forward_cached,
     init_model,
     load_model,
     model_from_dict,
     model_to_dict,
     pool,
-    pool_batch,
-    project,
     save_model,
 )
 from geoloc.errors import CheckpointError, DomainError
@@ -96,7 +92,7 @@ def test_forward_identity_projection_one_hot():
     m = EmbeddingModel(pooling=AVERAGE, gem_p=3.0, projection=np.eye(4), bias=np.zeros(4))
     fm = np.zeros((4, 2, 2))
     fm[2] = 1.0
-    d = forward(m, fm)
+    d = forward(m, fm[None])[0][0]
     assert d == pytest.approx([0.0, 0.0, 1.0, 0.0])
 
 
@@ -104,7 +100,7 @@ def test_forward_absorbs_positive_scaling():
     rng = np.random.default_rng(2)
     m = EmbeddingModel(pooling=AVERAGE, gem_p=3.0, projection=rng.standard_normal((5, 3)), bias=np.zeros(5))
     fm = rng.standard_normal((3, 2, 2))
-    np.testing.assert_allclose(forward(m, fm), forward(m, 10.0 * fm), atol=1e-12)
+    np.testing.assert_allclose(forward(m, fm[None])[0][0], forward(m, 10.0 * fm[None])[0][0], atol=1e-12)
 
 
 def test_forward_unit_norm():
@@ -112,7 +108,7 @@ def test_forward_unit_norm():
     for _ in range(20):
         m = random_model(rng, 4, 6)
         fm = rng.standard_normal((4, 3, 3))
-        assert abs(np.linalg.norm(forward(m, fm)) - 1.0) < 1e-6
+        assert abs(np.linalg.norm(forward(m, fm[None])[0][0]) - 1.0) < 1e-6
 
 
 def test_forward_scale_invariance_of_parameters():
@@ -120,21 +116,21 @@ def test_forward_scale_invariance_of_parameters():
     fm = np.abs(rng.standard_normal((4, 2, 2)))
     m = random_model(rng, 4, 5)
     scaled = EmbeddingModel(pooling=m.pooling, gem_p=m.gem_p, projection=3.7 * m.projection, bias=3.7 * m.bias)
-    np.testing.assert_allclose(forward(m, fm), forward(scaled, fm), atol=1e-12)
+    np.testing.assert_allclose(forward(m, fm[None])[0][0], forward(scaled, fm[None])[0][0], atol=1e-12)
 
 
 def test_forward_rejects_degenerate_descriptor():
     m = EmbeddingModel(pooling=AVERAGE, gem_p=3.0, projection=np.zeros((3, 2)), bias=np.zeros(3))
     with pytest.raises(DomainError, match="degenerate"):
-        forward(m, np.ones((2, 2, 2)))
+        forward(m, np.ones((1, 2, 2, 2)))
 
 
 def test_forward_batch_matches_singles():
     rng = np.random.default_rng(5)
     m = random_model(rng, 5, 4)
     fms = np.abs(rng.standard_normal((7, 5, 2, 3)))
-    batch = forward_batch(m, fms)
-    singles = np.stack([forward(m, fm) for fm in fms])
+    batch = forward(m, fms)[0]
+    singles = np.stack([forward(m, fm[None])[0][0] for fm in fms])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -143,25 +139,24 @@ def test_forward_cached_is_the_checked_pool_batch_then_project(pooling):
     rng = np.random.default_rng(13)
     m = random_model(rng, 5, 4, pooling=pooling)
     fms = rng.standard_normal((6, 5, 2, 3)).astype(np.float32)
-    pooled, gem_terms = pool_batch(m, fms)
-    assert np.array_equal(pooled, pool(fms, pooling, m.gem_p))
-    assert (gem_terms is not None) == (pooling == GEM)
-    descriptors, cache = forward_cached(m, fms)
-    assert np.array_equal(descriptors, project(m, pooled, gem_terms)[0])
+    pooled = pool(fms, pooling, m.gem_p)
+    descriptors, cache = forward(m, fms)
+    assert (cache.gem_terms is not None) == (pooling == GEM)
+    assert np.array_equal(descriptors, forward(m, pooled)[0])
     assert np.array_equal(cache.pooled, pooled)
     with pytest.raises(DomainError, match="feature maps have 4 channels, model expects 5"):
-        pool_batch(m, fms[:, :4])
+        forward(m, fms[:, :4])
     with pytest.raises(DomainError, match=r"batch must be \(B, C, H, W\)"):
-        pool_batch(m, fms[0])
+        forward(m, fms[0])
 
 
 def test_normalization_jacobian_kills_radial_direction():
     rng = np.random.default_rng(6)
     m = random_model(rng, 4, 5, pooling=AVERAGE)
     fm = np.abs(rng.standard_normal((4, 2, 2)))
-    d = forward(m, fm)
+    d = forward(m, fm[None])[0][0]
     # A gradient along the descriptor itself produces zero parameter updates.
-    grads = backward(m, fm, d.copy())
+    grads = backward(m, forward(m, fm[None])[1], d[None].copy())
     assert np.abs(grads.projection).max() < 1e-10
     assert np.abs(grads.bias).max() < 1e-10
 
@@ -170,7 +165,7 @@ def test_zero_descriptor_gradient_gives_zero_parameter_gradients():
     rng = np.random.default_rng(7)
     m = random_model(rng, 3, 4)
     fm = np.abs(rng.standard_normal((3, 2, 2)))
-    grads = backward(m, fm, np.zeros(4))
+    grads = backward(m, forward(m, fm[None])[1], np.zeros((1, 4)))
     assert np.abs(grads.projection).max() == 0.0
     assert np.abs(grads.bias).max() == 0.0
     assert grads.gem_p == 0.0
@@ -185,15 +180,15 @@ def test_backward_matches_finite_differences(pooling):
         m = random_model(rng, channels, dim, pooling=pooling, p=float(rng.uniform(1.5, 4.0)))
         fm = np.abs(rng.standard_normal((channels, h, w))) + 0.1
         g = rng.standard_normal(dim)
-        got = backward(m, fm, g)
+        got = backward(m, forward(m, fm[None])[1], g[None])
 
         def loss_of_projection(proj):
             mm = EmbeddingModel(pooling=m.pooling, gem_p=m.gem_p, projection=proj, bias=m.bias)
-            return float(forward(mm, fm) @ g)
+            return float(forward(mm, fm[None])[0][0] @ g)
 
         def loss_of_bias(bias):
             mm = EmbeddingModel(pooling=m.pooling, gem_p=m.gem_p, projection=m.projection, bias=bias)
-            return float(forward(mm, fm) @ g)
+            return float(forward(mm, fm[None])[0][0] @ g)
 
         assert rel_err(got.projection, central_difference(loss_of_projection, m.projection.copy(), eps=1e-6)) < 1e-4
         assert rel_err(got.bias, central_difference(loss_of_bias, m.bias.copy(), eps=1e-6)) < 1e-4
@@ -201,7 +196,7 @@ def test_backward_matches_finite_differences(pooling):
         if pooling == GEM:
             def loss_of_p(p_arr):
                 mm = EmbeddingModel(pooling=GEM, gem_p=float(p_arr[0]), projection=m.projection, bias=m.bias)
-                return float(forward(mm, fm) @ g)
+                return float(forward(mm, fm[None])[0][0] @ g)
 
             fd_p = central_difference(loss_of_p, np.array([m.gem_p]), eps=1e-6)[0]
             assert abs(got.gem_p - fd_p) / max(abs(fd_p), 1e-8) < 1e-4

@@ -11,6 +11,7 @@ from geoloc.geodesy import (
     UtmCoord,
     latlon_to_utm,
     latlon_to_utm_arrays,
+    normalize_longitude,
     utm_to_latlon,
     zone_number_for_longitude,
 )
@@ -89,6 +90,30 @@ def test_zone_rule():
     assert zone_number_for_longitude(0.0) == 31
     assert zone_number_for_longitude(179.999) == 60
     assert zone_number_for_longitude(180.0) == 1  # wraps to -180
+
+
+def test_longitudes_a_few_ulps_past_the_antimeridian_wrap_into_range():
+    # (x + 180) % 360 rounds up to 360 just below -180, which would give 180 and zone 61.
+    near = []
+    for edge in (-180.0, 180.0, -540.0, 540.0):
+        x = edge
+        for _ in range(4):
+            x = math.nextafter(x, -math.inf)
+            near.append(x)
+        x = edge
+        for _ in range(4):
+            x = math.nextafter(x, math.inf)
+            near.append(x)
+    for lon in near:
+        wrapped = normalize_longitude(lon)
+        assert -180.0 <= wrapped < 180.0, lon
+        assert -180.0 <= LatLon(10.0, lon).longitude < 180.0, lon
+        assert 1 <= zone_number_for_longitude(lon) <= 60, lon
+    wrapped = normalize_longitude(np.array(near))
+    assert ((wrapped >= -180.0) & (wrapped < 180.0)).all()
+    zones = zone_number_for_longitude(np.array(near))
+    assert ((zones >= 1) & (zones <= 60)).all()
+    assert latlon_to_utm(LatLon(10.0, -180.00000000000003)).zone_number == 1
 
 
 def test_one_longitude_degree_at_equator():

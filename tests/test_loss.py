@@ -11,7 +11,7 @@ from geoloc.loss import (
     ClassifierHead,
     LossConfig,
     margin_cosine_grads,
-    margin_cosine_loss,
+    margin_cosine_loss_and_grads,
     new_head,
 )
 from geoloc.partition import GroupId
@@ -39,7 +39,7 @@ def softmax_cross_entropy_oracle(logits, labels):
 def test_hand_value_two_orthonormal_classes_no_margin():
     head = ClassifierHead(group=G0, weights=np.eye(2))
     desc = np.array([[1.0, 0.0]])
-    loss = margin_cosine_loss(desc, np.array([0]), head, LossConfig(margin=0.0, scale=1.0))
+    loss = margin_cosine_loss_and_grads(desc, np.array([0]), head, LossConfig(margin=0.0, scale=1.0))[0]
     assert loss == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
     assert loss == pytest.approx(0.313262, abs=1e-6)
 
@@ -47,7 +47,7 @@ def test_hand_value_two_orthonormal_classes_no_margin():
 def test_hand_value_with_margin():
     head = ClassifierHead(group=G0, weights=np.eye(2))
     desc = np.array([[1.0, 0.0]])
-    loss = margin_cosine_loss(desc, np.array([0]), head, LossConfig(margin=0.4, scale=1.0))
+    loss = margin_cosine_loss_and_grads(desc, np.array([0]), head, LossConfig(margin=0.4, scale=1.0))[0]
     assert loss == pytest.approx(-math.log(math.exp(0.6) / (math.exp(0.6) + 1.0)), abs=1e-12)
     assert loss == pytest.approx(0.437488, abs=1e-6)
 
@@ -60,14 +60,14 @@ def test_zero_margin_reduces_to_softmax_cross_entropy():
         cfg = LossConfig(margin=0.0, scale=scale)
         cos = desc @ unit_rows(head.weights).T
         expected = softmax_cross_entropy_oracle(scale * cos, labels)
-        assert abs(margin_cosine_loss(desc, labels, head, cfg) - expected) < 1e-10
+        assert abs(margin_cosine_loss_and_grads(desc, labels, head, cfg)[0] - expected) < 1e-10
 
 
 def test_loss_is_finite_and_nonnegative_at_default_scale():
     rng = np.random.default_rng(1)
     for _ in range(20):
         desc, labels, head = random_instance(rng)
-        loss = margin_cosine_loss(desc, labels, head, LossConfig())
+        loss = margin_cosine_loss_and_grads(desc, labels, head, LossConfig())[0]
         assert np.isfinite(loss) and loss >= 0.0
 
 
@@ -75,9 +75,9 @@ def test_batch_mean_consistency():
     rng = np.random.default_rng(2)
     desc, labels, head = random_instance(rng, batch=6)
     cfg = LossConfig()
-    whole = margin_cosine_loss(desc, labels, head, cfg)
+    whole = margin_cosine_loss_and_grads(desc, labels, head, cfg)[0]
     singles = [
-        margin_cosine_loss(desc[i : i + 1], labels[i : i + 1], head, cfg) for i in range(len(labels))
+        margin_cosine_loss_and_grads(desc[i : i + 1], labels[i : i + 1], head, cfg)[0] for i in range(len(labels))
     ]
     assert whole == pytest.approx(np.mean(singles), abs=1e-12)
 
@@ -90,7 +90,7 @@ def test_loss_decreases_as_true_class_cosine_increases():
     for t in np.linspace(0.0, 1.0, 8):
         # Rotate the descriptor toward the true-class weight row.
         d = unit_rows(np.array([[math.cos(1.2 * (1 - t)), math.sin(1.2 * (1 - t)), 0.0]]))
-        loss = margin_cosine_loss(d, np.array([0]), head, cfg)
+        loss = margin_cosine_loss_and_grads(d, np.array([0]), head, cfg)[0]
         if previous is not None:
             assert loss < previous
         previous = loss
@@ -118,7 +118,7 @@ def test_true_class_cosine_monotonicity_property(seed, theta, delta, margin, sca
 
     def loss_at(angle):
         d = (math.cos(angle) * head.weights[0] + math.sin(angle) * spare)[None, :]
-        return margin_cosine_loss(d, np.array([0]), head, cfg)
+        return margin_cosine_loss_and_grads(d, np.array([0]), head, cfg)[0]
 
     closer = max(theta - delta, 0.0)
     hi = loss_at(theta)
@@ -136,7 +136,7 @@ def test_margin_increase_raises_loss_when_correctly_classified():
     desc = unit_rows(np.array([[0.9, 0.1, 0.0, 0.1], [0.05, 0.95, 0.0, 0.0]]))
     labels = np.array([0, 1])
     losses = [
-        margin_cosine_loss(desc, labels, head, LossConfig(margin=m, scale=12.0))
+        margin_cosine_loss_and_grads(desc, labels, head, LossConfig(margin=m, scale=12.0))[0]
         for m in (0.0, 0.2, 0.4)
     ]
     assert losses[0] < losses[1] < losses[2]
@@ -145,12 +145,12 @@ def test_margin_increase_raises_loss_when_correctly_classified():
 def test_input_validation():
     head = ClassifierHead(group=G0, weights=np.eye(2))
     with pytest.raises(DomainError, match="unit"):
-        margin_cosine_loss(np.array([[2.0, 0.0]]), np.array([0]), head, LossConfig())
+        margin_cosine_loss_and_grads(np.array([[2.0, 0.0]]), np.array([0]), head, LossConfig())
     with pytest.raises(DomainError, match="labels"):
-        margin_cosine_loss(np.array([[1.0, 0.0]]), np.array([5]), head, LossConfig())
+        margin_cosine_loss_and_grads(np.array([[1.0, 0.0]]), np.array([5]), head, LossConfig())
     zero_row = ClassifierHead(group=G0, weights=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(DomainError, match="zero"):
-        margin_cosine_loss(np.array([[1.0, 0.0]]), np.array([0]), zero_row, LossConfig())
+        margin_cosine_loss_and_grads(np.array([[1.0, 0.0]]), np.array([0]), zero_row, LossConfig())
     with pytest.raises(DomainError):
         LossConfig(margin=-0.1)
     with pytest.raises(DomainError):
@@ -165,10 +165,10 @@ def test_gradients_match_finite_differences():
         g_desc, g_w = margin_cosine_grads(desc, labels, head, cfg)
 
         def loss_of_desc(d):
-            return margin_cosine_loss(d, labels, head, cfg)
+            return margin_cosine_loss_and_grads(d, labels, head, cfg)[0]
 
         def loss_of_weights(w):
-            return margin_cosine_loss(desc, labels, ClassifierHead(group=G0, weights=w), cfg)
+            return margin_cosine_loss_and_grads(desc, labels, ClassifierHead(group=G0, weights=w), cfg)[0]
 
         assert rel_err(g_desc, central_difference(loss_of_desc, desc.copy(), eps=1e-5)) < 1e-4
         assert rel_err(g_w, central_difference(loss_of_weights, head.weights.copy(), eps=1e-5)) < 1e-4

@@ -344,13 +344,13 @@ def test_load_features_rejects_a_crc_flip_in_a_fortran_member(tmp_path):
 
 
 def _gem_pooling(channels):
-    """Pooling of a GeM model of ``channels`` channels, counting the maps of each call in ``calls``."""
-    model = embed.init_model(channels, embed.ModelConfig(output_dim=4, gem_p=3.0), seed=0)
+    """GeM pooling of ``channels``-channel maps at p = 3, counting the maps of each call in ``calls``."""
     calls = []
 
     def reduce(maps):
         calls.append(len(maps))
-        return embed.pool_batch(model, maps)[0]
+        assert maps.shape[1] == channels
+        return embed.pool(maps, embed.GEM, 3.0)
 
     return reduce, calls
 
@@ -389,9 +389,15 @@ def _store_error(path, ids, reduce):
     return type(caught.value), str(caught.value)
 
 
-@pytest.mark.parametrize("fault", ["crc", "mixed-layouts", "missing-id", "nan"])
+@pytest.mark.parametrize("fault", ["crc", "mixed-layouts", "missing-id", "nan", "nan-then-mixed-layouts"])
 def test_reducing_load_keeps_the_loader_errors(tmp_path, fault):
     arrays = {f"r{i}": np.full((2, 1, 1), float(i), dtype=np.float32) for i in range(4)}
+    if fault == "nan-then-mixed-layouts":
+        # A non-finite map in the first staged chunk and a layout fault in the second:
+        # every load checks a chunk before it reads the next, so both name the map.
+        arrays = {f"r{i:02d}": np.full((2, 1, 1), float(i), dtype=np.float32) for i in range(REDUCE_CHUNK_ROWS + 8)}
+        arrays["r01"][1, 0, 0] = np.nan
+        arrays["r35"] = np.ones((3, 1, 1), dtype=np.float32)
     ids = list(arrays)
     if fault == "mixed-layouts":
         arrays["r2"] = np.ones((3, 1, 1), dtype=np.float32)
@@ -411,6 +417,9 @@ def test_reducing_load_keeps_the_loader_errors(tmp_path, fault):
         "mixed-layouts": (DomainError, "mixes member layouts: 'r2' is float32[3, 1, 1]"),
         "missing-id": (ManifestError, "has no entry for record 'r9'"),
         "nan": (DomainError, f"feature store {path}: feature map of record 'r2' contains non-finite values"),
+        "nan-then-mixed-layouts": (
+            DomainError, f"feature store {path}: feature map of record 'r01' contains non-finite values"
+        ),
     }[fault]
     assert error[0] is expected[0] and expected[1] in error[1]
 

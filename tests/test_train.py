@@ -357,14 +357,14 @@ def test_embedding_pooled_rows_equals_embedding_the_maps(world, setup, pooling):
 
 
 def test_embed_records_is_fortran_ordered_rows_of_project(world, setup):
-    # The layout build_index adopts without a copy; the values are the C-ordered rows project gives.
-    # (One project call per row would take BLAS's one-row path, which can round the last bit differently.)
+    # The layout build_index adopts without a copy; the values are the C-ordered rows forward gives.
+    # (One forward call per row would take BLAS's one-row path, which can round the last bit differently.)
     _, val_db, _ = setup
     model = embed.init_model(world.features.block.shape[1], BASE.model, 7)
     pooled = pool_store(world.features, store_reduce(BASE.model), 7)
     got = embed_records(model, val_db, pooled, BASE.batch_size)
     assert got.flags.f_contiguous and got.shape == (len(val_db), BASE.model.output_dim)
-    want = embed.project(model, pooled.block[pooled.rows(r.id for r in val_db)])[0]
+    want = embed.forward(model, pooled.block[pooled.rows(r.id for r in val_db)])[0]
     assert want.flags.c_contiguous and np.array_equal(got, want)
 
 

@@ -17,7 +17,6 @@ from geoloc.loss import (
     LossConfig,
     margin_cosine_grads,
     margin_cosine_kernel,
-    margin_cosine_loss,
     margin_cosine_loss_and_grads,
 )
 from geoloc.partition import GroupId
@@ -122,13 +121,10 @@ def test_cached_step_equals_uncached_composition(pooling, learn_p, monkeypatch):
     for seed in range(5):
         m, maps, labels, head = _problem(seed, pooling)
 
-        if learn_p:
-            descriptors, cache = embed.forward_cached(m, maps)
-        else:
-            # A fixed-p step's cache: pooled vectors without GeM terms.
-            descriptors, cache = embed.project(m, embed.pool(maps, m.pooling, m.gem_p))
+        # A fixed-p step's input is pooled vectors, whose cache has no GeM terms.
+        descriptors, cache = embed.forward(m, maps if learn_p else embed.pool(maps, m.pooling, m.gem_p))
         loss, grad_desc, grad_w = margin_cosine_loss_and_grads(descriptors, labels, head, CFG)
-        grads = embed.backward_cached(m, cache, grad_desc)
+        grads = embed.backward(m, cache, grad_desc)
 
         ref_desc = reference_forward(m, maps)
         ref_grad_desc, ref_grad_w = reference_grads(ref_desc, labels, head, CFG)
@@ -141,27 +137,20 @@ def test_cached_step_equals_uncached_composition(pooling, learn_p, monkeypatch):
         assert np.array_equal(grads.bias, ref_bias)
         assert grads.gem_p == (ref_p if learn_p else 0.0)
 
-        # The public entry points share the kernel and agree exactly.
-        assert np.array_equal(embed.forward_batch(m, maps), ref_desc)
-        # So does a fixed-p training step: project pooled vectors, then the unchecked loss kernel.
-        pooled_desc, _ = embed.project(m, embed.pool(maps, m.pooling, m.gem_p))
+        # Maps and their pooled vectors embed alike; a fixed-p step then runs the unchecked loss kernel.
+        pooled_desc, _ = embed.forward(m, embed.pool(maps, m.pooling, m.gem_p))
         assert np.array_equal(pooled_desc, ref_desc)
+        assert np.array_equal(embed.forward(m, maps)[0], ref_desc)
         kernel_loss, kernel_grad_desc, kernel_grad_w = margin_cosine_kernel(pooled_desc, labels, head, CFG)
         assert kernel_loss == loss
         assert np.array_equal(kernel_grad_desc, grad_desc) and np.array_equal(kernel_grad_w, grad_w)
         assert np.array_equal(embed.pool(maps, m.pooling, m.gem_p), reference_pool(maps, m.pooling, m.gem_p))
-        assert margin_cosine_loss(descriptors, labels, head, CFG) == loss
         for got, want in zip(margin_cosine_grads(descriptors, labels, head, CFG), (grad_desc, grad_w)):
             assert np.array_equal(got, want)
-        if learn_p or pooling != GEM:
-            whole = embed.backward_batch(m, maps, grad_desc)
-            assert np.array_equal(whole.projection, ref_proj)
-            assert np.array_equal(whole.bias, ref_bias)
-            assert whole.gem_p == ref_p
 
 
 def test_cached_backward_rejects_misshapen_gradients():
     m, maps, _, _ = _problem(0, GEM)
-    _, cache = embed.forward_cached(m, maps)
+    _, cache = embed.forward(m, maps)
     with pytest.raises(DomainError, match="shape"):
-        embed.backward_cached(m, cache, np.zeros((len(maps) - 1, m.output_dim)))
+        embed.backward(m, cache, np.zeros((len(maps) - 1, m.output_dim)))
