@@ -18,10 +18,11 @@ shift.
 Maps are computed in float64 and stored as float32, rounded once; the query
 perturbation is added before the rounding. ``load_features`` keeps a store's
 dtype, so a reloaded world holds the generated bits; the embedding computes in float64.
-``load_features`` reads every store through one loop: it stages
-``REDUCE_CHUNK_ROWS`` maps at a time, checks each chunk, and keeps it as it
-is or, given a ``reduce`` function, only its reduced rows, so ``geoloc
-eval`` and a fixed-exponent ``geoloc train`` never hold maps.
+``load_features`` reads the zip format of a store itself: it parses the
+central directory once into arrays, then reads the members in chunks of
+``REDUCE_CHUNK_ROWS`` maps, one read per chunk, checks each chunk, and
+keeps it as it is or, given a ``reduce`` function, only its reduced rows,
+so ``geoloc eval`` and a fixed-exponent ``geoloc train`` never hold maps.
 
 Everything is generated from one seeded stream, so equal configs produce
 bit-identical worlds.
@@ -33,7 +34,6 @@ import io
 import math
 import struct
 import tokenize
-import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -315,87 +315,95 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
+# The end record's central directory size and offset. In a zip64 archive a
+# 20-byte locator follows the 56-byte zip64 end record, whose values replace them.
+_END = struct.Struct("<12xII")
+_END64 = struct.Struct("<40xQQ")
+# Enough of a file's tail to hold the end record, its longest comment and the zip64 records.
+_TAIL_BYTES = 22 + 0xFFFF + 76
+# A central directory entry: signature, "version needed" (its low byte), flags,
+# sizes, name/extra/comment lengths and local header offset. The loader keeps
+# each entry's 46 fixed bytes as one row of ``_CENTRAL_ROW``.
+_CENTRAL = struct.Struct("<4s2xBxH10xIIHHH8xI")
+_CENTRAL_ROW = np.dtype({"names": ["flags", "method", "crc", "csize", "usize", "offset"],
+                         "formats": ["<u2", "<u2", "<u4", "<u4", "<u4", "<u4"],
+                         "offsets": [8, 10, 16, 20, 24, 42], "itemsize": 46})
 # A zip member's local header: signature, flags, compression, name and extra lengths.
 _LOCAL_HEADER = struct.Struct("<4s2xHH16xHH")
-_LOCAL_SIGNATURE = b"PK\x03\x04"
 # Encrypted, compressed-patch and strongly encrypted members cannot be read.
 _UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
 _UTF8_NAME_FLAG = 0x800
-# Read buffer of a store: members are read in file order, most from this buffer.
-_STORE_BUFFER_BYTES = 1 << 20
 # Maps ``load_features`` stages and checks before it keeps or reduces them;
 # 32 was at least as fast as 128 or 256 on eval_large's stores.
 REDUCE_CHUNK_ROWS = 32
 Reduce = Callable[[np.ndarray], np.ndarray]  # one row out per map of a staged chunk
 
 
-def _read_exact(src: BinaryIO, size: int) -> bytes:
-    data = src.read(size)
-    if len(data) != size:
-        raise EOFError("feature store ends inside a member")
-    return data
+def _central_directory(fh: BinaryIO) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The members of a zip file, and where its central directory starts.
 
-
-def _npy_header(src: BinaryIO) -> bytes:
-    """The header bytes of the ``.npy`` array ``src`` is positioned at, up to its data."""
-    prefix = src.read(10)
-    if len(prefix) < 10 or prefix[:6] != b"\x93NUMPY":
-        raise ValueError("member is not an .npy array")
-    if prefix[6] == 1:
-        size = int.from_bytes(prefix[8:10], "little")
-    else:
-        prefix += _read_exact(src, 2)
-        size = int.from_bytes(prefix[8:12], "little")
-    return prefix + _read_exact(src, size)
-
-
-def _npy_layout(header: bytes, known: dict[bytes, tuple]) -> tuple[tuple[int, ...], bool, np.dtype]:
-    """(shape, Fortran order, dtype) of one ``.npy`` header.
-
-    ``known`` maps header bytes already parsed to their layout, so a store
-    whose members share one header parses it once.
+    Returns (entry row of each name, entry table, compressed sizes, uncompressed sizes, local
+    header offsets, central directory offset); a repeated name has its last entry, as in ``zipfile``.
     """
-    layout = known.get(header)
-    if layout is None:
-        fp = io.BytesIO(header)
-        version = np.lib.format.read_magic(fp)
-        if version == (1, 0):
-            layout = np.lib.format.read_array_header_1_0(fp)
-        elif version == (2, 0):
-            layout = np.lib.format.read_array_header_2_0(fp)
-        else:
-            raise ValueError(f"unsupported .npy format version {version}")
-        known[header] = layout
-    return layout
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(max(size - _TAIL_BYTES, 0))
+    tail = fh.read()
+    at = len(tail) - 22 if tail[-22:-18] == b"PK\x05\x06" and tail[-2:] == b"\0\0" else tail.rfind(b"PK\x05\x06")
+    if at < 0:
+        raise ValueError("no zip end record")
+    cd_size, cd_offset = _END.unpack_from(tail, at)
+    end = size - len(tail) + at
+    if at >= 76 and tail[at - 20 : at - 16] == b"PK\x06\x07" and tail[at - 76 : at - 72] == b"PK\x06\x06":
+        cd_size, cd_offset = _END64.unpack_from(tail, at - 76)
+        end -= 76
+    if cd_size > end:
+        raise ValueError("central directory larger than the file")
+    fh.seek(end - cd_size)
+    cd = fh.read(cd_size)
+    fixed, index, wide, pos, row = bytearray(), {}, {}, 0, 0  # wide: zip64 fields by row
+    while pos < cd_size:
+        signature, version, flags, csize, usize, n, m, k, offset = _CENTRAL.unpack_from(cd, pos)
+        if signature != b"PK\x01\x02":
+            raise ValueError("bad central directory entry")
+        name = cd[pos + 46 : pos + 46 + n]
+        # An ASCII name reads the same in UTF-8 and in code page 437, and decodes faster.
+        index[name.decode("utf-8" if flags & _UTF8_NAME_FLAG or name.isascii() else "cp437")] = row
+        if version > 63:  # zipfile's limit: later versions may need features this reader lacks
+            raise ValueError(f"member {name.decode('cp437')!r} needs zip version {version / 10}")
+        if 0xFFFFFFFF in (csize, usize, offset):
+            wide[row] = _zip64_fields(cd[pos + 46 + n : pos + 46 + n + m], [usize, csize, offset])
+        fixed += cd[pos : pos + 46]
+        pos, row = pos + 46 + n + m + k, row + 1
+    if pos != cd_size:
+        raise ValueError("central directory entries overrun it")
+    table = np.frombuffer(fixed, _CENTRAL_ROW)
+    usize, csize, offsets = (table[field].astype(np.int64) for field in ("usize", "csize", "offset"))
+    for row, fields in wide.items():
+        usize[row], csize[row], offsets[row] = fields
+    offsets += end - cd_size - cd_offset  # bytes before the archive, as in a self-extracting one
+    return index, table, csize, usize, offsets, end - cd_size
 
 
-def _member_source(fh: BinaryIO, info: zipfile.ZipInfo) -> BinaryIO:
-    """Check a member's local header and return a stream at its first uncompressed byte.
+def _zip64_fields(extra: bytes, fields: list[int]) -> list[int]:
+    """``fields`` (uncompressed size, compressed size, offset), each 0xFFFFFFFF one read from the zip64 extra field."""
+    while len(extra) >= 4:
+        tag, size = struct.unpack_from("<HH", extra)
+        if tag == 1:
+            wide = iter(struct.unpack_from(f"<{size // 8}Q", extra, 4))
+            return [next(wide, f) if f == 0xFFFFFFFF else f for f in fields]
+        extra = extra[4 + size :]
+    return fields
 
-    A stored member is read from ``fh`` itself; a deflated one is inflated
-    into memory. The checks are the ones ``ZipFile.open`` makes: the
-    signature, the name against the central directory's, no encryption, and
-    a compression this reader knows.
-    """
-    fh.seek(info.header_offset)
-    signature, flags, method, name_len, extra_len = _LOCAL_HEADER.unpack(_read_exact(fh, _LOCAL_HEADER.size))
-    if signature != _LOCAL_SIGNATURE:
-        raise zipfile.BadZipFile(f"bad local header signature for member {info.filename!r}")
-    name = _read_exact(fh, name_len + extra_len)[:name_len]
-    if name != info.orig_filename.encode("utf-8" if info.flag_bits & _UTF8_NAME_FLAG else "cp437"):
-        raise zipfile.BadZipFile(f"member {info.filename!r} has local header name {name!r}")
-    if (flags | info.flag_bits) & _UNREADABLE_FLAGS:
-        raise zipfile.BadZipFile(f"member {info.filename!r} is encrypted")
-    if method != info.compress_type or method not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
-        raise zipfile.BadZipFile(f"member {info.filename!r} has unsupported compression {info.compress_type}")
-    if method == zipfile.ZIP_STORED:
-        if info.compress_size != info.file_size:
-            raise zipfile.BadZipFile(f"stored member {info.filename!r} has unequal sizes")
-        return fh
-    data = zlib.decompress(_read_exact(fh, info.compress_size), -zlib.MAX_WBITS)
-    if len(data) != info.file_size:
-        raise zipfile.BadZipFile(f"member {info.filename!r} inflates to {len(data)} bytes, not {info.file_size}")
-    return io.BytesIO(data)
+
+def _npy_layout(header: bytes) -> tuple[tuple[int, ...], bool, np.dtype, int]:
+    """(shape, Fortran order, dtype, data bytes) of one ``.npy`` header."""
+    fp = io.BytesIO(header)
+    version = np.lib.format.read_magic(fp)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"unsupported .npy format version {version}")
+    read = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+    shape, fortran, dtype = read(fp)
+    return shape, fortran, dtype, dtype.itemsize * math.prod(shape)
 
 
 def load_features(
@@ -406,86 +414,116 @@ def load_features(
     """Arrays of a keyed ``.npz`` store (one member per record id), by id.
 
     Reads only the members named in ``ids`` (every member when ``ids`` is
-    None; a repeated id loads once). ``zipfile`` reads the central
-    directory; each member is then read once, in file order: its local
-    header and ``.npy`` header are checked and its data is read straight
-    into a staging block of ``REDUCE_CHUNK_ROWS`` rows. Each full chunk (and
-    the last) is checked as a store checks its block, then goes into the
-    rows of those ids in the returned store's block: as it is, or, with
-    ``reduce``, as ``reduce(chunk)``, one row per map, so the
-    ``(n, *shape)`` map block is never allocated. ``reduce`` is not called
-    when ``ids`` is empty. Stored and deflated (``np.savez_compressed``)
-    members load; C- and Fortran-order members of any byte order keep their
-    values. Every member must share one shape and dtype, and its CRC-32 must
-    match. An id missing from the store raises ManifestError; an unreadable
-    or corrupt store, an object-dtype member, mixed shapes or dtypes, or a
-    non-finite map among those read raise DomainError. As chunks are checked
-    in turn, a non-finite map can be reported before a later member's layout
-    error, with or without ``reduce``.
+    None; a repeated id loads once). The central directory (after an archive
+    comment or zip64 records too) is read at once and parsed into arrays, in
+    which a name is a member's only Python object; every offset and length is
+    checked against the file before it sizes a read. Members are read in file
+    order, ``REDUCE_CHUNK_ROWS`` at a time, with one read of a chunk's span
+    (or, for sparse ids, of each member). In that buffer each member's local
+    header, ``.npy`` header and CRC-32 are checked and its data is copied into
+    a staging block. Each chunk is checked as a store checks its block, then
+    goes into those ids' rows of the returned block as it is, or as
+    ``reduce(chunk)``, one row per map, so no map block is allocated
+    (``reduce`` is not called when ``ids`` is empty). Stored and deflated
+    members load, C- or Fortran-order and of any byte order, all of one shape
+    and dtype. A missing id raises ManifestError; an unreadable or corrupt
+    store, an object-dtype member, mixed layouts or a non-finite map among
+    those read raise DomainError. Central directory faults come first; then
+    a non-finite map can be reported before a layout fault of a later chunk.
     """
     try:
-        with open(path, "rb", buffering=_STORE_BUFFER_BYTES) as fh, zipfile.ZipFile(fh) as zf:
-            names = list(dict.fromkeys(zf.namelist()))
-            stray = next((n for n in names if not n.endswith(".npy")), None)
+        with open(path, "rb") as fh:
+            index, table, csize, usize, offsets, start = _central_directory(fh)
+            stray = next((n for n in index if not n.endswith(".npy")), None)
             if stray is not None:
                 raise DomainError(f"feature store {path}: member {stray!r} is not an .npy array")
             if ids is None:
-                keys = [n.removesuffix(".npy") for n in names]
+                keys = [n.removesuffix(".npy") for n in index]
+                rows = np.fromiter(index.values(), np.intp, len(index))
             else:
                 keys = list(dict.fromkeys(ids))
-                present = set(names)
-                missing = next((k for k in keys if f"{k}.npy" not in present), None)
+                missing = next((k for k in keys if f"{k}.npy" not in index), None)
                 if missing is not None:
                     raise ManifestError(f"feature store {path} has no entry for record {missing!r}")
-            infos = [zf.getinfo(f"{key}.npy") for key in keys]
+                rows = np.fromiter((index[f"{k}.npy"] for k in keys), np.intp, len(keys))
+            del index
+            # A member spans from its local header to the next one or to the central directory.
+            lo = offsets[rows]
+            if not ((lo >= 0) & (lo < start)).all():
+                raise ValueError("a member's local header lies outside the archive")
+            bounds = np.sort(np.append(offsets, start))
+            hi = bounds[np.searchsorted(bounds, lo, "right")]
+            order = np.argsort(lo, kind="stable")
             known: dict[bytes, tuple] = {}
-            block = rows = scratch = first = out = None
-            # The store index of each map staged in ``block``, in staging order.
-            staged: list[int] = []
-            order = sorted(range(len(keys)), key=lambda i: infos[i].header_offset)
-            for done, i in enumerate(order, 1):
-                key, info = keys[i], infos[i]
-                src = _member_source(fh, info)
-                header = _npy_header(src)
-                shape, fortran, dtype = _npy_layout(header, known)
-                if dtype.hasobject:
-                    raise DomainError(f"feature store {path}: member {key!r} holds Python objects (dtype {dtype})")
-                if block is None:
-                    n = min(len(keys), REDUCE_CHUNK_ROWS)
-                    block = np.empty((n, *shape), dtype=dtype)
-                    # Each row as raw bytes, for readinto and the CRC whatever the byte order.
-                    rows = block.reshape(n, -1).view(np.uint8)
-                    scratch = np.empty(rows.shape[1], dtype=np.uint8)
-                    first = key
-                elif (shape, dtype) != (block.shape[1:], block.dtype):
-                    raise DomainError(
-                        f"feature store {path} mixes member layouts: {key!r} is {dtype}{list(shape)}, "
-                        f"{first!r} is {block.dtype}{list(block.shape[1:])}"
-                    )
-                if info.file_size - len(header) != rows.shape[1]:
-                    raise DomainError(
-                        f"feature store {path}: member {key!r} holds {info.file_size - len(header)} data bytes, "
-                        f"its header says {rows.shape[1]}"
-                    )
-                row = len(staged)
-                target = scratch if fortran else rows[row]
-                if src.readinto(target) != rows.shape[1]:
-                    raise EOFError(f"feature store ends inside member {key!r}")
-                if zlib.crc32(target, zlib.crc32(header)) != info.CRC:
-                    raise zipfile.BadZipFile(f"Bad CRC-32 for member {key!r}")
-                if fortran:
-                    block[row] = scratch.view(dtype).reshape(shape[::-1]).T
-                staged.append(i)
-                if len(staged) == len(block) or done == len(keys):
-                    chunk = block[: len(staged)]
-                    _check_maps(chunk, [keys[j] for j in staged], f"feature store {path}: ")
-                    reduced = chunk if reduce is None else reduce(chunk)
-                    if out is None:
-                        out = np.empty((len(keys), *reduced.shape[1:]), dtype=reduced.dtype)
-                    out[staged] = reduced
-                    staged.clear()
+            block = staging = first = out = None
+            for c in range(0, len(keys), REDUCE_CHUNK_ROWS):
+                staged = order[c : c + REDUCE_CHUNK_ROWS]
+                span_lo, span_hi = lo[staged].tolist(), hi[staged].tolist()
+                extents = hi[staged] - lo[staged]
+                if span_hi[-1] - span_lo[0] <= 4 * extents.sum():  # else sparse ids: read each member
+                    fh.seek(span_lo[0])
+                    buf, at = fh.read(span_hi[-1] - span_lo[0]), lo[staged] - span_lo[0]
+                else:
+                    parts = []
+                    for a, b in zip(span_lo, span_hi):
+                        fh.seek(a)
+                        parts.append(fh.read(b - a))
+                    buf, at = b"".join(parts), np.cumsum(extents) - extents
+                view = memoryview(buf)
+                member = rows[staged]
+                meta = np.stack([staged, at, table["flags"][member], table["method"][member], table["crc"][member],
+                                 csize[member], usize[member]], axis=1).tolist()
+                for row, (j, p, cflags, cmethod, crc, csize_j, usize_j) in enumerate(meta):
+                    key = keys[j]
+                    name = f"{key}.npy"
+                    signature, flags, method, n, m = _LOCAL_HEADER.unpack_from(buf, p)
+                    d = p + 30 + n + m  # the member's first byte
+                    if signature != b"PK\x03\x04":
+                        raise ValueError(f"bad local header signature for member {name!r}")
+                    local_name = buf[p + 30 : p + 30 + n]
+                    if local_name != name.encode("utf-8" if cflags & _UTF8_NAME_FLAG or name.isascii() else "cp437"):
+                        raise ValueError(f"member {name!r} has local header name {local_name!r}")
+                    if (flags | cflags) & _UNREADABLE_FLAGS:
+                        raise ValueError(f"member {name!r} is encrypted")
+                    if method != cmethod or method not in (0, zlib.DEFLATED):  # stored or deflated
+                        raise ValueError(f"member {name!r} has unsupported compression {cmethod}")
+                    data = view[d : d + csize_j]
+                    if method == zlib.DEFLATED:
+                        data = memoryview(zlib.decompressobj(-zlib.MAX_WBITS).decompress(data, usize_j + 1))
+                    if len(data) != usize_j:
+                        raise ValueError(f"member {name!r} holds {len(data)} bytes, its directory entry says {usize_j}")
+                    if data[:6] != b"\x93NUMPY":
+                        raise ValueError(f"member {name!r} is not an .npy array")
+                    hlen = (10 + int.from_bytes(data[8:10], "little") if data[6:7] == b"\x01"  # .npy 1.0
+                            else 12 + int.from_bytes(data[8:12], "little"))
+                    header = data[:hlen].tobytes()
+                    shape, fortran, dtype, nbytes = known.get(header) or known.setdefault(header, _npy_layout(header))
+                    if dtype.hasobject:
+                        raise DomainError(f"feature store {path}: member {key!r} holds Python objects (dtype {dtype})")
+                    if usize_j - hlen != nbytes:
+                        raise DomainError(f"feature store {path}: member {key!r} holds {usize_j - hlen} data bytes, "
+                                          f"its header says {nbytes}")
+                    if block is None:
+                        block = np.empty((min(len(keys), REDUCE_CHUNK_ROWS), *shape), dtype=dtype)
+                        staging = memoryview(block.reshape(-1).view(np.uint8))
+                        first, layout = key, (shape, dtype)
+                    elif (shape, dtype) != layout:
+                        raise DomainError(f"feature store {path} mixes member layouts: {key!r} is {dtype}{list(shape)}, "
+                                          f"{first!r} is {block.dtype}{list(block.shape[1:])}")
+                    if zlib.crc32(data) != crc:
+                        raise ValueError(f"Bad CRC-32 for member {key!r}")
+                    if fortran:
+                        block[row] = np.frombuffer(data[hlen:], dtype).reshape(shape[::-1]).T
+                    else:
+                        staging[row * nbytes : (row + 1) * nbytes] = data[hlen:]
+                chunk = block[: len(staged)]
+                _check_maps(chunk, [keys[j] for j in staged.tolist()], f"feature store {path}: ")
+                reduced = chunk if reduce is None else reduce(chunk)
+                if out is None:
+                    out = np.empty((len(keys), *reduced.shape[1:]), dtype=reduced.dtype)
+                out[staged] = reduced
     # numpy's .npy header reader lets a tokenizer error through on a mangled header dict.
-    except (OSError, EOFError, ValueError, SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, ValueError, OverflowError, SyntaxError, tokenize.TokenError, struct.error, zlib.error) as exc:
         raise DomainError(f"cannot read feature store {path}: {exc}") from exc
     try:
         return FeatureStore(keys, np.empty(0) if out is None else out)

@@ -244,7 +244,7 @@ def store_reduce(cfg: ModelConfig) -> Reduce | None:
 
     def pool(maps: np.ndarray) -> np.ndarray:
         if maps.ndim != 4 or 0 in maps.shape[2:]:
-            raise DomainError(f"feature maps must be (C, H, W) with H, W >= 1, got shape {maps.shape[1:]}")
+            raise DomainError(f"feature maps must be (C, H, W), got shape {maps.shape[1:]}")
         return embed.pool(maps, cfg.pooling, cfg.gem_p)
 
     return pool

@@ -1298,7 +1298,7 @@ def _patch_central_entry(blob: bytes, member: str, offset: int, value: int) -> b
     return blob[: at + offset] + struct.pack("<H", value) + blob[at + offset + 2 :]
 
 
-@pytest.mark.parametrize("field, offset, value", [("encrypted", 8, 1), ("compression", 10, 99)])
+@pytest.mark.parametrize("field, offset, value", [("encrypted", 8, 1), ("compression", 10, 99), ("version", 6, 64)])
 def test_eval_rejects_store_member_with_corrupt_header(workspace, tiny_model, tmp_path, capsys, field, offset, value):
     _, cfg_path, world_dir = workspace
     db_ids = [r.id for r in ingest.load_manifest(world_dir / "db.csv")]

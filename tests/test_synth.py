@@ -444,3 +444,86 @@ def test_reducing_load_never_holds_the_map_block(tmp_path, traced_peak):
     pooled, peak = traced_peak(lambda: load_features(path, reduce=reduce))
     assert pooled.block.shape == (2048, 16)
     assert peak < block_bytes / 4, f"peak {peak} bytes for a {block_bytes}-byte map block"
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["all-members", "ids"])
+def test_load_features_holds_little_per_member(tmp_path, traced_peak, given):
+    # A Python object per member beyond its name (zipfile's ZipInfo took ~700 B)
+    # would pass this bound over what the returned store itself keeps.
+    count = 5000
+    path = tmp_path / "store.npz"
+    _write_store_member_by_member(path, count, (2, 1, 1))
+    ids = [f"r{i:05d}" for i in range(count)] if given else None
+    store, peak = traced_peak(lambda: load_features(path, ids))
+    assert store.block.shape == (count, 2, 1, 1)
+    _, kept = traced_peak(
+        lambda: FeatureStore(ids or [f"r{i:05d}" for i in range(count)], np.zeros((count, 2, 1, 1), np.float32))
+    )
+    assert (peak - kept) / count <= 320, f"{(peak - kept) / count:.0f} B per member above the store's {kept} B"
+
+
+def _zip64_store(path, arrays, monkeypatch):
+    """``np.savez`` of ``arrays`` with zip64 end records and zip64 central directory fields.
+
+    ``zipfile`` writes those past 4 GiB or 65 535 members; lowering its limits
+    makes it write them for a small store. The end record then holds
+    0xFFFF/0xFFFFFFFF placeholders, as it must past those limits.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(zipfile, "ZIP64_LIMIT", 64)
+        patch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", 1)
+        np.savez(path, **arrays)
+    blob = bytearray(path.read_bytes())
+    assert blob[-98:-94] == b"PK\x06\x06" and blob[-42:-38] == b"PK\x06\x07"
+    struct.pack_into("<HHII", blob, len(blob) - 14, 0xFFFF, 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "layout", ["comment", "zip64", "deflated", "fortran", "big-endian", "prefixed", "sparse-ids"]
+)
+def test_load_features_reads_what_np_load_reads(tmp_path, monkeypatch, layout):
+    rng = np.random.default_rng(23)
+    arrays = {f"r{i:03d}": rng.standard_normal((3, 2, 4)).astype("<f4") for i in range(3 * REDUCE_CHUNK_ROWS)}
+    if layout == "fortran":
+        arrays = {rid: np.asfortranarray(a) if i % 3 else a for i, (rid, a) in enumerate(arrays.items())}
+    elif layout == "big-endian":
+        arrays = {rid: a.astype(">f8") for rid, a in arrays.items()}
+    path = tmp_path / "store.npz"
+    if layout == "zip64":
+        _zip64_store(path, arrays, monkeypatch)
+    else:
+        (np.savez_compressed if layout == "deflated" else np.savez)(path, **arrays)
+    if layout == "comment":
+        with zipfile.ZipFile(path, "a") as zf:
+            zf.comment = b"an archive comment " * 20
+    elif layout == "prefixed":  # as a self-extracting archive starts with its extractor
+        path.write_bytes(b"#!/bin/sh\n" * 100 + path.read_bytes())
+    wanted = list(arrays)[::7][::-1] if layout == "sparse-ids" else None
+    got = load_features(path, wanted)
+    # np.load reads each member this way, but only from a file that starts with a member.
+    with zipfile.ZipFile(path) as zf:
+        assert got.ids == (wanted or [name.removesuffix(".npy") for name in zf.namelist()])
+        for rid in got.ids:
+            want = np.lib.format.read_array(zf.open(f"{rid}.npy"))
+            assert got[rid].dtype == want.dtype
+            assert got[rid].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_every_central_directory_byte_flip_raises_a_store_error_or_loads(tmp_path):
+    shape = (2, 3, 1)
+    arrays = {f"r{i}": np.full(shape, float(i), dtype=np.float32) for i in range(3)}
+    path = tmp_path / "store.npz"
+    np.savez(path, **arrays)
+    blob = path.read_bytes()
+    assert blob[-22:-18] == b"PK\x05\x06"  # the end record, with no comment
+    cd_start = struct.unpack_from("<I", blob, len(blob) - 6)[0]
+    mutant = tmp_path / "mutant.npz"
+    for at in range(cd_start, len(blob)):
+        mutant.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :])
+        try:
+            store = load_features(mutant)
+        except (DomainError, ManifestError):
+            continue
+        assert store.block.shape[1:] == shape, at
+        assert np.isfinite(store.block).all(), at
