@@ -348,7 +348,11 @@ def _central_directory(fh: BinaryIO) -> tuple[dict[str, int], np.ndarray, np.nda
     size = fh.seek(0, io.SEEK_END)
     fh.seek(max(size - _TAIL_BYTES, 0))
     tail = fh.read()
-    at = len(tail) - 22 if tail[-22:-18] == b"PK\x05\x06" and tail[-2:] == b"\0\0" else tail.rfind(b"PK\x05\x06")
+    # The end record is the last signature whose comment length reaches the end of the file,
+    # which passes over the same four bytes inside an archive comment.
+    at = tail.rfind(b"PK\x05\x06", 0, len(tail) - 18)
+    while at >= 0 and at + 22 + int.from_bytes(tail[at + 20 : at + 22], "little") != len(tail):
+        at = tail.rfind(b"PK\x05\x06", 0, at)
     if at < 0:
         raise ValueError("no zip end record")
     cd_size, cd_offset = _END.unpack_from(tail, at)

@@ -11,9 +11,9 @@ exported inference model.
 Unless the GeM exponent is learned, pooling is a fixed function of the
 stored maps, so a run reads pooled (C,) rows, never maps: ``geoloc train``
 hands ``store_reduce`` to the store loader, as ``geoloc eval`` does with its
-checkpoint's pooling and exponent, and a library caller's store of maps is
-pooled once (``pool_store``). With a learned exponent each step pools its
-gathered maps. Either way a step and ``embed_records`` make one
+checkpoint's pooling and exponent, and ``run_training`` pools a library
+caller's store of maps once, in one call. With a learned exponent each step
+pools its gathered maps. Either way a step and ``embed_records`` make one
 ``embed.forward`` call per batch, which pools maps and takes rows as they
 are, and a step one ``embed.backward``.
 Pooled vectors are inputs, not descriptors: descriptors depend on the
@@ -57,7 +57,7 @@ from .partition import GroupId, Partition, enumerate_groups
 # build_index and recall_at_n stay importable from this module, where the
 # benchmark's tracer tests look them up.
 from .retrieval import build_index, evaluate, recall_at_n  # noqa: F401
-from .synth import REDUCE_CHUNK_ROWS, FeatureStore, Reduce
+from .synth import FeatureStore, Reduce
 
 logger = logging.getLogger(__name__)
 
@@ -235,7 +235,7 @@ def embed_records(
 
 
 def store_reduce(cfg: ModelConfig) -> Reduce | None:
-    """The pooling of each (B, C, H, W) chunk of maps a run or an eval loads, or None when p is learned (the run reads maps).
+    """The pooling of the (B, C, H, W) maps a run or an eval reads, or None when p is learned (the run reads maps).
 
     A chunk that is not 4-D, or whose maps are empty, raises DomainError naming the member shape.
     """
@@ -248,19 +248,6 @@ def store_reduce(cfg: ModelConfig) -> Reduce | None:
         return embed.pool(maps, cfg.pooling, cfg.gem_p)
 
     return pool
-
-
-def pool_store(store: FeatureStore, reduce: Reduce, chunk: int = REDUCE_CHUNK_ROWS) -> FeatureStore:
-    """The store of ``store``'s maps pooled ``chunk`` at a time, as ``load_features(..., reduce=reduce)`` gives it.
-
-    A store of pooled rows is returned as it is.
-    """
-    if store.block.ndim == 2:
-        return store
-    pooled = np.empty(store.block.shape[:2])
-    for start in range(0, len(store), chunk):
-        pooled[start : start + chunk] = reduce(store.block[start : start + chunk])
-    return FeatureStore(store.ids, pooled)
 
 
 def _validate(
@@ -285,19 +272,17 @@ def run_training(
     cfg: TrainConfig,
     val_db: Sequence[ImageRecord],
     val_queries: Sequence[ImageRecord],
-    query_features: FeatureStore | None = None,
+    query_features: FeatureStore,
 ) -> TrainState:
     """Train over the first ``groups_used`` groups, one group per epoch.
 
     ``features`` holds each image's (C, H, W) map, or with a fixed exponent
-    its pooled (C,) row (a store of maps is then pooled once);
-    ``query_features`` optionally overrides it for validation queries (domain
-    shift), with the same channel count. Raises DomainError for a store of
-    another shape, and TrainingError when a group among the first G is
-    unusable or the loss turns non-finite.
+    its pooled (C,) row, which a store of maps is then pooled to once, in one
+    call; ``query_features`` (required; may be ``features`` itself) holds the
+    validation queries' (domain shift), with the same channel count. Raises
+    DomainError for a store of another shape, and TrainingError when a group
+    among the first G is unusable or the loss turns non-finite.
     """
-    if query_features is None:
-        query_features = features
     if not val_db or not val_queries:
         raise TrainingError("validation split is empty")
 
@@ -345,11 +330,11 @@ def run_training(
     # A head steps only in its group's epochs, so each keeps its own count.
     head_moments = {g: AdamMoments.zeros_like(heads[g].weights) for g in groups}
 
-    # A library caller's maps are pooled once; pooled rows are inputs, not descriptors.
+    # A library caller's maps are pooled once, one call per distinct store; rows are inputs, not descriptors.
     if not learn_p:
-        shared = query_features is features
-        features = pool_store(features, reduce)
-        query_features = features if shared else pool_store(query_features, reduce)
+        stores = [features] if query_features is features else [features, query_features]
+        stores = [FeatureStore(s.ids, reduce(s.block)) if s.block.ndim == 4 else s for s in stores]
+        features, query_features = stores[0], stores[-1]
     for epoch in range(cfg.total_epochs):
         group = groups[epoch % cfg.groups_used]
         head = heads[group]

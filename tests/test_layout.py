@@ -3,8 +3,9 @@
 Every public top-level function and class of ``geoloc`` must be named
 somewhere other than its own definition, in ``src/``, in ``bench/``, or as
 ``pyproject.toml``'s console script. A name used only inside code that is
-itself unreached does not count. The check reads the source with ``ast``
-and imports nothing.
+itself unreached does not count. Every name a ``src/`` module imports must
+be used in that module, unless its statement is marked ``# noqa: F401`` (a
+re-export). The checks read the source with ``ast`` and import nothing.
 """
 
 import ast
@@ -59,3 +60,30 @@ def test_every_public_function_and_class_of_src_is_reached_outside_the_tests():
         reached -= dropped
     unreached = sorted(set(public) - reached)
     assert not unreached, f"public code that nothing outside the tests reaches: {unreached}"
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads, including those of string annotations (forward references)."""
+    found = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    notes = [note for n in ast.walk(tree) for note in (getattr(n, "annotation", None), getattr(n, "returns", None))]
+    for note in filter(None, notes):
+        for c in ast.walk(note):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                found |= _read_names(ast.parse(c.value, mode="eval"))
+    return found
+
+
+def test_every_name_a_src_module_imports_is_used_there():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text, str(path))
+        used = _read_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            unused += [f"{path.stem}: {name}" for name in bound if name not in used]
+    assert not unused, f"imported but unused: {unused}"

@@ -510,6 +510,20 @@ def test_load_features_reads_what_np_load_reads(tmp_path, monkeypatch, layout):
             assert got[rid].tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def test_load_features_reads_a_store_whose_comment_holds_the_end_signature(tmp_path):
+    # The comment's fake end record claims a central directory larger than the file. np.load
+    # (zipfile) takes the last signature it finds and fails, so the arrays written are the oracle.
+    arrays = {f"r{i}": np.full((2, 3, 1), float(i), dtype=np.float32) for i in range(3)}
+    path = tmp_path / "store.npz"
+    np.savez(path, **arrays)
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.comment = b"a comment PK\x05\x06" + b"\xff" * 18 + b" and after it"
+    store = load_features(path)
+    assert store.ids == list(arrays)
+    for rid, want in arrays.items():
+        assert store[rid].dtype == want.dtype and np.array_equal(store[rid], want)
+
+
 def test_every_central_directory_byte_flip_raises_a_store_error_or_loads(tmp_path):
     shape = (2, 3, 1)
     arrays = {f"r{i}": np.full(shape, float(i), dtype=np.float32) for i in range(3)}

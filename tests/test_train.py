@@ -21,7 +21,6 @@ from geoloc.train import (
     embed_records,
     group_table,
     history_csv,
-    pool_store,
     run_training,
     sample_batch,
     store_reduce,
@@ -313,8 +312,9 @@ def test_pooled_rows_equal_pooling_the_gathered_batch(world, setup, pooling):
     want = embed.pool(world.features.block[picks], pooling, 3.0)
     store = world.features
     assert len(store) % 7  # the last chunk of 7 is partial
+    reduce = store_reduce(ModelConfig(pooling=pooling, gem_p=3.0))
     for chunk in (1, 7, BASE.batch_size, len(store)):
-        pooled = pool_store(store, store_reduce(ModelConfig(pooling=pooling, gem_p=3.0)), chunk).block
+        pooled = np.concatenate([reduce(store.block[start : start + chunk]) for start in range(0, len(store), chunk)])
         assert pooled.shape == (len(store), store.block.shape[1])
         assert np.array_equal(pooled[picks], want)
 
@@ -334,7 +334,7 @@ def test_training_on_loaded_pooled_rows_equals_training_on_the_maps(world, setup
 def test_learned_p_rejects_a_store_of_pooled_rows(world, setup):
     part, val_db, val_q = setup
     cfg = dataclasses.replace(BASE, model=dataclasses.replace(BASE.model, learn_gem_p=True))
-    pooled = pool_store(world.features, store_reduce(BASE.model))
+    pooled = FeatureStore(world.features.ids, store_reduce(BASE.model)(world.features.block))
     for features, query_features in ((pooled, world.query_features), (world.features, pooled)):
         with pytest.raises(DomainError, match=r"maps must be \(C, H, W\), got shape \(16,\)"):
             run_training(part, features, cfg, val_db, val_q, query_features)
@@ -350,7 +350,7 @@ def test_embedding_pooled_rows_equals_embedding_the_maps(world, setup, pooling):
     for records, store in ((val_db, world.features), (val_q[::-1], world.query_features)):
         assert len(records) % BASE.batch_size  # the last chunk is partial
         budget = DescriptorBudget()
-        pooled = pool_store(store, store_reduce(model_cfg), 7)
+        pooled = FeatureStore(store.ids, store_reduce(model_cfg)(store.block))
         got = embed_records(model, records, pooled, BASE.batch_size, budget)
         assert np.array_equal(got, embed_records(model, records, store, BASE.batch_size))
         assert budget.current == 0 and 0 < budget.peak <= BASE.batch_size
@@ -361,7 +361,7 @@ def test_embed_records_is_fortran_ordered_rows_of_project(world, setup):
     # (One forward call per row would take BLAS's one-row path, which can round the last bit differently.)
     _, val_db, _ = setup
     model = embed.init_model(world.features.block.shape[1], BASE.model, 7)
-    pooled = pool_store(world.features, store_reduce(BASE.model), 7)
+    pooled = FeatureStore(world.features.ids, store_reduce(BASE.model)(world.features.block))
     got = embed_records(model, val_db, pooled, BASE.batch_size)
     assert got.flags.f_contiguous and got.shape == (len(val_db), BASE.model.output_dim)
     want = embed.forward(model, pooled.block[pooled.rows(r.id for r in val_db)])[0]
@@ -421,7 +421,12 @@ def test_maps_pooled_once_per_run_unless_p_is_learned(world, setup, monkeypatch,
         assert counts[10, 1] == counts[5, 1] + 5
         assert counts[5, 2] == 2 * counts[5, 1]
     else:
-        assert counts[5, 1] == counts[10, 1] == counts[5, 2]
+        # One call per distinct store of maps, whatever the schedule; a store passed twice counts once.
+        assert world.query_features is not world.features
+        assert counts[5, 1] == counts[10, 1] == counts[5, 2] == 2
+        calls.clear()
+        run_training(part, world.features, cfg, val_db, val_q, world.features)
+        assert len(calls) == 1
 
 
 def test_learned_p_validation_pools_only_the_split(world, setup, monkeypatch):
