@@ -24,6 +24,12 @@ and scores at the eval ks too (``TrainConfig.val_ks``): the best epoch's
 recalls are what an eval of the exported model on the split reports.
 Pooling reduces each map on its own, so maps and pooled rows embed alike.
 
+The loop's inputs and initial parameters are finite, so a float64 overflow,
+division by zero or invalid operation in a step or a validation (an
+exploding learning rate, say) can only mean divergence: the loop runs under
+``np.errstate`` that raises on them, and ends the run with TrainingError
+before a NaN or a zeroed descriptor reaches the loss or the index.
+
 The loop holds at most one batch of descriptors at a time (validation
 projects in batch-sized chunks straight into the index matrix:
 ``embed_records`` writes a Fortran-ordered array, which ``build_index``
@@ -281,7 +287,7 @@ def run_training(
     call; ``query_features`` (required; may be ``features`` itself) holds the
     validation queries' (domain shift), with the same channel count. Raises
     DomainError for a store of another shape, and TrainingError when a group
-    among the first G is unusable or the loss turns non-finite.
+    among the first G is unusable or the run diverges.
     """
     if not val_db or not val_queries:
         raise TrainingError("validation split is empty")
@@ -335,47 +341,48 @@ def run_training(
         stores = [features] if query_features is features else [features, query_features]
         stores = [FeatureStore(s.ids, reduce(s.block)) if s.block.ndim == 4 else s for s in stores]
         features, query_features = stores[0], stores[-1]
-    for epoch in range(cfg.total_epochs):
-        group = groups[epoch % cfg.groups_used]
-        head = heads[group]
-        iteration_losses: list[float] = []
-        for it in range(cfg.iterations_per_epoch):
-            batch = sample_batch(tables[group], cfg.batch_size, sampler)
-            budget.acquire(len(batch))
-            descriptors, cache = embed.forward(model, features.block[batch[:, 0]])
-            loss_value, grad_desc, grad_w = margin_cosine_kernel(descriptors, batch[:, 1], head, cfg.loss)
-            if not np.isfinite(loss_value):
-                raise TrainingError(
-                    f"loss diverged to {loss_value} at epoch {epoch}, iteration {it}"
+    # Divergence ends the run (module docstring); pooling keeps its own overflow check.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for epoch in range(cfg.total_epochs):
+                group = groups[epoch % cfg.groups_used]
+                head = heads[group]
+                iteration_losses: list[float] = []
+                for _ in range(cfg.iterations_per_epoch):
+                    batch = sample_batch(tables[group], cfg.batch_size, sampler)
+                    budget.acquire(len(batch))
+                    descriptors, cache = embed.forward(model, features.block[batch[:, 0]])
+                    loss_value, grad_desc, grad_w = margin_cosine_kernel(descriptors, batch[:, 1], head, cfg.loss)
+                    grads = embed.backward(model, cache, grad_desc)
+                    budget.release(len(batch))
+
+                    grad = np.concatenate([grads.projection.ravel(), grads.bias, [grads.gem_p] if learn_p else []])
+                    adam_step(params, grad, model_moments, cfg)
+                    if learn_p:
+                        model.gem_p = params[-1] = float(max(params[-1], 1.0))
+                    adam_step(head.weights, grad_w, head_moments[group], cfg)
+                    iteration_losses.append(loss_value)
+
+                recalls = _validate(model, val_db, val_queries, features, query_features, cfg, budget)
+                mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
+                state.history.append(
+                    EpochStats(
+                        epoch=epoch,
+                        group=group,
+                        mean_loss=mean_loss,
+                        recall_at=dict(recalls),
+                    )
                 )
-            grads = embed.backward(model, cache, grad_desc)
-            budget.release(len(batch))
-
-            grad = np.concatenate([grads.projection.ravel(), grads.bias, [grads.gem_p] if learn_p else []])
-            adam_step(params, grad, model_moments, cfg)
-            if learn_p:
-                model.gem_p = params[-1] = float(max(params[-1], 1.0))
-            adam_step(head.weights, grad_w, head_moments[group], cfg)
-            iteration_losses.append(loss_value)
-
-        recalls = _validate(model, val_db, val_queries, features, query_features, cfg, budget)
-        mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
-        state.history.append(
-            EpochStats(
-                epoch=epoch,
-                group=group,
-                mean_loss=mean_loss,
-                recall_at=dict(recalls),
-            )
-        )
-        if recalls[1] > state.best_val_recall1:
-            state.best_val_recall1 = recalls[1]
-            state.best_epoch = epoch
-            state.best_model = copy.deepcopy(model)
-        logger.info(
-            "epoch %d group %s loss %.4f val R@1 %.3f (best %.3f)",
-            epoch, tuple(group), mean_loss, recalls[1], state.best_val_recall1,
-        )
+                if recalls[1] > state.best_val_recall1:
+                    state.best_val_recall1 = recalls[1]
+                    state.best_epoch = epoch
+                    state.best_model = copy.deepcopy(model)
+                logger.info(
+                    "epoch %d group %s loss %.4f val R@1 %.3f (best %.3f)",
+                    epoch, tuple(group), mean_loss, recalls[1], state.best_val_recall1,
+                )
+    except FloatingPointError as exc:
+        raise TrainingError(f"training diverged in epoch {epoch}: {exc}") from exc
     return state
 
 

@@ -813,6 +813,26 @@ def test_eval_reports_a_bad_checkpoint_before_a_bad_store(workspace, tiny_model,
         assert (str(store) in err) == (code == "domain")
 
 
+@pytest.mark.parametrize("given", ["both", "neither"])
+def test_eval_needs_exactly_one_of_checkpoint_and_oracle_latents(workspace, tiny_model, tmp_path, capsys, given):
+    _, cfg_path, world_dir = workspace
+    sources = {
+        "both": ["--checkpoint", str(tiny_model), "--oracle-latents", str(world_dir / "latents.npz")],
+        "neither": [],
+    }[given]
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(cfg_path), *sources, "--db-features", str(world_dir / "features.npz"),
+        "--db", str(world_dir / "db.csv"), "--queries", str(world_dir / "queries.csv"),
+        "--output", str(tmp_path / "report.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "config")
+    assert "exactly one of --checkpoint or --oracle-latents is required" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_eval_checkpoint_needs_db_features(workspace, tiny_model, capsys):
     _, cfg_path, world_dir = workspace
     code = main([
@@ -1019,6 +1039,26 @@ def test_train_reports_a_gem_exponent_that_overflows(workspace, tmp_path, capsys
     _single_error_line(err, "domain")
     assert "gem exponent 1000.0 overflows float64" in err
     assert not (tmp_path / "run" / "model_best.json").exists()
+
+
+@pytest.mark.parametrize("rate", ["1e300", "1e308"])
+def test_an_exploding_learning_rate_ends_training_with_one_error_line(workspace, tmp_path, capsys, rate):
+    # 1e300 steps overflow the descriptor norms of the next forward, 1e308 overflows the Adam update itself.
+    _, cfg_path, world_dir = workspace
+    errstate = np.geterr()
+    capsys.readouterr()
+    code = main([
+        "train", "--config", str(cfg_path), "--set", f"train.learning_rate={rate}",
+        "--manifest", str(world_dir / "manifest.csv"),
+        "--features", str(world_dir / "features.npz"),
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "training")
+    assert "training diverged in epoch 0: overflow" in err
+    assert not (tmp_path / "run" / "model_best.json").exists()
+    assert np.geterr() == errstate
 
 
 @pytest.mark.parametrize("learn_p", [False, True])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,29 @@ def test_documented_defaults():
     assert cfg.train.groups_used == 8
     assert cfg.eval.threshold_m == 25.0
     assert cfg.eval.ks == (1, 5, 10, 20)
+
+
+def _leaves(doc, path=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def test_readme_config_example_shows_settable_keys_at_their_defaults():
+    # A key the config no longer takes, or a default that moved, cannot stay in the documented example.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = yaml.safe_load(readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0])
+    defaults = run_config_to_dict(RunConfig())
+    assert set(example) == set(defaults)
+    assert example.pop("city") == {"...": None}  # the world's keys are left to geoloc/synth.py
+    for path, value in _leaves(example):
+        default = defaults
+        for key in path:
+            assert isinstance(default, dict) and key in default, f"README shows {'.'.join(path)}, not a settable key"
+            default = default[key]
+        assert value == default, f"README shows {'.'.join(path)}: {value!r}, its default is {default!r}"
 
 
 def test_round_trip_through_dict():

@@ -34,6 +34,13 @@ def test_duplicate_id_names_both_lines():
         parse("id,east,north,heading\na,1,2,3\nb,1,2,3\na,4,5,6\n")
 
 
+@pytest.mark.parametrize("cell", ["", "  "], ids=["empty", "blank"])
+def test_empty_id_names_its_line(cell):
+    with pytest.raises(ManifestError) as exc:
+        parse(f"id,east,north,heading\na,1,2,3\n{cell},1,2,3\n")
+    assert str(exc.value) == "line 3: empty id"
+
+
 def test_heading_normalization():
     records = parse("id,east,north,heading\na,1,2,361.0\n")
     assert records[0].pose.heading == 1.0

@@ -58,6 +58,15 @@ def test_duplicate_ids_rejected():
         build_index(v, ["a", "a"], poses)
 
 
+def test_build_index_rejects_counts_that_disagree():
+    v = unit_rows(np.random.default_rng(1).standard_normal((2, 4)))
+    pose = GeoPose(0.0, 0.0, 0.0)
+    with pytest.raises(RetrievalError, match=r"^2 ids vs 1 poses$"):
+        build_index(v, ["a", "b"], [pose])
+    with pytest.raises(RetrievalError, match=r"^2 descriptors vs 3 ids$"):
+        build_index(v, ["a", "b", "c"], [pose] * 3)
+
+
 def test_non_unit_descriptor_rejected_with_id():
     poses = [GeoPose(0.0, 0.0, 0.0)] * 2
     for bad_row in ([0.7, 0.0], [np.nan, np.nan]):
@@ -154,6 +163,13 @@ def test_recall_zone_mismatch_rejected():
         with pytest.raises(DomainError, match="zone"):
             evaluate(vecs, db, np.eye(1), [other], ks=(1,))
     assert evaluate(vecs, db, np.eye(1), [query], ks=(1,)).recall_at == {1: 1.0}
+
+
+def test_evaluate_rejects_more_query_descriptors_than_query_records():
+    db = [ImageRecord(id="p0", pose=GeoPose(10.0, 0.0, 0.0), zone_number=10, hemisphere="north")]
+    query = ImageRecord(id="q0", pose=GeoPose(0.0, 0.0, 0.0), zone_number=10, hemisphere="north")
+    with pytest.raises(RetrievalError, match=r"^2 query descriptors vs 1 query records$"):
+        evaluate(np.eye(1), db, np.ones((2, 1)), [query], ks=(1,))
 
 
 def test_recall_requires_queries_and_sorted_ks():

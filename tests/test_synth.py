@@ -264,6 +264,50 @@ def test_load_features_rejects_a_mangled_npy_header(tmp_path, char):
         load_features(path)
 
 
+def _npy_bytes(array, version=None):
+    fh = io.BytesIO()
+    np.lib.format.write_array(fh, array, version=version)
+    return fh.getvalue()
+
+
+def _store_of_member_bytes(path, members):
+    """A stored ``.npz`` whose member ``<key>.npy`` holds ``members[key]`` as it is."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for key, data in members.items():
+            zf.writestr(f"{key}.npy", data)
+
+
+def test_load_features_reads_a_member_with_a_version_2_npy_header(tmp_path):
+    rng = np.random.default_rng(5)
+    arrays = {"a": rng.standard_normal((3, 2, 2)), "b": rng.standard_normal((3, 2, 2))}
+    path = tmp_path / "store.npz"
+    blobs = {"a": _npy_bytes(arrays["a"], (2, 0)), "b": _npy_bytes(arrays["b"])}
+    assert blobs["a"][6:8] == b"\x02\x00" and blobs["b"][6:8] == b"\x01\x00"
+    _store_of_member_bytes(path, blobs)
+    store = load_features(path)
+    with np.load(path) as reference:
+        for key, value in arrays.items():
+            np.testing.assert_array_equal(reference[key], value)
+            np.testing.assert_array_equal(store[key], value)
+
+
+def test_load_features_rejects_a_member_without_the_npy_magic(tmp_path):
+    path = tmp_path / "store.npz"
+    _store_of_member_bytes(path, {"a": _npy_bytes(np.ones((3, 2, 2))), "b": b"NUMPY, but no magic"})
+    with pytest.raises(DomainError, match=r"cannot read feature store .*: member 'b\.npy' is not an \.npy array"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("extra", [-8, 8], ids=["short", "long"])
+def test_load_features_rejects_a_member_whose_data_disagrees_with_its_header(tmp_path, extra):
+    array = np.ones((3, 2, 2))
+    blob = _npy_bytes(array)
+    path = tmp_path / "store.npz"
+    _store_of_member_bytes(path, {"a": _npy_bytes(array), "b": blob[:extra] if extra < 0 else blob + bytes(extra)})
+    with pytest.raises(DomainError, match=rf"member 'b' holds {array.nbytes + extra} data bytes, its header says {array.nbytes}"):
+        load_features(path)
+
+
 @pytest.mark.parametrize("dtype", ["<f8", ">f4"])
 def test_load_features_subset_matches_np_load(tmp_path, dtype):
     rng = np.random.default_rng(3)
