@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 from pathlib import Path
 from typing import IO
 
@@ -30,7 +29,8 @@ class AtomicFile:
 
     def __init__(self, path: str | Path, mode: str = "w", **kwargs) -> None:
         self.path = Path(path)
-        self.tmp = self.path.with_name(f".{self.path.name}.{secrets.token_hex(4)}.tmp")
+        # What secrets.token_hex(4) returns, without importing hashlib and OpenSSL with secrets.
+        self.tmp = self.path.with_name(f".{self.path.name}.{os.urandom(4).hex()}.tmp")
         self.mode = mode.replace("w", "x")
         self.kwargs = kwargs
 

@@ -12,6 +12,11 @@ path ``--set`` takes, each value applied last; a row holds the value as the
 run's config stores it and the best epoch's validation at ``eval.ks``.
 A partition file is never parsed into a partition: it is compared as JSON
 text with the partition the command builds (``_check_partition_file``).
+``eval --checkpoint`` loads the database and the queries (from
+``--query-features``, else from the database store) each on its own, with a
+reduce that pools each chunk of maps with the checkpoint's pooling and
+projects it: the loader returns a reduced 2-D block in Fortran order, so the
+database block is the matrix the index adopts, and eval holds no pooled rows.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .config import (
     run_config_from_dict,
     run_config_to_dict,
 )
-from .errors import ConfigError, DomainError, ManifestError, PartitionError, RetrievalError, ToolError
+from .errors import CheckpointError, ConfigError, DomainError, ManifestError, PartitionError, RetrievalError, ToolError
 from .partition import (
     PARTITION_FORMAT,
     PARTITION_VERSION,
@@ -124,24 +129,6 @@ def _check_partition_file(path: str | Path, built: Partition) -> None:
     raise ConfigError(f"partition {path} is not the partition of this run's manifest, split and config ({diff})")
 
 
-def _load_stores(
-    db_path: str,
-    db_ids: list[str],
-    query_path: str | None,
-    query_ids: list[str],
-    reduce: synth.Reduce | None,
-):
-    """The database and query feature stores, holding only the ids the command reads.
-
-    Without ``query_path`` both are one load of the database store. ``reduce``
-    goes to ``synth.load_features``.
-    """
-    if query_path is None:
-        store = synth.load_features(db_path, db_ids + query_ids, reduce)
-        return store, store
-    return synth.load_features(db_path, db_ids, reduce), synth.load_features(query_path, query_ids, reduce)
-
-
 def _run_training_from_files(
     cfg: RunConfig, manifest: str, features: str, query_features: str | None, partition: str | None = None
 ):
@@ -150,13 +137,17 @@ def _run_training_from_files(
     part = build_partition(train_records, cfg.partition)
     if partition:
         _check_partition_file(partition, part)
-    # Training reads the members of the groups it visits only.
+    # Training reads the members of the groups it visits and the validation split only; without
+    # query_features one load of the database store serves both.
     groups = train.used_groups(part, cfg.train)
     members = [rid for g in groups for cid in part.group_classes[g] for rid in part.class_members[cid]]
-    store, query_store = _load_stores(
-        features, members + [r.id for r in val_db], query_features, [r.id for r in val_queries],
-        train.store_reduce(cfg.train.model),
-    )
+    db_ids, query_ids = members + [r.id for r in val_db], [r.id for r in val_queries]
+    reduce = train.store_reduce(cfg.train.model)
+    if query_features is None:
+        store = query_store = synth.load_features(features, db_ids + query_ids, reduce)
+    else:
+        store = synth.load_features(features, db_ids, reduce)
+        query_store = synth.load_features(query_features, query_ids, reduce)
     return train.run_training(part, store, cfg.train, val_db, val_queries, query_store)
 
 
@@ -192,13 +183,20 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if args.checkpoint:
         model = embed.load_model(args.checkpoint)
-        # The checkpoint fixes the pooling, so each chunk of maps is pooled as it is read and only
-        # the (N, C) pooled rows are held.
-        reduce = train.store_reduce(embed.ModelConfig(model.output_dim, model.pooling, model.gem_p))
-        db_pooled, query_pooled = _load_stores(args.db_features, db_ids, args.query_features, query_ids, reduce)
-        db_vecs = train.embed_records(model, db_records, db_pooled, cfg.train.batch_size)
-        q_vecs = train.embed_records(model, query_records, query_pooled, cfg.train.batch_size)
-        del db_pooled, query_pooled  # free the pooled rows before the search
+        pool = train.store_reduce(embed.ModelConfig(model.output_dim, model.pooling, model.gem_p))
+
+        def project(maps: np.ndarray) -> np.ndarray:
+            # Finite maps through a finite model can overflow only by the checkpoint's magnitudes.
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    return embed.forward(model, pool(maps))[0]
+            except FloatingPointError as exc:
+                raise CheckpointError(f"model checkpoint {args.checkpoint} overflows float64: {exc}") from None
+
+        # The checkpoint fixes pooling and projection, so each chunk of maps becomes descriptors as it
+        # is read, and the loader's Fortran-ordered block is the matrix the index adopts.
+        db_vecs = synth.load_features(args.db_features, db_ids, project).block
+        q_vecs = synth.load_features(args.query_features or args.db_features, query_ids, project).block
     else:
         ids = db_ids + query_ids
         latents = synth.load_features(args.oracle_latents, ids)

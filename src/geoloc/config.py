@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-import yaml
-
 from .errors import ConfigError, DomainError
 from .partition import PartitionConfig
 from .synth import CityConfig
@@ -145,12 +143,15 @@ def load_run_config(path: str | Path) -> RunConfig:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if p.suffix == ".json":
+        parse, errors = json.loads, json.JSONDecodeError
+    else:
+        import yaml  # only a YAML config loads PyYAML
+
+        parse, errors = yaml.safe_load, yaml.YAMLError
     try:
-        if p.suffix == ".json":
-            data = json.loads(text)
-        else:
-            data = yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        data = parse(text)
+    except errors as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if data is None:
         data = {}

@@ -23,7 +23,8 @@ verified against central finite differences in the tests.
 With a fixed exponent (average, max, or GeM whose p is not learned) a map's
 pooled vector depends on the map alone, so the store loader pools each chunk
 of maps as it reads them (``pool``, with the run's or a loaded checkpoint's
-pooling and exponent), and a step runs ``forward`` on the gathered rows.
+pooling and exponent), and a step runs ``forward`` on the gathered rows, as
+eval's loader does on each pooled chunk.
 That cache carries no GeM terms, so ``backward`` skips the p-gradient. It
 is not a descriptor cache: descriptors depend on the projection, which every
 step changes.

@@ -41,7 +41,7 @@ _KNOWN_COLUMNS = ("id", "east", "north", "heading", "lat", "lon", "uri", "zone",
 _REQUIRED_COLUMNS = ("id", "heading")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRecord:
     """One geo-tagged image: opaque id, pose, zone, and optional metadata."""
 
@@ -151,6 +151,8 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     if faulty.any():
         i = int(faulty.argmax())
         raise ManifestError(f"line {lines[i]}: {next(message for mask, message in checks if mask[i])(i)}")
+    uris = [u.strip() or None for u in cells["uri"]] if "uri" in cells else [None] * n
+    del cells, checks  # the cell strings, and the checks that hold them, go before the records come
 
     zones = set(zip(zone[zoned].astype(int).tolist(), (h for h, z in zip(hemispheres, zoned.tolist()) if z)))
     rows_projected = np.flatnonzero(projected)
@@ -163,7 +165,6 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     if len(zones) > 1:
         raise ManifestError(f"manifest mixes zones/hemispheres: {sorted(zones)}")
     zone_number, hemisphere = zones.pop() if zones else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
-    uris = [u.strip() or None for u in cells["uri"]] if "uri" in cells else [None] * n
     lats, lons = ([v if m else None for v, m in zip(a.tolist(), latlon.tolist())] for a in (lat, lon))
     # Positional arguments, in field order: keywords cost a third more per row.
     return [

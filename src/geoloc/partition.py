@@ -34,7 +34,7 @@ PARTITION_FORMAT = "geo-partition"
 PARTITION_VERSION = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPose:
     """A capture location in UTM meters plus a heading in [0, 360) degrees."""
 

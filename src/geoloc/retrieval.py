@@ -218,10 +218,10 @@ def evaluate(
 
     Row i of ``db_vecs``/``query_vecs`` belongs to record i of its list. The
     index takes the database records' ids and poses. It adopts ``db_vecs``
-    when that is a Fortran-ordered float64 array (as ``embed_records``
-    returns), and ``db_vecs`` then becomes read-only. A manifest holds one
-    zone, so the first query record's zone must match the first database
-    record's.
+    when that is a Fortran-ordered float64 array (as ``embed_records`` and
+    eval's loader return), and ``db_vecs`` then becomes read-only. A
+    manifest holds one zone, so the first query record's zone must match
+    the first database record's.
     """
     if not db_records or not query_records:
         raise RetrievalError("evaluation needs a non-empty database and query set")

@@ -22,7 +22,8 @@ dtype, so a reloaded world holds the generated bits; the embedding computes in f
 central directory once into arrays, then reads the members in chunks of
 ``REDUCE_CHUNK_ROWS`` maps, one read per chunk, checks each chunk, and
 keeps it as it is or, given a ``reduce`` function, only its reduced rows,
-so ``geoloc eval`` and a fixed-exponent ``geoloc train`` never hold maps.
+so ``geoloc eval`` (descriptors) and a fixed-exponent ``geoloc train``
+(pooled rows) never hold maps.
 
 Everything is generated from one seeded stream, so equal configs produce
 bit-identical worlds.
@@ -428,9 +429,11 @@ def load_features(
     a staging block. Each chunk is checked as a store checks its block, then
     goes into those ids' rows of the returned block as it is, or as
     ``reduce(chunk)``, one row per map, so no map block is allocated
-    (``reduce`` is not called when ``ids`` is empty). Stored and deflated
-    members load, C- or Fortran-order and of any byte order, all of one shape
-    and dtype. A missing id raises ManifestError; an unreadable or corrupt
+    (``reduce`` is not called when ``ids`` is empty). A reduced block of 2-D
+    rows is Fortran-ordered, the layout ``retrieval.build_index`` adopts
+    without a copy: eval's reduce projects, so its block is the index
+    matrix. Stored and deflated members load, C- or Fortran-order and of any
+    byte order, all of one shape and dtype. A missing id raises ManifestError; an unreadable or corrupt
     store, an object-dtype member, mixed layouts or a non-finite map among
     those read raise DomainError. Central directory faults come first; then
     a non-finite map can be reported before a layout fault of a later chunk.
@@ -524,7 +527,8 @@ def load_features(
                 _check_maps(chunk, [keys[j] for j in staged.tolist()], f"feature store {path}: ")
                 reduced = chunk if reduce is None else reduce(chunk)
                 if out is None:
-                    out = np.empty((len(keys), *reduced.shape[1:]), dtype=reduced.dtype)
+                    out = np.empty((len(keys), *reduced.shape[1:]), dtype=reduced.dtype,
+                                   order="F" if reduce is not None and reduced.ndim == 2 else "C")
                 out[staged] = reduced
     # numpy's .npy header reader lets a tokenizer error through on a mangled header dict.
     except (OSError, ValueError, OverflowError, SyntaxError, tokenize.TokenError, struct.error, zlib.error) as exc:

@@ -10,18 +10,23 @@ exported inference model.
 
 Unless the GeM exponent is learned, pooling is a fixed function of the
 stored maps, so a run reads pooled (C,) rows, never maps: ``geoloc train``
-hands ``store_reduce`` to the store loader, as ``geoloc eval`` does with its
-checkpoint's pooling and exponent, and ``run_training`` pools a library
-caller's store of maps once, in one call. With a learned exponent each step
+hands ``store_reduce`` to the store loader, which returns a reduced 2-D block
+in Fortran order, and ``run_training`` pools a library caller's store of maps
+once, in one call. ``geoloc eval`` pools with ``store_reduce`` of its
+checkpoint's pooling and exponent, and its reduce also projects, so the
+loader hands it descriptors, not pooled rows. With a learned exponent each step
 pools its gathered maps. Either way a step and ``embed_records`` make one
 ``embed.forward`` call per batch, which pools maps and takes rows as they
 are, and a step one ``embed.backward``.
 Pooled vectors are inputs, not descriptors: descriptors depend on the
 projection that every step changes, and none outlives its step or chunk.
 
-Validation embeds through ``embed_records``, the loop ``geoloc eval`` runs,
-and scores at the eval ks too (``TrainConfig.val_ks``): the best epoch's
-recalls are what an eval of the exported model on the split reports.
+Validation embeds through ``embed_records``, one ``embed.forward`` call per
+``batch_size`` rows, and scores at the eval ks too (``TrainConfig.val_ks``):
+the best epoch's recalls are what an eval of the exported model on the split
+reports. Eval projects each loaded chunk of 32 rows with the same call; BLAS
+may round a row's product differently in a batch of another size, so only a
+near-tie between two similarities could tell the two apart.
 Pooling reduces each map on its own, so maps and pooled rows embed alike.
 
 The loop's inputs and initial parameters are finite, so a float64 overflow,

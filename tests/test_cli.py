@@ -212,6 +212,46 @@ def test_eval_oracle_mode_index_adopts_the_database_latents(workspace, monkeypat
     assert np.shares_memory(seen["index"].matrix, seen["db_vecs"])
 
 
+def test_eval_index_adopts_the_loaded_database_descriptors(workspace, tiny_model, monkeypatch):
+    # The loader projects each chunk as it reads it, and its Fortran-ordered block is the index's matrix.
+    _, cfg_path, world_dir = workspace
+    stores, seen = [], {}
+    real_load, real_build_index = cli.synth.load_features, cli.retrieval.build_index
+
+    def load_features(*args, **kwargs):
+        stores.append(real_load(*args, **kwargs))
+        return stores[-1]
+
+    def build_index(*args, **kwargs):
+        seen["index"] = real_build_index(*args, **kwargs)
+        return seen["index"]
+
+    monkeypatch.setattr(cli.synth, "load_features", load_features)
+    monkeypatch.setattr(cli.retrieval, "build_index", build_index)
+    assert main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(world_dir / "features.npz"),
+        "--queries", str(world_dir / "queries.csv"),
+    ]) == 0
+    db_store, query_store = stores
+    assert db_store.block.flags.f_contiguous and db_store.block.shape[1] == CONFIG["train"]["model"]["output_dim"]
+    assert np.shares_memory(seen["index"].matrix, db_store.block)
+    assert len(query_store) == len(ingest.load_manifest(world_dir / "queries.csv"))
+
+
+def test_eval_report_is_the_same_when_query_features_name_the_database_store(workspace, tiny_model, tmp_path):
+    _, cfg_path, world_dir = workspace
+    argv = [
+        "eval", "--config", str(cfg_path), "--checkpoint", str(tiny_model),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(world_dir / "features.npz"),
+        "--queries", str(world_dir / "queries.csv"),
+    ]
+    assert main([*argv, "--output", str(tmp_path / "omitted.json")]) == 0
+    named = ["--query-features", str(world_dir / "features.npz"), "--output", str(tmp_path / "named.json")]
+    assert main([*argv, *named]) == 0
+    assert (tmp_path / "omitted.json").read_bytes() == (tmp_path / "named.json").read_bytes()
+
+
 def _oracle_eval_on(world_dir, cfg_path, tmp_path, convert) -> int:
     """Oracle eval of every record against the queries, on latents passed through ``convert``."""
     store = tmp_path / "latents.npz"
@@ -420,6 +460,17 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert "convert" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_pyyaml():
+    # Eval draws no random numbers and reads a JSON config, so it needs neither (4.8 MiB of RSS together).
+    import subprocess
+    import sys
+
+    probe = "import sys, geoloc.cli; print(sorted({'_hashlib', 'yaml'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_rejects_empty_values(workspace, tmp_path, capsys):
@@ -1023,6 +1074,26 @@ def test_eval_reports_a_gem_exponent_that_overflows(workspace, tiny_model, tmp_p
     assert "gem exponent 1000.0 overflows float64" in err
 
 
+def test_eval_reports_a_checkpoint_that_overflows_float64(workspace, tiny_model, tmp_path, capsys):
+    # A finite but huge projection overflows the descriptor norms; the checkpoint is at fault, in one line.
+    _, cfg_path, world_dir = workspace
+    doc = json.loads(tiny_model.read_text())
+    doc["projection"] = (np.array(doc["projection"]) * 1e300).tolist()
+    checkpoint = tmp_path / "model_best.json"
+    checkpoint.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(cfg_path), "--checkpoint", str(checkpoint),
+        "--db", str(world_dir / "db.csv"), "--db-features", str(world_dir / "features.npz"),
+        "--queries", str(world_dir / "queries.csv"), "--output", str(tmp_path / "report.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "checkpoint")
+    assert str(checkpoint) in err and "overflow" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("learn_p", [False, True])
 def test_train_reports_a_gem_exponent_that_overflows(workspace, tmp_path, capsys, learn_p):
     _, cfg_path, world_dir = workspace
@@ -1541,3 +1612,38 @@ def test_convert_rejects_out_of_range_zone_or_latitude(tmp_path, capsys, row, pr
     err = capsys.readouterr().err
     _single_error_line(err, "manifest")
     assert err.startswith(f"error[manifest]: line 3: {problem}")
+
+
+def test_eval_memory_per_database_row_is_about_one_descriptor(tmp_path, traced_peak):
+    # The paper keeps every database descriptor in memory at retrieval ("Descriptors dimension"),
+    # so that is what eval should hold per row, plus its record. Two evals of one store of
+    # C = 256 maps into D = 64 descriptors differ only in their database rows; the peak may grow
+    # by D * 8 + 384 B per added row (pooled rows alone would add C * 8 = 2 KiB). The bound is
+    # fixed in advance, not fitted to a reading. 300 queries fill a whole search block at both sizes.
+    channels, dim, sizes, n_queries = 256, 64, (4000, 12000), 300
+    ids = [f"r{i:05d}" for i in range(sizes[-1] + n_queries)]
+    store = tmp_path / "features.npz"
+    base = np.random.default_rng(41).random((channels, 2, 2), dtype=np.float32)
+    with zipfile.ZipFile(store, "w") as zf:
+        for i, rid in enumerate(ids):
+            with zf.open(f"{rid}.npy", "w") as fh:
+                np.lib.format.write_array(fh, base + np.float32(i % 89))
+
+    def manifest(path, rows):
+        lines = [f"{rid},{i % 100}.0,{i // 100}.0,0.0\n" for i, rid in rows]
+        path.write_text("id,east,north,heading\n" + "".join(lines), encoding="utf-8")
+        return str(path)
+
+    checkpoint = tmp_path / "model.json"
+    cli.embed.save_model(cli.embed.init_model(channels, cli.embed.ModelConfig(output_dim=dim), 3), checkpoint)
+    queries = manifest(tmp_path / "queries.csv", list(enumerate(ids))[sizes[-1] :])
+    peaks = {}
+    for n in sizes:
+        argv = [
+            "eval", "--checkpoint", str(checkpoint), "--queries", queries,
+            "--db", manifest(tmp_path / f"db{n}.csv", list(enumerate(ids[:n]))), "--db-features", str(store),
+        ]
+        code, peaks[n] = traced_peak(lambda: main(argv))
+        assert code == 0
+    slope = (peaks[sizes[1]] - peaks[sizes[0]]) / (sizes[1] - sizes[0])
+    assert slope <= dim * 8 + 384, f"eval's peak grew {slope:.0f} B per database row"
