@@ -23,10 +23,13 @@ central directory once into arrays, then reads the members in chunks of
 ``REDUCE_CHUNK_ROWS`` maps, one read per chunk, checks each chunk, and
 keeps it as it is or, given a ``reduce`` function, only its reduced rows,
 so ``geoloc eval`` (descriptors) and a fixed-exponent ``geoloc train``
-(pooled rows) never hold maps.
+(pooled rows) never hold maps. ``write_world`` writes each store with its
+own zip writer, not ``np.savez``: stored ``.npy`` members, 32 per write, one
+fixed 1980-01-01 timestamp, and zip64 records only where a member count or
+an offset needs them. Stores written by ``np.savez`` load the same way.
 
 Everything is generated from one seeded stream, so equal configs produce
-bit-identical worlds.
+bit-identical worlds, and byte-identical files that can be checked by hash.
 """
 
 from __future__ import annotations
@@ -295,7 +298,11 @@ def oracle_descriptor(world: SyntheticWorld, image_id: str) -> np.ndarray:
 
 
 def write_world(world: SyntheticWorld, out_dir: str | Path) -> dict[str, Path]:
-    """Export manifest + float32 feature stores + float64 oracle latents for the CLI pipeline."""
+    """Export manifest + float32 feature stores + float64 oracle latents for the CLI pipeline.
+
+    Stores go through ``_write_store`` (stored members, 32 per write, a fixed timestamp, zip64 only
+    where needed), so equal worlds give equal bytes; a latent row is its slot's ``oracle_descriptor``.
+    """
     out = make_dir(out_dir)
     paths = {
         "manifest": out / "manifest.csv",
@@ -304,15 +311,13 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> dict[str, Path]:
         "latents": out / "latents.npz",
     }
     save_manifest(world.records, paths["manifest"])
-    stores = {
-        "features": world.features,
-        "query_features": world.query_features,
-        "latents": {rid: oracle_descriptor(world, rid) for rid in world.latent_key_of},
-    }
-    for name, arrays in stores.items():
-        # Through a file object, so np.savez appends no ".npz" to the temporary name.
+    slot_of = dict(zip(world.latent_key_of.values(), world.latent_key_of))  # a record id per slot
+    slot_row = {key: i for i, key in enumerate(slot_of)}
+    units = np.stack([oracle_descriptor(world, rid) for rid in slot_of.values()])
+    latents = FeatureStore(list(world.latent_key_of), units[[slot_row[k] for k in world.latent_key_of.values()]])
+    for name, store in (("features", world.features), ("query_features", world.query_features), ("latents", latents)):
         with AtomicFile(paths[name], "wb") as fh:
-            np.savez(fh, **arrays)
+            _write_store(fh, store.ids, store.block)
     return paths
 
 
@@ -338,6 +343,53 @@ _UTF8_NAME_FLAG = 0x800
 # 32 was at least as fast as 128 or 256 on eval_large's stores.
 REDUCE_CHUNK_ROWS = 32
 Reduce = Callable[[np.ndarray], np.ndarray]  # one row out per map of a staged chunk
+
+
+# The zip32 limits: a member count or a byte offset that reaches one needs zip64 records.
+_ZIP32_MEMBERS = 0xFFFF
+_ZIP32_BYTES = 0xFFFFFFFF
+_DOS_DATE = (1 << 5) | 1  # 1980-01-01, with time 00:00: the stamp of every member
+# Every field of a local header and of a central directory entry, as ``_write_store`` packs them.
+_LOCAL_ENTRY = struct.Struct("<4sHHHHHIIIHH")
+_CENTRAL_ENTRY = struct.Struct("<4sHHHHHHIIIHHHHHII")
+
+
+def _write_store(fh: BinaryIO, ids: Sequence[str], block: np.ndarray) -> None:
+    """Write row ``i`` of ``block`` to ``fh`` as the stored zip member ``ids[i].npy``, bytes as ``np.savez`` has them.
+
+    Every member has the one ``.npy`` 1.0 header, its CRC-32 continues the header's, and its date
+    is 1980-01-01 00:00. Members go out ``REDUCE_CHUNK_ROWS`` per write, then the central directory
+    and end records; an offset or count past a zip32 limit gets zip64 fields, as ``zipfile`` writes them.
+    """
+    block = np.ascontiguousarray(block)
+    npy = io.BytesIO()
+    descr = np.lib.format.dtype_to_descr(block.dtype)
+    np.lib.format.write_array_header_1_0(npy, {"descr": descr, "fortran_order": False, "shape": block.shape[1:]})
+    header, row_bytes = npy.getvalue(), block.itemsize * math.prod(block.shape[1:])
+    size, header_crc, data = len(header) + row_bytes, zlib.crc32(header), memoryview(block.reshape(-1).view(np.uint8))
+    central, offset = [], 0
+    for start in range(0, len(ids), REDUCE_CHUNK_ROWS):
+        parts = []
+        for i in range(start, min(start + REDUCE_CHUNK_ROWS, len(ids))):
+            name = f"{ids[i]}.npy".encode("ascii")  # record ids of a synthetic world are ASCII
+            row = data[i * row_bytes : (i + 1) * row_bytes]
+            crc = zlib.crc32(row, header_crc)
+            parts += (_LOCAL_ENTRY.pack(b"PK\x03\x04", 20, 0, 0, 0, _DOS_DATE, crc, size, size, len(name), 0),
+                      name, header, row)
+            extra, version = (struct.pack("<HHQ", 1, 8, offset), 45) if offset >= _ZIP32_BYTES else (b"", 20)
+            central += (_CENTRAL_ENTRY.pack(b"PK\x01\x02", 0x300 | version, version, 0, 0, 0, _DOS_DATE, crc,
+                                            size, size, len(name), len(extra), 0, 0, 0, 0o600 << 16,
+                                            0xFFFFFFFF if extra else offset), name, extra)
+            offset += 30 + len(name) + size
+        fh.write(b"".join(parts))
+    directory, count = b"".join(central), len(ids)
+    end, fields = [directory], (count, count, len(directory), offset)
+    if count >= _ZIP32_MEMBERS or max(offset, len(directory)) >= _ZIP32_BYTES:
+        end += (struct.pack("<4sQ2H2I4Q", b"PK\x06\x06", 44, 45, 45, 0, 0, count, count, len(directory), offset),
+                struct.pack("<4sIQI", b"PK\x06\x07", 0, offset + len(directory), 1))
+        fields = (0xFFFF, 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+    end.append(struct.pack("<4s4H2IH", b"PK\x05\x06", 0, 0, *fields, 0))
+    fh.write(b"".join(end))
 
 
 def _central_directory(fh: BinaryIO) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:

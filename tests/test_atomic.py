@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 
 from geoloc.atomic import AtomicFile, write_atomic
@@ -29,19 +28,28 @@ def test_failed_write_keeps_the_previous_file_and_no_temporary(tmp_path):
 
 
 def test_store_write_failing_midway_keeps_the_previous_store(tmp_path, monkeypatch):
-    world = generate_city(CityConfig(extent_m=40.0, place_spacing_m=20.0, images_per_place_heading=2, seed=3))
+    # 48 maps: the features store goes out in two chunk writes, and the second one fails.
+    world = generate_city(CityConfig(extent_m=40.0, place_spacing_m=20.0, images_per_place_heading=3, seed=3))
     paths = write_world(world, tmp_path)
     before = {name: paths[name].read_bytes() for name in ("features", "query_features", "latents")}
     written = []
-    real = np.lib.format.write_array
+    real = AtomicFile.__enter__
 
-    def fail_on_third_member(fp, array, *args, **kwargs):
-        written.append(1)
-        if len(written) == 3:
-            raise OSError("no space left on device")
-        return real(fp, array, *args, **kwargs)
+    class FailingOnSecondWrite:
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(np.lib.format, "write_array", fail_on_third_member)
+        def write(self, data):
+            written.append(1)
+            if len(written) == 2:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    def enter(self):
+        fh = real(self)
+        return FailingOnSecondWrite(fh) if "b" in self.mode else fh
+
+    monkeypatch.setattr(AtomicFile, "__enter__", enter)
     with pytest.raises(OSError, match="no space"):
         write_world(world, tmp_path)
     assert paths["features"].read_bytes() == before["features"]

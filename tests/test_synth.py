@@ -1,13 +1,15 @@
 import dataclasses
+import filecmp
 import io
 import re
 import struct
+import time
 import zipfile
 
 import numpy as np
 import pytest
 
-from geoloc import embed
+from geoloc import embed, synth
 from geoloc.errors import DomainError, ManifestError
 from geoloc.partition import GeoPose, PartitionConfig, assign_class, build_partition
 from geoloc.retrieval import build_index, recall_at_n
@@ -233,6 +235,58 @@ def test_float32_world_stores_load_bitwise_equal_to_the_world(tmp_path):
         assert np.array_equal(store.block, expected.block)
     with np.load(paths["latents"]) as latents:
         assert {latents[key].dtype for key in latents.files} == {np.dtype(np.float64)}
+    latents = load_features(paths["latents"])
+    assert latents.ids == [r.id for r in world.records]
+    for rid in latents.ids:
+        assert latents[rid].tobytes() == oracle_descriptor(world, rid).tobytes()
+
+
+def test_equal_worlds_write_byte_identical_stores(tmp_path, monkeypatch):
+    world = generate_city(SMALL)
+    first = write_world(world, tmp_path / "today")
+    real = time.time
+    monkeypatch.setattr(time, "time", lambda: real() + 86400.0)
+    second = write_world(world, tmp_path / "tomorrow")
+    for name in ("features", "query_features", "latents"):
+        assert filecmp.cmp(first[name], second[name], shallow=False), name
+
+
+def test_write_world_needs_neither_np_savez_nor_zipfile(tmp_path, monkeypatch):
+    # Their per-member cost was most of a desk world's export; the stores have their own writer.
+    def refuse(*args, **kwargs):
+        raise AssertionError("write_world called np.savez, np.lib.format.write_array or zipfile.ZipFile")
+
+    for owner, name in ((np, "savez"), (np.lib.format, "write_array"), (zipfile, "ZipFile")):
+        monkeypatch.setattr(owner, name, refuse)
+    world = generate_city(SMALL)
+    paths = write_world(world, tmp_path)
+    monkeypatch.undo()
+    store = load_features(paths["features"])
+    assert store.ids == world.features.ids and np.array_equal(store.block, world.features.block)
+
+
+def test_store_writer_zip64_records_load_bit_equal(tmp_path, monkeypatch):
+    # Past 65 535 members or 4 GiB the writer adds zip64 records; lowering its limits makes
+    # it write them for a small world: a zip64 end record, and zip64 offsets past byte 64.
+    world = generate_city(dataclasses.replace(SMALL, domain_shift_sigma=0.2))
+    monkeypatch.setattr(synth, "_ZIP32_MEMBERS", 1)
+    monkeypatch.setattr(synth, "_ZIP32_BYTES", 64)
+    paths = write_world(world, tmp_path)
+    latents = np.stack([oracle_descriptor(world, r.id) for r in world.records])
+    for name, ids, block in (("features", world.features.ids, world.features.block),
+                             ("query_features", world.query_features.ids, world.query_features.block),
+                             ("latents", [r.id for r in world.records], latents)):
+        blob = paths[name].read_bytes()
+        assert blob[-98:-94] == b"PK\x06\x06" and blob[-42:-38] == b"PK\x06\x07"
+        assert struct.unpack_from("<HHII", blob, len(blob) - 14) == (0xFFFF, 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+        with zipfile.ZipFile(paths[name]) as zf:
+            assert [info.extra[:4] for info in zf.infolist()] == [b""] + [b"\x01\x00\x08\x00"] * (len(ids) - 1)
+        store = load_features(paths[name])
+        assert store.ids == ids and store.block.dtype == block.dtype and store.block.tobytes() == block.tobytes()
+        with np.load(paths[name]) as loaded:
+            assert loaded.files == ids
+            for i, rid in enumerate(ids):
+                assert loaded[rid].dtype == block.dtype and loaded[rid].tobytes() == block[i].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
