@@ -167,12 +167,14 @@ def forward(m: EmbeddingModel, features: np.ndarray) -> tuple[np.ndarray, Forwar
     if features.shape[1] != m.channels:
         raise DomainError(f"feature maps have {features.shape[1]} channels, model expects {m.channels}")
     pooled, gem_terms = _pool(features, m.pooling, m.gem_p) if features.ndim == 4 else (features, None)
-    raw = pooled @ m.projection.T + m.bias
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms < _NORM_FLOOR):
+    raw = pooled @ m.projection.T
+    raw += m.bias
+    # What np.linalg.norm(raw, axis=1) computes, without its wrapper.
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
+    if (norms < _NORM_FLOOR).any():
         raise DomainError("degenerate descriptor: projection output has (near-)zero norm")
-    descriptors = raw / norms[:, None]
-    return descriptors, ForwardCache(pooled=pooled, norms=norms, descriptors=descriptors, gem_terms=gem_terms)
+    raw /= norms[:, None]
+    return raw, ForwardCache(pooled=pooled, norms=norms, descriptors=raw, gem_terms=gem_terms)
 
 
 @dataclass
@@ -206,10 +208,13 @@ def backward(m: EmbeddingModel, cache: ForwardCache, grad_descriptors: np.ndarra
     if grad_descriptors.shape != d.shape:
         raise DomainError(f"descriptor gradients have shape {grad_descriptors.shape}, descriptors {d.shape}")
     norms = cache.norms
-    # Jacobian of x/||x|| maps g to (g - (g.d) d)/||x||.
-    g_raw = (grad_descriptors - (grad_descriptors * d).sum(axis=1, keepdims=True) * d) / norms[:, None]
+    # Jacobian of x/||x|| maps g to (g - (g.d) d)/||x||, computed in place in one temporary.
+    g_raw = grad_descriptors * d
+    np.multiply(np.add.reduce(g_raw, axis=1, keepdims=True), d, out=g_raw)
+    np.subtract(grad_descriptors, g_raw, out=g_raw)
+    g_raw /= norms[:, None]
     grad_projection = g_raw.T @ cache.pooled
-    grad_bias = g_raw.sum(axis=0)
+    grad_bias = np.add.reduce(g_raw, axis=0)
     grad_p = 0.0
     if cache.gem_terms is not None:
         g_pooled = g_raw @ m.projection

@@ -99,8 +99,8 @@ def _check_inputs(
 def _margin_logits(
     descriptors: np.ndarray, labels: np.ndarray, w_hat: np.ndarray, cfg: LossConfig
 ) -> np.ndarray:
-    cos = descriptors @ w_hat.T
-    z = cfg.scale * cos
+    z = descriptors @ w_hat.T
+    z *= cfg.scale
     z[np.arange(len(labels)), labels] -= cfg.scale * cfg.margin
     return z
 
@@ -117,24 +117,29 @@ def margin_cosine_kernel(
     """
     batch = len(labels)
     rows = np.arange(batch)
-    row_norms = np.linalg.norm(head.weights, axis=1)
+    # What np.linalg.norm(head.weights, axis=1) computes, without its wrapper.
+    row_norms = np.sqrt(np.add.reduce(head.weights * head.weights, axis=1))
     w_hat = head.weights / row_norms[:, None]
     z = _margin_logits(descriptors, labels, w_hat, cfg)
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
-    total = e.sum(axis=1, keepdims=True)
+    zmax = np.maximum.reduce(z, axis=1, keepdims=True)
+    e = z - zmax
+    np.exp(e, out=e)
+    total = np.add.reduce(e, axis=1, keepdims=True)
     # zmax - z_y first: adding then subtracting a logit of the scale's size
     # leaves rounding noise on a saturated loss.
     losses = (zmax[:, 0] - z[rows, labels]) + np.log(total[:, 0])
-    probs = e / total
-    probs[rows, labels] -= 1.0
-    coeff = (cfg.scale / batch) * probs
-    grad_descriptors = coeff @ w_hat
-    grad_w_hat = coeff.T @ descriptors
+    # e becomes the softmax, minus one at each label, times scale / batch: the logit gradient.
+    e /= total
+    e[rows, labels] -= 1.0
+    e *= cfg.scale / batch
+    grad_descriptors = e @ w_hat
+    grad_w_hat = e.T @ descriptors
     # Chain through the row normalization of the stored weights.
-    radial = (grad_w_hat * w_hat).sum(axis=1, keepdims=True)
-    grad_weights = (grad_w_hat - radial * w_hat) / row_norms[:, None]
-    return float(losses.mean()), grad_descriptors, grad_weights
+    radial = grad_w_hat * w_hat
+    np.multiply(np.add.reduce(radial, axis=1, keepdims=True), w_hat, out=radial)
+    grad_w_hat -= radial
+    grad_w_hat /= row_norms[:, None]
+    return float(np.add.reduce(losses)) / batch, grad_descriptors, grad_w_hat
 
 
 def margin_cosine_loss_and_grads(

@@ -10,8 +10,9 @@ products differently by position, so duplicates can rank by that rounding.
 index, not a copy. It adopts a Fortran-ordered float64 array as it is and
 copies anything else once; either way it freezes the array read-only.
 ``recall_at_n`` scores queries in blocks, one matrix product per block, into
-one similarity buffer of about 8 MiB that every block reuses. It selects each
-query's top K with a partial partition plus an exact sort of the candidates
+one similarity buffer of about 8 MiB that every block reuses. It selects the
+top K in steps of rows whose copy takes at most 1/32 of that buffer: one
+partial partition per step, then one exact sort of the step's candidates
 (exact flat inner-product search, as in FAISS). A retrieved item counts as
 correct for a query when its pose lies within the metric threshold of the
 query pose, both taken in one shared UTM zone.
@@ -103,18 +104,29 @@ def _query_matrix(descriptors: Sequence[np.ndarray], dim: int) -> np.ndarray:
 def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
     """Row indices of the ``k`` largest entries of each row of ``sims``, by (-sim, row).
 
-    A partial partition of a copy of the row finds its k-th largest
-    similarity; every entry at least that large, ties with it included, is
-    a candidate, and an exact sort of the candidates makes the cut. Copying
-    one row at a time keeps the block's similarity matrix the only large
-    buffer. Returns (Q, min(k, N)).
+    Works on steps of rows whose copy takes at most 1/32 of a search block (``SEARCH_BLOCK_BYTES``),
+    and at least one row. One partial partition of a copy of the step finds each row's k-th largest
+    similarity; every entry at least that large, ties included, is a candidate, and one exact sort of
+    the step's candidates by (row, -sim), stable in column order, makes each row's cut. The block's
+    similarity matrix stays the only large buffer. Returns (Q, min(k, N)).
     """
-    n = sims.shape[1]
+    q, n = sims.shape
     k = min(k, n)
-    out = np.empty((sims.shape[0], k), dtype=np.intp)
-    for i, row in enumerate(sims):
-        candidates = np.flatnonzero(row >= np.partition(row, n - k)[n - k])
-        out[i] = candidates[np.lexsort((candidates, -row[candidates]))[:k]]
+    out = np.empty((q, k), dtype=np.intp)
+    step = max(1, SEARCH_BLOCK_BYTES // (32 * sims.itemsize * n))
+    row_numbers, cut = np.arange(step), np.arange(k)
+    out_flat = out.reshape(-1)  # a view: the steps write their rows' flat indices, taken mod N at the end
+    for start in range(0, q, step):
+        rows = sims[start : start + step]
+        # Each row's k-th largest similarity is column n - k of the step's partitioned copy, which lives
+        # only for this comparison. Row-major flat indices keep each row's candidates contiguous, in column order.
+        flat = (rows >= np.partition(rows, n - k)[:, n - k, None]).ravel().nonzero()[0]
+        row_of = flat // n
+        top = flat[np.lexsort((-rows.ravel()[flat], row_of))]
+        if len(top) > len(rows) * k:  # ties with some row's k-th similarity: keep each row's first k
+            top = top[(row_of.searchsorted(row_numbers[: len(rows)])[:, None] + cut).ravel()]
+        out_flat[start * k : (start + step) * k] = top
+    out %= n
     return out
 
 
@@ -175,7 +187,7 @@ def recall_at_n(
     if not queries:
         raise RetrievalError("empty query list")
     ks = list(ks)
-    if any(k < 1 for k in ks) or ks != sorted(ks):
+    if not ks or any(k < 1 for k in ks) or ks != sorted(ks):
         raise DomainError(f"ks must be positive and ascending, got {ks}")
     if not threshold_m >= 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold_m}")

@@ -127,17 +127,23 @@ class AdamMoments:
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, moments: AdamMoments, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update of ``theta``, in place; counts the step in ``moments``."""
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient")
     moments.steps += 1
     m, v, t = moments.first, moments.second, moments.steps
+    # The textbook update's operations in its order, every temporary in one scratch array.
+    step, denom = np.empty((2, *theta.shape))
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * np.square(grad)
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += np.multiply(1.0 - ADAM_BETA2, np.square(grad, out=step), out=step)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)  # m_hat
+    step *= cfg.learning_rate
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    theta -= step
 
 
 def used_groups(partition: Partition, cfg: TrainConfig) -> list[GroupId]:
@@ -180,9 +186,11 @@ def sample_batch(table: GroupTable, batch_size: int, rng: np.random.Generator) -
     imbalance. Returns a (batch_size, 2) array of (feature-store row, label
     index inside the group's head).
     """
-    labels = rng.integers(len(table.sizes), size=batch_size)
+    batch = np.empty((batch_size, 2), dtype=np.int64)
+    batch[:, 1] = labels = rng.integers(len(table.sizes), size=batch_size)
     members = rng.integers(table.sizes[labels])
-    return np.stack((table.rows[table.starts[labels] + members], labels), axis=1)
+    batch[:, 0] = table.rows[table.starts[labels] + members]
+    return batch
 
 
 @dataclass

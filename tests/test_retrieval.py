@@ -179,6 +179,8 @@ def test_recall_requires_queries_and_sorted_ks():
     queries = [(np.array([1.0]), GeoPose(0.0, 0.0, 0.0))]
     with pytest.raises(DomainError):
         recall_at_n(index, queries, ks=(5, 1))
+    with pytest.raises(DomainError, match=r"^ks must be positive and ascending, got \[\]$"):
+        recall_at_n(index, queries, ks=[])
 
 
 def test_database_permutation_preserves_recall_without_ties():
@@ -268,6 +270,48 @@ def test_blocked_search_matches_lexsort_oracle_under_heavy_ties(db, queries, ks,
             assert [rid for rid, _ in knn(index, q, k)] == [f"d{i}" for i in order[:k]]
     for k in ks:
         assert report.recall_at[k] == sum(1 for r in report.first_correct_rank if r is not None and r <= k) / len(queries)
+
+
+def _lattice_case(rng, n, queries):
+    """A D=4 lattice index whose rows repeat 16 vectors, so most similarities are exact ties.
+
+    Row i sits at east = i % 5: which rows are correct for a query depends on
+    the order in which tied rows rank.
+    """
+    signs = np.array([-0.5, 0.5])
+    matrix = signs[rng.integers(2, size=(n, 4))]
+    positions = np.stack((np.arange(n) % 5, np.zeros(n)), axis=1).astype(np.float64)
+    index = build_index(matrix, [f"d{i}" for i in range(n)], [GeoPose(float(e), 0.0, 0.0) for e, _ in positions])
+    vectors, easts = signs[rng.integers(2, size=(queries, 4))], rng.integers(5, size=queries)
+    pairs = [(q, GeoPose(float(e), 0.0, 0.0)) for q, e in zip(vectors, easts)]
+    return matrix, positions, index, pairs
+
+
+@pytest.mark.parametrize(
+    "n, queries, block_rows, ks",
+    [
+        (33_000, 6, None, (1, 5, 40)),  # one database row is wider than a step's budget: one-row steps
+        (60, 250, 100, (1, 3, 10)),  # blocks of 100 queries, steps of 3 rows and a partial last step
+        (60, 250, 100, (5, 80)),  # k > n: every row of the index is a candidate
+        (7, 40, 64, (3, 12)),  # one block; k > n on a database narrower than k
+    ],
+)
+def test_top_rows_matches_lexsort_oracle_across_step_shapes(n, queries, block_rows, ks):
+    rng = np.random.default_rng(n + queries + max(ks))
+    matrix, positions, index, pairs = _lattice_case(rng, n, queries)
+    block_bytes = retrieval.SEARCH_BLOCK_BYTES if block_rows is None else block_rows * 8 * n
+    step_rows = block_bytes // (32 * 8 * n)
+    assert step_rows == (0 if block_rows is None else block_rows // 32)
+    with mock.patch.object(retrieval, "SEARCH_BLOCK_BYTES", block_bytes):
+        report = recall_at_n(index, pairs, ks=ks, threshold_m=0.5)
+        kmax = min(max(ks), n)
+        for qi, (q, pose) in enumerate(pairs):
+            want, order = lexsort_first_correct(matrix, positions, q, (pose.east, pose.north), kmax, 0.5)
+            assert report.first_correct_rank[qi] == want, f"query {qi}"
+            if qi < 6:
+                for k in (1, *ks):
+                    assert [rid for rid, _ in knn(index, q, k)] == [f"d{i}" for i in order[:k]]
+    assert any(r not in (None, 1) for r in report.first_correct_rank)  # ties decide some ranks
 
 
 def test_recall_checks_every_query_with_the_knn_messages():

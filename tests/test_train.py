@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from geoloc import embed
+from geoloc import embed, loss, train
 from geoloc.embed import ModelConfig, model_from_dict
 from geoloc.errors import DomainError, TrainingError
 from geoloc.ingest import ImageRecord, split_validation
@@ -210,6 +210,44 @@ def test_one_head_updated_per_epoch(world, setup):
         moved_after_2 = head_hash(fresh.heads[g]) != head_hash(init)
         assert moved_after_1 == (i == 0)
         assert moved_after_2
+
+
+def test_calls_the_benchmark_counts_happen_once_per_iteration_and_epoch(world, setup, monkeypatch):
+    # bench/tracing.py counts iterations by train.sample_batch, logit passes by loss._margin_logits and
+    # validations by train._validate, each patched on its module; the loop must look them up there.
+    part, val_db, val_q = setup
+    calls = {"sample_batch": [], "_margin_logits": 0, "_validate": 0}
+    originals = {
+        "sample_batch": train.sample_batch,
+        "_margin_logits": loss._margin_logits,
+        "_validate": train._validate,
+    }
+
+    def sampled(table, batch_size, rng):
+        batch = originals["sample_batch"](table, batch_size, rng)
+        calls["sample_batch"].append((table, batch))
+        return batch
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(train, "sample_batch", sampled)
+    monkeypatch.setattr(loss, "_margin_logits", counted("_margin_logits"))
+    monkeypatch.setattr(train, "_validate", counted("_validate"))
+    run_training(part, world.features, BASE, val_db, val_q, world.query_features)
+
+    iterations = BASE.iterations_per_epoch * BASE.total_epochs
+    assert len(calls["sample_batch"]) == iterations
+    assert calls["_margin_logits"] == iterations
+    assert calls["_validate"] == BASE.total_epochs
+    for table, batch in calls["sample_batch"]:
+        assert batch.shape == (BASE.batch_size, 2) and np.issubdtype(batch.dtype, np.integer)
+        for row, label in batch:  # a (feature-store row, label) pair: the row is a member of the label's class
+            assert 0 <= label < len(table.sizes)
+            assert row in table.rows[table.starts[label] : table.starts[label] + table.sizes[label]]
 
 
 def test_descriptor_budget_bounded_by_batch_size(trained):

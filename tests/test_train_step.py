@@ -20,6 +20,7 @@ from geoloc.loss import (
     margin_cosine_loss_and_grads,
 )
 from geoloc.partition import GroupId
+from geoloc.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamMoments, GroupTable, TrainConfig, adam_step, sample_batch
 
 G0 = GroupId(0, 0, 0)
 CFG = LossConfig(margin=0.35, scale=30.0)
@@ -154,3 +155,63 @@ def test_cached_backward_rejects_misshapen_gradients():
     _, cache = embed.forward(m, maps)
     with pytest.raises(DomainError, match="shape"):
         embed.backward(m, cache, np.zeros((len(maps) - 1, m.output_dim)))
+
+
+def test_desk_shaped_step_is_bitwise_the_textbook_arithmetic():
+    # The training step's shapes on the desk world: B = 32, C = D = 64, 8 classes per head.
+    rng = np.random.default_rng(30)
+    batch, channels, dim, classes = 32, 64, 64, 8
+    m = EmbeddingModel(
+        pooling=GEM,
+        gem_p=3.0,
+        projection=rng.standard_normal((dim, channels)) / 8.0,
+        bias=0.1 * rng.standard_normal(dim),
+    )
+    pooled = np.abs(rng.standard_normal((batch, channels)))
+    head = ClassifierHead(group=G0, weights=rng.standard_normal((classes, dim)))
+    step = np.empty((batch, 2), dtype=np.int64)  # labels are a strided column, as a sampled batch's are
+    step[:, 1] = rng.integers(classes, size=batch)
+    labels = step[:, 1]
+
+    descriptors, cache = embed.forward(m, pooled)
+    raw = pooled @ m.projection.T + m.bias
+    assert np.array_equal(cache.norms, np.linalg.norm(raw, axis=1))
+    assert np.array_equal(descriptors, raw / np.linalg.norm(raw, axis=1)[:, None])
+
+    # The references spell the kernel with the array methods: .max, .sum, np.exp(z - zmax), .mean().
+    got = margin_cosine_kernel(descriptors, labels, head, CFG)
+    assert got[0] == reference_loss(descriptors, labels, head, CFG)
+    want_grad_desc, want_grad_w = reference_grads(descriptors, labels, head, CFG)
+    assert np.array_equal(got[1], want_grad_desc) and np.array_equal(got[2], want_grad_w)
+
+    grads = embed.backward(m, cache, got[1])
+    g = got[1]
+    g_raw = (g - (g * descriptors).sum(axis=1, keepdims=True) * descriptors) / cache.norms[:, None]
+    assert np.array_equal(grads.projection, g_raw.T @ pooled)
+    assert np.array_equal(grads.bias, g_raw.sum(axis=0))
+
+    cfg = TrainConfig(learning_rate=0.01)
+    theta = np.concatenate([m.projection.ravel(), m.bias])
+    moments = AdamMoments.zeros_like(theta)
+    want_theta, first, second = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+    for t in range(1, 6):
+        grad = rng.standard_normal(theta.shape)
+        adam_step(theta, grad, moments, cfg)
+        first = ADAM_BETA1 * first + (1.0 - ADAM_BETA1) * grad
+        second = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * np.square(grad)
+        m_hat = first / (1.0 - ADAM_BETA1**t)
+        v_hat = second / (1.0 - ADAM_BETA2**t)
+        want_theta = want_theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        assert moments.steps == t
+        assert np.array_equal(theta, want_theta)
+        assert np.array_equal(moments.first, first) and np.array_equal(moments.second, second)
+
+    sizes = rng.integers(4, 13, size=classes)
+    table = GroupTable(rng.permutation(1000)[: sizes.sum()], np.cumsum(sizes) - sizes, sizes)
+    drawn, redrawn = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(5):
+        got_batch = sample_batch(table, batch, drawn)
+        labels = redrawn.integers(classes, size=batch)
+        members = redrawn.integers(table.sizes[labels])
+        want_batch = np.stack((table.rows[table.starts[labels] + members], labels), axis=1)
+        assert got_batch.dtype == want_batch.dtype and np.array_equal(got_batch, want_batch)
