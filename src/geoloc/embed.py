@@ -3,11 +3,14 @@
 Inputs are feature maps of shape (C, H, W); the deep backbone that would
 produce them on real imagery is out of scope, so maps come from a feature
 store or the synthetic-world generator, which writes float32. Pooling casts
-the maps to float64, so every later step computes in float64.
+the maps to float64, so every later step computes in float64; complex maps
+raise DomainError rather than lose their imaginary part to the cast.
 Generalized-mean pooling clamps at zero first so the p-th power stays real;
 p = 1 reproduces average pooling and large p approaches max pooling. An
 exponent whose powers of the maps overflow float64 raises DomainError naming
-the exponent, since the maps themselves are finite.
+the exponent, since the maps themselves are finite. ``pool`` does GeM in one
+float64 array: one ``np.maximum`` casts and clamps, the p-th power and, after
+the spatial mean, the root are taken in place.
 
 ``forward`` is the one forward pass. It takes a (B, C, H, W) batch of maps,
 which it pools with the model's pooling and exponent, or (B, C) pooled rows,
@@ -51,28 +54,41 @@ MODEL_VERSION = 1
 _NORM_FLOOR = 1e-12
 
 
+def _real(features: np.ndarray) -> np.ndarray:
+    """``features`` as an array; DomainError unless it holds real numbers (a cast would drop an imaginary part)."""
+    features = np.asarray(features)
+    if features.dtype.kind not in "biuf":
+        raise DomainError(f"feature maps must be real numbers, not {features.dtype}")
+    return features
+
+
 def _pool(
-    features: np.ndarray, pooling: str, p: float
+    features: np.ndarray, pooling: str, p: float, gem_terms: bool = False
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-    """Pooled vectors plus, for GeM, (clamped maps, their p-th powers, spatial means)."""
-    features = np.asarray(features, dtype=np.float64)
+    """Pooled vectors plus, for GeM with ``gem_terms``, (clamped maps, their p-th powers, spatial means).
+
+    Without the terms, GeM works in one float64 array: the cast and clamp, raised to p in place.
+    """
+    features = _real(features)
     if features.ndim < 3 or features.shape[-1] < 1 or features.shape[-2] < 1:
         raise DomainError(f"feature map must be (..., C, H, W), got shape {features.shape}")
     if not np.all(np.isfinite(features)):
         raise DomainError("feature map contains non-finite values")
     if pooling == AVERAGE:
-        return features.mean(axis=(-2, -1)), None
+        return features.astype(np.float64, copy=False).mean(axis=(-2, -1)), None
     if pooling == MAX:
-        return features.max(axis=(-2, -1)), None
+        return features.astype(np.float64, copy=False).max(axis=(-2, -1)), None
     if pooling == GEM:
         if not p >= 1.0:
             raise DomainError(f"gem exponent must be >= 1, got {p}")
-        clamped = np.maximum(features, 0.0)
+        clamped = np.maximum(features, 0.0, dtype=np.float64)
         with np.errstate(over="ignore"):
-            powers = np.power(clamped, p)
+            powers = np.power(clamped, p, out=None if gem_terms else clamped)
             means = powers.mean(axis=(-2, -1))
         if not np.all(np.isfinite(means)):
             raise DomainError(f"gem exponent {p} overflows float64 on these feature maps")
+        if not gem_terms:
+            return np.power(means, 1.0 / p, out=means), None
         return np.power(means, 1.0 / p), (clamped, powers, means)
     raise DomainError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
 
@@ -161,12 +177,12 @@ def forward(m: EmbeddingModel, features: np.ndarray) -> tuple[np.ndarray, Forwar
     Maps are pooled with the model's pooling and exponent; pooled rows carry
     no GeM terms, so ``backward`` reports a zero p-gradient for them.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = _real(features).astype(np.float64, copy=False)
     if features.ndim not in (2, 4):
         raise DomainError(f"batch must be (B, C, H, W) maps or (B, C) pooled rows, got shape {features.shape}")
     if features.shape[1] != m.channels:
         raise DomainError(f"feature maps have {features.shape[1]} channels, model expects {m.channels}")
-    pooled, gem_terms = _pool(features, m.pooling, m.gem_p) if features.ndim == 4 else (features, None)
+    pooled, gem_terms = _pool(features, m.pooling, m.gem_p, gem_terms=True) if features.ndim == 4 else (features, None)
     raw = pooled @ m.projection.T
     raw += m.bias
     # What np.linalg.norm(raw, axis=1) computes, without its wrapper.

@@ -18,9 +18,10 @@ shift.
 Maps are computed in float64 and stored as float32, rounded once; the query
 perturbation is added before the rounding. ``load_features`` keeps a store's
 dtype, so a reloaded world holds the generated bits; the embedding computes in float64.
-``load_features`` reads the zip format of a store itself: it parses the
-central directory once into arrays, then reads the members in chunks of
-``REDUCE_CHUNK_ROWS`` maps, one read per chunk, checks each chunk, and
+``load_features`` reads the zip format of a store itself: it walks the
+central directory once, following each entry's lengths, into arrays, then
+reads the members in chunks of ``REDUCE_CHUNK_ROWS`` maps, one read per
+chunk into one reused buffer, checks each chunk, and
 keeps it as it is or, given a ``reduce`` function, only its reduced rows,
 so ``geoloc eval`` (descriptors) and a fixed-exponent ``geoloc train``
 (pooled rows) never hold maps. ``write_world`` writes each store with its
@@ -327,13 +328,13 @@ _END = struct.Struct("<12xII")
 _END64 = struct.Struct("<40xQQ")
 # Enough of a file's tail to hold the end record, its longest comment and the zip64 records.
 _TAIL_BYTES = 22 + 0xFFFF + 76
-# A central directory entry: signature, "version needed" (its low byte), flags,
-# sizes, name/extra/comment lengths and local header offset. The loader keeps
-# each entry's 46 fixed bytes as one row of ``_CENTRAL_ROW``.
-_CENTRAL = struct.Struct("<4s2xBxH10xIIHHH8xI")
-_CENTRAL_ROW = np.dtype({"names": ["flags", "method", "crc", "csize", "usize", "offset"],
-                         "formats": ["<u2", "<u2", "<u4", "<u4", "<u4", "<u4"],
-                         "offsets": [8, 10, 16, 20, 24, 42], "itemsize": 46})
+# A central directory entry's 46 fixed bytes: the walk reads its signature and its
+# name, extra field and comment lengths, and keeps the bytes as one row of
+# ``_CENTRAL_ROW`` ("version needed" is the low byte of its field).
+_CENTRAL = struct.Struct("<4s24xHHH12x")
+_CENTRAL_ROW = np.dtype({"names": ["version", "flags", "method", "crc", "csize", "usize", "lengths", "offset"],
+                         "formats": ["u1", "<u2", "<u2", "<u4", "<u4", "<u4", ("<u2", 3), "<u4"],
+                         "offsets": [6, 8, 10, 16, 20, 24, 28, 42], "itemsize": 46})
 # A zip member's local header: signature, flags, compression, name and extra lengths.
 _LOCAL_HEADER = struct.Struct("<4s2xHH16xHH")
 # Encrypted, compressed-patch and strongly encrypted members cannot be read.
@@ -397,6 +398,9 @@ def _central_directory(fh: BinaryIO) -> tuple[dict[str, int], np.ndarray, np.nda
 
     Returns (entry row of each name, entry table, compressed sizes, uncompressed sizes, local
     header offsets, central directory offset); a repeated name has its last entry, as in ``zipfile``.
+    The walk reads each entry's signature and lengths and keeps its fixed bytes and its name; the
+    version, zip64 and name-encoding checks then run on the table, so the first faulty entry, of
+    whatever fault, is the one reported, as if each entry were checked in turn.
     """
     size = fh.seek(0, io.SEEK_END)
     fh.seek(max(size - _TAIL_BYTES, 0))
@@ -417,28 +421,49 @@ def _central_directory(fh: BinaryIO) -> tuple[dict[str, int], np.ndarray, np.nda
         raise ValueError("central directory larger than the file")
     fh.seek(end - cd_size)
     cd = fh.read(cd_size)
-    fixed, index, wide, pos, row = bytearray(), {}, {}, 0, 0  # wide: zip64 fields by row
-    while pos < cd_size:
-        signature, version, flags, csize, usize, n, m, k, offset = _CENTRAL.unpack_from(cd, pos)
-        if signature != b"PK\x01\x02":
-            raise ValueError("bad central directory entry")
-        name = cd[pos + 46 : pos + 46 + n]
-        # An ASCII name reads the same in UTF-8 and in code page 437, and decodes faster.
-        index[name.decode("utf-8" if flags & _UTF8_NAME_FLAG or name.isascii() else "cp437")] = row
-        if version > 63:  # zipfile's limit: later versions may need features this reader lacks
-            raise ValueError(f"member {name.decode('cp437')!r} needs zip version {version / 10}")
-        if 0xFFFFFFFF in (csize, usize, offset):
-            wide[row] = _zip64_fields(cd[pos + 46 + n : pos + 46 + n + m], [usize, csize, offset])
-        fixed += cd[pos : pos + 46]
-        pos, row = pos + 46 + n + m + k, row + 1
-    if pos != cd_size:
-        raise ValueError("central directory entries overrun it")
+    fixed, names, pos, fault = bytearray(), [], 0, None
+    try:  # the walk follows lengths only; its fault is reported after any of the entries before it
+        while pos < cd_size:
+            signature, n, m, k = _CENTRAL.unpack_from(cd, pos)
+            if signature != b"PK\x01\x02":
+                raise ValueError("bad central directory entry")
+            # latin-1 maps each byte to one character: a name's bytes are its .encode("latin-1").
+            names.append(cd[pos + 46 : pos + 46 + n].decode("latin-1"))
+            fixed += cd[pos : pos + 46]
+            pos += 46 + n + m + k
+        if pos != cd_size:
+            raise ValueError("central directory entries overrun it")
+    except (ValueError, struct.error) as exc:
+        fault = exc
     table = np.frombuffer(fixed, _CENTRAL_ROW)
     usize, csize, offsets = (table[field].astype(np.int64) for field in ("usize", "csize", "offset"))
-    for row, fields in wide.items():
+    wide = (usize == 0xFFFFFFFF) | (csize == 0xFFFFFFFF) | (offsets == 0xFFFFFFFF)  # zip64 fields in the extra
+    versions, flags = table["version"], table["flags"]
+    if all(map(str.isascii, names)):  # an ASCII name reads the same in UTF-8 and in code page 437
+        keys, odd = names, np.flatnonzero(wide | (versions > 63)).tolist()
+    else:
+        keys, odd = [None] * len(names), range(len(names))
+    if wide.any():
+        lengths = table["lengths"].astype(np.int64)
+        ends = np.cumsum(46 + lengths.sum(axis=1))
+    # Entries that need a look of their own, in order, so the first faulty entry is the one reported.
+    zip64 = {}
+    for row in odd:
+        name = names[row].encode("latin-1")
+        if keys[row] is None:
+            keys[row] = name.decode("utf-8" if flags[row] & _UTF8_NAME_FLAG or name.isascii() else "cp437")
+        if versions[row] > 63:  # zipfile's limit: later versions may need features this reader lacks
+            raise ValueError(f"member {name.decode('cp437')!r} needs zip version {int(versions[row]) / 10}")
+        if wide[row]:
+            _, m, k = lengths[row].tolist()
+            fields = [int(usize[row]), int(csize[row]), int(offsets[row])]
+            zip64[row] = _zip64_fields(cd[ends[row] - k - m : ends[row] - k], fields)
+    if fault is not None:
+        raise fault
+    for row, fields in zip64.items():
         usize[row], csize[row], offsets[row] = fields
     offsets += end - cd_size - cd_offset  # bytes before the archive, as in a self-extracting one
-    return index, table, csize, usize, offsets, end - cd_size
+    return dict(zip(keys, range(len(keys)))), table, csize, usize, offsets, end - cd_size
 
 
 def _zip64_fields(extra: bytes, fields: list[int]) -> list[int]:
@@ -476,7 +501,8 @@ def load_features(
     which a name is a member's only Python object; every offset and length is
     checked against the file before it sizes a read. Members are read in file
     order, ``REDUCE_CHUNK_ROWS`` at a time, with one read of a chunk's span
-    (or, for sparse ids, of each member). In that buffer each member's local
+    (or, for sparse ids, of each member) into one buffer, reused by every
+    chunk and grown only when a chunk needs more. In that buffer each member's local
     header, ``.npy`` header and CRC-32 are checked and its data is copied into
     a staging block. Each chunk is checked as a store checks its block, then
     goes into those ids' rows of the returned block as it is, or as
@@ -515,33 +541,37 @@ def load_features(
             order = np.argsort(lo, kind="stable")
             known: dict[bytes, tuple] = {}
             block = staging = first = out = None
+            buf = bytearray()  # every chunk's read, grown only when a chunk needs more
             for c in range(0, len(keys), REDUCE_CHUNK_ROWS):
                 staged = order[c : c + REDUCE_CHUNK_ROWS]
                 span_lo, span_hi = lo[staged].tolist(), hi[staged].tolist()
                 extents = hi[staged] - lo[staged]
                 if span_hi[-1] - span_lo[0] <= 4 * extents.sum():  # else sparse ids: read each member
-                    fh.seek(span_lo[0])
-                    buf, at = fh.read(span_hi[-1] - span_lo[0]), lo[staged] - span_lo[0]
+                    spans, at = [(span_lo[0], span_hi[-1])], lo[staged] - span_lo[0]
                 else:
-                    parts = []
-                    for a, b in zip(span_lo, span_hi):
-                        fh.seek(a)
-                        parts.append(fh.read(b - a))
-                    buf, at = b"".join(parts), np.cumsum(extents) - extents
-                view = memoryview(buf)
+                    spans, at = list(zip(span_lo, span_hi)), np.cumsum(extents) - extents
+                size = sum(b - a for a, b in spans)
+                if len(buf) < size:
+                    buf = bytearray(size)
+                view, filled = memoryview(buf)[:size], 0
+                for a, b in spans:
+                    fh.seek(a)
+                    if fh.readinto(view[filled : filled + b - a]) != b - a:
+                        raise ValueError("the file ends inside a member")
+                    filled += b - a
                 member = rows[staged]
                 meta = np.stack([staged, at, table["flags"][member], table["method"][member], table["crc"][member],
                                  csize[member], usize[member]], axis=1).tolist()
                 for row, (j, p, cflags, cmethod, crc, csize_j, usize_j) in enumerate(meta):
                     key = keys[j]
                     name = f"{key}.npy"
-                    signature, flags, method, n, m = _LOCAL_HEADER.unpack_from(buf, p)
+                    signature, flags, method, n, m = _LOCAL_HEADER.unpack_from(view, p)
                     d = p + 30 + n + m  # the member's first byte
                     if signature != b"PK\x03\x04":
                         raise ValueError(f"bad local header signature for member {name!r}")
-                    local_name = buf[p + 30 : p + 30 + n]
+                    local_name = view[p + 30 : p + 30 + n]
                     if local_name != name.encode("utf-8" if cflags & _UTF8_NAME_FLAG or name.isascii() else "cp437"):
-                        raise ValueError(f"member {name!r} has local header name {local_name!r}")
+                        raise ValueError(f"member {name!r} has local header name {bytes(local_name)!r}")
                     if (flags | cflags) & _UNREADABLE_FLAGS:
                         raise ValueError(f"member {name!r} is encrypted")
                     if method != cmethod or method not in (0, zlib.DEFLATED):  # stored or deflated

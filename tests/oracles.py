@@ -3,12 +3,14 @@
 Each oracle recomputes its answer from definitions and imports nothing from
 ``geoloc`` but ``geoloc.errors``, so none of them shares a code path with
 the code under test: the partition oracles redo the floor/modulo arithmetic
-inline, and gradients are checked against central differences.
+inline, gradients are checked against central differences, and zip members
+are read with the standard library's ``zipfile``.
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,15 @@ def central_difference(f, x, eps):
 def rel_err(a, b):
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return np.abs(a - b).max() / denom
+
+
+def zip_members(path):
+    """``(name, header offset, compressed size, size, CRC-32)`` of each member of the zip file ``path``, as ``zipfile`` reads them.
+
+    Entries come in central directory order, zip64 fields applied; offsets count any bytes before the archive.
+    """
+    with zipfile.ZipFile(path) as zf:
+        return [(i.filename, i.header_offset, i.compress_size, i.file_size, i.CRC) for i in zf.infolist()]
 
 
 def unit_rows(a):

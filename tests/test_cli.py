@@ -1181,6 +1181,28 @@ def test_fixed_p_training_memory_does_not_grow_with_the_map_size(tmp_path, trace
     assert growth < bound, f"peak grew {growth / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
+def test_fixed_p_pooling_holds_one_float64_chunk(tmp_path, traced_peak):
+    # The worlds and the growth reading of the test above, with the bound of one pooling buffer:
+    # GeM casts and clamps a staged chunk into one float64 array and raises it to p in place, so
+    # the larger maps add one float64 chunk, the float32 staging chunk and one chunk's read span,
+    # plus 512 KiB. The bound was fixed before the first run.
+    peaks = {}
+    for side in (4, 16):
+        raw = json.loads(json.dumps(CONFIG))
+        raw["train"]["groups_used"] = 8
+        raw["city"]["feature_map_shape"] = [16, side, side]
+        cfg = cli.run_config_from_dict(raw)
+        paths = cli.synth.write_world(cli.synth.generate_city(cfg.city), tmp_path / f"side{side}")
+        state, peaks[side] = traced_peak(
+            lambda: cli._run_training_from_files(cfg, str(paths["manifest"]), str(paths["features"]), None)
+        )
+        assert state.best_model is not None
+    channels, side = 16, 16
+    bound = cli.synth.REDUCE_CHUNK_ROWS * channels * side * side * (8 + 4 + 4) + (512 << 10)
+    growth = peaks[16] - peaks[4]
+    assert growth < bound, f"peak grew {growth / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
 def test_train_accepts_query_maps_of_another_size(workspace, tmp_path):
     _, cfg_path, world_dir = workspace
     store = tmp_path / "query_features.npz"

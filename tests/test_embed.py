@@ -69,6 +69,19 @@ def test_pool_rejects_bad_input():
         pool(np.ones((3, 2, 2)), "median")
 
 
+@pytest.mark.parametrize("pooling", [GEM, AVERAGE, MAX])
+def test_complex_maps_are_rejected_not_truncated(pooling):
+    # A float64 cast would drop the imaginary part; the store loader already rejects such maps.
+    maps = np.ones((1, 2, 2, 2), complex)
+    message = r"^feature maps must be real numbers, not complex128$"
+    with pytest.raises(DomainError, match=message):
+        pool(maps, pooling, 3.0)
+    m = EmbeddingModel(pooling=pooling, gem_p=3.0, projection=np.eye(2), bias=np.zeros(2))
+    for batch in (maps, np.ones((1, 2), complex)):
+        with pytest.raises(DomainError, match=message):
+            forward(m, batch)
+
+
 def test_gem_overflow_names_the_exponent():
     # 30**300 overflows float64 although every map value is finite; a sum of
     # finite powers can overflow too.

@@ -23,7 +23,7 @@ from geoloc.synth import (
     oracle_descriptor,
     write_world,
 )
-from oracles import oracle_pairwise_check
+from oracles import oracle_pairwise_check, zip_members
 
 SMALL = CityConfig(
     extent_m=60.0,
@@ -620,6 +620,60 @@ def test_load_features_reads_a_store_whose_comment_holds_the_end_signature(tmp_p
     assert store.ids == list(arrays)
     for rid, want in arrays.items():
         assert store[rid].dtype == want.dtype and np.array_equal(store[rid], want)
+
+
+def _clear_utf8_flag(blob, name):
+    """``blob`` with the UTF-8 name flag of member ``name`` cleared, so its name bytes read as code page 437."""
+    blob, raw = bytearray(blob), name.encode("utf-8")
+    for signature, flags_at, name_at in ((b"PK\x03\x04", 6, 30), (b"PK\x01\x02", 8, 46)):
+        at = blob.find(signature)
+        while at >= 0:
+            if blob[at + name_at : at + name_at + len(raw)] == raw:
+                struct.pack_into("<H", blob, at + flags_at, struct.unpack_from("<H", blob, at + flags_at)[0] & ~0x800)
+            at = blob.find(signature, at + 4)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("archive", ["savez", "own-writer", "deflated", "zip64", "prefixed", "comment", "names"])
+def test_central_directory_matches_zipfile(tmp_path, monkeypatch, archive):
+    # Names of 1 to 44 bytes; "names" adds a UTF-8-flagged name and a non-ASCII one without the flag.
+    rng = np.random.default_rng(41)
+    ids = ["a", "r07", "b" * 12, "a-much-longer-record-name-of-forty-chars", *(f"r{i:03d}" for i in range(40))]
+    arrays = {rid: rng.standard_normal((2, 3, 1)).astype(np.float32) for rid in ids}
+    path = read_by_zipfile = tmp_path / "store.npz"
+    if archive == "savez":
+        np.savez(path, **arrays)
+    elif archive == "own-writer":
+        with open(path, "wb") as fh:
+            synth._write_store(fh, ids, np.stack(list(arrays.values())))
+    elif archive == "deflated":
+        np.savez_compressed(path, **arrays)
+    elif archive == "zip64":
+        _zip64_store(path, arrays, monkeypatch)
+    elif archive == "prefixed":
+        np.savez(path, **arrays)
+        path.write_bytes(b"bytes before the archive" + path.read_bytes())
+    elif archive == "comment":
+        # zipfile takes the comment's signature for the end record and fails, so it reads the
+        # archive as it was before the comment went in; the comment moves no member.
+        read_by_zipfile = tmp_path / "plain.npz"
+        np.savez(read_by_zipfile, **arrays)
+        path.write_bytes(read_by_zipfile.read_bytes())
+        with zipfile.ZipFile(path, "a") as zf:
+            zf.comment = b"a comment PK\x05\x06" + b"\xff" * 18 + b" and after it"
+    else:
+        with zipfile.ZipFile(path, "w") as zf:
+            for name in ("café.npy", "ïdx.npy", *(f"{rid}.npy" for rid in ids[:4])):
+                zf.writestr(name, b"not read here")
+        path.write_bytes(_clear_utf8_flag(path.read_bytes(), "ïdx.npy"))
+    with open(path, "rb") as fh:
+        index, table, csize, usize, offsets, _ = synth._central_directory(fh)
+    got = [(name, int(offsets[row]), int(csize[row]), int(usize[row]), int(table["crc"][row]))
+           for name, row in index.items()]
+    want = zip_members(read_by_zipfile)
+    assert got == want
+    if archive == "names":
+        assert [name for name, *_ in want][:2] == ["café.npy", "ïdx.npy".encode("utf-8").decode("cp437")]
 
 
 def test_every_central_directory_byte_flip_raises_a_store_error_or_loads(tmp_path):

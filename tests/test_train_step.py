@@ -215,3 +215,45 @@ def test_desk_shaped_step_is_bitwise_the_textbook_arithmetic():
         members = redrawn.integers(table.sizes[labels])
         want_batch = np.stack((table.rows[table.starts[labels] + members], labels), axis=1)
         assert got_batch.dtype == want_batch.dtype and np.array_equal(got_batch, want_batch)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, 2.37])
+@pytest.mark.parametrize("spatial", [(1, 1), (3, 5), (4, 4), (7, 7)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+def test_one_buffer_gem_is_bitwise_the_learned_p_path_and_the_reference(dtype, spatial, p):
+    # The fixed-exponent pool casts and clamps into one float64 array and raises it in place;
+    # the learned-p path keeps its clamped maps and powers. Both must give the reference's bits,
+    # on the float64 cast of the maps, for maps with negative values and for a transposed view.
+    rng = np.random.default_rng(43)
+    shape = (6, 5, *spatial)
+    if dtype == np.uint8:
+        maps = rng.integers(0, 256, shape).astype(np.uint8)
+    else:
+        maps = (rng.standard_normal(shape) * 3.0).astype(dtype)
+        assert (maps < 0).any()
+    transposed = maps.transpose(0, 1, 3, 2)
+    assert transposed.flags.c_contiguous == (1 in spatial)
+    for case in (maps, transposed):
+        want = reference_pool(case.astype(np.float64), GEM, p)
+        assert _bits(embed.pool(case, GEM, p)) == _bits(want)
+        learned, terms = embed._pool(case, GEM, p, gem_terms=True)
+        assert terms is not None and _bits(learned) == _bits(want)
+
+
+@pytest.mark.parametrize("gem_terms", [False, True])
+def test_one_buffer_gem_keeps_its_error_texts(gem_terms):
+    def pool(maps, p=3.0):
+        return embed._pool(maps, GEM, p, gem_terms=gem_terms)
+
+    with pytest.raises(DomainError, match=r"^feature map contains non-finite values$"):
+        pool(np.array([[[np.inf]]], dtype=np.float32))
+    with pytest.raises(DomainError, match=r"^feature map must be \(\.\.\., C, H, W\), got shape \(2, 2\)$"):
+        pool(np.ones((2, 2)))
+    with pytest.raises(DomainError, match=r"^gem exponent must be >= 1, got 0\.5$"):
+        pool(np.ones((3, 2, 2)), 0.5)
+    with pytest.raises(DomainError, match=r"^gem exponent 300\.0 overflows float64 on these feature maps$"):
+        pool(np.full((3, 2, 2), 30.0, dtype=np.float32), 300.0)
