@@ -17,6 +17,8 @@ text with the partition the command builds (``_check_partition_file``).
 reduce that pools each chunk of maps with the checkpoint's pooling and
 projects it: the loader returns a reduced 2-D block in Fortran order, so the
 database block is the matrix the index adopts, and eval holds no pooled rows.
+Eval reads its manifests as columns (``ingest.load_manifest_columns``): it
+holds ids and position arrays, not a record per row.
 """
 
 from __future__ import annotations
@@ -173,13 +175,12 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError("exactly one of --checkpoint or --oracle-latents is required")
     if args.checkpoint and not args.db_features:
         raise ConfigError("--checkpoint needs --db-features")
-    db_records = ingest.load_manifest(args.db)
-    query_records = ingest.load_manifest(args.queries)
-    for path, records in ((args.db, db_records), (args.queries, query_records)):
-        if not records:
+    db_rows = ingest.load_manifest_columns(args.db)
+    query_rows = ingest.load_manifest_columns(args.queries)
+    for path, rows in ((args.db, db_rows), (args.queries, query_rows)):
+        if not len(rows):
             raise ManifestError(f"manifest {path} holds no records")
-    db_ids = [r.id for r in db_records]
-    query_ids = [r.id for r in query_records]
+    db_ids, query_ids = db_rows.ids, query_rows.ids
 
     if args.checkpoint:
         model = embed.load_model(args.checkpoint)
@@ -209,9 +210,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         db_vecs, q_vecs = np.asfortranarray(vecs[: len(db_ids)]), vecs[len(db_ids) :].copy()
         del latents, vecs
 
-    report = retrieval.evaluate(
-        db_vecs, db_records, q_vecs, query_records, cfg.eval.ks, cfg.eval.threshold_m
-    )
+    report = retrieval.evaluate(db_vecs, db_rows, q_vecs, query_rows, cfg.eval.ks, cfg.eval.threshold_m)
     doc = report.to_dict()
     doc["config"] = run_config_to_dict(cfg)
     if args.output:

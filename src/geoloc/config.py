@@ -75,10 +75,14 @@ def _key(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
+# Each config class's resolved type hints: they never change, and resolving them compiles annotation strings.
+_HINTS: dict[type, dict[str, Any]] = {}
+
+
 def _build(cls: type, data: Any, path: str) -> Any:
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path or cls.__name__!r} must be a mapping, got {type(data).__name__}")
-    hints = get_type_hints(cls)
+    hints = _HINTS.get(cls) or _HINTS.setdefault(cls, get_type_hints(cls))
     known = {f.name for f in fields(cls) if _key(path, f.name) not in DERIVED}
     unknown = [str(k) for k in data if k not in known]  # YAML keys may be numbers
     if unknown:

@@ -1,11 +1,15 @@
 """Dataset manifests: parsing, validation, serialization, and splits.
 
-A manifest is a UTF-8 CSV whose header names a subset of the known columns.
-``id`` and ``heading`` are always required; positions come either from
-``east``/``north`` (UTM meters) or from ``lat``/``lon``. The file is read
-as columns: one ``csv.reader`` pass checks the header, cell counts and ids,
-then each numeric column is parsed with ``float`` and checked as arrays; the
-fault reported is the earliest faulty row's first failed check. Lat/lon rows
+A manifest is a UTF-8 CSV (a leading byte order mark is dropped) whose header
+names a subset of the known columns. ``id`` and ``heading`` are always
+required; positions come either from ``east``/``north`` (UTM meters) or from
+``lat``/``lon``. The file is read as columns: one ``csv.reader`` pass reads
+the rows, the cell counts and ids are checked on whole lists, then each
+numeric column is parsed with ``float`` and checked as arrays; the fault
+reported is the earliest faulty row's first failed check. The one parser,
+``parse_manifest_columns``, returns ``ManifestColumns`` (ids and arrays, as
+``geoloc eval`` keeps them); ``parse_manifest`` builds an ``ImageRecord`` per
+row from them. Lat/lon rows
 are projected to UTM after every row has been checked, all in one
 ``geodesy.latlon_to_utm_arrays`` call, which also gives the zone when no
 row names one. Optional ``zone``/``hemisphere`` columns pin the UTM zone
@@ -19,8 +23,10 @@ import csv
 import io
 import random
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -70,14 +76,92 @@ def _floats(cells: Sequence[str], use: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return values, rejected
 
 
-def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
-    """Parse and validate a manifest, reporting offending line numbers.
+@dataclass(frozen=True, slots=True, eq=False)
+class ManifestColumns:
+    """A manifest as columns: row ``i`` is ``ids[i]`` at ``(east[i], north[i])``, facing ``heading[i]``.
+
+    ``heading`` lies in [0, 360). ``lat``/``lon`` are NaN on rows that give no lat/lon, and ``uris``
+    is None when the manifest has no ``uri`` column. Every row lies in one zone and hemisphere.
+    """
+
+    ids: list[str]
+    east: np.ndarray
+    north: np.ndarray
+    heading: np.ndarray
+    zone_number: int
+    hemisphere: str
+    lat: np.ndarray
+    lon: np.ndarray
+    uris: list[str | None] | None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def positions(self) -> np.ndarray:
+        """The ``(N, 2)`` (east, north) array."""
+        return np.column_stack((self.east, self.north))
+
+    def records(self) -> list[ImageRecord]:
+        """One ``ImageRecord`` per row, with None for an absent lat/lon or uri."""
+        lats, lons = ([None if v != v else v for v in a.tolist()] for a in (self.lat, self.lon))  # NaN: absent
+        uris = self.uris or [None] * len(self.ids)
+        zone_number, hemisphere = self.zone_number, self.hemisphere
+        # Positional arguments, in field order: keywords cost a third more per row.
+        return [
+            ImageRecord(rid, GeoPose(e, n, h), zone_number, hemisphere, uri, la, lo)
+            for rid, e, n, h, uri, la, lo in zip(
+                self.ids, self.east.tolist(), self.north.tolist(), self.heading.tolist(), uris, lats, lons
+            )
+        ]
+
+    @classmethod
+    def of(cls, records: Sequence[ImageRecord]) -> ManifestColumns:
+        """The columns of ``records``, in the zone and hemisphere of the first (the default when there is none)."""
+        zone = (records[0].zone_number, records[0].hemisphere) if records else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
+        east, north, heading, lat, lon = (
+            np.fromiter(values, np.float64, len(records))
+            for values in (
+                (r.pose.east for r in records),
+                (r.pose.north for r in records),
+                (r.pose.heading for r in records),
+                (np.nan if r.lat is None else r.lat for r in records),
+                (np.nan if r.lon is None else r.lon for r in records),
+            )
+        )
+        uris = [r.source_uri for r in records] if any(r.source_uri is not None for r in records) else None
+        ids = [r.id for r in records]
+        return cls(ids, east, north, heading, *zone, lat, lon, uris)
+
+
+def _structure_fault(rows: Sequence[list[str]], lines: Sequence[int], width: int, id_col: int) -> ManifestError | None:
+    """The first structural fault of ``rows`` (read on ``lines``), in the order a row-by-row check meets them.
+
+    A row is checked for its cell count, then an empty id, then a duplicate id; None when every row passes.
+    """
+    seen: dict[str, int] = {}
+    for row, line in zip(rows, lines):
+        if len(row) != width:
+            count = "more" if len(row) > width else "fewer"
+            return ManifestError(f"line {line}: {count} cells than header columns")
+        rid = row[id_col].strip()
+        if not rid:
+            return ManifestError(f"line {line}: empty id")
+        if rid in seen:
+            return ManifestError(f"duplicate id {rid!r} on lines {seen[rid]} and {line}")
+        seen[rid] = line
+    return None
+
+
+def parse_manifest_columns(stream: Iterable[str]) -> ManifestColumns:
+    """Parse and validate a manifest into columns, reporting offending line numbers.
 
     Headings must lie in [0, 720) before normalization into [0, 360).
-    Duplicate ids, unknown columns, and mixed zones are rejected. Each row
-    meets the value checks in one fixed order (``checks``); a fault names the
-    earliest faulty row and the first check it fails, as a row-by-row parse
-    would.
+    Duplicate ids, unknown columns, and mixed zones are rejected. The
+    structural checks (cell count, empty id, duplicate id) run on whole
+    lists; each row then meets the value checks in one fixed order
+    (``checks``). A fault names the earliest faulty row and the first check
+    it fails, as a row-by-row parse would, and a structural fault before a
+    row the reader cannot read is reported before the read error.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -94,22 +178,22 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
 
     id_col = max(i for i, c in enumerate(header) if c == "id")  # a repeated name reads its last column
     rows: list[list[str]] = []
-    seen: dict[str, int] = {}  # id -> line, in file order
-    for row in reader:
-        if not row:  # blank line
-            continue
-        line = reader.line_num
-        if len(row) != len(header):
-            count = "more" if len(row) > len(header) else "fewer"
-            raise ManifestError(f"line {line}: {count} cells than header columns")
-        rid = row[id_col].strip()
-        if not rid:
-            raise ManifestError(f"line {line}: empty id")
-        if rid in seen:
-            raise ManifestError(f"duplicate id {rid!r} on lines {seen[rid]} and {line}")
-        seen[rid] = line
-        rows.append(row)
-    n, lines = len(rows), list(seen.values())
+    lines: list[int] = []  # the reader's line count after each row
+    try:
+        for row in reader:
+            if row:  # a blank line reads as no cells
+                rows.append(row)
+                lines.append(reader.line_num)
+    except Exception:  # a structural fault among the rows read before the error is reported first
+        fault = _structure_fault(rows, lines, len(header), id_col)
+        if fault is None:
+            raise
+        raise fault from None
+    whole = set(map(len, rows)) <= {len(header)}
+    ids = list(map(str.strip, map(itemgetter(id_col), rows))) if whole else []
+    if not whole or not all(ids) or len(dict.fromkeys(ids)) != len(ids):
+        raise _structure_fault(rows, lines, len(header), id_col)
+    n = len(rows)
     # A repeated header name reads its last column, as a csv.DictReader row does.
     cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
     del rows  # the columns hold every cell now
@@ -136,8 +220,8 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     zone = numbers("zone", zoned)
     bad_zone = zoned & ~((zone == np.floor(zone)) & (zone >= 1.0) & (zone <= 60.0))
     checks.append((bad_zone, lambda i: f"zone must be an integer in [1, 60], got {cells['zone'][i]!r}"))
-    hemispheres = [h.strip() for h in cells.get("hemisphere", blank)]
-    bad_hemisphere = zoned & np.array([h not in HEMISPHERES for h in hemispheres], bool)
+    hemispheres = list(map(str.strip, cells.get("hemisphere", blank)))
+    bad_hemisphere = zoned & ~np.fromiter(map(HEMISPHERES.__contains__, hemispheres), bool, n)
     checks.append((bad_hemisphere, lambda i: f"hemisphere must be one of {HEMISPHERES}, got {hemispheres[i]!r}"))
     has_utm = present("east", "north")
     checks.append((~has_utm & ~latlon, lambda i: "neither east/north nor lat/lon present"))
@@ -151,10 +235,10 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     if faulty.any():
         i = int(faulty.argmax())
         raise ManifestError(f"line {lines[i]}: {next(message for mask, message in checks if mask[i])(i)}")
-    uris = [u.strip() or None for u in cells["uri"]] if "uri" in cells else [None] * n
-    del cells, checks  # the cell strings, and the checks that hold them, go before the records come
+    uris = [u.strip() or None for u in cells["uri"]] if "uri" in cells else None
+    del cells, checks  # the cell strings, and the checks that hold them, go before the zones come
 
-    zones = set(zip(zone[zoned].astype(int).tolist(), (h for h, z in zip(hemispheres, zoned.tolist()) if z)))
+    zones = set(zip(zone[zoned].astype(int).tolist(), compress(hemispheres, zoned.tolist())))
     rows_projected = np.flatnonzero(projected)
     if rows_projected.size:
         utm_east, utm_north, utm_zone, south = latlon_to_utm_arrays(lat[rows_projected], lon[rows_projected])
@@ -165,14 +249,12 @@ def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
     if len(zones) > 1:
         raise ManifestError(f"manifest mixes zones/hemispheres: {sorted(zones)}")
     zone_number, hemisphere = zones.pop() if zones else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
-    lats, lons = ([v if m else None for v, m in zip(a.tolist(), latlon.tolist())] for a in (lat, lon))
-    # Positional arguments, in field order: keywords cost a third more per row.
-    return [
-        ImageRecord(rid, GeoPose(e, nn, h), zone_number, hemisphere, uri, la, lo)
-        for rid, e, nn, h, uri, la, lo in zip(
-            seen, east.tolist(), north.tolist(), np.remainder(heading, 360.0).tolist(), uris, lats, lons
-        )
-    ]
+    return ManifestColumns(ids, east, north, np.remainder(heading, 360.0), zone_number, hemisphere, lat, lon, uris)
+
+
+def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:
+    """The records of a manifest: ``parse_manifest_columns``, one ``ImageRecord`` per row."""
+    return parse_manifest_columns(stream).records()
 
 
 def serialize_manifest(records: Sequence[ImageRecord], stream: io.TextIOBase) -> None:
@@ -202,12 +284,21 @@ def serialize_manifest(records: Sequence[ImageRecord], stream: io.TextIOBase) ->
         writer.writerow(row)
 
 
-def load_manifest(path: str | Path) -> list[ImageRecord]:
+def _read_manifest(path: str | Path, parse: Callable[[Iterable[str]], Any]) -> Any:
+    """``parse`` of the file at ``path``, read as UTF-8 with or without a byte order mark."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return parse_manifest(fh)
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            return parse(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+
+
+def load_manifest_columns(path: str | Path) -> ManifestColumns:
+    return _read_manifest(path, parse_manifest_columns)
+
+
+def load_manifest(path: str | Path) -> list[ImageRecord]:
+    return _read_manifest(path, parse_manifest)
 
 
 def save_manifest(records: Sequence[ImageRecord], path: str | Path) -> None:

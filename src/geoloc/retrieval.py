@@ -15,7 +15,9 @@ top K in steps of rows whose copy takes at most 1/32 of that buffer: one
 partial partition per step, then one exact sort of the step's candidates
 (exact flat inner-product search, as in FAISS). A retrieved item counts as
 correct for a query when its pose lies within the metric threshold of the
-query pose, both taken in one shared UTM zone.
+query pose, both taken in one shared UTM zone. The search reads ids and
+``(N, 2)`` east/north arrays (``evaluate`` takes them from manifest columns);
+GeoPoses and ``(descriptor, GeoPose)`` pairs are accepted and turned into them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RetrievalError
-from .ingest import ImageRecord
+from .ingest import ImageRecord, ManifestColumns
 from .partition import GeoPose
 
 _UNIT_TOL = 1e-5
@@ -57,12 +59,13 @@ class DescriptorIndex:
 def build_index(
     descriptors: np.ndarray | Sequence[np.ndarray],
     ids: Sequence[str],
-    poses: Sequence[GeoPose],
+    poses: Sequence[GeoPose] | np.ndarray,
 ) -> DescriptorIndex:
     """Validate and freeze descriptors into an index, preserving insertion order.
 
-    A Fortran-ordered float64 ``descriptors`` array becomes ``index.matrix`` without a copy, and is
-    made read-only; any other input is copied once.
+    ``poses`` is a GeoPose per id or an ``(N, 2)`` (east, north) array. A Fortran-ordered float64
+    ``descriptors`` array becomes ``index.matrix`` without a copy, and is made read-only; any other
+    input is copied once.
     """
     if len(ids) != len(poses):
         raise RetrievalError(f"{len(ids)} ids vs {len(poses)} poses")
@@ -75,27 +78,34 @@ def build_index(
         raise RetrievalError(f"descriptors must be (n, D), got shape {matrix.shape}")
     if matrix.shape[0] != len(ids):
         raise RetrievalError(f"{matrix.shape[0]} descriptors vs {len(ids)} ids")
-    seen: dict[str, None] = {}  # a dict of many ids peaks at about a quarter of a set's memory
-    for rid in ids:
-        if rid in seen:
-            raise RetrievalError(f"duplicate id {rid!r} in index")
-        seen[rid] = None
+    if len(dict.fromkeys(ids)) != len(ids):  # a dict of many ids peaks at about a quarter of a set's memory
+        seen: set[str] = set()
+        rid = next(rid for rid in ids if rid in seen or seen.add(rid))  # set.add returns None: go on
+        raise RetrievalError(f"duplicate id {rid!r} in index")
     # The row sums of squares without an (n, D) array of squares, which np.linalg.norm would hold.
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     bad = np.nonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))[0]  # NaN rows fail too
     if bad.size:
         raise RetrievalError(f"descriptor for id {ids[bad[0]]!r} is not unit-norm ({norms[bad[0]]:.6f})")
+    if isinstance(poses, np.ndarray):
+        if poses.shape != (len(ids), 2):
+            raise RetrievalError(f"positions must be (n, 2), got shape {poses.shape}")
+        positions = np.asarray(poses, dtype=np.float64)
+    else:
+        positions = np.fromiter((xy for p in poses for xy in (p.east, p.north)), np.float64, 2 * len(poses))
     matrix.flags.writeable = False
-    positions = np.fromiter((xy for p in poses for xy in (p.east, p.north)), dtype=np.float64, count=2 * len(poses))
     return DescriptorIndex(ids=list(ids), matrix=matrix, positions=positions.reshape(-1, 2))
 
 
-def _query_matrix(descriptors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Stack query descriptors into a (Q, dim) array; each must be a finite unit vector."""
-    shape = next((np.shape(d) for d in descriptors if np.shape(d) != (dim,)), None)
+def _query_matrix(descriptors: np.ndarray | Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Query descriptors as a (Q, dim) float64 array; each must be a finite unit vector."""
+    if isinstance(descriptors, np.ndarray):
+        shape = descriptors.shape[1:] if descriptors.shape[1:] != (dim,) else None
+    else:
+        shape = next((np.shape(d) for d in descriptors if np.shape(d) != (dim,)), None)
     if shape is not None:
         raise RetrievalError(f"query has shape {shape}, index dimension is {dim}")
-    queries = np.array(descriptors, dtype=np.float64)
+    queries = np.asarray(descriptors, dtype=np.float64)
     if not np.all(np.abs(np.linalg.norm(queries, axis=1) - 1.0) <= _UNIT_TOL):  # NaN fails too
         raise RetrievalError("query descriptor is not unit-norm")
     return queries
@@ -175,16 +185,18 @@ def format_report_table(report: EvalReport) -> str:
 
 def recall_at_n(
     index: DescriptorIndex,
-    queries: Sequence[tuple[np.ndarray, GeoPose]],
+    queries: np.ndarray | Sequence[tuple[np.ndarray, GeoPose]],
     ks: Sequence[int] = DEFAULT_KS,
     threshold_m: float = DEFAULT_THRESHOLD_M,
+    positions: np.ndarray | None = None,
 ) -> EvalReport:
     """Fraction of queries with a correct item in the top K, for each K.
 
-    A database item is correct when its pose is within ``threshold_m`` meters
-    of the query pose (planar metric; the poses share one zone).
+    ``queries`` is a ``(Q, D)`` descriptor array with its ``(Q, 2)`` (east, north) ``positions``, or
+    (descriptor, GeoPose) pairs. A database item is correct when its pose is within ``threshold_m``
+    meters of the query pose (planar metric; the poses share one zone).
     """
-    if not queries:
+    if len(queries) == 0:
         raise RetrievalError("empty query list")
     ks = list(ks)
     if not ks or any(k < 1 for k in ks) or ks != sorted(ks):
@@ -192,10 +204,16 @@ def recall_at_n(
     if not threshold_m >= 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold_m}")
     kmax = min(max(ks), len(index))
-    first_correct: list[int | None] = [None] * len(queries)
+    ranks = np.zeros(len(queries), dtype=np.intp)  # 1-based rank of the first correct row, 0 for none
     if kmax:
-        descriptors = _query_matrix([d for d, _ in queries], index.dim)
-        positions = np.array([(p.east, p.north) for _, p in queries], dtype=np.float64)
+        if isinstance(queries, np.ndarray):
+            if positions is None or np.shape(positions) != (len(queries), 2):
+                raise RetrievalError(f"{len(queries)} query descriptors need ({len(queries)}, 2) positions")
+            descriptors = _query_matrix(queries, index.dim)
+        else:
+            descriptors = _query_matrix([d for d, _ in queries], index.dim)
+            positions = [(p.east, p.north) for _, p in queries]
+        positions = np.asarray(positions, dtype=np.float64)
         block = max(1, SEARCH_BLOCK_BYTES // (8 * len(index)))
         # (D, N) and C-contiguous (a view of the index), so each block's product streams the rows once.
         database = index.matrix.T
@@ -205,46 +223,48 @@ def recall_at_n(
             sims = np.matmul(descriptors[start:stop], database, out=buffer[: stop - start])
             offsets = index.positions[_top_rows(sims, kmax)] - positions[start:stop, None, :]
             near = np.hypot(offsets[..., 0], offsets[..., 1]) <= threshold_m
-            ranks = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 0)
-            first_correct[start:stop] = [int(r) if r else None for r in ranks]
-    recall = {
-        k: sum(1 for r in first_correct if r is not None and r <= k) / len(queries) for k in ks
-    }
+            ranks[start:stop] = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 0)
+    found = ranks[ranks > 0]
     return EvalReport(
         threshold_m=threshold_m,
         num_queries=len(queries),
-        recall_at=recall,
-        first_correct_rank=first_correct,
+        recall_at={k: int(np.count_nonzero(found <= k)) / len(queries) for k in ks},
+        first_correct_rank=[r or None for r in ranks.tolist()],
     )
+
+
+def _search_side(rows: ManifestColumns | Sequence[ImageRecord]) -> tuple[list[str], np.ndarray, tuple[int, str]]:
+    """(ids, (N, 2) positions, (zone, hemisphere)) of one side of a search; records take the first one's zone."""
+    if not isinstance(rows, ManifestColumns):
+        rows = ManifestColumns.of(rows)
+    return rows.ids, rows.positions(), (rows.zone_number, rows.hemisphere)
 
 
 def evaluate(
     db_vecs: np.ndarray,
-    db_records: Sequence[ImageRecord],
+    db_rows: ManifestColumns | Sequence[ImageRecord],
     query_vecs: np.ndarray,
-    query_records: Sequence[ImageRecord],
+    query_rows: ManifestColumns | Sequence[ImageRecord],
     ks: Sequence[int] = DEFAULT_KS,
     threshold_m: float = DEFAULT_THRESHOLD_M,
 ) -> EvalReport:
     """Recall@K of query descriptors searched against database descriptors.
 
-    Row i of ``db_vecs``/``query_vecs`` belongs to record i of its list. The
-    index takes the database records' ids and poses. It adopts ``db_vecs``
-    when that is a Fortran-ordered float64 array (as ``embed_records`` and
-    eval's loader return), and ``db_vecs`` then becomes read-only. A
-    manifest holds one zone, so the first query record's zone must match
-    the first database record's.
+    Row i of ``db_vecs``/``query_vecs`` belongs to row i of its manifest columns (or record i of its
+    list). The index takes the database ids and positions. It adopts ``db_vecs`` when that is a
+    Fortran-ordered float64 array (as ``embed_records`` and eval's loader return), and ``db_vecs``
+    then becomes read-only. A manifest holds one zone (a record list, its first record's), and the
+    query zone must match the database zone.
     """
-    if not db_records or not query_records:
+    if not len(db_rows) or not len(query_rows):
         raise RetrievalError("evaluation needs a non-empty database and query set")
-    if len(query_vecs) != len(query_records):
-        raise RetrievalError(f"{len(query_vecs)} query descriptors vs {len(query_records)} query records")
-    db, query = db_records[0], query_records[0]
-    if (query.zone_number, query.hemisphere) != (db.zone_number, db.hemisphere):
+    if len(query_vecs) != len(query_rows):
+        raise RetrievalError(f"{len(query_vecs)} query descriptors vs {len(query_rows)} query records")
+    db_ids, db_positions, db_zone = _search_side(db_rows)
+    _, query_positions, query_zone = _search_side(query_rows)
+    if query_zone != db_zone:
         raise DomainError(
-            f"query zone {query.zone_number} {query.hemisphere} does not match "
-            f"database zone {db.zone_number} {db.hemisphere}"
+            f"query zone {query_zone[0]} {query_zone[1]} does not match database zone {db_zone[0]} {db_zone[1]}"
         )
-    index = build_index(db_vecs, [r.id for r in db_records], [r.pose for r in db_records])
-    return recall_at_n(index, list(zip(query_vecs, [r.pose for r in query_records])), ks=ks, threshold_m=threshold_m)
-
+    index = build_index(db_vecs, db_ids, db_positions)
+    return recall_at_n(index, np.asarray(query_vecs), ks, threshold_m, query_positions)

@@ -18,9 +18,10 @@ shift.
 Maps are computed in float64 and stored as float32, rounded once; the query
 perturbation is added before the rounding. ``load_features`` keeps a store's
 dtype, so a reloaded world holds the generated bits; the embedding computes in float64.
-``load_features`` reads the zip format of a store itself: it walks the
-central directory once, following each entry's lengths, into arrays, then
-reads the members in chunks of ``REDUCE_CHUNK_ROWS`` maps, one read per
+``load_features`` reads the zip format of a store itself: it reads the
+central directory into arrays (one reshape when the entries share a size,
+else one walk that follows each entry's lengths), finds the requested ids by
+one stable sort of the names, then reads the members in chunks of ``REDUCE_CHUNK_ROWS`` maps, one read per
 chunk into one reused buffer, checks each chunk, and
 keeps it as it is or, given a ``reduce`` function, only its reduced rows,
 so ``geoloc eval`` (descriptors) and a fixed-exponent ``geoloc train``
@@ -332,9 +333,11 @@ _TAIL_BYTES = 22 + 0xFFFF + 76
 # name, extra field and comment lengths, and keeps the bytes as one row of
 # ``_CENTRAL_ROW`` ("version needed" is the low byte of its field).
 _CENTRAL = struct.Struct("<4s24xHHH12x")
-_CENTRAL_ROW = np.dtype({"names": ["version", "flags", "method", "crc", "csize", "usize", "lengths", "offset"],
-                         "formats": ["u1", "<u2", "<u2", "<u4", "<u4", "<u4", ("<u2", 3), "<u4"],
-                         "offsets": [6, 8, 10, 16, 20, 24, 28, 42], "itemsize": 46})
+_CENTRAL_SIGNATURE = 0x02014B50  # b"PK\x01\x02" read as a little-endian integer
+_CENTRAL_ROW = np.dtype({"names": ["signature", "version", "flags", "method", "crc", "csize", "usize", "lengths",
+                                   "offset"],
+                         "formats": ["<u4", "u1", "<u2", "<u2", "<u4", "<u4", "<u4", ("<u2", 3), "<u4"],
+                         "offsets": [0, 6, 8, 10, 16, 20, 24, 28, 42], "itemsize": 46})
 # A zip member's local header: signature, flags, compression, name and extra lengths.
 _LOCAL_HEADER = struct.Struct("<4s2xHH16xHH")
 # Encrypted, compressed-patch and strongly encrypted members cannot be read.
@@ -393,14 +396,17 @@ def _write_store(fh: BinaryIO, ids: Sequence[str], block: np.ndarray) -> None:
     fh.write(b"".join(end))
 
 
-def _central_directory(fh: BinaryIO) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+def _central_directory(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """The members of a zip file, and where its central directory starts.
 
-    Returns (entry row of each name, entry table, compressed sizes, uncompressed sizes, local
-    header offsets, central directory offset); a repeated name has its last entry, as in ``zipfile``.
-    The walk reads each entry's signature and lengths and keeps its fixed bytes and its name; the
+    Returns (names, entry table, compressed sizes, uncompressed sizes, local header offsets, central
+    directory offset). ``names`` is one bytes array: row ``i`` holds entry ``i``'s name bytes, padded
+    with NULs to the longest name, and ``table["lengths"][i, 0]`` is that name's length, NULs of its
+    own included. When every entry has the first one's size, the table and the names are read off
+    one reshape of the directory; otherwise a walk follows each entry's lengths. Either way the
     version, zip64 and name-encoding checks then run on the table, so the first faulty entry, of
-    whatever fault, is the one reported, as if each entry were checked in turn.
+    whatever fault, is the one reported, as if each entry were checked in turn. The names of a
+    directory that is not all ASCII are decoded here only to be checked (``_member_names``).
     """
     size = fh.seek(0, io.SEEK_END)
     fh.seek(max(size - _TAIL_BYTES, 0))
@@ -421,37 +427,49 @@ def _central_directory(fh: BinaryIO) -> tuple[dict[str, int], np.ndarray, np.nda
         raise ValueError("central directory larger than the file")
     fh.seek(end - cd_size)
     cd = fh.read(cd_size)
-    fixed, names, pos, fault = bytearray(), [], 0, None
-    try:  # the walk follows lengths only; its fault is reported after any of the entries before it
-        while pos < cd_size:
-            signature, n, m, k = _CENTRAL.unpack_from(cd, pos)
-            if signature != b"PK\x01\x02":
-                raise ValueError("bad central directory entry")
-            # latin-1 maps each byte to one character: a name's bytes are its .encode("latin-1").
-            names.append(cd[pos + 46 : pos + 46 + n].decode("latin-1"))
-            fixed += cd[pos : pos + 46]
-            pos += 46 + n + m + k
-        if pos != cd_size:
-            raise ValueError("central directory entries overrun it")
-    except (ValueError, struct.error) as exc:
-        fault = exc
-    table = np.frombuffer(fixed, _CENTRAL_ROW)
+    table = names = name_lengths = fault = None
+    if cd_size >= 46:  # entries of one size: the walk would step through the rows of one reshape
+        _, n, m, k = _CENTRAL.unpack_from(cd, 0)
+        if cd_size % (46 + n + m + k) == 0:
+            entries = np.frombuffer(cd, np.uint8).reshape(-1, 46 + n + m + k)
+            table = np.ascontiguousarray(entries[:, :46]).view(_CENTRAL_ROW)[:, 0]
+            if (table["signature"] == _CENTRAL_SIGNATURE).all() and (table["lengths"] == (n, m, k)).all():
+                names = np.ascontiguousarray(entries[:, 46 : 46 + n]).view(f"S{n}")[:, 0] if n else np.zeros(
+                    len(table), "S1")
+                name_lengths = table["lengths"][:, 0]
+    if names is None:
+        fixed, listed, pos = bytearray(), [], 0
+        try:  # the walk follows lengths only; its fault is reported after any of the entries before it
+            while pos < cd_size:
+                signature, n, m, k = _CENTRAL.unpack_from(cd, pos)
+                if signature != b"PK\x01\x02":
+                    raise ValueError("bad central directory entry")
+                listed.append(cd[pos + 46 : pos + 46 + n])
+                fixed += cd[pos : pos + 46]
+                pos += 46 + n + m + k
+            if pos != cd_size:
+                raise ValueError("central directory entries overrun it")
+        except (ValueError, struct.error) as exc:
+            fault = exc
+        table = np.frombuffer(fixed, _CENTRAL_ROW)
+        names = np.array(listed, dtype=f"S{max(map(len, listed), default=1) or 1}")
+        name_lengths = np.fromiter(map(len, listed), np.intp, len(listed))  # the last may be cut short
+        del listed
     usize, csize, offsets = (table[field].astype(np.int64) for field in ("usize", "csize", "offset"))
     wide = (usize == 0xFFFFFFFF) | (csize == 0xFFFFFFFF) | (offsets == 0xFFFFFFFF)  # zip64 fields in the extra
     versions, flags = table["version"], table["flags"]
-    if all(map(str.isascii, names)):  # an ASCII name reads the same in UTF-8 and in code page 437
-        keys, odd = names, np.flatnonzero(wide | (versions > 63)).tolist()
-    else:
-        keys, odd = [None] * len(names), range(len(names))
+    # An ASCII name reads the same in UTF-8 and in code page 437.
+    ascii_names = names.view(np.uint8).max(initial=0) < 0x80
+    odd = np.flatnonzero(wide | (versions > 63)).tolist() if ascii_names else range(len(table))
     if wide.any():
         lengths = table["lengths"].astype(np.int64)
         ends = np.cumsum(46 + lengths.sum(axis=1))
     # Entries that need a look of their own, in order, so the first faulty entry is the one reported.
     zip64 = {}
     for row in odd:
-        name = names[row].encode("latin-1")
-        if keys[row] is None:
-            keys[row] = name.decode("utf-8" if flags[row] & _UTF8_NAME_FLAG or name.isascii() else "cp437")
+        name = names[row].ljust(name_lengths[row], b"\0")
+        if not ascii_names:
+            _decode_name(name, flags[row])
         if versions[row] > 63:  # zipfile's limit: later versions may need features this reader lacks
             raise ValueError(f"member {name.decode('cp437')!r} needs zip version {int(versions[row]) / 10}")
         if wide[row]:
@@ -463,7 +481,18 @@ def _central_directory(fh: BinaryIO) -> tuple[dict[str, int], np.ndarray, np.nda
     for row, fields in zip64.items():
         usize[row], csize[row], offsets[row] = fields
     offsets += end - cd_size - cd_offset  # bytes before the archive, as in a self-extracting one
-    return dict(zip(keys, range(len(keys)))), table, csize, usize, offsets, end - cd_size
+    return names, table, csize, usize, offsets, end - cd_size
+
+
+def _decode_name(name: bytes, flags: int) -> str:
+    """A member name as ``zipfile`` reads it: UTF-8 when flagged or ASCII, else code page 437."""
+    return name.decode("utf-8" if flags & _UTF8_NAME_FLAG or name.isascii() else "cp437")
+
+
+def _member_names(names: np.ndarray, table: np.ndarray) -> list[str]:
+    """Every name of a ``_central_directory`` as ``zipfile`` reads it."""
+    return [_decode_name(name.ljust(length, b"\0"), flags)
+            for name, length, flags in zip(names.tolist(), table["lengths"][:, 0].tolist(), table["flags"].tolist())]
 
 
 def _zip64_fields(extra: bytes, fields: list[int]) -> list[int]:
@@ -488,6 +517,58 @@ def _npy_layout(header: bytes) -> tuple[tuple[int, ...], bool, np.dtype, int]:
     return shape, fortran, dtype, dtype.itemsize * math.prod(shape)
 
 
+def _find_members(
+    path: str | Path, names: np.ndarray, table: np.ndarray, ids: Iterable[str] | None
+) -> tuple[list[str], np.ndarray]:
+    """(ids, entry rows) of the members ``load_features`` reads: those of ``ids``, or every member.
+
+    One stable sort of the names serves every lookup, and a repeated name resolves to its last entry,
+    as in ``zipfile``. Without ``ids`` the members come in the order their names first appear. A
+    member whose name does not end in ``.npy`` raises DomainError, requested or not; then the first
+    requested id without a member raises ManifestError.
+    """
+    # Names of a directory that is not all ASCII are looked up by their UTF-8 text.
+    texts = None if names.view(np.uint8).max(initial=0) < 0x80 else _member_names(names, table)
+    # The last four of each name's own bytes, taken at its length: trailing NULs count.
+    lengths, codes = table["lengths"][:, 0].astype(np.intp), names.view(np.uint8)
+    starts = np.arange(len(names)) * names.itemsize
+    stray = lengths < 4
+    for j, byte in enumerate(b".npy"):
+        stray |= codes[starts + np.maximum(lengths - 4 + j, 0)] != byte
+    if stray.any():
+        i = int(stray.argmax())
+        name = texts[i] if texts is not None else names[i].ljust(int(table["lengths"][i, 0]), b"\0").decode("ascii")
+        raise DomainError(f"feature store {path}: member {name!r} is not an .npy array")
+    if texts is not None:
+        names = np.array([text.encode("utf-8") for text in texts], dtype=bytes)
+    order = np.argsort(names, kind="stable")
+    ordered = names[order]
+    if ids is None:
+        last = np.append(ordered[1:] != ordered[:-1], True)  # the last entry of each run of one name
+        if last.all():
+            rows = first = np.arange(len(names))
+        else:
+            first = order[np.append(True, last[:-1])]  # the first entry of each run, runs in the same order
+            by_first = np.argsort(first)
+            rows, first = order[last][by_first], first[by_first]
+        if texts is None:
+            keys = [name[:-4].decode("ascii") for name in names[first].tolist()]
+        else:
+            keys = [texts[i][:-4] for i in first.tolist()]
+        return keys, rows
+    keys = list(dict.fromkeys(ids))
+    wanted = np.array([f"{k}.npy".encode("utf-8", "surrogatepass") for k in keys], dtype=bytes)
+    if wanted.itemsize != ordered.itemsize:  # one width, so neither side is cut to the other's
+        width = f"S{max(wanted.itemsize, ordered.itemsize)}"
+        wanted, ordered = wanted.astype(width), ordered.astype(width)
+    at = np.searchsorted(ordered, wanted, "right") - 1  # the last entry of the name, if it is there
+    found = (at >= 0) & (ordered[at] == wanted) if len(ordered) else np.zeros(len(keys), bool)
+    if not found.all():
+        missing = keys[int(found.argmin())]
+        raise ManifestError(f"feature store {path} has no entry for record {missing!r}")
+    return keys, order[at]
+
+
 def load_features(
     path: str | Path,
     ids: Iterable[str] | None = None,
@@ -497,9 +578,10 @@ def load_features(
 
     Reads only the members named in ``ids`` (every member when ``ids`` is
     None; a repeated id loads once). The central directory (after an archive
-    comment or zip64 records too) is read at once and parsed into arrays, in
-    which a name is a member's only Python object; every offset and length is
-    checked against the file before it sizes a read. Members are read in file
+    comment or zip64 records too) is read at once and parsed into arrays, an
+    all-ASCII one without a Python object per member (``_central_directory``,
+    ``_find_members``); every offset and length is checked against the file
+    before it sizes a read. Members are read in file
     order, ``REDUCE_CHUNK_ROWS`` at a time, with one read of a chunk's span
     (or, for sparse ids, of each member) into one buffer, reused by every
     chunk and grown only when a chunk needs more. In that buffer each member's local
@@ -518,20 +600,9 @@ def load_features(
     """
     try:
         with open(path, "rb") as fh:
-            index, table, csize, usize, offsets, start = _central_directory(fh)
-            stray = next((n for n in index if not n.endswith(".npy")), None)
-            if stray is not None:
-                raise DomainError(f"feature store {path}: member {stray!r} is not an .npy array")
-            if ids is None:
-                keys = [n.removesuffix(".npy") for n in index]
-                rows = np.fromiter(index.values(), np.intp, len(index))
-            else:
-                keys = list(dict.fromkeys(ids))
-                missing = next((k for k in keys if f"{k}.npy" not in index), None)
-                if missing is not None:
-                    raise ManifestError(f"feature store {path} has no entry for record {missing!r}")
-                rows = np.fromiter((index[f"{k}.npy"] for k in keys), np.intp, len(keys))
-            del index
+            names, table, csize, usize, offsets, start = _central_directory(fh)
+            keys, rows = _find_members(path, names, table, ids)
+            del names
             # A member spans from its local header to the next one or to the central directory.
             lo = offsets[rows]
             if not ((lo >= 0) & (lo < start)).all():

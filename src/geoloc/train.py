@@ -22,7 +22,8 @@ Pooled vectors are inputs, not descriptors: descriptors depend on the
 projection that every step changes, and none outlives its step or chunk.
 
 Validation embeds through ``embed_records``, one ``embed.forward`` call per
-``batch_size`` rows, and scores at the eval ks too (``TrainConfig.val_ks``):
+``batch_size`` rows, searches on the split's ids and positions, built once
+per run, and scores at the eval ks too (``TrainConfig.val_ks``):
 the best epoch's recalls are what an eval of the exported model on the split
 reports. Eval projects each loaded chunk of 32 rows with the same call; BLAS
 may round a row's product differently in a batch of another size, so only a
@@ -54,7 +55,7 @@ import numpy as np
 from . import embed
 from .embed import EmbeddingModel, ModelConfig
 from .errors import DomainError, TrainingError
-from .ingest import ImageRecord
+from .ingest import ImageRecord, ManifestColumns
 # margin_cosine_grads stays importable from this module, where the
 # benchmark's tracer test looks it up.
 from .loss import (  # noqa: F401
@@ -273,16 +274,21 @@ def _validate(
     model: EmbeddingModel,
     val_db: Sequence[ImageRecord],
     val_queries: Sequence[ImageRecord],
+    val_rows: tuple[ManifestColumns, ManifestColumns],
     features: FeatureStore,
     query_features: FeatureStore,
     cfg: TrainConfig,
     budget: DescriptorBudget,
 ) -> dict[int, float]:
-    """Recall of the validation split at ``VALIDATION_KS`` and ``cfg.val_ks``, embedded by ``embed_records``."""
+    """Recall of the validation split at ``VALIDATION_KS`` and ``cfg.val_ks``, embedded by ``embed_records``.
+
+    ``val_rows`` holds the columns of ``val_db`` and ``val_queries``, which the search reads.
+    """
     db_vecs = embed_records(model, val_db, features, cfg.batch_size, budget)
     query_vecs = embed_records(model, val_queries, query_features, cfg.batch_size, budget)
     ks = sorted({*VALIDATION_KS, *cfg.val_ks})
-    return evaluate(db_vecs, val_db, query_vecs, val_queries, ks, cfg.val_threshold_m).recall_at
+    db_rows, query_rows = val_rows
+    return evaluate(db_vecs, db_rows, query_vecs, query_rows, ks, cfg.val_threshold_m).recall_at
 
 
 def run_training(
@@ -327,6 +333,7 @@ def run_training(
         for g in groups
     }
     budget = DescriptorBudget()
+    val_rows = (ManifestColumns.of(val_db), ManifestColumns.of(val_queries))  # ids and positions, once per run
     sampler = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x5A3B1E]))
 
     state = TrainState(
@@ -376,7 +383,7 @@ def run_training(
                     adam_step(head.weights, grad_w, head_moments[group], cfg)
                     iteration_losses.append(loss_value)
 
-                recalls = _validate(model, val_db, val_queries, features, query_features, cfg, budget)
+                recalls = _validate(model, val_db, val_queries, val_rows, features, query_features, cfg, budget)
                 mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
                 state.history.append(
                     EpochStats(

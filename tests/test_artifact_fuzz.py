@@ -2,13 +2,13 @@
 
 Each artifact the pipeline reads is truncated, has one bit flipped, or loses
 a required key, column or store member, and is then read the way the
-pipeline reads it, through ``cli.main``. The six kinds are the JSON and the
-YAML config, the manifest, the partition, the model checkpoint and a
-feature store.
+pipeline reads it, through ``cli.main``. The seven kinds are the JSON and the
+YAML config, the manifest (read by ``convert``), a lat/lon database manifest
+(read by ``eval``), the partition, the model checkpoint and a feature store.
 
 A truncated file or a dropped required key must fail. A flipped bit may
 leave a valid file, so it may also succeed. Two formats have no end marker,
-so a truncation can leave a valid file there too: a YAML config, and a
+so a truncation can leave a valid file there too: a YAML config, and either
 manifest cut at a line boundary. Config keys all have defaults, so dropping
 one may succeed as well.
 """
@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloc import cli, ingest
+from geoloc.geodesy import UtmCoord, utm_to_latlon
 
 CONFIG = {
     "seed": 5,
@@ -60,7 +61,8 @@ CONFIG = {
     "eval": {"threshold_m": 25.0, "ks": [1, 5]},
 }
 
-KINDS = ("config.json", "config.yaml", "manifest", "partition", "checkpoint", "store")
+KINDS = ("config.json", "config.yaml", "manifest", "db-manifest", "partition", "checkpoint", "store")
+MANIFESTS = ("manifest", "db-manifest")
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -84,12 +86,21 @@ def pipeline(tmp_path_factory):
     assert _run(["partition", *common, *manifest, "--output", str(root / "partition.json")])[0] == 0
     assert _run(["train", *common, *manifest, "--features", str(world / "features.npz"),
                  "--out-dir", str(root / "run")])[0] == 0
-    db_ids = [r.id for r in ingest.load_manifest(world / "db.csv")]
+    db_records = ingest.load_manifest(world / "db.csv")
+    db_ids = [r.id for r in db_records]
+    # Positions as lat/lon only. The id comes last, so a cut inside the last row cannot leave a valid one.
+    with open(root / "db_latlon.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["heading", "lat", "lon", "id"])
+        for r in db_records:
+            p = utm_to_latlon(UtmCoord(r.pose.east, r.pose.north, r.zone_number, r.hemisphere))
+            writer.writerow([repr(r.pose.heading), repr(p.latitude), repr(p.longitude), r.id])
     with np.load(world / "features.npz") as store:
         np.savez(root / "db_features.npz", **{rid: store[rid] for rid in db_ids})
 
-    evaluate = ["eval", *common, "--db", str(world / "db.csv"), "--queries", str(world / "queries.csv"),
-                "--query-features", str(world / "query_features.npz")]
+    queries = ["--queries", str(world / "queries.csv"), "--query-features", str(world / "query_features.npz")]
+    evaluate = ["eval", *common, "--db", str(world / "db.csv"), *queries]
+    checkpoint = ["--checkpoint", str(root / "run" / "model_best.json")]
     out = root / "out"
     out.mkdir()
     # kind -> (source file, argv reading a copy of it at the given path)
@@ -98,21 +109,23 @@ def pipeline(tmp_path_factory):
         "config.yaml": (root / "run.yaml",
                         lambda p: ["partition", "--config", str(p), *manifest, "--output", str(out / "p.json")]),
         "manifest": (world / "manifest.csv", lambda p: ["convert", "--input", str(p), "--output", str(out / "m.csv")]),
+        "db-manifest": (root / "db_latlon.csv",
+                        lambda p: ["eval", *common, "--db", str(p), *queries, *checkpoint,
+                                   "--db-features", str(world / "features.npz")]),
         "partition": (root / "partition.json",
                       lambda p: ["train", *common, *manifest, "--features", str(world / "features.npz"),
                                  "--partition", str(p), "--out-dir", str(out / "run")]),
         "checkpoint": (root / "run" / "model_best.json",
                        lambda p: [*evaluate, "--checkpoint", str(p), "--db-features", str(world / "features.npz")]),
         "store": (root / "db_features.npz",
-                  lambda p: [*evaluate, "--checkpoint", str(root / "run" / "model_best.json"),
-                             "--db-features", str(p)]),
+                  lambda p: [*evaluate, *checkpoint, "--db-features", str(p)]),
     }
 
 
 def _required(kind: str, blob: bytes) -> list[str]:
     """Keys, columns or store members whose loss the reader must reject."""
-    if kind == "manifest":
-        return ["id", "heading", "east", "north"]
+    if kind in MANIFESTS:
+        return ["id", "heading", *(["east", "north"] if kind == "manifest" else ["lat", "lon"])]
     if kind == "store":
         return [n.removesuffix(".npy") for n in zipfile.ZipFile(io.BytesIO(blob)).namelist()]
     if kind.startswith("config"):
@@ -122,7 +135,7 @@ def _required(kind: str, blob: bytes) -> list[str]:
 
 
 def _drop(kind: str, blob: bytes, key: str) -> bytes:
-    if kind == "manifest":
+    if kind in MANIFESTS:
         rows = list(csv.reader(io.StringIO(blob.decode("utf-8"))))
         col = rows[0].index(key)
         out = io.StringIO()
@@ -156,7 +169,7 @@ def test_corrupt_artifact_gives_one_error_line(pipeline, tmp_path_factory, kind,
         cut = data.draw(st.integers(0, len(blob.rstrip()) - 1), label="cut")
         mutated = blob[:cut]
         whole_lines = b"\n" in blob[cut - 1 : cut + 1] if cut else False
-        must_fail = kind != "config.yaml" and not (kind == "manifest" and whole_lines)
+        must_fail = kind != "config.yaml" and not (kind in MANIFESTS and whole_lines)
     elif op == "flip":
         at = data.draw(st.integers(0, len(blob) - 1), label="byte")
         mutated = blob[:at] + bytes([blob[at] ^ (1 << data.draw(st.integers(0, 7), label="bit"))]) + blob[at + 1 :]

@@ -1669,3 +1669,58 @@ def test_eval_memory_per_database_row_is_about_one_descriptor(tmp_path, traced_p
         assert code == 0
     slope = (peaks[sizes[1]] - peaks[sizes[0]]) / (sizes[1] - sizes[0])
     assert slope <= dim * 8 + 384, f"eval's peak grew {slope:.0f} B per database row"
+
+
+def test_eval_memory_per_database_row_is_a_descriptor_and_an_id(tmp_path, traced_peak):
+    # Built as the test above, with a bound fixed in advance: eval holds a database row's descriptor,
+    # its id and its position as arrays and columns, not a record per row, so the peak may grow by
+    # D * 8 + 192 B per added row (704 B at D = 64).
+    channels, dim, sizes, n_queries = 256, 64, (4000, 12000), 300
+    ids = [f"r{i:05d}" for i in range(sizes[-1] + n_queries)]
+    store = tmp_path / "features.npz"
+    base = np.random.default_rng(41).random((channels, 2, 2), dtype=np.float32)
+    with zipfile.ZipFile(store, "w") as zf:
+        for i, rid in enumerate(ids):
+            with zf.open(f"{rid}.npy", "w") as fh:
+                np.lib.format.write_array(fh, base + np.float32(i % 89))
+
+    def manifest(path, rows):
+        lines = [f"{rid},{i % 100}.0,{i // 100}.0,0.0\n" for i, rid in rows]
+        path.write_text("id,east,north,heading\n" + "".join(lines), encoding="utf-8")
+        return str(path)
+
+    checkpoint = tmp_path / "model.json"
+    cli.embed.save_model(cli.embed.init_model(channels, cli.embed.ModelConfig(output_dim=dim), 3), checkpoint)
+    queries = manifest(tmp_path / "queries.csv", list(enumerate(ids))[sizes[-1] :])
+    peaks = {}
+    for n in sizes:
+        argv = [
+            "eval", "--checkpoint", str(checkpoint), "--queries", queries,
+            "--db", manifest(tmp_path / f"db{n}.csv", list(enumerate(ids[:n]))), "--db-features", str(store),
+        ]
+        code, peaks[n] = traced_peak(lambda: main(argv))
+        assert code == 0
+    slope = (peaks[sizes[1]] - peaks[sizes[0]]) / (sizes[1] - sizes[0])
+    assert slope <= dim * 8 + 192, f"eval's peak grew {slope:.0f} B per database row"
+
+
+def test_manifests_with_a_utf8_byte_order_mark_convert_and_evaluate(workspace, tmp_path, capsys):
+    # Spreadsheet programs save "CSV UTF-8" with a leading byte order mark; it is not part of the first column's name.
+    _, cfg_path, world_dir = workspace
+    marked = {}
+    for name in ("db.csv", "queries.csv"):
+        marked[name] = tmp_path / name
+        marked[name].write_bytes(b"\xef\xbb\xbf" + (world_dir / name).read_bytes())
+    assert ingest.load_manifest(marked["db.csv"]) == ingest.load_manifest(world_dir / "db.csv")
+    capsys.readouterr()
+    assert main(["convert", "--input", str(marked["db.csv"]), "--output", str(tmp_path / "out.csv")]) == 0
+    assert main(["convert", "--input", str(world_dir / "db.csv"), "--output", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    reports = []
+    for db, queries in ((marked["db.csv"], marked["queries.csv"]), (world_dir / "db.csv", world_dir / "queries.csv")):
+        output = tmp_path / f"report{len(reports)}.json"
+        assert main(["eval", "--config", str(cfg_path), "--oracle-latents", str(world_dir / "latents.npz"),
+                     "--db", str(db), "--queries", str(queries), "--output", str(output)]) == 0
+        reports.append(output.read_bytes())
+    assert reports[0] == reports[1]
+    assert capsys.readouterr().err == ""

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from geoloc.errors import DomainError, ManifestError
 from geoloc.ingest import (
     ImageRecord,
+    ManifestColumns,
     parse_manifest,
+    parse_manifest_columns,
     serialize_manifest,
     split_validation,
 )
@@ -294,3 +296,30 @@ def test_blank_lines_are_skipped():
     with pytest.raises(ManifestError) as exc:
         parse(text.replace("b,1,2,4", "b,1,2,zz"))
     assert str(exc.value) == "line 6: column 'heading' is not a number: 'zz'"
+
+
+def test_columns_hold_what_the_records_hold():
+    text = (
+        "id,east,north,heading,lat,lon,uri\n"
+        "a,,,47,37.7749,-122.4194,http://x/a.jpg\n"
+        "\n"
+        "b,553201.3,4183422.7,400.5,,,\n"
+    )
+    columns = parse_manifest_columns(io.StringIO(text))
+    records = parse(text)
+    assert columns.ids == [r.id for r in records] and len(columns) == 2
+    assert columns.positions().tolist() == [[r.pose.east, r.pose.north] for r in records]
+    assert columns.heading.tolist() == [r.pose.heading for r in records] == [47.0, 40.5]
+    assert (columns.zone_number, columns.hemisphere) == (records[0].zone_number, records[0].hemisphere)
+    assert columns.uris == ["http://x/a.jpg", None]
+    assert columns.records() == records
+    assert ManifestColumns.of(records).records() == records
+
+
+def test_a_structural_fault_is_reported_before_a_later_unreadable_row():
+    # A row-by-row parse meets the duplicate id on line 3 before the over-long cell on line 4.
+    text = f"id,east,north,heading\na,1,2,3\na,1,2,3\n{'b' * 140_000},1,2,3\n"
+    with pytest.raises(ManifestError, match="^duplicate id 'a' on lines 2 and 3$"):
+        parse(text)
+    with pytest.raises(csv.Error, match="field limit"):
+        parse(f"id,east,north,heading\na,1,2,3\n{'b' * 140_000},1,2,3\na,1,2,3\n")

@@ -409,3 +409,28 @@ def test_adopting_build_index_holds_no_matrix_sized_temporary(traced_peak):
     assert np.array_equal(index.positions, [(p.east, p.north) for p in poses])
     bound = n * dim * 8 / 4
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+def test_array_inputs_search_as_poses_and_pairs_do():
+    # build_index takes an (N, 2) position array and recall_at_n a (Q, D) query array with its
+    # (Q, 2) positions; both give what GeoPoses and (descriptor, GeoPose) pairs give.
+    rng = np.random.default_rng(12)
+    vecs = unit_rows(rng.standard_normal((60, 6)))
+    positions = rng.uniform(0.0, 80.0, size=(60, 2))
+    ids = [f"db{i}" for i in range(60)]
+    by_poses = build_index(vecs, ids, [GeoPose(float(e), float(n), 0.0) for e, n in positions])
+    by_array = build_index(vecs, ids, positions)
+    assert np.array_equal(by_array.positions, by_poses.positions)
+    queries = unit_rows(vecs[rng.integers(0, 60, size=25)] + 0.1 * rng.standard_normal((25, 6)))
+    query_positions = rng.uniform(0.0, 80.0, size=(25, 2))
+    pairs = [(q, GeoPose(float(e), float(n), 0.0)) for q, (e, n) in zip(queries, query_positions)]
+    want = recall_at_n(by_poses, pairs, ks=(1, 5, 10), threshold_m=20.0)
+    assert recall_at_n(by_array, queries, (1, 5, 10), 20.0, query_positions) == want
+    with pytest.raises(RetrievalError, match="positions"):
+        build_index(vecs, ids, positions[:, :1].copy())
+    with pytest.raises(RetrievalError, match="positions"):
+        recall_at_n(by_array, queries, (1,), 20.0)
+    with pytest.raises(RetrievalError, match=r"query has shape \(5,\), index dimension is 6"):
+        recall_at_n(by_array, queries[:, :5], (1,), 20.0, query_positions)
+    with pytest.raises(RetrievalError, match="not unit-norm"):
+        recall_at_n(by_array, 2.0 * queries, (1,), 20.0, query_positions)

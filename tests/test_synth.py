@@ -5,6 +5,7 @@ import re
 import struct
 import time
 import zipfile
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -667,13 +668,94 @@ def test_central_directory_matches_zipfile(tmp_path, monkeypatch, archive):
                 zf.writestr(name, b"not read here")
         path.write_bytes(_clear_utf8_flag(path.read_bytes(), "ïdx.npy"))
     with open(path, "rb") as fh:
-        index, table, csize, usize, offsets, _ = synth._central_directory(fh)
+        names, table, csize, usize, offsets, _ = synth._central_directory(fh)
+    index = dict(zip(synth._member_names(names, table), range(len(table))))
     got = [(name, int(offsets[row]), int(csize[row]), int(usize[row]), int(table["crc"][row]))
            for name, row in index.items()]
     want = zip_members(read_by_zipfile)
     assert got == want
     if archive == "names":
         assert [name for name, *_ in want][:2] == ["café.npy", "ïdx.npy".encode("utf-8").decode("cp437")]
+
+
+def _directory_entries(blob):
+    """Offsets in ``blob`` of its central directory entries, walked from the end record (no comment, no zip64 end)."""
+    cd_size, cd_offset = struct.unpack_from("<II", blob, len(blob) - 10)
+    at, entries = len(blob) - 22 - cd_size, []
+    while at < len(blob) - 22:
+        entries.append(at)
+        at += 46 + sum(struct.unpack_from("<HHH", blob, at + 28))
+    return entries
+
+
+@pytest.mark.parametrize("sizes", ["equal", "mixed"])
+@pytest.mark.parametrize(
+    "case", ["repeated", "stray", "bad-signature-then-version", "zip64", "prefixed", "utf8-name", "cp437-name"]
+)
+def test_array_directory_matches_zipfile(tmp_path, monkeypatch, sizes, case):
+    # Entries of one size are read off one reshape of the directory, others by the walk; either way
+    # the entries are zipfile's, a repeated name loads its last entry and faults keep their text.
+    ids = [f"r{i:03d}" for i in range(40)] + (["a-longer-id"] if sizes == "mixed" else [])
+    if case == "utf8-name" or case == "cp437-name":
+        ids[3] = "é00"  # two bytes in UTF-8: the same length as the other names
+    members = [(f"{rid}.npy", np.full((2, 1, 1), i, dtype=np.float32)) for i, rid in enumerate(ids)]
+    if case == "repeated":
+        members.append((members[5][0], np.full((2, 1, 1), -1.0, dtype=np.float32)))
+    elif case == "stray":
+        members.insert(7, ("r999.txt", np.zeros((2, 1, 1), dtype=np.float32)))
+    path = tmp_path / "store.npz"
+    with monkeypatch.context() as patch, pytest.warns(UserWarning) if case == "repeated" else nullcontext():
+        if case == "zip64":  # zip64 sizes and offsets in every entry's extra field
+            patch.setattr(zipfile, "ZIP64_LIMIT", -1)
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, array in members:
+                with zf.open(name, "w") as fh:
+                    np.lib.format.write_array(fh, array)
+    blob = path.read_bytes()
+    if case == "cp437-name":
+        blob = _clear_utf8_flag(blob, "é00.npy")
+    elif case == "bad-signature-then-version":
+        entries = _directory_entries(blob)
+        blob = bytearray(blob)
+        blob[entries[2] + 3] ^= 0xFF
+        blob[entries[9] + 6] = 64
+    elif case == "prefixed":
+        blob = b"#!/bin/sh\n" * 30 + blob
+    path.write_bytes(bytes(blob))
+
+    if case == "stray":
+        for wanted in (None, ["r001"]):
+            with pytest.raises(DomainError) as exc:
+                load_features(path, wanted)
+            assert str(exc.value) == f"feature store {path}: member 'r999.txt' is not an .npy array"
+        return
+    if case == "bad-signature-then-version":
+        with pytest.raises(DomainError) as exc:
+            load_features(path)
+        assert str(exc.value) == f"cannot read feature store {path}: bad central directory entry"
+        return
+    with open(path, "rb") as fh:
+        names, table, csize, usize, offsets, _ = synth._central_directory(fh)
+    assert (len({tuple(lengths) for lengths in table["lengths"].tolist()}) == 1) == (sizes == "equal")
+    got = [(name, int(offsets[row]), int(csize[row]), int(usize[row]), int(table["crc"][row]))
+           for row, name in enumerate(synth._member_names(names, table))]
+    assert got == zip_members(path)
+    with zipfile.ZipFile(path) as zf:
+        names_read = list(dict.fromkeys(zf.namelist()))
+        want = {name.removesuffix(".npy"): np.lib.format.read_array(zf.open(name)) for name in names_read}
+    store = load_features(path)
+    assert store.ids == list(want)
+    some = [list(want)[3], list(want)[5], list(want)[-1]]
+    picked = load_features(path, some)
+    assert picked.ids == some
+    for loaded in (store, picked):
+        for rid in loaded.ids:
+            assert loaded[rid].tobytes() == want[rid].tobytes()
+    if case == "repeated":
+        assert store[ids[5]][0, 0, 0] == -1.0
+    with pytest.raises(ManifestError) as exc:
+        load_features(path, ["r001", "r0", "r001.npy"])
+    assert str(exc.value) == f"feature store {path} has no entry for record 'r0'"
 
 
 def test_every_central_directory_byte_flip_raises_a_store_error_or_loads(tmp_path):
