@@ -3,13 +3,18 @@
 A manifest is a UTF-8 CSV (a leading byte order mark is dropped) whose header
 names a subset of the known columns. ``id`` and ``heading`` are always
 required; positions come either from ``east``/``north`` (UTM meters) or from
-``lat``/``lon``. The file is read as columns: one ``csv.reader`` pass reads
-the rows, the cell counts and ids are checked on whole lists, then each
-numeric column is parsed with ``float`` and checked as arrays; the fault
-reported is the earliest faulty row's first failed check. The one parser,
-``parse_manifest_columns``, returns ``ManifestColumns`` (ids and arrays, as
-``geoloc eval`` keeps them); ``parse_manifest`` builds an ``ImageRecord`` per
-row from them. Lat/lon rows
+``lat``/``lon``. The file is read as columns, ``MANIFEST_CHUNK_ROWS`` (1 024)
+rows at a time: one ``csv.reader`` pass reads the rows, and each chunk's
+cells become ids and arrays before the next chunk is read, so one chunk of
+cell strings is alive at a time. A chunk's cell counts and ids are checked
+on whole lists, then each numeric column is parsed with ``float`` and checked
+as arrays; a numeric cell that is not ASCII or holds ``_`` is not a number,
+though ``float`` reads it. A structural fault (cell count, empty or
+duplicate id) anywhere is reported before any value fault; otherwise the
+fault reported is the earliest faulty row's first failed check. The one
+parser, ``parse_manifest_columns``, returns ``ManifestColumns`` (ids and
+arrays, as ``geoloc eval`` keeps them); ``parse_manifest`` builds an
+``ImageRecord`` per row from them. Lat/lon rows
 are projected to UTM after every row has been checked, all in one
 ``geodesy.latlon_to_utm_arrays`` call, which also gives the zone when no
 row names one. Optional ``zone``/``hemisphere`` columns pin the UTM zone
@@ -22,11 +27,12 @@ from __future__ import annotations
 import csv
 import io
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +48,9 @@ from .partition import GeoPose
 # lat/lon to derive one from. Matches the synthetic-world convention.
 DEFAULT_ZONE_NUMBER = 10
 DEFAULT_HEMISPHERE = NORTH
+
+# Rows of cells read at a time: each chunk becomes ids and arrays before the next is read.
+MANIFEST_CHUNK_ROWS = 1024
 
 _KNOWN_COLUMNS = ("id", "east", "north", "heading", "lat", "lon", "uri", "zone", "hemisphere")
 _REQUIRED_COLUMNS = ("id", "heading")
@@ -61,18 +70,29 @@ class ImageRecord:
 
 
 def _floats(cells: Sequence[str], use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``float`` of each used cell (NaN elsewhere) and the mask of used cells it rejects."""
+    """``float`` of each used cell (NaN elsewhere) and the mask of used cells it rejects.
+
+    A cell that is not ASCII or that holds ``_`` is rejected too, though ``float`` reads ``1_000`` and ``١``.
+    """
     values, rejected = np.full(len(cells), np.nan), np.zeros(len(cells), bool)
     rows = np.flatnonzero(use)
     used = cells if rows.size == len(cells) else [cells[i] for i in rows]
-    try:
-        values[rows] = list(map(float, used))
-    except ValueError:
-        for i in rows:
+    joined = "".join(used)  # one test for the whole column, not one per cell
+    if joined.isascii() and "_" not in joined:
+        try:
+            values[rows] = list(map(float, used))
+            return values, rejected
+        except ValueError:
+            pass
+    for i in rows:
+        cell = cells[i]
+        if cell.isascii() and "_" not in cell:
             try:
-                values[i] = float(cells[i])
+                values[i] = float(cell)
+                continue
             except ValueError:
-                rejected[i] = True
+                pass
+        rejected[i] = True
     return values, rejected
 
 
@@ -133,12 +153,45 @@ class ManifestColumns:
         return cls(ids, east, north, heading, *zone, lat, lon, uris)
 
 
-def _structure_fault(rows: Sequence[list[str]], lines: Sequence[int], width: int, id_col: int) -> ManifestError | None:
-    """The first structural fault of ``rows`` (read on ``lines``), in the order a row-by-row check meets them.
+def _chunks(reader: Iterator[list[str]], size: int) -> Iterator[tuple[list[list[str]], list[int], Exception | None]]:
+    """``(rows, lines, None)`` for every ``size`` non-blank rows of ``reader``, with its line count after each row.
 
-    A row is checked for its cell count, then an empty id, then a duplicate id; None when every row passes.
+    The last chunk may be short or empty. A read error ends the chunks with ``(the rows read before it, lines, error)``.
+    """
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        for row in reader:
+            if row:  # a blank line reads as no cells
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == size:
+                    yield rows, lines, None
+                    rows, lines = [], []
+    except Exception as exc:  # csv.Error, a decode or an OS error: the caller checks the rows read first
+        yield rows, lines, exc
+        return
+    yield rows, lines, None
+
+
+def _structure_fault(
+    ids: Iterable[str],
+    id_lines: Iterable[int],
+    rows: Iterable[list[str]],
+    lines: Iterable[int],
+    width: int,
+    id_col: int,
+) -> ManifestError | None:
+    """The first structural fault of the rows read so far, in the order a row-by-row check meets them.
+
+    ``ids`` (read on ``id_lines``) come from earlier rows, which passed the cell count and id checks;
+    ``rows`` (read on ``lines``) follow them. A row is checked for its cell count, then an empty id,
+    then a duplicate id; None when every row passes.
     """
     seen: dict[str, int] = {}
+    for rid, line in zip(ids, id_lines):
+        if seen.setdefault(rid, line) != line:
+            return ManifestError(f"duplicate id {rid!r} on lines {seen[rid]} and {line}")
     for row, line in zip(rows, lines):
         if len(row) != width:
             count = "more" if len(row) > width else "fewer"
@@ -146,57 +199,23 @@ def _structure_fault(rows: Sequence[list[str]], lines: Sequence[int], width: int
         rid = row[id_col].strip()
         if not rid:
             return ManifestError(f"line {line}: empty id")
-        if rid in seen:
+        if seen.setdefault(rid, line) != line:
             return ManifestError(f"duplicate id {rid!r} on lines {seen[rid]} and {line}")
-        seen[rid] = line
     return None
 
 
-def parse_manifest_columns(stream: Iterable[str]) -> ManifestColumns:
-    """Parse and validate a manifest into columns, reporting offending line numbers.
+def _chunk_columns(
+    header: list[str], rows: list[list[str]], lines: list[int]
+) -> tuple[dict[str, np.ndarray], set[tuple[int, str]], list[str | None] | None]:
+    """The value columns of structurally sound ``rows`` (read on ``lines``), their zones and their uris.
 
-    Headings must lie in [0, 720) before normalization into [0, 360).
-    Duplicate ids, unknown columns, and mixed zones are rejected. The
-    structural checks (cell count, empty id, duplicate id) run on whole
-    lists; each row then meets the value checks in one fixed order
-    (``checks``). A fault names the earliest faulty row and the first check
-    it fails, as a row-by-row parse would, and a structural fault before a
-    row the reader cannot read is reported before the read error.
+    Each row meets the value checks in one fixed order (``checks``); the first failure of the
+    earliest faulty row raises ManifestError. The columns are ``heading`` (not yet in [0, 360)),
+    ``lat``/``lon``/``east``/``north`` before projection, and the masks projection reads.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        raise ManifestError("manifest is empty (no header row)")
-    unknown = [c for c in header if c not in _KNOWN_COLUMNS]
-    if unknown:
-        raise ManifestError(f"unknown manifest columns: {unknown}")
-    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise ManifestError(f"manifest header lacks required columns: {missing}")
-    if not ({"east", "north"} <= set(header) or {"lat", "lon"} <= set(header)):
-        raise ManifestError("manifest needs east/north or lat/lon columns")
-
-    id_col = max(i for i, c in enumerate(header) if c == "id")  # a repeated name reads its last column
-    rows: list[list[str]] = []
-    lines: list[int] = []  # the reader's line count after each row
-    try:
-        for row in reader:
-            if row:  # a blank line reads as no cells
-                rows.append(row)
-                lines.append(reader.line_num)
-    except Exception:  # a structural fault among the rows read before the error is reported first
-        fault = _structure_fault(rows, lines, len(header), id_col)
-        if fault is None:
-            raise
-        raise fault from None
-    whole = set(map(len, rows)) <= {len(header)}
-    ids = list(map(str.strip, map(itemgetter(id_col), rows))) if whole else []
-    if not whole or not all(ids) or len(dict.fromkeys(ids)) != len(ids):
-        raise _structure_fault(rows, lines, len(header), id_col)
     n = len(rows)
     # A repeated header name reads its last column, as a csv.DictReader row does.
     cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
-    del rows  # the columns hold every cell now
     blank = ("",) * n
 
     def present(*names: str) -> np.ndarray:
@@ -236,9 +255,80 @@ def parse_manifest_columns(stream: Iterable[str]) -> ManifestColumns:
         i = int(faulty.argmax())
         raise ManifestError(f"line {lines[i]}: {next(message for mask, message in checks if mask[i])(i)}")
     uris = [u.strip() or None for u in cells["uri"]] if "uri" in cells else None
-    del cells, checks  # the cell strings, and the checks that hold them, go before the zones come
-
     zones = set(zip(zone[zoned].astype(int).tolist(), compress(hemispheres, zoned.tolist())))
+    columns = {
+        "heading": heading, "lat": lat, "lon": lon, "east": east, "north": north,
+        "projected": projected, "zoned": zoned, "has_utm": has_utm,
+    }
+    return columns, zones, uris
+
+
+def parse_manifest_columns(stream: Iterable[str]) -> ManifestColumns:
+    """Parse and validate a manifest into columns, reporting offending line numbers.
+
+    Headings must lie in [0, 720) before normalization into [0, 360).
+    Duplicate ids, unknown columns, and mixed zones are rejected. The rows
+    are read ``MANIFEST_CHUNK_ROWS`` at a time, and each chunk becomes ids
+    and arrays before the next is read. Its structural checks (cell count,
+    empty id) run on whole lists, and ids are checked for duplicates once
+    all are read; each row then meets the value checks in one fixed order
+    (``_chunk_columns``). A fault names the earliest faulty row and the first
+    check it fails, as a row-by-row parse would, except that a structural
+    fault anywhere is reported before any value fault; a structural fault
+    before a row the reader cannot read is reported before the read error.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise ManifestError("manifest is empty (no header row)")
+    unknown = [c for c in header if c not in _KNOWN_COLUMNS]
+    if unknown:
+        raise ManifestError(f"unknown manifest columns: {unknown}")
+    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise ManifestError(f"manifest header lacks required columns: {missing}")
+    if not ({"east", "north"} <= set(header) or {"lat", "lon"} <= set(header)):
+        raise ManifestError("manifest needs east/north or lat/lon columns")
+
+    id_col = max(i for i, c in enumerate(header) if c == "id")  # a repeated name reads its last column
+    ids: list[str] = []
+    id_lines = array("q")
+    parts: dict[str, list[np.ndarray]] = {}
+    zones: set[tuple[int, str]] = set()
+    uris: list[str | None] | None = [] if "uri" in header else None
+    fault: ManifestError | None = None  # the first value fault, raised once every row's structure passed
+    for rows, lines, error in _chunks(reader, MANIFEST_CHUNK_ROWS):
+        whole = set(map(len, rows)) <= {len(header)}
+        chunk_ids = list(map(str.strip, map(itemgetter(id_col), rows))) if whole else []
+        if error is not None or not whole or not all(chunk_ids):
+            # A faulty chunk always holds a structural fault; after a read error there may be none.
+            raise _structure_fault(ids, id_lines, rows, lines, len(header), id_col) or error
+        ids += chunk_ids
+        id_lines.extend(lines)
+        if fault is None:
+            try:
+                columns, chunk_zones, chunk_uris = _chunk_columns(header, rows, lines)
+            except ManifestError as exc:
+                fault = exc.with_traceback(None)  # its traceback would keep the chunk's cells
+            else:
+                for name, values in columns.items():
+                    parts.setdefault(name, []).append(values)
+                zones |= chunk_zones
+                if uris is not None:
+                    uris += chunk_uris
+        del rows, lines, chunk_ids  # the next chunk's cells are the only ones alive while it is read
+    if len(dict.fromkeys(ids)) != len(ids):  # a dict of many ids peaks at about a quarter of a set's memory
+        raise _structure_fault(ids, id_lines, (), (), len(header), id_col)
+    if fault is not None:
+        raise fault
+    del id_lines
+
+    # One column at a time, so the chunks of one column are all that is held twice.
+    heading, lat, lon, east, north, projected, zoned, has_utm = (
+        np.concatenate(parts.pop(name))
+        for name in ("heading", "lat", "lon", "east", "north", "projected", "zoned", "has_utm")
+    )
+    np.remainder(heading, 360.0, out=heading)  # in place: no kept column is allocated after the projection
     rows_projected = np.flatnonzero(projected)
     if rows_projected.size:
         utm_east, utm_north, utm_zone, south = latlon_to_utm_arrays(lat[rows_projected], lon[rows_projected])
@@ -249,7 +339,7 @@ def parse_manifest_columns(stream: Iterable[str]) -> ManifestColumns:
     if len(zones) > 1:
         raise ManifestError(f"manifest mixes zones/hemispheres: {sorted(zones)}")
     zone_number, hemisphere = zones.pop() if zones else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
-    return ManifestColumns(ids, east, north, np.remainder(heading, 360.0), zone_number, hemisphere, lat, lon, uris)
+    return ManifestColumns(ids, east, north, heading, zone_number, hemisphere, lat, lon, uris)
 
 
 def parse_manifest(stream: Iterable[str]) -> list[ImageRecord]:

@@ -10,14 +10,15 @@ products differently by position, so duplicates can rank by that rounding.
 index, not a copy. It adopts a Fortran-ordered float64 array as it is and
 copies anything else once; either way it freezes the array read-only.
 ``recall_at_n`` scores queries in blocks, one matrix product per block, into
-one similarity buffer of about 8 MiB that every block reuses. It selects the
-top K in steps of rows whose copy takes at most 1/32 of that buffer: one
-partial partition per step, then one exact sort of the step's candidates
-(exact flat inner-product search, as in FAISS). A retrieved item counts as
-correct for a query when its pose lies within the metric threshold of the
-query pose, both taken in one shared UTM zone. The search reads ids and
-``(N, 2)`` east/north arrays (``evaluate`` takes them from manifest columns);
-GeoPoses and ``(descriptor, GeoPose)`` pairs are accepted and turned into them.
+one similarity buffer of about 4 MiB (``SEARCH_BLOCK_BYTES``) that every
+block reuses. It selects the top K in steps of rows whose copy takes at most
+256 KiB (``TOP_K_STEP_BYTES``): one partial partition per step, then one
+exact sort of the step's candidates (exact flat inner-product search, as in
+FAISS). A retrieved item counts as correct for a query when its pose lies
+within the metric threshold of the query pose, both taken in one shared UTM
+zone. The search reads ids and ``(N, 2)`` east/north arrays (``evaluate``
+takes them from manifest columns); GeoPoses and ``(descriptor, GeoPose)``
+pairs are accepted and turned into them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ _UNIT_TOL = 1e-5
 DEFAULT_KS = (1, 5, 10, 20)
 DEFAULT_THRESHOLD_M = 25.0
 # Bytes of one search block's (queries x rows) similarity matrix.
-SEARCH_BLOCK_BYTES = 8 << 20
+SEARCH_BLOCK_BYTES = 4 << 20
+# Bytes of the copy of one step of a block's rows that the top-K selection partitions.
+TOP_K_STEP_BYTES = 256 << 10
 REPORT_FORMAT = "eval-report"
 REPORT_VERSION = 1
 
@@ -114,16 +117,16 @@ def _query_matrix(descriptors: np.ndarray | Sequence[np.ndarray], dim: int) -> n
 def _top_rows(sims: np.ndarray, k: int) -> np.ndarray:
     """Row indices of the ``k`` largest entries of each row of ``sims``, by (-sim, row).
 
-    Works on steps of rows whose copy takes at most 1/32 of a search block (``SEARCH_BLOCK_BYTES``),
-    and at least one row. One partial partition of a copy of the step finds each row's k-th largest
-    similarity; every entry at least that large, ties included, is a candidate, and one exact sort of
-    the step's candidates by (row, -sim), stable in column order, makes each row's cut. The block's
-    similarity matrix stays the only large buffer. Returns (Q, min(k, N)).
+    Works on steps of rows whose copy takes at most ``TOP_K_STEP_BYTES``, and at least one row. One
+    partial partition of a copy of the step finds each row's k-th largest similarity; every entry at
+    least that large, ties included, is a candidate, and one exact sort of the step's candidates by
+    (row, -sim), stable in column order, makes each row's cut. The block's similarity matrix stays
+    the only large buffer. Returns (Q, min(k, N)).
     """
     q, n = sims.shape
     k = min(k, n)
     out = np.empty((q, k), dtype=np.intp)
-    step = max(1, SEARCH_BLOCK_BYTES // (32 * sims.itemsize * n))
+    step = max(1, TOP_K_STEP_BYTES // (sims.itemsize * n))
     row_numbers, cut = np.arange(step), np.arange(k)
     out_flat = out.reshape(-1)  # a view: the steps write their rows' flat indices, taken mod N at the end
     for start in range(0, q, step):

@@ -42,6 +42,7 @@ import struct
 import tokenize
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -133,13 +134,18 @@ class FeatureStore(Mapping[str, np.ndarray]):
     The block keeps its dtype; one that is not real numbers, or a non-finite
     map (named by its record), raises DomainError, so readers need not check again.
     A store that ``load_features`` reduced holds one reduced row per id instead.
+    The id → row map is built on the first lookup, so a store read only by
+    ``block`` (as ``geoloc eval`` reads its stores) never holds one.
     """
 
     def __init__(self, ids: Sequence[str], block: np.ndarray) -> None:
         self.ids = list(ids)
         self.block = block
         _check_maps(block, self.ids)
-        self._row = {rid: i for i, rid in enumerate(self.ids)}
+
+    @cached_property
+    def _row(self) -> dict[str, int]:
+        return {rid: i for i, rid in enumerate(self.ids)}
 
     def __getitem__(self, rid: str) -> np.ndarray:
         return self.block[self._row[rid]]
@@ -152,8 +158,9 @@ class FeatureStore(Mapping[str, np.ndarray]):
 
     def rows(self, ids: Iterable[str]) -> np.ndarray:
         """Block row index of each id; an absent id raises ManifestError naming it."""
+        row = self._row
         try:
-            return np.array([self._row[rid] for rid in ids], dtype=np.intp)
+            return np.array([row[rid] for rid in ids], dtype=np.intp)
         except KeyError as exc:
             raise ManifestError(f"feature store has no entry for record {exc.args[0]!r}") from None
 

@@ -4,18 +4,23 @@ Each oracle recomputes its answer from definitions and imports nothing from
 ``geoloc`` but ``geoloc.errors``, so none of them shares a code path with
 the code under test: the partition oracles redo the floor/modulo arithmetic
 inline, gradients are checked against central differences, and zip members
-are read with the standard library's ``zipfile``.
+are read with the standard library's ``zipfile``. ``parse_manifest_whole``
+is the manifest parser as it was before it read in chunks, frozen as a parity
+oracle; it takes the lat/lon projection as an argument.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import zipfile
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
-from geoloc.errors import DomainError
+from geoloc.errors import DomainError, ManifestError
 
 
 def central_difference(f, x, eps):
@@ -215,3 +220,126 @@ def oracle_pairwise_check(world, part) -> list[Violation]:
                             )
                         )
     return violations
+
+
+_MANIFEST_COLUMNS = ("id", "east", "north", "heading", "lat", "lon", "uri", "zone", "hemisphere")
+_HEMISPHERES = ("north", "south")
+
+
+def _whole_floats(cells, use):
+    values, rejected = np.full(len(cells), np.nan), np.zeros(len(cells), bool)
+    rows = np.flatnonzero(use)
+    used = cells if rows.size == len(cells) else [cells[i] for i in rows]
+    try:
+        values[rows] = list(map(float, used))
+    except ValueError:
+        for i in rows:
+            try:
+                values[i] = float(cells[i])
+            except ValueError:
+                rejected[i] = True
+    return values, rejected
+
+
+def _whole_structure_fault(rows, lines, width, id_col):
+    seen = {}
+    for row, line in zip(rows, lines):
+        if len(row) != width:
+            count = "more" if len(row) > width else "fewer"
+            return ManifestError(f"line {line}: {count} cells than header columns")
+        rid = row[id_col].strip()
+        if not rid:
+            return ManifestError(f"line {line}: empty id")
+        if rid in seen:
+            return ManifestError(f"duplicate id {rid!r} on lines {seen[rid]} and {line}")
+        seen[rid] = line
+    return None
+
+
+def parse_manifest_whole(stream, latlon_to_utm_arrays):
+    """``(ids, east, north, heading, zone_number, hemisphere, lat, lon, uris)`` of a manifest, read whole.
+
+    Every row is read before any is checked: the structural checks run on all rows, then the value
+    checks on whole columns. ``latlon_to_utm_arrays(lat, lon)`` returns ``(east, north, zone, south)``
+    arrays. Numbers are read with ``float`` alone, so ``1_000`` and non-ASCII digits pass.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise ManifestError("manifest is empty (no header row)")
+    unknown = [c for c in header if c not in _MANIFEST_COLUMNS]
+    if unknown:
+        raise ManifestError(f"unknown manifest columns: {unknown}")
+    missing = [c for c in ("id", "heading") if c not in header]
+    if missing:
+        raise ManifestError(f"manifest header lacks required columns: {missing}")
+    if not ({"east", "north"} <= set(header) or {"lat", "lon"} <= set(header)):
+        raise ManifestError("manifest needs east/north or lat/lon columns")
+
+    id_col = max(i for i, c in enumerate(header) if c == "id")
+    rows, lines = [], []
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    except Exception:
+        fault = _whole_structure_fault(rows, lines, len(header), id_col)
+        if fault is None:
+            raise
+        raise fault from None
+    whole = set(map(len, rows)) <= {len(header)}
+    ids = list(map(str.strip, map(itemgetter(id_col), rows))) if whole else []
+    if not whole or not all(ids) or len(dict.fromkeys(ids)) != len(ids):
+        raise _whole_structure_fault(rows, lines, len(header), id_col)
+    n = len(rows)
+    cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+    blank = ("",) * n
+
+    def present(*names):
+        return np.logical_and.reduce([np.fromiter(map(bool, cells.get(c, blank)), bool, n) for c in names])
+
+    checks = []
+
+    def numbers(name, use):
+        values, rejected = _whole_floats(cells.get(name, blank), use)
+        checks.append((rejected, lambda i: f"column {name!r} is not a number: {cells[name][i]!r}"))
+        checks.append((use & ~np.isfinite(values), lambda i: f"column {name!r} must be finite, got {cells[name][i]!r}"))
+        return values
+
+    heading = numbers("heading", np.ones(n, bool))
+    checks.append((~((heading >= 0.0) & (heading < 720.0)), lambda i: f"heading {heading[i].item()} outside [0, 720)"))
+    latlon = present("lat", "lon")
+    lat, lon = numbers("lat", latlon), numbers("lon", latlon)
+    checks.append((latlon & ~(np.abs(lat) <= 90.0), lambda i: f"latitude {lat[i].item()} outside [-90, 90]"))
+    zoned = present("zone")
+    zone = numbers("zone", zoned)
+    bad_zone = zoned & ~((zone == np.floor(zone)) & (zone >= 1.0) & (zone <= 60.0))
+    checks.append((bad_zone, lambda i: f"zone must be an integer in [1, 60], got {cells['zone'][i]!r}"))
+    hemispheres = list(map(str.strip, cells.get("hemisphere", blank)))
+    bad_hemisphere = zoned & ~np.fromiter(map(_HEMISPHERES.__contains__, hemispheres), bool, n)
+    checks.append((bad_hemisphere, lambda i: f"hemisphere must be one of {_HEMISPHERES}, got {hemispheres[i]!r}"))
+    has_utm = present("east", "north")
+    checks.append((~has_utm & ~latlon, lambda i: "neither east/north nor lat/lon present"))
+    projected = latlon & (~zoned | ~has_utm)
+    outside_band = projected & (np.abs(lat) > 84.0)
+    checks.append((outside_band, lambda i: f"latitude {lat[i].item()} outside the +/-84.0 degree UTM band"))
+    east, north = numbers("east", has_utm), numbers("north", has_utm)
+    faulty = np.logical_or.reduce([mask for mask, _ in checks])
+    if faulty.any():
+        i = int(faulty.argmax())
+        raise ManifestError(f"line {lines[i]}: {next(message for mask, message in checks if mask[i])(i)}")
+    uris = [u.strip() or None for u in cells["uri"]] if "uri" in cells else None
+
+    zones = set(zip(zone[zoned].astype(int).tolist(), compress(hemispheres, zoned.tolist())))
+    rows_projected = np.flatnonzero(projected)
+    if rows_projected.size:
+        utm_east, utm_north, utm_zone, south = latlon_to_utm_arrays(lat[rows_projected], lon[rows_projected])
+        fill = ~has_utm[rows_projected]
+        east[rows_projected[fill]], north[rows_projected[fill]] = utm_east[fill], utm_north[fill]
+        derived = ~zoned[rows_projected]
+        zones.update(zip(utm_zone[derived].tolist(), np.where(south[derived], "south", "north").tolist()))
+    if len(zones) > 1:
+        raise ManifestError(f"manifest mixes zones/hemispheres: {sorted(zones)}")
+    zone_number, hemisphere = zones.pop() if zones else (10, "north")
+    return ids, east, north, np.remainder(heading, 360.0), zone_number, hemisphere, lat, lon, uris

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ def _drop(kind: str, blob: bytes, key: str) -> bytes:
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_corrupt_artifact_gives_one_error_line(pipeline, tmp_path_factory, kind, data):
+    _check_corrupt_artifact(pipeline, tmp_path_factory, kind, data)
+
+
+@pytest.mark.parametrize("kind", MANIFESTS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupt_manifest_read_in_chunks_of_three_rows_gives_one_error_line(pipeline, tmp_path_factory, kind, data):
+    # Each manifest spans several 3-row chunks, so a fault can land in a chunk after the first.
+    with mock.patch.object(ingest, "MANIFEST_CHUNK_ROWS", 3):
+        _check_corrupt_artifact(pipeline, tmp_path_factory, kind, data)
+
+
+def _check_corrupt_artifact(pipeline, tmp_path_factory, kind, data):
     source, argv = pipeline[kind]
     blob = source.read_bytes()
     op = data.draw(st.sampled_from(["truncate", "flip", "drop"]), label="op")

@@ -1,21 +1,28 @@
 import csv
 import io
 import itertools
+from functools import partial
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geoloc import ingest
 from geoloc.errors import DomainError, ManifestError
+from geoloc.geodesy import latlon_to_utm_arrays
 from geoloc.ingest import (
     ImageRecord,
     ManifestColumns,
+    load_manifest_columns,
     parse_manifest,
     parse_manifest_columns,
     serialize_manifest,
     split_validation,
 )
 from geoloc.partition import GeoPose
+from oracles import parse_manifest_whole
 
 
 def parse(text):
@@ -323,3 +330,105 @@ def test_a_structural_fault_is_reported_before_a_later_unreadable_row():
         parse(text)
     with pytest.raises(csv.Error, match="field limit"):
         parse(f"id,east,north,heading\na,1,2,3\n{'b' * 140_000},1,2,3\na,1,2,3\n")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a,1_000.5,2,3", "column 'east' is not a number: '1_000.5'"),  # float() reads 1000.5
+        ("a,1,2,\u0661", "column 'heading' is not a number: '\u0661'"),  # an Arabic-Indic one: float() reads 1.0
+        ("a,1,\uff12,3", "column 'north' is not a number: '\uff12'"),  # a fullwidth two
+        ("a,1,2,\u00a05", "column 'heading' is not a number: '\\xa05'"),  # float() strips the no-break space
+        ("a,zz,2,\u0661", "column 'heading' is not a number: '\u0661'"),  # heading is checked before east
+        ("a,1_0,2,800", "heading 800.0 outside [0, 720)"),  # and so is its range
+    ],
+)
+def test_numbers_must_be_ascii_without_underscores(row, message):
+    with pytest.raises(ManifestError) as exc:
+        parse(f"id,east,north,heading\nb,1,2,3\n{row}\n")
+    assert str(exc.value) == f"line 3: {message}"
+    assert parse("id,east,north,heading\na, 1.5e3 ,-2,+3\n")[0].pose == GeoPose(1500.0, -2.0, 3.0)
+
+
+_PARITY_HEADER = _HEADER.strip() + ",uri"
+# Rows of a parity manifest by kind: each is formatted with a fresh id, except "duplicate", which
+# repeats the id of the row before it. Some hold more than one line ("multiline") or none ("blank").
+_PARITY_ROWS = {
+    "utm": "{},553201.25,4183422.5,47,10,north,,,",
+    "latlon": "{},,,359.5,,,37.77,-122.41,s3://b/x.jpg",
+    "both": "{},553201.25,4183422.5,700,10,north,37.77,-122.41, http://h/y ",
+    "nan": "{},1,2,nan,10,north,,,",
+    "zone-11": "{},,,3,,,37.77,-118.0,",
+    "multiline": '{},1,2,3,10,north,,,"line\nbreak"',
+    "blank": "",
+    "duplicate": "{},1,2,3,10,north,,,",
+    "fewer": "{},1,2",
+    "more": "{},1,2,3,10,north,,,,extra",
+    "empty-id": " ,1,2,3,10,north,,,",
+    "overlong": "{},1,2,3,10,north,,,%s" % ("u" * 140_000),
+    **{kind: row + "," for kind, (row, _) in _FAULTS.items()},
+}
+
+
+def _parity_manifest(kinds, bom):
+    lines, rid = [_PARITY_HEADER], "r0"
+    for i, kind in enumerate(kinds):
+        rid = rid if kind == "duplicate" else f"r{i}"
+        lines.append(_PARITY_ROWS[kind].format(rid))
+    return ("\ufeff" if bom else "") + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(_PARITY_ROWS)), max_size=14)
+    | st.lists(st.sampled_from(["utm", "latlon", "both", "blank", "multiline", "duplicate"]), max_size=14),
+    bom=st.booleans(),
+)
+# Chunks of 3 rows: a duplicate id across a chunk boundary, a structural fault a chunk after a value
+# fault, and an unreadable row before and after a structural fault.
+@example(kinds=["utm", "utm", "latlon", "duplicate", "utm"], bom=False)
+@example(kinds=["utm", "heading", "utm", "utm", "blank", "fewer", "latlon"], bom=True)
+@example(kinds=["utm", "not-a-number", "zone", "utm", "utm", "duplicate"], bom=False)
+@example(kinds=["utm", "utm", "overlong", "utm", "more"], bom=False)
+@example(kinds=["utm", "empty-id", "utm", "overlong", "utm"], bom=False)
+@example(kinds=["utm", "multiline", "utm", "blank", "latlon", "both", "multiline"], bom=True)
+def test_chunked_parse_returns_what_the_whole_file_parse_returns(tmp_path_factory, kinds, bom):
+    path = tmp_path_factory.mktemp("parity") / "manifest.csv"
+    path.write_bytes(_parity_manifest(kinds, bom).encode("utf-8"))
+
+    def outcome(read):
+        try:
+            return read()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    whole = partial(parse_manifest_whole, latlon_to_utm_arrays=latlon_to_utm_arrays)
+    want = outcome(lambda: ingest._read_manifest(path, whole))
+    with mock.patch.object(ingest, "MANIFEST_CHUNK_ROWS", 3):
+        got = outcome(lambda: load_manifest_columns(path))
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    ids, east, north, heading, zone_number, hemisphere, lat, lon, uris = want
+    assert isinstance(got, ManifestColumns), got
+    assert (got.ids, got.zone_number, got.hemisphere, got.uris) == (ids, zone_number, hemisphere, uris)
+    for name, array in (("east", east), ("north", north), ("heading", heading), ("lat", lat), ("lon", lon)):
+        mine = getattr(got, name)
+        assert (mine.dtype, mine.shape, mine.tobytes()) == (array.dtype, array.shape, array.tobytes()), name
+
+
+def test_parse_memory_grows_by_little_more_than_the_kept_columns_per_row(tmp_path, traced_peak):
+    # A parse keeps ~110 B per lat/lon row (its id and five float64 columns). Reading the whole file
+    # before checking it held every row's cells at once, ~490 B per row; chunks of rows hold one
+    # chunk's cells. The bound, 256 B per row, is fixed in advance, not fitted to a reading.
+    rng = np.random.default_rng(34)
+    peaks = {}
+    for n in (100, 4_000, 12_000):  # the first parse of a process also makes one-off allocations
+        lats, lons, headings = (rng.uniform(lo, hi, n).tolist() for lo, hi in ((37.7, 37.8), (-122.5, -122.4), (0, 360)))
+        rows = (f"db_{i:06d},{lat!r},{lon!r},{h!r}" for i, (lat, lon, h) in enumerate(zip(lats, lons, headings)))
+        path = tmp_path / f"db{n}.csv"
+        path.write_text("id,lat,lon,heading\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        columns, peaks[n] = traced_peak(lambda: load_manifest_columns(path))
+        assert len(columns) == n
+    per_row = (peaks[12_000] - peaks[4_000]) / 8_000
+    assert per_row <= 256, f"{per_row:.0f} B per row"

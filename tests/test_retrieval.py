@@ -260,7 +260,8 @@ def test_blocked_search_matches_lexsort_oracle_under_heavy_ties(db, queries, ks,
     index = build_index(matrix, [f"d{i}" for i in range(len(db))], [GeoPose(float(e), float(n), 0.0) for _, e, n in db])
     pairs = [(np.array(v), GeoPose(float(e), float(n), 0.0)) for v, e, n in queries]
     # Blocks of block_rows queries: query counts that are not a multiple of the block are covered.
-    with mock.patch.object(retrieval, "SEARCH_BLOCK_BYTES", block_rows * 8 * len(db)):
+    # Top-K steps of one row each, so ties meet at every step boundary.
+    with mock.patch.multiple(retrieval, SEARCH_BLOCK_BYTES=block_rows * 8 * len(db), TOP_K_STEP_BYTES=8 * len(db)):
         report = recall_at_n(index, pairs, ks=ks, threshold_m=threshold_m)
     kmax = min(max(ks), len(db))  # max(ks) may exceed the database
     for qi, (q, pose) in enumerate(pairs):
@@ -300,9 +301,11 @@ def test_top_rows_matches_lexsort_oracle_across_step_shapes(n, queries, block_ro
     rng = np.random.default_rng(n + queries + max(ks))
     matrix, positions, index, pairs = _lattice_case(rng, n, queries)
     block_bytes = retrieval.SEARCH_BLOCK_BYTES if block_rows is None else block_rows * 8 * n
-    step_rows = block_bytes // (32 * 8 * n)
+    # Steps of a 32nd of a patched block; unpatched, one row is wider than the step budget.
+    step_bytes = retrieval.TOP_K_STEP_BYTES if block_rows is None else block_bytes // 32
+    step_rows = step_bytes // (8 * n)
     assert step_rows == (0 if block_rows is None else block_rows // 32)
-    with mock.patch.object(retrieval, "SEARCH_BLOCK_BYTES", block_bytes):
+    with mock.patch.multiple(retrieval, SEARCH_BLOCK_BYTES=block_bytes, TOP_K_STEP_BYTES=step_bytes):
         report = recall_at_n(index, pairs, ks=ks, threshold_m=0.5)
         kmax = min(max(ks), n)
         for qi, (q, pose) in enumerate(pairs):

@@ -561,6 +561,18 @@ def test_load_features_holds_little_per_member(tmp_path, traced_peak, given):
     assert (peak - kept) / count <= 320, f"{(peak - kept) / count:.0f} B per member above the store's {kept} B"
 
 
+def test_a_store_holds_little_beyond_its_ids_and_block(traced_peak):
+    # Its own list of the ids costs 8 B per id; an id -> row dict built up front
+    # would cost ~56 B more. The bound, 16 B per id, is fixed in advance.
+    count = 20_000
+    ids, block = [f"r{i:05d}" for i in range(count)], np.zeros((count, 4))
+    store, peak = traced_peak(lambda: FeatureStore(ids, block))
+    assert peak / count <= 16, f"{peak / count:.1f} B per id"
+    assert store.rows(["r00007", "r19999"]).tolist() == [7, 19999] and store["r00003"] is not None
+    with pytest.raises(ManifestError, match="feature store has no entry for record 'nope'"):
+        store.rows(["r00001", "nope"])
+
+
 def _zip64_store(path, arrays, monkeypatch):
     """``np.savez`` of ``arrays`` with zip64 end records and zip64 central directory fields.
 
