@@ -234,7 +234,7 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
         "max_cross_similarity": world.max_cross_similarity,
     }
     write_atomic(Path(args.out_dir) / "world.json", dump_json(summary))
-    ingest.load_manifest(paths["manifest"])  # validate what we wrote
+    ingest.load_manifest_columns(paths["manifest"])  # validate what we wrote
     print(f"wrote {len(world.records)} records under {args.out_dir}")
     return 0
 

@@ -217,6 +217,7 @@ def utm_to_latlon(c: UtmCoord) -> LatLon:
     phi = math.atan(_tau_from_tau_prime(tau_p))
     lam = math.atan2(math.sinh(eta_p), math.cos(xi_p))
 
-    longitude = central_meridian_deg(c.zone_number) + math.degrees(lam)
+    # UtmCoord has range-checked the zone, so its central meridian needs no array round trip.
+    longitude = (c.zone_number - 1) * 6.0 - 180.0 + 3.0 + math.degrees(lam)
     return LatLon(latitude=math.degrees(phi), longitude=longitude)
 

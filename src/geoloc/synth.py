@@ -32,6 +32,8 @@ an offset needs them. Stores written by ``np.savez`` load the same way.
 
 Everything is generated from one seeded stream, so equal configs produce
 bit-identical worlds, and byte-identical files that can be checked by hash.
+Each image takes two draws from it, its three uniforms and then all its
+normals; the maps of one (place, heading) slot are computed together.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ import numpy as np
 
 from .atomic import AtomicFile, make_dir
 from .errors import DomainError, ManifestError
-from .ingest import ImageRecord, save_manifest
-from .partition import GeoPose
+from .ingest import ImageRecord, ManifestColumns, save_manifest
 
 # All synthetic worlds live in one UTM zone at a plausible in-zone offset.
 SYNTH_ZONE_NUMBER = 10
@@ -193,8 +194,12 @@ def _spread_unit_vectors(rng: np.random.Generator, count: int, dim: int, iterati
     for _ in range(iterations):
         gram = vecs @ vecs.T
         np.fill_diagonal(gram, 0.0)
-        weights = np.exp(30.0 * (np.abs(gram) - np.abs(gram).max()))
-        push = (weights * gram) @ vecs
+        weights = np.abs(gram)  # in place from here: exp(30 (|gram| - max |gram|)) * gram
+        weights -= weights.max()
+        weights *= 30.0
+        np.exp(weights, out=weights)
+        weights *= gram
+        push = weights @ vecs
         norms = np.linalg.norm(push, axis=1, keepdims=True)
         norms[norms < 1e-12] = 1.0
         vecs -= 0.3 * push / norms
@@ -248,44 +253,46 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
     signal = vectors @ lift.T
     offset = float(-signal.min()) + 1.0 + 4.0 * (cfg.noise_sigma + cfg.nuisance_sigma + cfg.domain_shift_sigma)
 
-    records: list[ImageRecord] = []
-    n_images = len(positions) * cfg.headings_per_place * cfg.images_per_place_heading
-    block = np.empty((n_images, c, h, w), dtype=np.float32)
+    # Each image draws three uniforms (xy, then heading) and then its nuisance, map-noise and
+    # domain-shift normals, two generator calls in all; the arithmetic on them runs per slot.
+    n = cfg.images_per_place_heading
+    nuisance = cfg.nuisance_dim if nuisance_lift is not None and cfg.nuisance_sigma > 0.0 else 0
     shifted = cfg.domain_shift_sigma > 0.0
+    n_images = len(positions) * cfg.headings_per_place * n
+    uniforms = np.empty((n_images, 3))
+    normals = np.empty((n, nuisance + c * h * w * (2 if shifted else 1)))
+    lifted = np.empty((n, c))
+    normal_rows, nuisance_rows, lifted_rows = list(normals), list(normals[:, :nuisance]), list(lifted)
+    maps = normals[:, nuisance:].reshape(n, -1, c, h, w)  # the map noise, then any domain shift
+    block = np.empty((n_images, c, h, w), dtype=np.float32)
     query_block = np.empty_like(block) if shifted else block
-    latent_key_of: dict[str, tuple[int, int]] = {}
-    for p, pos in enumerate(positions):
-        for k, h_bin in enumerate(slot_bins):
-            slot_chan = lift @ latents[(p, h_bin)] + offset
-            for i in range(cfg.images_per_place_heading):
-                xy = pos + rng.uniform(-m / 5.0, m / 5.0, size=2)
-                heading = (slot_centers[p, k] + rng.uniform(-alpha / 5.0, alpha / 5.0)) % 360.0
-                rid = f"p{p:04d}h{k:02d}i{i:03d}"
-                chan = slot_chan
-                if nuisance_lift is not None and cfg.nuisance_sigma > 0.0:
-                    chan = chan + cfg.nuisance_sigma * (
-                        nuisance_lift @ rng.standard_normal(cfg.nuisance_dim)
-                    )
-                row = len(records)
-                fmap = chan[:, None, None] + cfg.noise_sigma * rng.standard_normal((c, h, w))
-                block[row] = fmap
-                if shifted:
-                    query_block[row] = fmap + cfg.domain_shift_sigma * rng.standard_normal((c, h, w))
-                records.append(
-                    ImageRecord(
-                        id=rid,
-                        pose=GeoPose(
-                            east=float(SYNTH_EAST_OFFSET + xy[0]),
-                            north=float(SYNTH_NORTH_OFFSET + xy[1]),
-                            heading=float(heading),
-                        ),
-                        zone_number=SYNTH_ZONE_NUMBER,
-                        hemisphere=SYNTH_HEMISPHERE,
-                    )
-                )
-                latent_key_of[rid] = (p, h_bin)
+    slot_keys = [(p, b) for p in range(len(positions)) for b in slot_bins]
+    for slot, key in enumerate(slot_keys):
+        rows = slice(slot * n, (slot + 1) * n)
+        for u, z in zip(uniforms[rows], normal_rows):
+            rng.random(out=u)
+            rng.standard_normal(out=z)
+        chan = lift @ latents[key] + offset
+        if nuisance:
+            for z, out in zip(nuisance_rows, lifted_rows):
+                np.matmul(nuisance_lift, z, out=out)  # one product per image: a batched one rounds differently
+            chan = chan + cfg.nuisance_sigma * lifted
+        fmap = chan[..., None, None] + cfg.noise_sigma * maps[:, 0]
+        block[rows] = fmap
+        if shifted:
+            query_block[rows] = fmap + cfg.domain_shift_sigma * maps[:, 1]
+    # ``Generator.uniform(-a, a)`` is ``-a + (a - -a) * random()``, and ``a - -a`` is ``2.0 * a`` exactly.
+    xy = np.repeat(positions, cfg.headings_per_place * n, axis=0) + (-m / 5.0 + 2.0 * (m / 5.0) * uniforms[:, :2])
+    heading = (np.repeat(slot_centers.ravel(), n) + (-alpha / 5.0 + 2.0 * (alpha / 5.0) * uniforms[:, 2])) % 360.0
+    slot_names = [f"p{p:04d}h{k:02d}" for p in range(len(positions)) for k in range(len(slot_bins))]
+    image_names = [f"i{i:03d}" for i in range(n)]
+    ids = [slot + image for slot in slot_names for image in image_names]
+    latent_key_of = dict(zip(ids, (key for key in slot_keys for _ in range(n))))
+    absent = np.full(n_images, np.nan)
+    records = ManifestColumns(ids, SYNTH_EAST_OFFSET + xy[:, 0], SYNTH_NORTH_OFFSET + xy[:, 1], heading,
+                              SYNTH_ZONE_NUMBER, SYNTH_HEMISPHERE, absent, absent, None).records()
 
-    features = FeatureStore([r.id for r in records], block)
+    features = FeatureStore(ids, block)
     return SyntheticWorld(
         config=cfg,
         records=records,

@@ -6,7 +6,9 @@ the code under test: the partition oracles redo the floor/modulo arithmetic
 inline, gradients are checked against central differences, and zip members
 are read with the standard library's ``zipfile``. ``parse_manifest_whole``
 is the manifest parser as it was before it read in chunks, frozen as a parity
-oracle; it takes the lat/lon projection as an argument.
+oracle; it takes the lat/lon projection as an argument. ``generate_city_per_image``
+is the synthetic world generator as it was when it drew and computed image by
+image, frozen the same way; it takes the latent spreading as an argument.
 """
 
 from __future__ import annotations
@@ -343,3 +345,76 @@ def parse_manifest_whole(stream, latlon_to_utm_arrays):
         raise ManifestError(f"manifest mixes zones/hemispheres: {sorted(zones)}")
     zone_number, hemisphere = zones.pop() if zones else (10, "north")
     return ids, east, north, np.remainder(heading, 360.0), zone_number, hemisphere, lat, lon, uris
+
+
+def generate_city_per_image(cfg, spread_unit_vectors):
+    """The world of the ``CityConfig`` ``cfg``, drawn and computed one image at a time.
+
+    Returns ``(ids, poses, block, query_block, latents, latent_key_of, max_cross, dropped)``:
+    ``poses`` holds ``(east, north, heading)`` tuples and ``query_block`` is ``block`` unless
+    the world has a domain shift. ``spread_unit_vectors(rng, count, dim, iterations)`` gives
+    the unit latents.
+    """
+    if cfg.place_spacing_m < cfg.cell_size_m:
+        raise DomainError("place spacing below the cell size would merge places into one class")
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x51714]))
+    m = cfg.cell_size_m
+    alpha = cfg.heading_bin_deg
+    n_bins = round(360.0 / alpha)
+    n_side = int(cfg.extent_m // cfg.place_spacing_m)
+
+    grid_x, grid_y = np.meshgrid(np.arange(n_side), np.arange(n_side))
+    cells = np.floor((np.stack([grid_x.ravel(), grid_y.ravel()], axis=1) + 0.5) * cfg.place_spacing_m / m)
+    cells = cells[((cells + 1.0) * m).max(axis=1) <= cfg.extent_m + 1e-9]
+    if not len(cells):
+        raise DomainError("no place cell fits fully inside the extent")
+    dropped = n_side * n_side - len(cells)
+    positions = (cells + 0.5) * m + rng.uniform(-m / 8.0, m / 8.0, size=(len(cells), 2))
+
+    slot_bins = [int(k * 360.0 / cfg.headings_per_place // alpha) % n_bins for k in range(cfg.headings_per_place)]
+    slot_centers = (np.array(slot_bins) + 0.5) * alpha + rng.uniform(
+        -alpha / 8.0, alpha / 8.0, size=(len(positions), cfg.headings_per_place)
+    )
+
+    latent_keys = [(p, b) for p in range(len(positions)) for b in sorted(set(slot_bins))]
+    vectors = spread_unit_vectors(rng, len(latent_keys), cfg.latent_dim, cfg.repel_iterations)
+    latents = {key: vectors[i] for i, key in enumerate(latent_keys)}
+    gram = vectors @ vectors.T
+    np.fill_diagonal(gram, -1.0)
+    max_cross = float(gram.max()) if len(latent_keys) > 1 else -1.0
+
+    c, h, w = cfg.feature_map_shape
+    lift = rng.standard_normal((c, cfg.latent_dim))
+    nuisance_lift = None
+    if cfg.nuisance_dim > 0:
+        nuisance_lift = rng.standard_normal((c, cfg.nuisance_dim)) / math.sqrt(cfg.nuisance_dim)
+    signal = vectors @ lift.T
+    offset = float(-signal.min()) + 1.0 + 4.0 * (cfg.noise_sigma + cfg.nuisance_sigma + cfg.domain_shift_sigma)
+
+    ids, poses = [], []
+    n_images = len(positions) * cfg.headings_per_place * cfg.images_per_place_heading
+    block = np.empty((n_images, c, h, w), dtype=np.float32)
+    shifted = cfg.domain_shift_sigma > 0.0
+    query_block = np.empty_like(block) if shifted else block
+    latent_key_of = {}
+    for p, pos in enumerate(positions):
+        for k, h_bin in enumerate(slot_bins):
+            slot_chan = lift @ latents[(p, h_bin)] + offset
+            for i in range(cfg.images_per_place_heading):
+                xy = pos + rng.uniform(-m / 5.0, m / 5.0, size=2)
+                heading = (slot_centers[p, k] + rng.uniform(-alpha / 5.0, alpha / 5.0)) % 360.0
+                rid = f"p{p:04d}h{k:02d}i{i:03d}"
+                chan = slot_chan
+                if nuisance_lift is not None and cfg.nuisance_sigma > 0.0:
+                    chan = chan + cfg.nuisance_sigma * (
+                        nuisance_lift @ rng.standard_normal(cfg.nuisance_dim)
+                    )
+                row = len(ids)
+                fmap = chan[:, None, None] + cfg.noise_sigma * rng.standard_normal((c, h, w))
+                block[row] = fmap
+                if shifted:
+                    query_block[row] = fmap + cfg.domain_shift_sigma * rng.standard_normal((c, h, w))
+                ids.append(rid)
+                poses.append((float(550_000.0 + xy[0]), float(4_180_000.0 + xy[1]), float(heading)))
+                latent_key_of[rid] = (p, h_bin)
+    return ids, poses, block, query_block, latents, latent_key_of, max_cross, dropped

@@ -5,12 +5,16 @@ somewhere other than its own definition, in ``src/``, in ``bench/``, or as
 ``pyproject.toml``'s console script. A name used only inside code that is
 itself unreached does not count. Every name a ``src/`` module imports must
 be used in that module, unless its statement is marked ``# noqa: F401`` (a
-re-export). The checks read the source with ``ast`` and import nothing.
+re-export). Randomness comes only from seeded generators, the stream that
+byte-identical worlds and splits rest on. The checks read the source with
+``ast`` and import nothing.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "geoloc"
@@ -87,3 +91,75 @@ def test_every_name_a_src_module_imports_is_used_there():
             bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
             unused += [f"{path.stem}: {name}" for name in bound if name not in used]
     assert not unused, f"imported but unused: {unused}"
+
+
+# What ``src/`` may take from each random module: generators it seeds itself.
+SEEDED = {"numpy.random": {"default_rng", "SeedSequence", "Generator"}, "random": {"Random"}}
+# Each of these needs a seed, its first argument, that is not None.
+SEEDED_CALLS = {"numpy.random.default_rng", "numpy.random.SeedSequence", "random.Random"}
+
+
+def unseeded_randomness(tree: ast.AST) -> list[str]:
+    """Each use of randomness in ``tree`` that no seed pins, as ``line <n>: <name>``.
+
+    Any name of ``numpy.random`` or ``random`` outside ``SEEDED`` is one: the legacy
+    ``np.random.<draw>``, ``RandomState`` and ``seed``, or a module-level ``random.<draw>``.
+    So is a call in ``SEEDED_CALLS`` without a seed or with None. Names
+    are followed through import aliases.
+    """
+    bound = {}  # a local name -> the dotted name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname, a.name) if a.asname else (a.name.split(".")[0],) * 2 for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    faults = [f"line {node.lineno}: {node.module}.{a.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module in SEEDED
+              for a in node.names if a.name not in SEEDED[node.module]]
+
+    def resolve(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        head = resolve(node.value) if isinstance(node, ast.Attribute) else None
+        return head and f"{head}.{node.attr}"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            module, _, attr = (resolve(node) or "").rpartition(".")
+            if module in SEEDED and attr not in SEEDED[module]:
+                faults.append(f"line {node.lineno}: {module}.{attr}")
+        if isinstance(node, ast.Call) and resolve(node.func) in SEEDED_CALLS:
+            seed = node.args[0] if node.args else node.keywords[0].value if node.keywords else None
+            if seed is None or isinstance(seed, ast.Constant) and seed.value is None:
+                faults.append(f"line {node.lineno}: {resolve(node.func)}() without a seed")
+    return faults
+
+
+def test_src_draws_randomness_only_from_seeded_generators():
+    faults = [f"{path.stem}: {fault}" for path in sorted(SRC.glob("*.py"))
+              for fault in unseeded_randomness(ast.parse(path.read_text(), str(path)))]
+    assert not faults, f"randomness that no seed pins: {faults}"
+
+
+@pytest.mark.parametrize("source, faults", [
+    ("import numpy as np\nrng = np.random.default_rng(np.random.SeedSequence([1, 2]))", 0),
+    ("import random\nrandom.Random(7).shuffle(x)", 0),
+    ("import numpy as np\ndef f(rng: np.random.Generator): pass", 0),
+    ("import numpy as np\nrng = np.random.default_rng()", 1),
+    ("import numpy as np\nrng = np.random.default_rng(None)", 1),
+    ("import numpy\nx = numpy.random.rand(3)", 1),
+    ("import numpy as np\nnp.random.seed(0)", 1),
+    ("import numpy as np\nr = np.random.RandomState(0)", 1),
+    ("from numpy import random as npr\nx = npr.normal()", 1),
+    ("from numpy.random import default_rng\nrng = default_rng()", 1),
+    ("from numpy.random import shuffle", 1),
+    ("import random\nrandom.shuffle(x)", 1),
+    ("import random as r\nx = r.random()", 1),
+    ("import random\nrng = random.Random()", 1),
+    ("import numpy as np\nrng = np.random.default_rng(seed=None)", 1),
+    ("import numpy as np\nss = np.random.SeedSequence()", 1),
+    ("import numpy as np\nss = np.random.SeedSequence(entropy=3)", 0),
+    ("from random import choice", 1),
+])
+def test_unseeded_randomness_is_found(source, faults):
+    assert len(unseeded_randomness(ast.parse(source))) == faults

@@ -24,7 +24,7 @@ from geoloc.synth import (
     oracle_descriptor,
     write_world,
 )
-from oracles import oracle_pairwise_check, zip_members
+from oracles import generate_city_per_image, oracle_pairwise_check, zip_members
 
 SMALL = CityConfig(
     extent_m=60.0,
@@ -79,6 +79,47 @@ def test_generator_stream_is_pinned():
     first, last = world.records[0], world.records[-1]
     assert (first.id, first.pose) == ("p0000h00i000", GeoPose(550005.843202138, 4180005.6858921773, 12.698468558249878))
     assert (last.id, last.pose) == ("p0015h05i011", GeoPose(550070.1386834594, 4180064.873785056, 320.37661974957393))
+
+
+# Every branch of the per-image stream: with and without nuisance draws, with and without a
+# domain shift, one and six headings (bins shared by two slots too), one image per slot, odd
+# map shapes, latents from the QR and from the repelling path, and an extent that drops places.
+PER_IMAGE_CONFIGS = {
+    "no_nuisance": SMALL,
+    "nuisance_dim_without_sigma": dataclasses.replace(SMALL, nuisance_dim=3, nuisance_sigma=0.0),
+    "nuisance_without_shift": dataclasses.replace(SMALL, nuisance_dim=5, nuisance_sigma=0.7, feature_map_shape=(5, 3, 1)),
+    "nuisance_and_shift": dataclasses.replace(SMALL, nuisance_dim=2, nuisance_sigma=0.5, domain_shift_sigma=0.3,
+                                              feature_map_shape=(7, 1, 3), seed=3),
+    "one_heading": dataclasses.replace(SMALL, headings_per_place=1, images_per_place_heading=5, latent_dim=16,
+                                       domain_shift_sigma=0.1),
+    "six_headings_one_image": dataclasses.replace(SMALL, headings_per_place=6, images_per_place_heading=1,
+                                                  nuisance_dim=4, nuisance_sigma=2.5, domain_shift_sigma=0.05),
+    "shared_heading_bins": dataclasses.replace(SMALL, heading_bin_deg=90.0, headings_per_place=6, noise_sigma=0.0),
+    "dropped_places": CityConfig(seed=5, extent_m=100.0, place_spacing_m=20.0, cell_size_m=15.0, headings_per_place=6,
+                                 nuisance_dim=2, nuisance_sigma=0.5),
+}
+
+
+@pytest.mark.parametrize("cfg", PER_IMAGE_CONFIGS.values(), ids=PER_IMAGE_CONFIGS)
+def test_generate_city_equals_the_per_image_generator_bit_for_bit(cfg):
+    ids, poses, block, query_block, latents, latent_key_of, max_cross, dropped = generate_city_per_image(
+        cfg, synth._spread_unit_vectors)
+    world = generate_city(cfg)
+    assert [r.id for r in world.records] == world.features.ids == world.query_features.ids == ids
+    got = np.array([(r.pose.east, r.pose.north, r.pose.heading) for r in world.records])
+    np.testing.assert_array_equal(got.view(np.uint64), np.array(poses).view(np.uint64))
+    assert {(r.zone_number, r.hemisphere, r.source_uri, r.lat, r.lon) for r in world.records} == {
+        (SYNTH_ZONE_NUMBER, "north", None, None, None)}
+    assert world.features.block.dtype == block.dtype == np.float32
+    np.testing.assert_array_equal(world.features.block.view(np.uint32), block.view(np.uint32))
+    np.testing.assert_array_equal(world.query_features.block.view(np.uint32), query_block.view(np.uint32))
+    assert (world.query_features is world.features) == (query_block is block)
+    assert list(world.latent_key_of.items()) == list(latent_key_of.items())
+    assert list(world.latents) == list(latents)
+    for key, vector in latents.items():
+        np.testing.assert_array_equal(world.latents[key].view(np.uint64), vector.view(np.uint64))
+    assert repr(world.max_cross_similarity) == repr(max_cross)
+    assert world.dropped_places == dropped
 
 
 def test_noiseless_world_has_identical_same_class_maps():
