@@ -17,8 +17,9 @@ text with the partition the command builds (``_check_partition_file``).
 reduce that pools each chunk of maps with the checkpoint's pooling and
 projects it: the loader returns a reduced 2-D block in Fortran order, so the
 database block is the matrix the index adopts, and eval holds no pooled rows.
-Eval reads its manifests as columns (``ingest.load_manifest_columns``): it
-holds ids and position arrays, not a record per row.
+``partition``, ``train``, ``sweep`` and ``eval`` read manifests as columns
+(``ingest.load_manifest_columns``) and hold ids and arrays, not a record per
+row; ``train`` and ``sweep`` load each side's store on its own, as eval does.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return run_config_from_dict(raw)
 
 
-def _split_records(records, cfg: RunConfig):
-    return ingest.split_validation(records, cfg.split.fraction, cfg.seed)
-
-
 def cmd_convert(args: argparse.Namespace, cfg: RunConfig) -> int:
     records = ingest.load_manifest(args.input)
     ingest.save_manifest(records, args.output)
@@ -93,9 +90,8 @@ def cmd_convert(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
-    records = ingest.load_manifest(args.manifest)
-    train_records, _, _ = _split_records(records, cfg)
-    part = build_partition(train_records, cfg.partition)
+    train_rows = ingest.split_validation(ingest.load_manifest_columns(args.manifest), cfg.split.fraction, cfg.seed)[0]
+    part = build_partition(train_rows, cfg.partition)
     stats = partition_stats(part)
     save_partition(part, args.output, extra={"run_config": run_config_to_dict(cfg), "stats": stats})
     _check_partition_file(args.output, part)  # validate what we wrote
@@ -134,22 +130,19 @@ def _check_partition_file(path: str | Path, built: Partition) -> None:
 def _run_training_from_files(
     cfg: RunConfig, manifest: str, features: str, query_features: str | None, partition: str | None = None
 ):
-    records = ingest.load_manifest(manifest)
-    train_records, val_db, val_queries = _split_records(records, cfg)
-    part = build_partition(train_records, cfg.partition)
+    # The whole manifest's columns are dropped once split: training holds only its parts.
+    train_rows, val_db, val_queries = ingest.split_validation(
+        ingest.load_manifest_columns(manifest), cfg.split.fraction, cfg.seed
+    )
+    part = build_partition(train_rows, cfg.partition)
     if partition:
         _check_partition_file(partition, part)
-    # Training reads the members of the groups it visits and the validation split only; without
-    # query_features one load of the database store serves both.
+    # Training reads the members of the groups it visits and the validation split only, each side on its own.
     groups = train.used_groups(part, cfg.train)
     members = [rid for g in groups for cid in part.group_classes[g] for rid in part.class_members[cid]]
-    db_ids, query_ids = members + [r.id for r in val_db], [r.id for r in val_queries]
     reduce = train.store_reduce(cfg.train.model)
-    if query_features is None:
-        store = query_store = synth.load_features(features, db_ids + query_ids, reduce)
-    else:
-        store = synth.load_features(features, db_ids, reduce)
-        query_store = synth.load_features(query_features, query_ids, reduce)
+    store = synth.load_features(features, members + val_db.ids, reduce)
+    query_store = synth.load_features(query_features or features, val_queries.ids, reduce)
     return train.run_training(part, store, cfg.train, val_db, val_queries, query_store)
 
 
@@ -224,18 +217,18 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     world = synth.generate_city(cfg.city)
     paths = synth.write_world(world, args.out_dir)
-    _, val_db, val_queries = _split_records(world.records, cfg)
-    ingest.save_manifest(val_db, Path(args.out_dir) / "db.csv")
-    ingest.save_manifest(val_queries, Path(args.out_dir) / "queries.csv")
+    _, val_db, val_queries = ingest.split_validation(world.rows, cfg.split.fraction, cfg.seed)
+    ingest.save_manifest(val_db.records(), Path(args.out_dir) / "db.csv")
+    ingest.save_manifest(val_queries.records(), Path(args.out_dir) / "queries.csv")
     summary = {
         "config": run_config_to_dict(cfg),
-        "records": len(world.records),
+        "records": len(world.rows),
         "dropped_places": world.dropped_places,
         "max_cross_similarity": world.max_cross_similarity,
     }
     write_atomic(Path(args.out_dir) / "world.json", dump_json(summary))
     ingest.load_manifest_columns(paths["manifest"])  # validate what we wrote
-    print(f"wrote {len(world.records)} records under {args.out_dir}")
+    print(f"wrote {len(world.rows)} records under {args.out_dir}")
     return 0
 
 

@@ -17,6 +17,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, DomainError
 from .partition import PartitionConfig
+from .retrieval import DEFAULT_KS, DEFAULT_THRESHOLD_M
 from .synth import CityConfig
 from .train import TrainConfig
 
@@ -30,8 +31,8 @@ class SplitConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    threshold_m: float = 25.0
-    ks: tuple[int, ...] = (1, 5, 10, 20)
+    threshold_m: float = DEFAULT_THRESHOLD_M
+    ks: tuple[int, ...] = DEFAULT_KS
 
     def __post_init__(self) -> None:
         if not self.threshold_m >= 0:

@@ -121,11 +121,7 @@ def zone_number_for_longitude(longitude: float | np.ndarray) -> np.int64 | np.nd
 
 
 def central_meridian_deg(zone_number: int | np.ndarray) -> float | np.ndarray:
-    """Longitude of a UTM zone's central meridian in degrees, elementwise on an array."""
-    zones = np.asarray(zone_number)
-    outside = ~((zones >= 1) & (zones <= 60))
-    if outside.any():
-        raise DomainError(f"zone number {zones[outside].flat[0]} outside [1, 60]")
+    """Longitude of the central meridian of a UTM zone in [1, 60], in degrees, elementwise on an array."""
     return (zone_number - 1) * 6.0 - 180.0 + 3.0
 
 
@@ -217,7 +213,6 @@ def utm_to_latlon(c: UtmCoord) -> LatLon:
     phi = math.atan(_tau_from_tau_prime(tau_p))
     lam = math.atan2(math.sinh(eta_p), math.cos(xi_p))
 
-    # UtmCoord has range-checked the zone, so its central meridian needs no array round trip.
-    longitude = (c.zone_number - 1) * 6.0 - 180.0 + 3.0 + math.degrees(lam)
+    longitude = central_meridian_deg(c.zone_number) + math.degrees(lam)
     return LatLon(latitude=math.degrees(phi), longitude=longitude)
 

@@ -13,8 +13,9 @@ though ``float`` reads it. A structural fault (cell count, empty or
 duplicate id) anywhere is reported before any value fault; otherwise the
 fault reported is the earliest faulty row's first failed check. The one
 parser, ``parse_manifest_columns``, returns ``ManifestColumns`` (ids and
-arrays, as ``geoloc eval`` keeps them); ``parse_manifest`` builds an
-``ImageRecord`` per row from them. Lat/lon rows
+arrays), the one row type the pipeline splits, partitions, trains and
+evaluates on; ``parse_manifest`` builds an ``ImageRecord`` per row from them,
+for ``geoloc convert`` and library callers. Lat/lon rows
 are projected to UTM after every row has been checked, all in one
 ``geodesy.latlon_to_utm_arrays`` call, which also gives the zone when no
 row names one. Optional ``zone``/``hemisphere`` columns pin the UTM zone
@@ -134,23 +135,12 @@ class ManifestColumns:
             )
         ]
 
-    @classmethod
-    def of(cls, records: Sequence[ImageRecord]) -> ManifestColumns:
-        """The columns of ``records``, in the zone and hemisphere of the first (the default when there is none)."""
-        zone = (records[0].zone_number, records[0].hemisphere) if records else (DEFAULT_ZONE_NUMBER, DEFAULT_HEMISPHERE)
-        east, north, heading, lat, lon = (
-            np.fromiter(values, np.float64, len(records))
-            for values in (
-                (r.pose.east for r in records),
-                (r.pose.north for r in records),
-                (r.pose.heading for r in records),
-                (np.nan if r.lat is None else r.lat for r in records),
-                (np.nan if r.lon is None else r.lon for r in records),
-            )
-        )
-        uris = [r.source_uri for r in records] if any(r.source_uri is not None for r in records) else None
-        ids = [r.id for r in records]
-        return cls(ids, east, north, heading, *zone, lat, lon, uris)
+    def take(self, rows: np.ndarray) -> ManifestColumns:
+        """The columns of ``rows``, an integer array of row indices, in its order."""
+        picks = rows.tolist()
+        uris = None if self.uris is None else [self.uris[i] for i in picks]
+        return ManifestColumns([self.ids[i] for i in picks], self.east[rows], self.north[rows], self.heading[rows],
+                               self.zone_number, self.hemisphere, self.lat[rows], self.lon[rows], uris)
 
 
 def _chunks(reader: Iterator[list[str]], size: int) -> Iterator[tuple[list[list[str]], list[int], Exception | None]]:
@@ -397,25 +387,24 @@ def save_manifest(records: Sequence[ImageRecord], path: str | Path) -> None:
 
 
 def split_validation(
-    records: Sequence[ImageRecord], fraction: float, seed: int
-) -> tuple[list[ImageRecord], list[ImageRecord], list[ImageRecord]]:
-    """Deterministically split records into (train, val database, val queries).
+    rows: ManifestColumns, fraction: float, seed: int
+) -> tuple[ManifestColumns, ManifestColumns, ManifestColumns]:
+    """Deterministically split manifest rows into (train, val database, val queries).
 
-    ``fraction`` of the records goes to the validation database and the same
+    ``fraction`` of the rows goes to the validation database and the same
     amount to the validation queries; the three parts are disjoint and cover
-    the input. Record order within each part follows the input order.
+    the input. Row order within each part follows the input order.
     """
     if not 0.0 < fraction <= 0.5:
         raise DomainError(f"validation fraction must be in (0, 0.5], got {fraction}")
-    n = len(records)
+    n = len(rows)
     n_val = int(round(n * fraction))
     if n_val < 1 or n - 2 * n_val < 1:
         raise DomainError(f"{n} records are too few for a {fraction} validation split")
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    query_idx = set(order[:n_val])
-    db_idx = set(order[n_val : 2 * n_val])
-    train = [r for i, r in enumerate(records) if i not in query_idx and i not in db_idx]
-    val_db = [r for i, r in enumerate(records) if i in db_idx]
-    val_queries = [r for i, r in enumerate(records) if i in query_idx]
+    part = np.zeros(n, np.int8)  # 0: train, 1: val database, 2: val queries
+    part[order[n_val : 2 * n_val]] = 1
+    part[order[:n_val]] = 2
+    train, val_db, val_queries = (rows.take(np.flatnonzero(part == k)) for k in range(3))
     return train, val_db, val_queries

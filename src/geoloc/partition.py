@@ -11,7 +11,8 @@ in heading, so a group never contains adjacent classes (when both strides
 exceed one) and can be trained as a plain classification dataset.
 
 Floors are taken toward minus infinity and moduli are non-negative, so the
-construction is well defined for negative coordinates too. Heading bins are
+construction is well defined for negative coordinates too (``np.floor`` on
+a manifest's columns gives ``math.floor``'s results). Heading bins are
 circular: the last bin is adjacent to bin zero, which is why the number of
 bins must be an exact multiple of ``heading_stride``.
 """
@@ -22,13 +23,15 @@ import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from .atomic import dump_json, write_atomic
 from .errors import DomainError, EmptyPartitionError, PartitionError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import ImageRecord
+    from .ingest import ManifestColumns
 
 PARTITION_FORMAT = "geo-partition"
 PARTITION_VERSION = 2
@@ -103,15 +106,6 @@ class PartitionConfig:
         return self.cell_stride * self.cell_stride * self.heading_stride
 
 
-def assign_class(pose: GeoPose, cfg: PartitionConfig) -> ClassId:
-    """Quantize a pose onto the class grid (floor toward minus infinity)."""
-    return ClassId(
-        cell_east=math.floor(pose.east / cfg.cell_size_m),
-        cell_north=math.floor(pose.north / cfg.cell_size_m),
-        heading_bin=math.floor(pose.heading / cfg.heading_bin_deg),
-    )
-
-
 def assign_group(c: ClassId, cfg: PartitionConfig) -> GroupId:
     """Reduce class indices modulo the strides; results are non-negative."""
     return GroupId(
@@ -133,13 +127,13 @@ def enumerate_groups(cfg: PartitionConfig) -> list[GroupId]:
 
 @dataclass
 class Partition:
-    """The complete class/group structure over a set of image records.
+    """The complete class/group structure over a set of manifest rows.
 
     ``group_classes`` is derived from the classes: it has one entry per
     enumerated group (possibly empty), each list is sorted by class id, and
     the position of a class inside its group's list is that class's label
     index for the group's classifier head. Member id lists are sorted, so the
-    whole structure is independent of the input record order.
+    whole structure is independent of the input row order.
     """
 
     config: PartitionConfig
@@ -154,30 +148,27 @@ class Partition:
             self.group_classes[assign_group(cid, self.config)].append(cid)
 
 
-def build_partition(records: Sequence["ImageRecord"], cfg: PartitionConfig) -> Partition:
-    """Assign every record to its class, filter thin classes, and group the rest.
+def build_partition(rows: "ManifestColumns", cfg: PartitionConfig) -> Partition:
+    """Assign every manifest row to its class, filter thin classes, and group the rest.
 
-    All records must share one UTM zone and hemisphere; the raw east/north
-    quantization of the class grid is only meaningful inside a single zone.
+    The rows share their manifest's one zone, inside which the raw east/north grid is meaningful.
     """
-    zones = {(r.zone_number, r.hemisphere) for r in records}
-    if len(zones) > 1:
-        raise DomainError(f"records span multiple zones/hemispheres: {sorted(zones)}")
-
-    members: dict[ClassId, list[str]] = {}
-    for r in records:
-        members.setdefault(assign_class(r.pose, cfg), []).append(r.id)
+    size, bin_deg = cfg.cell_size_m, cfg.heading_bin_deg
+    cells = zip(*(np.floor(v).tolist() for v in (rows.east / size, rows.north / size, rows.heading / bin_deg)))
+    members: dict[tuple[float, float, float], list[str]] = {}  # integral floats order as their ints do
+    for cell, rid in zip(cells, rows.ids):
+        members.setdefault(cell, []).append(rid)
 
     class_members: dict[ClassId, list[str]] = {}
     discarded_classes = 0
     discarded_images = 0
-    for cid in sorted(members):
-        ids = sorted(members[cid])
+    for cell in sorted(members):
+        ids = sorted(members[cell])
         if len(ids) < cfg.min_images_per_class:
             discarded_classes += 1
             discarded_images += len(ids)
         else:
-            class_members[cid] = ids
+            class_members[ClassId(*map(int, cell))] = ids
 
     if not class_members:
         raise EmptyPartitionError(

@@ -16,9 +16,9 @@ block reuses. It selects the top K in steps of rows whose copy takes at most
 exact sort of the step's candidates (exact flat inner-product search, as in
 FAISS). A retrieved item counts as correct for a query when its pose lies
 within the metric threshold of the query pose, both taken in one shared UTM
-zone. The search reads ids and ``(N, 2)`` east/north arrays (``evaluate``
-takes them from manifest columns); GeoPoses and ``(descriptor, GeoPose)``
-pairs are accepted and turned into them.
+zone. The search reads ids and ``(N, 2)`` east/north arrays: ``evaluate`` takes
+them from manifest columns, and ``build_index``/``recall_at_n`` also accept
+GeoPoses and ``(descriptor, GeoPose)`` pairs and turn them into arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RetrievalError
-from .ingest import ImageRecord, ManifestColumns
+from .ingest import ManifestColumns
 from .partition import GeoPose
 
 _UNIT_TOL = 1e-5
@@ -236,38 +236,27 @@ def recall_at_n(
     )
 
 
-def _search_side(rows: ManifestColumns | Sequence[ImageRecord]) -> tuple[list[str], np.ndarray, tuple[int, str]]:
-    """(ids, (N, 2) positions, (zone, hemisphere)) of one side of a search; records take the first one's zone."""
-    if not isinstance(rows, ManifestColumns):
-        rows = ManifestColumns.of(rows)
-    return rows.ids, rows.positions(), (rows.zone_number, rows.hemisphere)
-
-
 def evaluate(
     db_vecs: np.ndarray,
-    db_rows: ManifestColumns | Sequence[ImageRecord],
+    db_rows: ManifestColumns,
     query_vecs: np.ndarray,
-    query_rows: ManifestColumns | Sequence[ImageRecord],
+    query_rows: ManifestColumns,
     ks: Sequence[int] = DEFAULT_KS,
     threshold_m: float = DEFAULT_THRESHOLD_M,
 ) -> EvalReport:
     """Recall@K of query descriptors searched against database descriptors.
 
-    Row i of ``db_vecs``/``query_vecs`` belongs to row i of its manifest columns (or record i of its
-    list). The index takes the database ids and positions. It adopts ``db_vecs`` when that is a
-    Fortran-ordered float64 array (as ``embed_records`` and eval's loader return), and ``db_vecs``
-    then becomes read-only. A manifest holds one zone (a record list, its first record's), and the
-    query zone must match the database zone.
+    Row i of ``db_vecs``/``query_vecs`` belongs to row i of its manifest columns. The index takes
+    the database ids and positions. It adopts ``db_vecs`` when that is a Fortran-ordered float64
+    array (as validation's chunk loop and eval's loader return), and ``db_vecs`` then becomes read-only.
+    The query zone must match the database zone.
     """
     if not len(db_rows) or not len(query_rows):
         raise RetrievalError("evaluation needs a non-empty database and query set")
     if len(query_vecs) != len(query_rows):
         raise RetrievalError(f"{len(query_vecs)} query descriptors vs {len(query_rows)} query records")
-    db_ids, db_positions, db_zone = _search_side(db_rows)
-    _, query_positions, query_zone = _search_side(query_rows)
+    query_zone, db_zone = (f"{r.zone_number} {r.hemisphere}" for r in (query_rows, db_rows))
     if query_zone != db_zone:
-        raise DomainError(
-            f"query zone {query_zone[0]} {query_zone[1]} does not match database zone {db_zone[0]} {db_zone[1]}"
-        )
-    index = build_index(db_vecs, db_ids, db_positions)
-    return recall_at_n(index, np.asarray(query_vecs), ks, threshold_m, query_positions)
+        raise DomainError(f"query zone {query_zone} does not match database zone {db_zone}")
+    index = build_index(db_vecs, db_rows.ids, db_rows.positions())
+    return recall_at_n(index, np.asarray(query_vecs), ks, threshold_m, query_rows.positions())

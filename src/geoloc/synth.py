@@ -169,7 +169,7 @@ class FeatureStore(Mapping[str, np.ndarray]):
 @dataclass
 class SyntheticWorld:
     config: CityConfig
-    records: list[ImageRecord]
+    rows: ManifestColumns
     features: FeatureStore
     # The same store as ``features`` unless the world has a domain shift.
     query_features: FeatureStore
@@ -177,6 +177,10 @@ class SyntheticWorld:
     latent_key_of: dict[str, tuple[int, int]]
     max_cross_similarity: float
     dropped_places: int
+
+    @cached_property
+    def records(self) -> list[ImageRecord]:  # what save_manifest writes
+        return self.rows.records()
 
 
 def _spread_unit_vectors(rng: np.random.Generator, count: int, dim: int, iterations: int) -> np.ndarray:
@@ -289,13 +293,13 @@ def generate_city(cfg: CityConfig) -> SyntheticWorld:
     ids = [slot + image for slot in slot_names for image in image_names]
     latent_key_of = dict(zip(ids, (key for key in slot_keys for _ in range(n))))
     absent = np.full(n_images, np.nan)
-    records = ManifestColumns(ids, SYNTH_EAST_OFFSET + xy[:, 0], SYNTH_NORTH_OFFSET + xy[:, 1], heading,
-                              SYNTH_ZONE_NUMBER, SYNTH_HEMISPHERE, absent, absent, None).records()
+    manifest = ManifestColumns(ids, SYNTH_EAST_OFFSET + xy[:, 0], SYNTH_NORTH_OFFSET + xy[:, 1], heading,
+                               SYNTH_ZONE_NUMBER, SYNTH_HEMISPHERE, absent, absent, None)
 
     features = FeatureStore(ids, block)
     return SyntheticWorld(
         config=cfg,
-        records=records,
+        rows=manifest,
         features=features,
         query_features=FeatureStore(features.ids, query_block) if shifted else features,
         latents=latents,

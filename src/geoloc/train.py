@@ -15,15 +15,16 @@ in Fortran order, and ``run_training`` pools a library caller's store of maps
 once, in one call. ``geoloc eval`` pools with ``store_reduce`` of its
 checkpoint's pooling and exponent, and its reduce also projects, so the
 loader hands it descriptors, not pooled rows. With a learned exponent each step
-pools its gathered maps. Either way a step and ``embed_records`` make one
-``embed.forward`` call per batch, which pools maps and takes rows as they
+pools its gathered maps. Either way a step and validation's chunk loop make
+one ``embed.forward`` call per batch, which pools maps and takes rows as they
 are, and a step one ``embed.backward``.
 Pooled vectors are inputs, not descriptors: descriptors depend on the
 projection that every step changes, and none outlives its step or chunk.
 
-Validation embeds through ``embed_records``, one ``embed.forward`` call per
-``batch_size`` rows, searches on the split's ids and positions, built once
-per run, and scores at the eval ks too (``TrainConfig.val_ks``):
+Validation embeds the split's store rows, looked up once per run, through
+the chunk loop ``embed_records`` wraps (one ``embed.forward`` call per
+``batch_size`` rows), searches on the split's columns, and scores at the
+eval ks too (``TrainConfig.val_ks``):
 the best epoch's recalls are what an eval of the exported model on the split
 reports. Eval projects each loaded chunk of 32 rows with the same call; BLAS
 may round a row's product differently in a batch of another size, so only a
@@ -37,9 +38,9 @@ exploding learning rate, say) can only mean divergence: the loop runs under
 before a NaN or a zeroed descriptor reaches the loss or the index.
 
 The loop holds at most one batch of descriptors at a time (validation
-projects in batch-sized chunks straight into the index matrix:
-``embed_records`` writes a Fortran-ordered array, which ``build_index``
-adopts without a copy); the ``DescriptorBudget`` instrumentation records the
+projects in batch-sized chunks straight into the index matrix: the chunk
+loop writes a Fortran-ordered array, which ``build_index`` adopts without a
+copy); the ``DescriptorBudget`` instrumentation records the
 peak so the no-cache contract is testable.
 """
 
@@ -69,6 +70,7 @@ from .partition import GroupId, Partition, enumerate_groups
 # build_index and recall_at_n stay importable from this module, where the
 # benchmark's tracer tests look them up.
 from .retrieval import build_index, evaluate, recall_at_n  # noqa: F401
+from .retrieval import DEFAULT_KS, DEFAULT_THRESHOLD_M
 from .synth import FeatureStore, Reduce
 
 logger = logging.getLogger(__name__)
@@ -98,8 +100,8 @@ class TrainConfig:
     learning_rate: float = 1e-5
     loss: LossConfig = field(default_factory=LossConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    val_threshold_m: float = 25.0  # a run config sets it to eval.threshold_m
-    val_ks: tuple[int, ...] = (1, 5, 10, 20)  # a run config sets it to eval.ks
+    val_threshold_m: float = DEFAULT_THRESHOLD_M  # a run config sets it to eval.threshold_m
+    val_ks: tuple[int, ...] = DEFAULT_KS  # a run config sets it to eval.ks
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -229,6 +231,22 @@ class TrainState:
     budget: DescriptorBudget
 
 
+def _embed_rows(
+    model: EmbeddingModel, store: FeatureStore, rows: np.ndarray, batch_size: int, budget: DescriptorBudget
+) -> np.ndarray:
+    """Unit descriptors of ``store``'s block ``rows``, ``embed.forward`` of ``batch_size`` at a time.
+
+    One chunk of descriptors is alive at a time. The result is Fortran-ordered, as ``build_index`` adopts it.
+    """
+    out = np.empty((len(rows), model.output_dim), order="F")
+    for start in range(0, len(rows), batch_size):
+        chunk = store.block[rows[start : start + batch_size]]
+        budget.acquire(len(chunk))
+        out[start : start + len(chunk)] = embed.forward(model, chunk)[0]
+        budget.release(len(chunk))
+    return out
+
+
 def embed_records(
     model: EmbeddingModel,
     records: Sequence[ImageRecord],
@@ -236,22 +254,8 @@ def embed_records(
     batch_size: int,
     budget: DescriptorBudget | None = None,
 ) -> np.ndarray:
-    """Unit descriptors of ``records``, ``batch_size`` at a time; only one chunk of descriptors is alive.
-
-    ``store`` holds maps or pooled rows (``store_reduce``); each chunk goes through ``embed.forward``,
-    so a store of another channel count than the model's raises DomainError.
-    The result is Fortran-ordered, the layout ``retrieval.build_index`` adopts without a copy.
-    """
-    if budget is None:
-        budget = DescriptorBudget()
-    rows = store.rows(r.id for r in records)
-    out = np.empty((len(records), model.output_dim), order="F")
-    for start in range(0, len(records), batch_size):
-        chunk = store.block[rows[start : start + batch_size]]
-        budget.acquire(len(chunk))
-        out[start : start + len(chunk)] = embed.forward(model, chunk)[0]
-        budget.release(len(chunk))
-    return out
+    """Unit descriptors of ``records``: ``_embed_rows`` of their store rows."""
+    return _embed_rows(model, store, store.rows(r.id for r in records), batch_size, budget or DescriptorBudget())
 
 
 def store_reduce(cfg: ModelConfig) -> Reduce | None:
@@ -272,31 +276,28 @@ def store_reduce(cfg: ModelConfig) -> Reduce | None:
 
 def _validate(
     model: EmbeddingModel,
-    val_db: Sequence[ImageRecord],
-    val_queries: Sequence[ImageRecord],
-    val_rows: tuple[ManifestColumns, ManifestColumns],
+    val_db: ManifestColumns,
+    val_queries: ManifestColumns,
     features: FeatureStore,
     query_features: FeatureStore,
+    store_rows: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     budget: DescriptorBudget,
 ) -> dict[int, float]:
-    """Recall of the validation split at ``VALIDATION_KS`` and ``cfg.val_ks``, embedded by ``embed_records``.
-
-    ``val_rows`` holds the columns of ``val_db`` and ``val_queries``, which the search reads.
-    """
-    db_vecs = embed_records(model, val_db, features, cfg.batch_size, budget)
-    query_vecs = embed_records(model, val_queries, query_features, cfg.batch_size, budget)
+    """Recall of the validation split at ``VALIDATION_KS`` and ``cfg.val_ks``, embedded from its ``store_rows``."""
+    db_rows, query_rows = store_rows
+    db_vecs = _embed_rows(model, features, db_rows, cfg.batch_size, budget)
+    query_vecs = _embed_rows(model, query_features, query_rows, cfg.batch_size, budget)
     ks = sorted({*VALIDATION_KS, *cfg.val_ks})
-    db_rows, query_rows = val_rows
-    return evaluate(db_vecs, db_rows, query_vecs, query_rows, ks, cfg.val_threshold_m).recall_at
+    return evaluate(db_vecs, val_db, query_vecs, val_queries, ks, cfg.val_threshold_m).recall_at
 
 
 def run_training(
     partition: Partition,
     features: FeatureStore,
     cfg: TrainConfig,
-    val_db: Sequence[ImageRecord],
-    val_queries: Sequence[ImageRecord],
+    val_db: ManifestColumns,
+    val_queries: ManifestColumns,
     query_features: FeatureStore,
 ) -> TrainState:
     """Train over the first ``groups_used`` groups, one group per epoch.
@@ -333,7 +334,7 @@ def run_training(
         for g in groups
     }
     budget = DescriptorBudget()
-    val_rows = (ManifestColumns.of(val_db), ManifestColumns.of(val_queries))  # ids and positions, once per run
+    val_store_rows = (features.rows(val_db.ids), query_features.rows(val_queries.ids))  # once per run
     sampler = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0x5A3B1E]))
 
     state = TrainState(
@@ -383,7 +384,7 @@ def run_training(
                     adam_step(head.weights, grad_w, head_moments[group], cfg)
                     iteration_losses.append(loss_value)
 
-                recalls = _validate(model, val_db, val_queries, val_rows, features, query_features, cfg, budget)
+                recalls = _validate(model, val_db, val_queries, features, query_features, val_store_rows, cfg, budget)
                 mean_loss = sum(iteration_losses) / cfg.iterations_per_epoch
                 state.history.append(
                     EpochStats(

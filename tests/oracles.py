@@ -3,7 +3,7 @@
 Each oracle recomputes its answer from definitions and imports nothing from
 ``geoloc`` but ``geoloc.errors``, so none of them shares a code path with
 the code under test: the partition oracles redo the floor/modulo arithmetic
-inline, gradients are checked against central differences, and zip members
+inline (``assign_class`` is the scalar class of one pose), gradients are checked against central differences, and zip members
 are read with the standard library's ``zipfile``. ``parse_manifest_whole``
 is the manifest parser as it was before it read in chunks, frozen as a parity
 oracle; it takes the lat/lon projection as an argument. ``generate_city_per_image``
@@ -58,6 +58,20 @@ def zip_members(path):
 def unit_rows(a):
     a = np.asarray(a, dtype=np.float64)
     return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def assign_class(pose, cfg) -> tuple[int, int, int]:
+    """The (cell east, cell north, heading bin) class of a pose: ``math.floor`` of each coordinate over its cell or bin.
+
+    ``pose`` has ``east``, ``north`` and ``heading``; ``cfg`` is a ``PartitionConfig``. The scalar
+    reference that ``build_partition``'s array quantization is compared with; a ``ClassId`` equals
+    the tuple.
+    """
+    return (
+        math.floor(pose.east / cfg.cell_size_m),
+        math.floor(pose.north / cfg.cell_size_m),
+        math.floor(pose.heading / cfg.heading_bin_deg),
+    )
 
 
 def circular_bin_distance(a: int, b: int, bins: int) -> int:

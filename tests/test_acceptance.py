@@ -83,22 +83,20 @@ THRESHOLD_M = 25.0
 def desk():
     world = generate_city(DESK_CITY)
     assert len(world.records) == 4800
-    train_recs, val_db, val_q = split_validation(world.records, DESK_VAL_FRACTION, seed=DESK_SEED)
-    part = build_partition(train_recs, DESK_PARTITION)
+    train_rows, val_db, val_q = split_validation(world.rows, DESK_VAL_FRACTION, seed=DESK_SEED)
+    part = build_partition(train_rows, DESK_PARTITION)
     return world, part, val_db, val_q
 
 
 def evaluate_vectors(db_vecs, q_vecs, val_db, val_q, ks=(1, 5, 10, 20)):
-    index = build_index(db_vecs, [r.id for r in val_db], [r.pose for r in val_db])
-    return recall_at_n(
-        index, list(zip(q_vecs, [r.pose for r in val_q])), ks=ks, threshold_m=THRESHOLD_M
-    )
+    index = build_index(db_vecs, val_db.ids, val_db.positions())
+    return recall_at_n(index, q_vecs, ks=ks, threshold_m=THRESHOLD_M, positions=val_q.positions())
 
 
 def evaluate_model(model, world, val_db, val_q):
     budget = DescriptorBudget()
-    db_vecs = embed_records(model, val_db, world.features, DESK_TRAIN.batch_size, budget)
-    q_vecs = embed_records(model, val_q, world.query_features, DESK_TRAIN.batch_size, budget)
+    db_vecs = embed_records(model, val_db.records(), world.features, DESK_TRAIN.batch_size, budget)
+    q_vecs = embed_records(model, val_q.records(), world.query_features, DESK_TRAIN.batch_size, budget)
     return evaluate_vectors(db_vecs, q_vecs, val_db, val_q)
 
 
@@ -172,7 +170,7 @@ def test_criterion_2_partition_properties_suite():
                 heading_stride=l_stride,
                 min_images_per_class=0,
             )
-            part = build_partition(world.records, cfg)
+            part = build_partition(world.rows, cfg)
             violations = oracle_pairwise_check(world, part)
             assert violations == [], f"world {i} ({n_stride},{l_stride},{alpha}): {violations[:3]}"
         # One large world near the size cap, default strides.
@@ -182,7 +180,7 @@ def test_criterion_2_partition_properties_suite():
         )
         big = generate_city(big_city)
         assert len(big.records) == 4800
-        part = build_partition(big.records, dataclasses.replace(DESK_PARTITION, min_images_per_class=0))
+        part = build_partition(big.rows, dataclasses.replace(DESK_PARTITION, min_images_per_class=0))
         assert oracle_pairwise_check(big, part) == []
         assert time.perf_counter() - start < 120.0
 
@@ -314,8 +312,8 @@ def test_criterion_6_end_to_end_training_efficacy(desk, desk_run):
         baseline_model = init_model(DESK_CITY.feature_map_shape[0], DESK_TRAIN.model, DESK_SEED)
         baseline = evaluate_model(baseline_model, world, val_db, val_q).recall_at[1]
 
-        oracle_db = np.stack([oracle_descriptor(world, r.id) for r in val_db])
-        oracle_q = np.stack([oracle_descriptor(world, r.id) for r in val_q])
+        oracle_db = np.stack([oracle_descriptor(world, rid) for rid in val_db.ids])
+        oracle_q = np.stack([oracle_descriptor(world, rid) for rid in val_q.ids])
         oracle = evaluate_vectors(oracle_db, oracle_q, val_db, val_q).recall_at[1]
 
         trained_model = model_from_dict(json.loads(embed.checkpoint_bytes(state.best_model)))

@@ -663,13 +663,13 @@ def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypa
     # One manifest holds one zone, so the mismatch is planted in the split,
     # before training validates against it.
     _, cfg_path, world_dir = workspace
-    real = cli._split_records
+    real = cli.ingest.split_validation
 
     def queries_in_next_zone(*args):
         *out, val_queries = real(*args)
-        return (*out, [dataclasses.replace(r, zone_number=r.zone_number + 1) for r in val_queries])
+        return (*out, dataclasses.replace(val_queries, zone_number=val_queries.zone_number + 1))
 
-    monkeypatch.setattr(cli, "_split_records", queries_in_next_zone)
+    monkeypatch.setattr(cli.ingest, "split_validation", queries_in_next_zone)
     code = main([
         "sweep", "--config", str(cfg_path),
         "--param", "train.groups_used", "--values", "1",
@@ -681,6 +681,23 @@ def test_sweep_rejects_query_zone_mismatch(workspace, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     _single_error_line(err, "domain")
     assert "zone" in err
+
+
+def test_partition_train_and_sweep_build_no_records(workspace, tmp_path, monkeypatch):
+    # Partitioning, training and sweeping run on manifest columns: none builds an ImageRecord per row.
+    _, cfg_path, world_dir = workspace
+
+    def no_records(self):
+        raise AssertionError("ManifestColumns.records was called")
+
+    monkeypatch.setattr(ingest.ManifestColumns, "records", no_records)
+    run = ["--config", str(cfg_path), "--manifest", str(world_dir / "manifest.csv")]
+    part_path = tmp_path / "partition.json"
+    assert main(["partition", *run, "--output", str(part_path)]) == 0
+    for name, extra in (("shared", []), ("shifted", ["--query-features", str(world_dir / "query_features.npz")])):
+        assert main(["train", *run, "--features", str(world_dir / "features.npz"), *extra,
+                     "--partition", str(part_path), "--out-dir", str(tmp_path / name)]) == 0
+    assert main(_sweep_argv(cfg_path, world_dir, "1,2", tmp_path / "sweep.csv")) == 0
 
 
 @pytest.mark.parametrize("learn_p", [False, True])
@@ -730,8 +747,8 @@ def test_sweep_row_is_the_best_epoch_validation(workspace, tmp_path, monkeypatch
             assert line.split(",")[2:] == [repr(best[k]) for k in ks]
             model, batch = state.best_model, train_cfg.batch_size
             fresh = real_evaluate(
-                cli.train.embed_records(model, val_db, store, batch), val_db,
-                cli.train.embed_records(model, val_queries, query_store, batch), val_queries,
+                cli.train.embed_records(model, val_db.records(), store, batch), val_db,
+                cli.train.embed_records(model, val_queries.records(), query_store, batch), val_queries,
                 ks, CONFIG["eval"]["threshold_m"],
             )
             assert [best[k] for k in ks] == [fresh.recall_at[k] for k in ks]
@@ -915,9 +932,9 @@ def test_eval_rejects_db_id_missing_from_store(workspace, tiny_model, tmp_path, 
 def _built_partition(cfg_path, world_dir):
     """The partition that ``geoloc train`` builds from the workspace manifest under ``cfg_path``."""
     cfg = load_run_config(cfg_path)
-    records = ingest.load_manifest(world_dir / "manifest.csv")
-    train_records, _, _ = ingest.split_validation(records, cfg.split.fraction, cfg.seed)
-    return build_partition(train_records, cfg.partition)
+    rows = ingest.load_manifest_columns(world_dir / "manifest.csv")
+    train_rows, _, _ = ingest.split_validation(rows, cfg.split.fraction, cfg.seed)
+    return build_partition(train_rows, cfg.partition)
 
 
 def test_train_rejects_partition_member_missing_from_store(workspace, tmp_path, capsys):
@@ -1524,7 +1541,7 @@ def test_synth_aligns_the_world_to_the_partition_grid(workspace, tmp_path, cell)
                  "--out-dir", str(world_dir)]) == 0
     records = ingest.load_manifest(world_dir / "manifest.csv")
     pcfg = PartitionConfig(**{**CONFIG["partition"], "cell_size_m": cell})
-    part = build_partition(records, pcfg)
+    part = build_partition(ingest.load_manifest_columns(world_dir / "manifest.csv"), pcfg)
     assert oracle_pairwise_check(SimpleNamespace(records=records), part) == []
     # Every image of one (place, heading) slot lands in the slot's one class.
     class_of = {rid: cid for cid, members in part.class_members.items() for rid in members}
@@ -1574,8 +1591,8 @@ def test_int_and_float_spellings_of_a_float_value_write_the_same_bytes(workspace
 
 
 def _all_records(doc, world_dir):
-    records = ingest.load_manifest(world_dir / "manifest.csv")
-    whole = partition_to_dict(build_partition(records, PartitionConfig(**CONFIG["partition"])))
+    rows = ingest.load_manifest_columns(world_dir / "manifest.csv")
+    whole = partition_to_dict(build_partition(rows, PartitionConfig(**CONFIG["partition"])))
     doc.update({k: whole[k] for k in ("classes", "discarded_classes", "discarded_images")})
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import random
 from functools import partial
 from unittest import mock
 
@@ -22,6 +23,7 @@ from geoloc.ingest import (
     split_validation,
 )
 from geoloc.partition import GeoPose
+from columns import columns_of
 from oracles import parse_manifest_whole
 
 
@@ -113,37 +115,61 @@ def test_parse_serialize_parse_is_identity():
     assert buf2.getvalue() == buf.getvalue()
 
 
-def make_records(n):
-    return [ImageRecord(id=f"r{i}", pose=GeoPose(float(i), 0.0, 0.0)) for i in range(n)]
+def make_rows(n):
+    return columns_of([ImageRecord(id=f"r{i}", pose=GeoPose(float(i), 0.0, 0.0)) for i in range(n)])
+
+
+def same_rows(a, b):
+    """ManifestColumns has no ``==``: equal ids, zone and uris, and bitwise equal arrays."""
+    arrays = ("east", "north", "heading", "lat", "lon")
+    return (a.ids, a.zone_number, a.hemisphere, a.uris) == (b.ids, b.zone_number, b.hemisphere, b.uris) and all(
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True) for name in arrays
+    )
 
 
 def test_split_sizes_and_determinism():
-    records = make_records(1000)
+    records = make_rows(1000)
     train, db, queries = split_validation(records, 0.1, seed=7)
     assert (len(train), len(db), len(queries)) == (800, 100, 100)
     train2, db2, queries2 = split_validation(records, 0.1, seed=7)
-    assert train == train2 and db == db2 and queries == queries2
+    assert same_rows(train, train2) and same_rows(db, db2) and same_rows(queries, queries2)
     # A different seed moves records around.
     train3, _, _ = split_validation(records, 0.1, seed=8)
-    assert train != train3
+    assert not same_rows(train, train3)
 
 
 def test_split_partitions_the_input():
-    records = make_records(97)
+    records = make_rows(97)
     train, db, queries = split_validation(records, 0.25, seed=3)
-    ids = [r.id for r in train + db + queries]
-    assert sorted(ids) == sorted(r.id for r in records)
+    ids = train.ids + db.ids + queries.ids
+    assert sorted(ids) == sorted(records.ids)
     assert len(set(ids)) == len(records)
 
 
+def test_split_parts_keep_the_input_order_and_each_row_s_values():
+    records = columns_of([
+        ImageRecord(id=f"r{i}", pose=GeoPose(float(i), 2.0 * i, float(i % 360)), lat=float(i % 80), lon=i / 7.0,
+                    source_uri=f"u{i}" if i % 3 else None)
+        for i in range(50)
+    ])
+    # The queries take the first tenth of a random.Random(seed) shuffle of the rows, the database the second.
+    order = list(range(50))
+    random.Random(4).shuffle(order)
+    want = (order[20:], order[10:20], order[:10])
+    for part, picks in zip(split_validation(records, 0.2, seed=4), want):
+        rows = [records.ids.index(rid) for rid in part.ids]
+        assert rows == sorted(picks)
+        assert same_rows(part, columns_of([records.records()[i] for i in rows]))
+
+
 def test_split_fraction_bounds():
-    records = make_records(100)
+    records = make_rows(100)
     with pytest.raises(DomainError):
         split_validation(records, 0.6, seed=0)
     with pytest.raises(DomainError):
         split_validation(records, 0.0, seed=0)
     with pytest.raises(DomainError):
-        split_validation(make_records(2), 0.5, seed=0)  # no training record left
+        split_validation(make_rows(2), 0.5, seed=0)  # no training record left
 
 
 def test_latlon_manifest_and_its_east_north_round_trip_parse_equal():
@@ -320,7 +346,6 @@ def test_columns_hold_what_the_records_hold():
     assert (columns.zone_number, columns.hemisphere) == (records[0].zone_number, records[0].hemisphere)
     assert columns.uris == ["http://x/a.jpg", None]
     assert columns.records() == records
-    assert ManifestColumns.of(records).records() == records
 
 
 def test_a_structural_fault_is_reported_before_a_later_unreadable_row():

@@ -5,7 +5,8 @@ somewhere other than its own definition, in ``src/``, in ``bench/``, or as
 ``pyproject.toml``'s console script. A name used only inside code that is
 itself unreached does not count. Every name a ``src/`` module imports must
 be used in that module, unless its statement is marked ``# noqa: F401`` (a
-re-export). Randomness comes only from seeded generators, the stream that
+re-export). ``ImageRecord`` appears in ``src/`` annotations only on the
+record edge that ``bench/`` still reads (``RECORD_EDGE``). Randomness comes only from seeded generators, the stream that
 byte-identical worlds and splits rest on. The checks read the source with
 ``ast`` and import nothing.
 """
@@ -66,14 +67,27 @@ def test_every_public_function_and_class_of_src_is_reached_outside_the_tests():
     assert not unreached, f"public code that nothing outside the tests reaches: {unreached}"
 
 
+def _annotation_names(note: ast.AST) -> set[str]:
+    """Every name the annotation ``note`` reads, including those of its strings (forward references)."""
+    found: set[str] = set()
+    for c in ast.walk(note):
+        if isinstance(c, ast.Name):
+            found.add(c.id)
+        elif isinstance(c, ast.Constant) and isinstance(c.value, str):
+            found |= _annotation_names(ast.parse(c.value, mode="eval"))
+    return found
+
+
+def _notes(node: ast.AST) -> list[ast.AST]:
+    """The annotations ``node`` carries itself: an argument's or an assignment's, a function's return."""
+    return [note for note in (getattr(node, "annotation", None), getattr(node, "returns", None)) if note]
+
+
 def _read_names(tree: ast.AST) -> set[str]:
     """Every name ``tree`` reads, including those of string annotations (forward references)."""
     found = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    notes = [note for n in ast.walk(tree) for note in (getattr(n, "annotation", None), getattr(n, "returns", None))]
-    for note in filter(None, notes):
-        for c in ast.walk(note):
-            if isinstance(c, ast.Constant) and isinstance(c.value, str):
-                found |= _read_names(ast.parse(c.value, mode="eval"))
+    for note in (note for n in ast.walk(tree) for note in _notes(n)):
+        found |= _annotation_names(note)
     return found
 
 
@@ -91,6 +105,62 @@ def test_every_name_a_src_module_imports_is_used_there():
             bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
             unused += [f"{path.stem}: {name}" for name in bound if name not in used]
     assert not unused, f"imported but unused: {unused}"
+
+
+# The definitions whose annotations may name ImageRecord: the record forms that bench/ still calls or reads.
+# Everything else in src/ passes manifests as ManifestColumns.
+RECORD_EDGE = {
+    "ingest.parse_manifest",
+    "ingest.load_manifest",
+    "ingest.serialize_manifest",
+    "ingest.save_manifest",
+    "ingest.ManifestColumns.records",
+    "train.embed_records",
+    "synth.SyntheticWorld",
+}
+
+
+def annotated_names(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(definition, name)`` for each name an annotation in ``tree`` reads, strings read as code.
+
+    ``definition`` is the dotted path of the innermost function or class whose annotation it is
+    (``""`` at module level); a function's own argument and return annotations belong to it.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        found.extend((scope, name) for note in _notes(node) for name in _annotation_names(note))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_record_edge_of_src_names_image_record():
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, name in annotated_names(ast.parse(path.read_text(), str(path))):
+            where = f"{path.stem}.{scope}"
+            if name == "ImageRecord" and not any(where == e or where.startswith(f"{e}.") for e in RECORD_EDGE):
+                named.append(where)
+    assert not named, f"ImageRecord named outside the record edge: {sorted(set(named))}"
+
+
+def test_annotated_names_belong_to_their_innermost_definition():
+    source = (
+        "x: 'A'\n"
+        "def f(a: B, b: 'list[C]') -> D:\n"
+        "    def g() -> E: ...\n"
+        "class K:\n"
+        "    y: F\n"
+        "    def m(self, z: 'G | None'): ...\n"
+    )
+    assert sorted(annotated_names(ast.parse(source))) == [
+        ("", "A"), ("K", "F"), ("K.m", "G"), ("f", "B"), ("f", "C"), ("f", "D"), ("f", "list"), ("f.g", "E"),
+    ]
 
 
 # What ``src/`` may take from each random module: generators it seeds itself.

@@ -11,7 +11,6 @@ from geoloc.partition import (
     GeoPose,
     GroupId,
     PartitionConfig,
-    assign_class,
     assign_group,
     build_partition,
     enumerate_groups,
@@ -19,7 +18,8 @@ from geoloc.partition import (
     partition_to_dict,
     save_partition,
 )
-from oracles import adjacent
+from columns import columns_of
+from oracles import adjacent, assign_class
 
 CFG = PartitionConfig(cell_size_m=10.0, heading_bin_deg=30.0, cell_stride=5, heading_stride=2,
                       min_images_per_class=0)
@@ -29,18 +29,24 @@ def rec(rid, east, north, heading):
     return ImageRecord(id=rid, pose=GeoPose(east=east, north=north, heading=heading))
 
 
+def class_of(pose, cfg):
+    """The class ``build_partition`` puts one row at ``pose`` in."""
+    (cid,) = build_partition(columns_of([ImageRecord(id="x", pose=pose)]), cfg).class_members
+    return cid
+
+
 def test_assign_class_example():
-    cid = assign_class(GeoPose(553201.3, 4183422.7, 47.0), CFG)
+    cid = class_of(GeoPose(553201.3, 4183422.7, 47.0), CFG)
     assert cid == ClassId(55320, 418342, 1)
 
 
 def test_assign_class_last_heading_bin():
-    cid = assign_class(GeoPose(0.0, 0.0, 359.999), CFG)
+    cid = class_of(GeoPose(0.0, 0.0, 359.999), CFG)
     assert cid.heading_bin == 11
 
 
 def test_assign_class_floors_toward_minus_infinity():
-    cid = assign_class(GeoPose(-0.5, 0.0, 0.0), CFG)
+    cid = class_of(GeoPose(-0.5, 0.0, 0.0), CFG)
     assert cid.cell_east == -1
 
 
@@ -102,7 +108,7 @@ def test_min_images_filter():
     cfg = PartitionConfig(min_images_per_class=10)
     records = [rec(f"a{i}", 5.0 + 0.1 * i, 5.0, 10.0) for i in range(3)]
     records += [rec(f"b{i}", 205.0 + 0.1 * i, 5.0, 10.0) for i in range(10)]
-    part = build_partition(records, cfg)
+    part = build_partition(columns_of(records), cfg)
     assert part.discarded_classes == 1
     assert part.discarded_images == 3
     assert len(part.class_members) == 1
@@ -110,7 +116,7 @@ def test_min_images_filter():
 
 def test_filter_disabled():
     records = [rec("a", 5.0, 5.0, 10.0)]
-    part = build_partition(records, PartitionConfig(min_images_per_class=0))
+    part = build_partition(columns_of(records), PartitionConfig(min_images_per_class=0))
     assert part.discarded_classes == 0
     assert part.discarded_images == 0
 
@@ -118,7 +124,7 @@ def test_filter_disabled():
 def test_empty_surviving_class_set_is_an_error():
     records = [rec("a", 5.0, 5.0, 10.0)]
     with pytest.raises(EmptyPartitionError):
-        build_partition(records, PartitionConfig(min_images_per_class=2))
+        build_partition(columns_of(records), PartitionConfig(min_images_per_class=2))
 
 
 def test_partition_is_input_order_invariant():
@@ -129,20 +135,14 @@ def test_partition_is_input_order_invariant():
     ]
     shuffled = records[:]
     rng.shuffle(shuffled)
-    a = build_partition(records, CFG)
-    b = build_partition(shuffled, CFG)
+    a = build_partition(columns_of(records), CFG)
+    b = build_partition(columns_of(shuffled), CFG)
     assert partition_to_dict(a) == partition_to_dict(b)
-
-
-def test_mixed_zone_records_rejected():
-    records = [rec("a", 5.0, 5.0, 10.0), ImageRecord(id="b", pose=GeoPose(5.0, 5.0, 10.0), zone_number=11)]
-    with pytest.raises(DomainError, match="zone"):
-        build_partition(records, CFG)
 
 
 def test_label_order_is_lexicographic_within_groups():
     records = [rec(f"r{i}", 5.0 + 50.0 * i, 5.0, 10.0) for i in range(4)]
-    part = build_partition(records, CFG)
+    part = build_partition(columns_of(records), CFG)
     for classes in part.group_classes.values():
         assert classes == sorted(classes)
 
@@ -168,7 +168,7 @@ def test_uniform_density_city_balances_groups():
                       images_per_place_heading=3, latent_dim=4, feature_map_shape=(2, 1, 1),
                       noise_sigma=0.0, repel_iterations=0, seed=2)
     world = generate_city(city)
-    part = build_partition(world.records, CFG)
+    part = build_partition(world.rows, CFG)
     stats = partition_stats(part)
     counts = list(stats["group_class_counts"].values())
     mean = sum(counts) / len(counts)
@@ -188,7 +188,7 @@ def test_stats_reconcile():
         rec(f"r{i}", rng.uniform(0, 200), rng.uniform(0, 200), rng.uniform(0, 360))
         for i in range(500)
     ]
-    part = build_partition(records, CFG)
+    part = build_partition(columns_of(records), CFG)
     stats = partition_stats(part)
     assert stats["group_count"] == 50
     assert sum(stats["group_class_counts"].values()) == stats["retained_classes"]
@@ -203,7 +203,7 @@ def test_serialization_round_trip(tmp_path):
         rec(f"r{i}", rng.uniform(-50, 150), rng.uniform(-50, 150), rng.uniform(0, 360))
         for i in range(200)
     ]
-    part = build_partition(records, CFG)
+    part = build_partition(columns_of(records), CFG)
     path = tmp_path / "partition.json"
     save_partition(part, path)
     # Re-saving produces an identical file.
@@ -227,7 +227,7 @@ def small_world(cfg, n=600, seed=5):
 def test_property_every_class_in_exactly_one_group(stride, heading_stride, bin_deg):
     cfg = PartitionConfig(cell_size_m=10.0, heading_bin_deg=bin_deg, cell_stride=stride,
                           heading_stride=heading_stride, min_images_per_class=0)
-    part = build_partition(small_world(cfg), cfg)
+    part = build_partition(columns_of(small_world(cfg)), cfg)
     seen = {}
     for gid, classes in part.group_classes.items():
         assert len(set(classes)) == len(classes)
@@ -241,7 +241,7 @@ def test_property_every_class_in_exactly_one_group(stride, heading_stride, bin_d
 def test_property_no_adjacent_classes_share_a_group(stride, heading_stride):
     cfg = PartitionConfig(cell_size_m=10.0, heading_bin_deg=30.0, cell_stride=stride,
                           heading_stride=heading_stride, min_images_per_class=0)
-    part = build_partition(small_world(cfg), cfg)
+    part = build_partition(columns_of(small_world(cfg)), cfg)
     for classes in part.group_classes.values():
         for i, a in enumerate(classes):
             for b in classes[i + 1 :]:
@@ -261,7 +261,7 @@ def test_quantization_consistency(east, north, heading, d_east, d_north, d_headi
     # Two poses closer than one cell/bin with no floor boundary between them
     # share a class.
     a = GeoPose(east, north, heading)
-    c1 = assign_class(a, CFG)
+    c1 = class_of(a, CFG)
     east2, north2 = east + d_east, north + d_north
     heading2 = heading + d_heading
     if (
@@ -270,13 +270,32 @@ def test_quantization_consistency(east, north, heading, d_east, d_north, d_headi
         and heading2 < 360.0
         and int(heading2 // 30.0) == c1.heading_bin
     ):
-        assert assign_class(GeoPose(east2, north2, heading2), CFG) == c1
+        assert class_of(GeoPose(east2, north2, heading2), CFG) == c1
+
+
+@given(
+    poses=st.lists(
+        st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7), st.floats(0.0, 360.0, exclude_max=True)),
+        min_size=1, max_size=40,
+    ),
+    cell=st.sampled_from([0.1, 1.0, 7.0, 10.0, 25.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_build_partition_classes_equal_the_scalar_floors(poses, cell):
+    cfg = PartitionConfig(cell_size_m=cell, heading_bin_deg=30.0, min_images_per_class=0)
+    records = [rec(f"r{i}", *pose) for i, pose in enumerate(poses)]
+    part = build_partition(columns_of(records), cfg)
+    class_of_id = {rid: cid for cid, members in part.class_members.items() for rid in members}
+    assert len(class_of_id) == len(records)
+    for r in records:
+        assert class_of_id[r.id] == assign_class(r.pose, cfg)
+        assert all(type(v) is int for v in class_of_id[r.id])
 
 
 def test_group_membership_depends_only_on_pose():
     pose = GeoPose(123.4, 567.8, 91.0)
     records = [ImageRecord(id=f"x{i}", pose=pose) for i in range(5)]
-    part = build_partition(records, CFG)
+    part = build_partition(columns_of(records), CFG)
     assert len(part.class_members) == 1
     (cid,) = part.class_members
     assert cid == assign_class(pose, CFG)

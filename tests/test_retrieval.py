@@ -17,6 +17,7 @@ from geoloc.retrieval import (
     knn,
     recall_at_n,
 )
+from columns import columns_of
 from oracles import unit_rows
 
 
@@ -155,21 +156,21 @@ def test_recall_monotone_in_k_and_threshold():
 
 
 def test_recall_zone_mismatch_rejected():
-    # evaluate takes both zones from the records; zone number and hemisphere must both agree.
+    # evaluate takes both zones from the manifest columns; zone number and hemisphere must both agree.
     vecs = np.eye(1)
     db = [ImageRecord(id="p0", pose=GeoPose(10.0, 0.0, 0.0), zone_number=10, hemisphere="north")]
     query = ImageRecord(id="q0", pose=GeoPose(0.0, 0.0, 0.0), zone_number=10, hemisphere="north")
     for other in (dataclasses.replace(query, zone_number=11), dataclasses.replace(query, hemisphere="south")):
         with pytest.raises(DomainError, match="zone"):
-            evaluate(vecs, db, np.eye(1), [other], ks=(1,))
-    assert evaluate(vecs, db, np.eye(1), [query], ks=(1,)).recall_at == {1: 1.0}
+            evaluate(vecs, columns_of(db), np.eye(1), columns_of([other]), ks=(1,))
+    assert evaluate(vecs, columns_of(db), np.eye(1), columns_of([query]), ks=(1,)).recall_at == {1: 1.0}
 
 
 def test_evaluate_rejects_more_query_descriptors_than_query_records():
     db = [ImageRecord(id="p0", pose=GeoPose(10.0, 0.0, 0.0), zone_number=10, hemisphere="north")]
     query = ImageRecord(id="q0", pose=GeoPose(0.0, 0.0, 0.0), zone_number=10, hemisphere="north")
     with pytest.raises(RetrievalError, match=r"^2 query descriptors vs 1 query records$"):
-        evaluate(np.eye(1), db, np.ones((2, 1)), [query], ks=(1,))
+        evaluate(np.eye(1), columns_of(db), np.ones((2, 1)), columns_of([query]), ks=(1,))
 
 
 def test_recall_requires_queries_and_sorted_ks():

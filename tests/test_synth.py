@@ -12,7 +12,7 @@ import pytest
 
 from geoloc import embed, synth
 from geoloc.errors import DomainError, ManifestError
-from geoloc.partition import GeoPose, PartitionConfig, assign_class, build_partition
+from geoloc.partition import GeoPose, PartitionConfig, build_partition
 from geoloc.retrieval import build_index, recall_at_n
 from geoloc.synth import (
     REDUCE_CHUNK_ROWS,
@@ -24,7 +24,7 @@ from geoloc.synth import (
     oracle_descriptor,
     write_world,
 )
-from oracles import generate_city_per_image, oracle_pairwise_check, zip_members
+from oracles import assign_class, generate_city_per_image, oracle_pairwise_check, zip_members
 
 SMALL = CityConfig(
     extent_m=60.0,
@@ -227,13 +227,13 @@ def test_extent_too_small_is_rejected():
 
 def test_pairwise_check_clean_world():
     world = generate_city(SMALL)
-    part = build_partition(world.records, aligned_partition_config(SMALL))
+    part = build_partition(world.rows, aligned_partition_config(SMALL))
     assert oracle_pairwise_check(world, part) == []
 
 
 def test_pairwise_check_reports_corrupted_group_assignment():
     world = generate_city(SMALL)
-    part = build_partition(world.records, aligned_partition_config(SMALL))
+    part = build_partition(world.rows, aligned_partition_config(SMALL))
     victim = next(iter(part.class_members))
     correct = next(g for g, classes in part.group_classes.items() if victim in classes)
     wrong = next(g for g in part.group_classes if g != correct and part.group_classes[g])
@@ -249,7 +249,7 @@ def test_pairwise_check_reports_corrupted_group_assignment():
 def test_pairwise_check_skips_adjacency_for_unit_strides():
     world = generate_city(SMALL)
     pcfg = aligned_partition_config(SMALL, cell_stride=1, heading_stride=1)
-    part = build_partition(world.records, pcfg)
+    part = build_partition(world.rows, pcfg)
     assert oracle_pairwise_check(world, part) == []
 
 

@@ -25,6 +25,7 @@ from geoloc.train import (
     sample_batch,
     store_reduce,
 )
+from columns import columns_of
 
 BASE = TrainConfig(
     groups_used=2,
@@ -65,8 +66,8 @@ def world():
 
 @pytest.fixture(scope="module")
 def setup(world):
-    train_recs, val_db, val_q = split_validation(world.records, 0.15, seed=5)
-    part = build_partition(train_recs, PCFG)
+    train_rows, val_db, val_q = split_validation(world.rows, 0.15, seed=5)
+    part = build_partition(train_rows, PCFG)
     return part, val_db, val_q
 
 
@@ -297,8 +298,8 @@ def test_best_recall_is_nondecreasing_over_prefixes(trained):
 def test_empty_group_among_first_g_is_an_error(world):
     # Two classes only: most of the 2x2x2 groups are empty.
     few = [r for r in world.records if world.latent_key_of[r.id] in list(set(world.latent_key_of.values()))[:2]]
-    part = build_partition(few, dataclasses.replace(PCFG, min_images_per_class=1))
-    train_recs, val_db, val_q = split_validation(world.records, 0.15, seed=5)
+    part = build_partition(columns_of(few), dataclasses.replace(PCFG, min_images_per_class=1))
+    train_rows, val_db, val_q = split_validation(world.rows, 0.15, seed=5)
     with pytest.raises(TrainingError, match="classes"):
         run_training(part, world.features, BASE, val_db, val_q, world.query_features)
 
@@ -385,7 +386,7 @@ def test_embedding_pooled_rows_equals_embedding_the_maps(world, setup, pooling):
     _, val_db, val_q = setup
     model_cfg = ModelConfig(output_dim=16, pooling=pooling)
     model = embed.init_model(world.features.block.shape[1], model_cfg, 7)
-    for records, store in ((val_db, world.features), (val_q[::-1], world.query_features)):
+    for records, store in ((val_db.records(), world.features), (val_q.records()[::-1], world.query_features)):
         assert len(records) % BASE.batch_size  # the last chunk is partial
         budget = DescriptorBudget()
         pooled = FeatureStore(store.ids, store_reduce(model_cfg)(store.block))
@@ -400,9 +401,9 @@ def test_embed_records_is_fortran_ordered_rows_of_project(world, setup):
     _, val_db, _ = setup
     model = embed.init_model(world.features.block.shape[1], BASE.model, 7)
     pooled = FeatureStore(world.features.ids, store_reduce(BASE.model)(world.features.block))
-    got = embed_records(model, val_db, pooled, BASE.batch_size)
+    got = embed_records(model, val_db.records(), pooled, BASE.batch_size)
     assert got.flags.f_contiguous and got.shape == (len(val_db), BASE.model.output_dim)
-    want = embed.forward(model, pooled.block[pooled.rows(r.id for r in val_db)])[0]
+    want = embed.forward(model, pooled.block[pooled.rows(val_db.ids)])[0]
     assert want.flags.c_contiguous and np.array_equal(got, want)
 
 
@@ -415,6 +416,7 @@ def test_eval_holds_the_database_descriptors_once_and_one_search_block(traced_pe
     rng = np.random.default_rng(31)
     records = [ImageRecord(id=f"r{i}", pose=GeoPose(float(i % 400), float(i // 400), 0.0)) for i in range(n + q)]
     db, queries = records[:n], records[n:]
+    db_rows, query_rows = columns_of(db), columns_of(queries)
     db_store = FeatureStore([r.id for r in db], rng.random((n, dim)))
     query_store = FeatureStore([r.id for r in queries], rng.random((q, dim)))
     model = embed.init_model(dim, ModelConfig(output_dim=dim), 3)
@@ -422,7 +424,7 @@ def test_eval_holds_the_database_descriptors_once_and_one_search_block(traced_pe
     def run():
         db_vecs = embed_records(model, db, db_store, 256)
         query_vecs = embed_records(model, queries, query_store, 256)
-        return evaluate(db_vecs, db, query_vecs, queries)
+        return evaluate(db_vecs, db_rows, query_vecs, query_rows)
 
     report, peak = traced_peak(run)
     assert report.num_queries == q
