@@ -10,8 +10,10 @@ re-read and validated; the training history, the world summary, the
 validation manifests and the sweep CSV are not. ``sweep --param`` is any key
 path ``--set`` takes, each value applied last; a row holds the value as the
 run's config stores it and the best epoch's validation at ``eval.ks``.
-A partition file is never parsed into a partition: it is compared as JSON
-text with the partition the command builds (``_check_partition_file``).
+A partition file is never parsed into a partition. ``partition`` serializes
+its document once and compares the file's bytes with the bytes it wrote
+(``_check_write_back``); ``train --partition`` compares the file as JSON text
+with the partition the command builds (``_check_partition_file``).
 ``eval --checkpoint`` loads the database and the queries (from
 ``--query-features``, else from the database store) each on its own, with a
 reduce that pools each chunk of maps with the checkpoint's pooling and
@@ -93,10 +95,23 @@ def cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
     train_rows = ingest.split_validation(ingest.load_manifest_columns(args.manifest), cfg.split.fraction, cfg.seed)[0]
     part = build_partition(train_rows, cfg.partition)
     stats = partition_stats(part)
-    save_partition(part, args.output, extra={"run_config": run_config_to_dict(cfg), "stats": stats})
-    _check_partition_file(args.output, part)  # validate what we wrote
+    written = save_partition(part, args.output, extra={"run_config": run_config_to_dict(cfg), "stats": stats})
+    _check_write_back(args.output, written)
     print(format_stats_table(stats))
     return 0
+
+
+def _check_write_back(path: str | Path, written: bytes) -> None:
+    """Reject the partition file at ``path`` unless it holds exactly the bytes just written to it.
+
+    The document was serialized once, so equal bytes are the built partition; it is not parsed again.
+    """
+    try:
+        found = Path(path).read_bytes()
+    except OSError as exc:
+        raise PartitionError(f"cannot read partition file {path}: {exc.strerror or exc}") from exc
+    if found != written:
+        raise PartitionError(f"partition file {path} does not hold the {len(written)} bytes written to it")
 
 
 def _check_partition_file(path: str | Path, built: Partition) -> None:

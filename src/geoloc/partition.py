@@ -243,6 +243,9 @@ def partition_to_dict(p: Partition, extra: dict | None = None) -> dict:
     return doc
 
 
-def save_partition(p: Partition, path: str | Path, extra: dict | None = None) -> None:
-    write_atomic(path, dump_json(partition_to_dict(p, extra)))
+def save_partition(p: Partition, path: str | Path, extra: dict | None = None) -> bytes:
+    """Write ``partition_to_dict(p, extra)`` to ``path`` atomically; returns the bytes written."""
+    data = dump_json(partition_to_dict(p, extra)).encode("utf-8")
+    write_atomic(path, data)
+    return data
 

@@ -10,15 +10,19 @@ products differently by position, so duplicates can rank by that rounding.
 index, not a copy. It adopts a Fortran-ordered float64 array as it is and
 copies anything else once; either way it freezes the array read-only.
 ``recall_at_n`` scores queries in blocks, one matrix product per block, into
-one similarity buffer of about 4 MiB (``SEARCH_BLOCK_BYTES``) that every
-block reuses. It selects the top K in steps of rows whose copy takes at most
-256 KiB (``TOP_K_STEP_BYTES``): one partial partition per step, then one
-exact sort of the step's candidates (exact flat inner-product search, as in
-FAISS). A retrieved item counts as correct for a query when its pose lies
-within the metric threshold of the query pose, both taken in one shared UTM
-zone. The search reads ids and ``(N, 2)`` east/north arrays: ``evaluate`` takes
-them from manifest columns, and ``build_index``/``recall_at_n`` also accept
-GeoPoses and ``(descriptor, GeoPose)`` pairs and turn them into arrays.
+one similarity buffer that every block reuses. A block holds at most 128
+queries (``SEARCH_BLOCK_ROWS``) and at most about 4 MiB of similarities
+(``SEARCH_BLOCK_BYTES``): a 720 x 720 search is six blocks whose buffer takes
+737 280 B, and a 1 000 x 20 000 search is 39 blocks of 26 rows. More rows
+buy no measurable speed (README, "Search"). The search selects the top K in
+steps of rows whose copy takes at most 256 KiB (``TOP_K_STEP_BYTES``): one
+partial partition per step, then one exact sort of the step's candidates
+(exact flat inner-product search, as in FAISS). A retrieved item counts as
+correct for a query when its pose lies within the metric threshold of the
+query pose, both taken in one shared UTM zone. The search reads ids and
+``(N, 2)`` east/north arrays: ``evaluate`` takes them from manifest columns,
+and ``build_index``/``recall_at_n`` also accept GeoPoses and
+``(descriptor, GeoPose)`` pairs and turn them into arrays.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ DEFAULT_KS = (1, 5, 10, 20)
 DEFAULT_THRESHOLD_M = 25.0
 # Bytes of one search block's (queries x rows) similarity matrix.
 SEARCH_BLOCK_BYTES = 4 << 20
+# Queries in one search block, whatever the database size.
+SEARCH_BLOCK_ROWS = 128
 # Bytes of the copy of one step of a block's rows that the top-K selection partitions.
 TOP_K_STEP_BYTES = 256 << 10
 REPORT_FORMAT = "eval-report"
@@ -217,7 +223,7 @@ def recall_at_n(
             descriptors = _query_matrix([d for d, _ in queries], index.dim)
             positions = [(p.east, p.north) for _, p in queries]
         positions = np.asarray(positions, dtype=np.float64)
-        block = max(1, SEARCH_BLOCK_BYTES // (8 * len(index)))
+        block = max(1, min(SEARCH_BLOCK_ROWS, SEARCH_BLOCK_BYTES // (8 * len(index))))
         # (D, N) and C-contiguous (a view of the index), so each block's product streams the rows once.
         database = index.matrix.T
         buffer = np.empty((min(block, len(queries)), len(index)))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from geoloc import cli, ingest
+from geoloc import cli, ingest, partition
 from geoloc.cli import main
 from geoloc.config import load_run_config
 from geoloc.errors import TrainingError
@@ -103,6 +103,25 @@ def test_partition_stats_and_checksum(workspace, capsys, tmp_path):
     assert "groups              8" in stats
     assert main(args + ["--output", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("landed, message", [("equal JSON, a space more", "does not hold"), ("nothing", "cannot read")])
+def test_partition_rejects_a_write_back_that_differs(workspace, capsys, tmp_path, monkeypatch, landed, message):
+    # The file must hold the very bytes the command serialized; a write that landed otherwise is one error line.
+    _, cfg_path, world_dir = workspace
+
+    def write(path, data):
+        if landed != "nothing":
+            Path(path).write_bytes(data.replace(b'"members":', b'"members" :', 1))
+
+    monkeypatch.setattr(partition, "write_atomic", write)
+    capsys.readouterr()
+    code = main(["partition", "--config", str(cfg_path), "--manifest", str(world_dir / "manifest.csv"),
+                 "--output", str(tmp_path / "p.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    _single_error_line(err, "partition")
+    assert message in err
 
 
 def test_partition_with_default_strides_reports_50_groups(workspace, capsys, tmp_path):
@@ -471,6 +490,27 @@ def test_importing_the_cli_loads_neither_openssl_nor_pyyaml():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("source", ["checkpoint", "oracle-latents"])
+def test_eval_never_imports_numpy_random(workspace, tiny_model, source):
+    # Eval draws no random numbers, and importing numpy.random costs about 5 MiB of peak RSS, which
+    # would be eval's own peak. The probe runs the whole command in a fresh interpreter.
+    import subprocess
+    import sys
+
+    _, cfg_path, world_dir = workspace
+    argv = ["eval", "--config", str(cfg_path),
+            "--db", str(world_dir / "db.csv"), "--queries", str(world_dir / "queries.csv")]
+    if source == "checkpoint":
+        argv += ["--checkpoint", str(tiny_model), "--db-features", str(world_dir / "features.npz"),
+                 "--query-features", str(world_dir / "query_features.npz")]
+    else:
+        argv += ["--oracle-latents", str(world_dir / "latents.npz")]
+    probe = f"import sys, geoloc.cli; code = geoloc.cli.main({argv!r}); print(code, 'numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
 
 def test_sweep_rejects_empty_values(workspace, tmp_path, capsys):
@@ -1218,6 +1258,38 @@ def test_fixed_p_pooling_holds_one_float64_chunk(tmp_path, traced_peak):
     bound = cli.synth.REDUCE_CHUNK_ROWS * channels * side * side * (8 + 4 + 4) + (512 << 10)
     growth = peaks[16] - peaks[4]
     assert growth < bound, f"peak grew {growth / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+def test_training_memory_per_training_image_is_about_one_pooled_row(tmp_path, traced_peak):
+    # Classification training keeps no descriptor cache (the paper's "Train-time memory footprint"):
+    # per training image it holds that image's pooled row, its id and its manifest cells. Runs at the
+    # same 20 classes and the same 60 + 60 validation rows differ only in their training images; the
+    # peak may grow by at most C * 8 + 512 B per added training image (640 B at C = 16, D = 64). The
+    # bound was fixed before the first run, not fitted to a reading.
+    channels, dim, slots, n_val = 16, 64, 20, 60
+    raw = json.loads(json.dumps(CONFIG))
+    raw["partition"].update(cell_stride=1, heading_stride=1)
+    raw["train"].update(groups_used=1, model={"output_dim": dim, "pooling": "gem", "gem_p": 3.0})
+    peaks = {}
+    for n in (300, 600, 1800):  # the first run of a process also makes one-off allocations
+        ids = [f"img{i:05d}" for i in range(n)]
+        # Slot s lies in its own 10 m cell and 30-degree heading bin, so every size has the same classes.
+        rows = [f"{rid},{10 * (i % slots % 5) + 5}.0,{10 * (i % slots // 5) + 5}.0,15.0" for i, rid in enumerate(ids)]
+        manifest = tmp_path / f"manifest{n}.csv"
+        manifest.write_text("id,east,north,heading\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        store = tmp_path / f"features{n}.npz"
+        maps = np.random.default_rng(n).random((n, channels, 2, 2), dtype=np.float32)
+        np.savez(store, **dict(zip(ids, maps)))
+        raw["split"]["fraction"] = n_val / n
+        cfg_path = tmp_path / f"run{n}.json"
+        cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["train", "--config", str(cfg_path), "--manifest", str(manifest), "--features", str(store),
+                "--out-dir", str(tmp_path / f"run{n}")]
+        code, peaks[n] = traced_peak(lambda: main(argv))
+        assert code == 0
+    train_images = {n: n - 2 * n_val for n in peaks}
+    slope = (peaks[1800] - peaks[600]) / (train_images[1800] - train_images[600])
+    assert slope <= channels * 8 + 512, f"training's peak grew {slope:.0f} B per training image"
 
 
 def test_train_accepts_query_maps_of_another_size(workspace, tmp_path):

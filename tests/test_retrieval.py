@@ -438,3 +438,47 @@ def test_array_inputs_search_as_poses_and_pairs_do():
         recall_at_n(by_array, queries[:, :5], (1,), 20.0, query_positions)
     with pytest.raises(RetrievalError, match="not unit-norm"):
         recall_at_n(by_array, 2.0 * queries, (1,), 20.0, query_positions)
+
+
+def _desk_search(rng, n, dim=64):
+    """An ``n`` x ``n`` search like desk validation's: each query is a noisy copy of a database row,
+    and every position is uniform in a 200 m square. Returns the database matrix in Fortran order,
+    the database positions, the queries and their positions."""
+    database = np.asfortranarray(unit_rows(rng.standard_normal((n, dim))))
+    queries = unit_rows(database[rng.permutation(n)] + 0.6 * rng.standard_normal((n, dim)) / np.sqrt(dim))
+    positions = rng.uniform(0.0, 200.0, size=(n, 2))
+    query_positions = rng.uniform(0.0, 200.0, size=(n, 2))
+    return database, positions, queries, query_positions
+
+
+def test_search_blocks_of_any_row_count_report_alike():
+    # Each query's row of similarities is its own product, so how queries are cut into blocks
+    # changes no rank; at desk validation's 720 x 720, D = 64 the report is the same for one-row
+    # blocks, the 128-row default and one block of every query.
+    database, positions, queries, query_positions = _desk_search(np.random.default_rng(15), 720)
+    index = build_index(database, [f"db{i}" for i in range(720)], positions)
+    reports = []
+    for rows in (1, 45, 128, 720):
+        with mock.patch.object(retrieval, "SEARCH_BLOCK_ROWS", rows):
+            reports.append(recall_at_n(index, queries, positions=query_positions).to_dict())
+    assert 0.0 < reports[0]["recall_at"]["20"] < 1.0
+    assert all(report == reports[0] for report in reports[1:])
+
+
+def test_evaluate_memory_per_database_row_at_q_equal_n(traced_peak):
+    # A search block holds at most SEARCH_BLOCK_ROWS queries, so where the queries are as many as
+    # the database rows (validation's Q = N), eval's peak grows by one block column per database
+    # row, not by a whole query's row. With the descriptors made before tracing (the index adopts
+    # the database side), the peak may grow by at most 128 * 8 + 512 B per database row. The bound
+    # is fixed in advance, not fitted to a reading; one block of every query would add
+    # (300 + 700) * 8 B per row between the two sizes.
+    sizes, peaks = (300, 700), {}
+    for n in sizes:
+        database, positions, queries, query_positions = _desk_search(np.random.default_rng(16), n)
+        poses = [GeoPose(float(e), float(north), 0.0) for e, north in np.concatenate([positions, query_positions])]
+        records = [ImageRecord(f"r{i:04d}", pose) for i, pose in enumerate(poses)]
+        db_rows, query_rows = columns_of(records[:n]), columns_of(records[n:])
+        report, peaks[n] = traced_peak(lambda: evaluate(database, db_rows, queries, query_rows))
+        assert report.num_queries == n
+    slope = (peaks[sizes[1]] - peaks[sizes[0]]) / (sizes[1] - sizes[0])
+    assert slope <= 128 * 8 + 512, f"evaluate's peak grew {slope:.0f} B per database row"
